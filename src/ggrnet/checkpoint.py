@@ -62,7 +62,10 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig, vocabulary,
 
 
 def load_checkpoint(path) -> Checkpoint:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as err:
+        raise CheckpointError(f"{path}: cannot read checkpoint: {err.strerror}") from err
     if len(raw) < len(_MAGIC) + 12 or raw[:len(_MAGIC)] != _MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     version, header_len = struct.unpack_from("<IQ", raw, len(_MAGIC))
@@ -80,14 +83,15 @@ def load_checkpoint(path) -> Checkpoint:
         vocabulary = list(header["vocabulary"])
         target = header["target"]
         normalizer = Normalizer(mean=float(target["mean"]), std=float(target["std"]))
-        manifest = header["tensors"]
-    except (KeyError, TypeError) as err:
-        raise CheckpointError(f"{path}: header is missing fields: {err}") from err
+        manifest = [(entry["name"], int(entry["rows"]), int(entry["cols"]))
+                    for entry in header["tensors"]]
+        max_atom_count = int(header["max_atom_count"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise CheckpointError(f"{path}: header has missing or malformed fields: {err}") from err
 
     tensors = {}
     offset = body_start + header_len
-    for entry in manifest:
-        name, rows, cols = entry["name"], int(entry["rows"]), int(entry["cols"])
+    for name, rows, cols in manifest:
         nbytes = rows * cols * 8
         if offset + nbytes > len(raw):
             raise CheckpointError(f"{path}: truncated payload at tensor '{name}'")
@@ -97,8 +101,7 @@ def load_checkpoint(path) -> Checkpoint:
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes after payload")
 
-    params = _assemble_params(tensors, config, len(vocabulary),
-                              int(header["max_atom_count"]), path)
+    params = _assemble_params(tensors, config, len(vocabulary), max_atom_count, path)
     return Checkpoint(params=params, config=config, vocabulary=vocabulary,
                       normalizer=normalizer, target_property=str(target["property"]),
                       unit=str(target.get("unit", "")))

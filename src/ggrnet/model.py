@@ -8,11 +8,17 @@ One weight set is shared across all steps, and the input embeddings re-enter
 the message at every step. The readout averages the final hidden vectors and
 applies a three-layer ReLU MLP down to a scalar.
 
-The forward pass is vectorized: all ordered pairs of a molecule are stacked
-as columns of a single matrix, so each step costs two matrix products plus
-the gating elementwise ops. Constant per-molecule structure (selector
-matrices, the distance row) is precomputed once in
-:class:`MoleculeEncoding` and reused across steps and calls.
+The forward pass is vectorized over pairs without ever forming a per-pair
+input matrix. Gate and candidate are affine in the concatenated pair input,
+so each splits by block into a receiver term and a sender term, each a
+``[hidden, N]`` product with the atom columns, plus the count term and the
+distance weight times the ``[N, N]`` inverse-distance matrix. Broadcasting
+the two terms against each other gives the pre-activations of all pairs as a
+``[hidden, N, N]`` grid (receiver, sender), whose diagonal is masked out.
+Each step is one recorded op with a hand-written backward
+(:func:`message_step`). The constant per-molecule structure (element one-hot
+matrix, inverse distances) is precomputed once in :class:`MoleculeEncoding`
+and reused across steps and calls.
 """
 from __future__ import annotations
 
@@ -25,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Graph, Tensor, _stable_sigmoid
 from .data import Molecule, inverse_distance_matrix
-from .errors import ConfigError, VocabularyError
+from .errors import ConfigError, NumericalError, VocabularyError
 
 __all__ = [
     "ModelConfig",
@@ -33,6 +39,7 @@ __all__ = [
     "MoleculeEncoding",
     "init_params",
     "pair_message",
+    "message_step",
     "step",
     "readout",
     "forward",
@@ -174,48 +181,25 @@ def element_indices(symbols: Sequence[str], vocabulary: Sequence[str]) -> list[i
 class MoleculeEncoding:
     """Constant per-molecule structure shared by every step and every call.
 
-    Ordered pairs are enumerated receiver-major with ascending indices:
-    (0,1), (0,2), ..., (1,0), (1,2), ... so message summation order is
-    deterministic. For a single-atom molecule there are no pairs and the
-    hidden state stays at its zero initialization.
+    Atoms are columns, in file order: ``element_onehot`` is the
+    ``[vocab, N]`` one-hot matrix of the elements, and ``inv_dist`` the
+    ``[N, N]`` matrix of reciprocal pair distances, receiver by sender, with
+    a zero diagonal (``None`` when the distance feature is off). A message
+    grid indexed the same way, ``[hidden, N, N]``, holds every ordered pair
+    once; its diagonal is not a pair and is masked. For a single-atom
+    molecule there are no pairs and the hidden state stays at zero.
     """
 
     def __init__(self, molecule: Molecule, vocabulary: Sequence[str], cfg: ModelConfig):
         n = molecule.natoms
+        self.mol_id = molecule.mol_id
         self.n = n
-        self.pair_count = n * (n - 1)
         idx = element_indices(molecule.symbols, vocabulary)
         onehot = np.zeros((len(vocabulary), n))
         onehot[idx, np.arange(n)] = 1.0
         self.element_onehot = ad.constant(onehot, "element_onehot")
-        self.ones_atoms = ad.constant(np.ones((n, 1)), "ones_atoms")
-
-        if self.pair_count == 0:
-            self.receivers = self.senders = np.empty(0, dtype=int)
-            self.receiver_select = self.sender_select = self.receiver_scatter = None
-            self.dist_row = None
-            self.ones_pairs = None
-            return
-
-        pairs = [(v, w) for v in range(n) for w in range(n) if w != v]
-        self.receivers = np.array([v for v, _ in pairs])
-        self.senders = np.array([w for _, w in pairs])
-        p = self.pair_count
-        rsel = np.zeros((n, p))
-        rsel[self.receivers, np.arange(p)] = 1.0
-        ssel = np.zeros((n, p))
-        ssel[self.senders, np.arange(p)] = 1.0
-        self.receiver_select = ad.constant(rsel, "receiver_select")
-        self.sender_select = ad.constant(ssel, "sender_select")
-        self.receiver_scatter = ad.constant(rsel.T.copy(), "receiver_scatter")
-        self.ones_pairs = ad.constant(np.ones((1, p)), "ones_pairs")
-
-        if cfg.use_distance_feature:
-            inv = inverse_distance_matrix(molecule.coords, cfg.distance_epsilon)
-            dist = inv[self.receivers, self.senders].reshape(1, p)
-        else:
-            dist = np.zeros((1, p))
-        self.dist_row = ad.constant(dist, "inverse_distances")
+        self.inv_dist = (inverse_distance_matrix(molecule.coords, cfg.distance_epsilon)
+                         if cfg.use_distance_feature else None)
 
 
 def pair_message(params: ModelParams, xv, hv, xw, hw, xn, dvw: float) -> np.ndarray:
@@ -234,42 +218,122 @@ def pair_message(params: ModelParams, xv, hv, xw, hw, xn, dvw: float) -> np.ndar
     return (_stable_sigmoid(gate) * np.tanh(cand)).ravel()
 
 
-class _InputBlocks:
-    """Step-invariant rows of the pair input matrix (embeddings, count, distance)."""
-
-    def __init__(self, graph: Graph | None, enc: MoleculeEncoding, params: ModelParams,
-                 cfg: ModelConfig):
-        p = enc.pair_count
-        if cfg.use_atom_embedding:
-            x = ad.matmul(graph, ad.transpose(graph, params.atom_embedding), enc.element_onehot)
-            self.receiver_embed = ad.matmul(graph, x, enc.receiver_select)
-            self.sender_embed = ad.matmul(graph, x, enc.sender_select)
-        else:
-            self.receiver_embed = ad.constant(np.zeros((cfg.atom_dim, p)))
-            self.sender_embed = ad.constant(np.zeros((cfg.atom_dim, p)))
-        if cfg.use_count_feature:
-            row = min(enc.n, params.max_atom_count) - 1
-            col = ad.transpose(graph, ad.slice_rows(graph, params.count_embedding, row, row + 1))
-            self.count_block = ad.matmul(graph, col, enc.ones_pairs)
-        else:
-            self.count_block = ad.constant(np.zeros((cfg.count_dim, p)))
-        if cfg.use_distance_feature:
-            self.dist_block = enc.dist_row
-        else:
-            self.dist_block = ad.constant(np.zeros((1, p)))
+def _input_blocks(graph: Graph | None, enc: MoleculeEncoding, params: ModelParams,
+                  cfg: ModelConfig) -> tuple[Tensor | None, Tensor | None]:
+    """Step-invariant message inputs: the atom embeddings ``[atom, N]`` and the
+    count embedding column ``[count, 1]``; ``None`` for a feature switched off."""
+    x = count = None
+    if cfg.use_atom_embedding:
+        x = ad.matmul(graph, ad.transpose(graph, params.atom_embedding), enc.element_onehot)
+    if cfg.use_count_feature:
+        row = min(enc.n, params.max_atom_count) - 1
+        count = ad.transpose(graph, ad.slice_rows(graph, params.count_embedding, row, row + 1))
+    return x, count
 
 
-def _run_step(graph: Graph | None, state: Tensor, blocks: _InputBlocks,
-              enc: MoleculeEncoding, params: ModelParams) -> tuple[Tensor, Tensor]:
-    hv = ad.matmul(graph, state, enc.receiver_select)
-    hw = ad.matmul(graph, state, enc.sender_select)
-    inp = ad.concat_rows(graph, (blocks.receiver_embed, hv, blocks.sender_embed, hw,
-                                 blocks.count_block, blocks.dist_block))
-    gate = ad.sigmoid(graph, ad.linear(graph, params.gate_weight, params.gate_bias, inp))
-    cand = ad.tanh(graph, ad.linear(graph, params.candidate_weight, params.candidate_bias, inp))
-    messages = ad.hadamard(graph, gate, cand)
-    summed = ad.matmul(graph, messages, enc.receiver_scatter)
-    return ad.scale(graph, summed, 1.0 / enc.n), inp
+def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
+                 x: Tensor | None, state: Tensor, count: Tensor | None,
+                 inv_dist: np.ndarray | None) -> Tensor:
+    """One recursion step as one recorded op: the next hidden state ``[hidden, N]``.
+
+    ``x`` is ``[atom, N]``, ``count`` ``[count, 1]`` and ``inv_dist`` ``[N, N]``
+    with a zero diagonal; ``None`` marks a feature switched off, whose weight
+    block is skipped and gets a zero gradient. For gate and candidate alike,
+    with ``z = [x; state]``, pair (v, w) has the pre-activation ``R[:, v] +
+    S[:, w] + w_d * inv_dist[v, w]``, where ``R = W_r z + W_cnt count + b``
+    and ``S = W_s z`` use column blocks of the weight. The ``[hidden, N, N]``
+    grid of messages ``sigmoid(gate) * tanh(candidate)``, diagonal masked, is
+    summed over senders and divided by N. Raises :class:`NumericalError` if
+    any pre-activation is non-finite, which the saturating gates would hide.
+    """
+    n = state.cols
+    half = cfg.atom_dim + cfg.hidden_dim          # receiver columns; sender ones follow
+    lo = 0 if x is not None else cfg.atom_dim     # first used column within each half
+    recv, send = slice(lo, half), slice(half + lo, 2 * half)
+    cnt = slice(2 * half, 2 * half + cfg.count_dim)
+    z = state.values if x is None else np.concatenate((x.values, state.values))
+
+    def pre_activation(weight: Tensor, bias: Tensor) -> np.ndarray:
+        w = weight.values
+        r = w[:, recv] @ z + bias.values
+        if count is not None:
+            r += w[:, cnt] @ count.values
+        pre = r[:, :, None] + (w[:, send] @ z)[:, None, :]
+        if inv_dist is not None:
+            pre += w[:, -1, None, None] * inv_dist
+        pre.reshape(-1, n * n)[:, ::n + 1] = 0.0  # the diagonal is no pair
+        if not np.isfinite(pre).all():
+            raise NumericalError("non-finite values produced by op 'message_step'")
+        return pre
+
+    # sigmoid in place; exp(-x) overflows to inf below x = -709, giving exactly 0
+    gate = pre_activation(params.gate_weight, params.gate_bias)
+    with np.errstate(over="ignore"):
+        np.exp(np.negative(gate, out=gate), out=gate)
+    gate += 1.0
+    np.reciprocal(gate, out=gate)
+    cand = pre_activation(params.candidate_weight, params.candidate_bias)
+    np.tanh(cand, out=cand)
+    # tanh(0) = 0 masks the diagonal's messages and gate gradients; a zero gate
+    # there also masks the candidate gradients
+    gate.reshape(-1, n * n)[:, ::n + 1] = 0.0
+    out = np.einsum("ivw,ivw->iv", gate, cand)
+    out *= 1.0 / n
+
+    weights = (params.gate_weight, params.candidate_weight)
+    inputs = (params.gate_weight, params.gate_bias, params.candidate_weight,
+              params.candidate_bias, state, *(t for t in (x, count) if t is not None))
+
+    def rule(g):
+        g_n = g * (1.0 / n)
+        # per pair, d(message)/d(pre-activation); the receiver's output
+        # gradient g_n[:, v] scales every pair (v, w)
+        d_gate = 1.0 - gate
+        d_gate *= gate
+        d_gate *= cand
+        d_cand = cand * cand
+        np.subtract(1.0, d_cand, out=d_cand)
+        d_cand *= gate
+        grads, d_z, d_count = [], 0.0, 0.0
+        for weight, d_pre in zip(weights, (d_gate, d_cand)):
+            w = weight.values
+            d_r = g_n * np.einsum("ivw->iv", d_pre)
+            d_s = np.einsum("iv,ivw->iw", g_n, d_pre)
+            d_b = d_r.sum(axis=1, keepdims=True)
+            d_w = np.zeros_like(w)
+            d_w[:, recv] = d_r @ z.T
+            d_w[:, send] = d_s @ z.T
+            d_z = d_z + w[:, recv].T @ d_r + w[:, send].T @ d_s
+            if count is not None:
+                d_w[:, cnt] = d_b @ count.values.T
+                d_count = d_count + w[:, cnt].T @ d_b
+            if inv_dist is not None:
+                d_w[:, -1] = np.einsum("iv,iv->i", g_n,
+                                       np.einsum("ivw,vw->iv", d_pre, inv_dist))
+            grads += [d_w, d_b]
+        grads.append(d_z if x is None else d_z[cfg.atom_dim:])
+        if x is not None:
+            grads.append(d_z[:cfg.atom_dim])
+        if count is not None:
+            grads.append(d_count)
+        return tuple(grads)
+
+    return ad._result(graph, "message_step", inputs, out, rule)
+
+
+def _pair_inputs(cfg: ModelConfig, enc: MoleculeEncoding, x: Tensor | None, state: Tensor,
+                 count: Tensor | None) -> np.ndarray:
+    """A step's per-pair input matrix ``[concat_dim, N(N-1)]``, rebuilt in numpy
+    off the tape for inspection. Columns are the ordered pairs, receiver-major:
+    (0,1), (0,2), ..., (1,0), (1,2), ...; switched-off features are zero rows."""
+    n = enc.n
+    recv, send = np.nonzero(~np.eye(n, dtype=bool))
+    xv = x.values if x is not None else np.zeros((cfg.atom_dim, n))
+    h = state.values
+    c = count.values if count is not None else np.zeros((cfg.count_dim, 1))
+    d = enc.inv_dist[recv, send] if enc.inv_dist is not None else np.zeros(len(recv))
+    return np.concatenate((xv[:, recv], h[:, recv], xv[:, send], h[:, send],
+                           np.repeat(c, len(recv), axis=1), d[None, :]))
 
 
 def step(graph: Graph | None, state: Tensor, molecule: Molecule, params: ModelParams,
@@ -277,11 +341,8 @@ def step(graph: Graph | None, state: Tensor, molecule: Molecule, params: ModelPa
          encoding: MoleculeEncoding | None = None) -> Tensor:
     """One recursion step: next hidden state [hidden, N] from the current one."""
     enc = encoding or MoleculeEncoding(molecule, vocabulary, cfg)
-    if enc.pair_count == 0:
-        return ad.constant(np.zeros((cfg.hidden_dim, 1)))
-    blocks = _InputBlocks(graph, enc, params, cfg)
-    next_state, _ = _run_step(graph, state, blocks, enc, params)
-    return next_state
+    x, count = _input_blocks(graph, enc, params, cfg)
+    return message_step(graph, params, cfg, x, state, count, enc.inv_dist)
 
 
 def readout(graph: Graph | None, state: Tensor, params: ModelParams) -> Tensor:
@@ -299,16 +360,21 @@ def forward(graph: Graph | None, molecule: Molecule, params: ModelParams, cfg: M
             trace: list | None = None) -> Tensor:
     """Full prediction for one molecule, in normalized target space.
 
-    Hidden states start at zero. ``trace``, when given, collects a copy of
-    the per-pair input matrix of every step (for inspection/testing).
+    Hidden states start at zero. ``trace``, when given, collects the per-pair
+    input matrix of every step (for inspection/testing). A
+    :class:`NumericalError` names the molecule and the recursion step.
     """
     enc = encoding or MoleculeEncoding(molecule, vocabulary, cfg)
-    if enc.pair_count == 0:
-        return readout(graph, ad.constant(np.zeros((cfg.hidden_dim, 1))), params)
-    blocks = _InputBlocks(graph, enc, params, cfg)
-    state = ad.constant(np.zeros((cfg.hidden_dim, enc.n)))
-    for _ in range(cfg.steps):
-        state, inp = _run_step(graph, state, blocks, enc, params)
-        if trace is not None:
-            trace.append(inp.values.copy())
-    return readout(graph, state, params)
+    where = "input embeddings"
+    try:
+        x, count = _input_blocks(graph, enc, params, cfg)
+        state = ad.constant(np.zeros((cfg.hidden_dim, enc.n)))
+        for k in range(cfg.steps):
+            where = f"step {k}"
+            if trace is not None:
+                trace.append(_pair_inputs(cfg, enc, x, state, count))
+            state = message_step(graph, params, cfg, x, state, count, enc.inv_dist)
+        where = "readout"
+        return readout(graph, state, params)
+    except NumericalError as err:
+        raise NumericalError(f"molecule {enc.mol_id}, {where}: {err}") from err

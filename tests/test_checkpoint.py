@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,16 @@ def write_checkpoint(path, seed=0):
     save_checkpoint(path, params, CFG, VOCAB, Normalizer(mean=1.5, std=0.25),
                     "energy", unit="arb")
     return params
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to the decoded JSON header and write the file back."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", raw, 12)
+    header = json.loads(raw[20:20 + header_len])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + header_len:])
 
 
 def test_round_trip_restores_everything(tmp_path):
@@ -85,4 +98,27 @@ def test_corrupt_header(tmp_path):
     raw[25] ^= 0xFF  # flip a byte inside the JSON header
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", ["none.ckpt", "."])  # missing file, a directory
+def test_unreadable_path(tmp_path, name):
+    with pytest.raises(CheckpointError, match="cannot read"):
+        load_checkpoint(tmp_path / name)
+
+
+@pytest.mark.parametrize("key", ["name", "rows", "cols"])
+def test_manifest_entry_missing_key(tmp_path, key):
+    path = tmp_path / "x.ckpt"
+    write_checkpoint(path)
+    rewrite_header(path, lambda header: header["tensors"][3].pop(key))
+    with pytest.raises(CheckpointError, match=f"fields: '{key}'"):
+        load_checkpoint(path)
+
+
+def test_header_missing_max_atom_count(tmp_path):
+    path = tmp_path / "x.ckpt"
+    write_checkpoint(path)
+    rewrite_header(path, lambda header: header.pop("max_atom_count"))
+    with pytest.raises(CheckpointError, match="fields: 'max_atom_count'"):
         load_checkpoint(path)

@@ -152,6 +152,16 @@ def test_eval_corrupted_checkpoint(trained_run, tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", [["eval", "--data", "x.xyz"], ["predict", "x.xyz"]])
+def test_missing_checkpoint_is_one_line_exit_2(tmp_path, capsys, command):
+    missing = str(tmp_path / "none.ckpt")
+    rc = main([command[0], missing, *command[1:]])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and missing in err
+
+
 def test_eval_empty_dataset(trained_run, tmp_path):
     empty = tmp_path / "empty.xyz"
     empty.write_text("\n")

@@ -1,13 +1,14 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ggrnet.autodiff as ad
 from ggrnet.data import Molecule
-from ggrnet.errors import ConfigError, VocabularyError
-from ggrnet.gradcheck import gradient_check
+from ggrnet.errors import ConfigError, NumericalError, VocabularyError
+from ggrnet.gradcheck import DEFAULT_CHECK_CONFIG, gradient_check, run_gradcheck
 from ggrnet.model import (
     ModelConfig,
     MoleculeEncoding,
@@ -400,3 +401,22 @@ def test_forward_gradients_match_finite_differences():
     molecules = random_molecules(16, 3, sizes=(2, 4, 5), elements=VOCAB)
     report = gradient_check(params, cfg, molecules, [0.3, -0.2, 0.9], VOCAB)
     assert report.max_error < 1e-5, report
+
+
+@pytest.mark.parametrize("flag", ["use_atom_embedding", "use_count_feature",
+                                  "use_distance_feature"])
+def test_ablation_gradients_match_finite_differences(flag):
+    (report,) = run_gradcheck(seed=0, seeds=1, cfg=replace(DEFAULT_CHECK_CONFIG, **{flag: False}))
+    assert report.max_error < 1e-4, report
+
+
+def test_overflowing_pre_activation_names_op_molecule_and_step():
+    # sigmoid saturates, so an infinite gate pre-activation would still give
+    # finite messages; the step must refuse it rather than pass it on
+    params = small_params(seed=15)
+    params.gate_weight.values[:] = 1e308
+    params.atom_embedding.values[:] = 1.0  # receiver term alone: 3 atom columns x 1e308
+    mol = random_molecule(np.random.default_rng(16), 4, elements=VOCAB, mol_id="m3")
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match=r"^molecule m3, step 0: .*'message_step'"):
+        forward(None, mol, params, SMALL, VOCAB)
