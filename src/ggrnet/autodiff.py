@@ -35,7 +35,6 @@ __all__ = [
     "concat_rows",
     "slice_rows",
     "transpose",
-    "sum_all",
     "backward",
     "global_grad_norm",
     "clip_global_norm",
@@ -269,12 +268,6 @@ def slice_rows(graph: Graph | None, a: Tensor, start: int, stop: int) -> Tensor:
 def transpose(graph: Graph | None, a: Tensor) -> Tensor:
     return _result(graph, "transpose", (a,), a.values.T.copy(),
                    lambda g: (g.T,))
-
-
-def sum_all(graph: Graph | None, a: Tensor) -> Tensor:
-    av = a.values
-    return _result(graph, "sum_all", (a,), np.array([[av.sum()]]),
-                   lambda g: (np.full_like(av, g[0, 0]),))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import Normalizer
 from .errors import CheckpointError
-from .model import ModelConfig, ModelParams
+from .model import ModelConfig, ModelParams, param_shapes
 
 __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint", "FORMAT_VERSION"]
 
@@ -109,20 +109,7 @@ def load_checkpoint(path) -> Checkpoint:
 
 def _assemble_params(tensors: dict, config: ModelConfig, vocab_size: int,
                      max_atom_count: int, path) -> ModelParams:
-    expected = {
-        "atom_embedding": (vocab_size, config.atom_dim),
-        "count_embedding": (max_atom_count, config.count_dim),
-        "gate_weight": (config.hidden_dim, config.concat_dim),
-        "gate_bias": (config.hidden_dim, 1),
-        "candidate_weight": (config.hidden_dim, config.concat_dim),
-        "candidate_bias": (config.hidden_dim, 1),
-        "readout_w0": (config.mlp_dim, config.hidden_dim),
-        "readout_b0": (config.mlp_dim, 1),
-        "readout_w1": (config.mlp_dim, config.mlp_dim),
-        "readout_b1": (config.mlp_dim, 1),
-        "readout_w2": (1, config.mlp_dim),
-        "readout_b2": (1, 1),
-    }
+    expected = dict(param_shapes(config, vocab_size, max_atom_count))
     if set(tensors) != set(expected):
         raise CheckpointError(f"{path}: tensor set {sorted(tensors)} does not match "
                               f"expected {sorted(expected)}")
@@ -130,12 +117,4 @@ def _assemble_params(tensors: dict, config: ModelConfig, vocab_size: int,
         if tensors[name].shape != shape:
             raise CheckpointError(f"{path}: tensor '{name}' has shape "
                                   f"{tensors[name].shape}, expected {shape}")
-    return ModelParams(
-        atom_embedding=tensors["atom_embedding"],
-        count_embedding=tensors["count_embedding"],
-        gate_weight=tensors["gate_weight"],
-        gate_bias=tensors["gate_bias"],
-        candidate_weight=tensors["candidate_weight"],
-        candidate_bias=tensors["candidate_bias"],
-        mlp=[(tensors[f"readout_w{i}"], tensors[f"readout_b{i}"]) for i in range(3)],
-    )
+    return ModelParams.from_named(tensors)

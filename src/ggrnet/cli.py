@@ -9,46 +9,66 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunSpec, load_run_spec
-from .data import CommentSchema, Dataset, load_dataset, parse_extended_xyz_records, split
+from .config import RunSpec, load_run_spec, resolve_schema
+from .data import DATASET_FORMATS, Dataset, load_dataset, parse_extended_xyz_records, split
 from .errors import (CheckpointError, ConfigError, DataError, NumericalError, ParseError,
                      VocabularyError)
 from .gradcheck import DEFAULT_CHECK_CONFIG, run_gradcheck
-from .model import ModelConfig, forward
+from .model import forward
 from .training import ABLATION_FLAGS, evaluate, run_ablation, train
 
 __all__ = ["main", "entrypoint", "build_parser"]
 
 
+# C thread-count functions of the OpenBLAS builds numpy ships with or links to
+_BLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                        "openblas_{}_num_threads")
+
+
+def _blas_thread_control():
+    """``(set, get)`` of the loaded OpenBLAS's thread count, or ``None`` if not found."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in _BLAS_THREAD_SYMBOLS:
+            setter = getattr(lib, symbol.format("set"), None)
+            getter = getattr(lib, symbol.format("get"), None)
+            if setter is not None and getter is not None:
+                setter.restype, setter.argtypes = None, [ctypes.c_int]
+                getter.restype, getter.argtypes = ctypes.c_int, []
+                return setter, getter
+    return None
+
+
 @contextlib.contextmanager
 def _thread_cap(n: int | None):
-    """Cap BLAS worker threads; --threads 1 makes numerics run-to-run identical."""
-    if not n:
+    """Cap BLAS worker threads, restoring the previous count on exit; --threads 1
+    makes numerics run-to-run identical."""
+    control = _blas_thread_control() if n else None
+    if control is None:
+        if n:
+            print("warning: no OpenBLAS thread control found; BLAS threads not capped",
+                  file=sys.stderr)
         yield
         return
+    set_threads, get_threads = control
+    previous = get_threads()
+    set_threads(n)
     try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
         yield
-        return
-    with threadpool_limits(limits=n):
-        yield
-
-
-def _parse_schema_arg(spec: str | None) -> CommentSchema | None:
-    if not spec:
-        return None
-    if spec.startswith("builtin:"):
-        return CommentSchema.builtin(spec.split(":", 1)[1])
-    path = Path(spec)
-    if not path.is_file():
-        raise ConfigError(f"schema file not found: {spec}")
-    return CommentSchema.from_file(path)
+    finally:
+        set_threads(previous)
 
 
 def _load_spec_dataset(spec: RunSpec) -> Dataset:
@@ -65,23 +85,24 @@ def _checked_target(spec: RunSpec, ds: Dataset) -> str:
     return target
 
 
-def _train_overrides(args) -> list[str]:
+# shorthand flags of train and ablate -> the config keys they override
+_FLAG_KEYS = {"epochs": "train.epochs", "seed": "train.seed", "runs": "run.runs",
+              "threads": "run.threads"}
+
+
+def _flag_overrides(args) -> list[str]:
+    """The ``--set`` overrides, then one per shorthand flag the command was given."""
     overrides = list(args.overrides)
-    if args.epochs is not None:
-        overrides.append(f"train.epochs={args.epochs}")
-    if args.seed is not None:
-        overrides.append(f"train.seed={args.seed}")
-    if args.runs is not None:
-        overrides.append(f"run.runs={args.runs}")
-    if args.resplit:
+    for flag, key in _FLAG_KEYS.items():
+        if getattr(args, flag, None) is not None:
+            overrides.append(f"{key}={getattr(args, flag)}")
+    if getattr(args, "resplit", False):
         overrides.append("run.resplit=true")
-    if args.threads is not None:
-        overrides.append(f"run.threads={args.threads}")
     return overrides
 
 
 def _cmd_train(args) -> int:
-    spec = load_run_spec(args.config, _train_overrides(args))
+    spec = load_run_spec(args.config, _flag_overrides(args))
     with _thread_cap(spec["run.threads"]):
         return _run_training(spec, Path(args.out))
 
@@ -163,7 +184,7 @@ def _cmd_eval(args) -> int:
         if partition != "all":
             ds = split(ds, spec.split_spec())[_PARTITIONS[partition]]
     elif args.data:
-        schema = _parse_schema_arg(args.schema)
+        schema = resolve_schema(args.schema)
         ds = load_dataset(args.data, args.format, schema, ckpt.vocabulary)
     else:
         raise ConfigError("eval needs either --config or --data")
@@ -187,7 +208,7 @@ def _cmd_predict(args) -> int:
     path = Path(args.molecules)
     if not path.is_file():
         raise DataError(f"molecule file not found: {path}")
-    schema = _parse_schema_arg(args.schema)
+    schema = resolve_schema(args.schema)
     molecules = parse_extended_xyz_records(path.read_bytes(), schema, ckpt.vocabulary)
     with _thread_cap(args.threads):
         for mol in molecules:
@@ -197,12 +218,15 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+# the model sizes gradcheck takes as --atom-dim ... --steps
+_CHECK_SIZES = ("atom_dim", "count_dim", "hidden_dim", "mlp_dim", "steps")
+
+
 def _cmd_gradcheck(args) -> int:
     atom_counts = [int(tok) for tok in args.atoms.split(",") if tok.strip()]
     if not atom_counts or min(atom_counts) < 1:
         raise ConfigError(f"--atoms must list positive atom counts, got '{args.atoms}'")
-    cfg = ModelConfig(atom_dim=args.atom_dim, count_dim=args.count_dim,
-                      hidden_dim=args.hidden_dim, mlp_dim=args.mlp_dim, steps=args.steps)
+    cfg = replace(DEFAULT_CHECK_CONFIG, **{name: getattr(args, name) for name in _CHECK_SIZES})
     with _thread_cap(args.threads):
         reports = run_gradcheck(seed=args.seed, seeds=args.seeds, atom_counts=atom_counts,
                                 cfg=cfg, fd_step=args.fd_step, corrupt=args.corrupt)
@@ -219,15 +243,10 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    overrides = list(args.overrides)
-    if args.epochs is not None:
-        overrides.append(f"train.epochs={args.epochs}")
-    if args.seed is not None:
-        overrides.append(f"train.seed={args.seed}")
-    spec = load_run_spec(args.config, overrides)
+    spec = load_run_spec(args.config, _flag_overrides(args))
     which = list(ABLATION_FLAGS) if args.which == "all" else [args.which]
 
-    with _thread_cap(args.threads if args.threads is not None else spec["run.threads"]):
+    with _thread_cap(spec["run.threads"]):
         ds = _load_spec_dataset(spec)
         target = _checked_target(spec, ds)
         train_ds, val_ds, test_ds = split(ds, spec.split_spec())
@@ -276,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checkpoint")
     p.add_argument("--config", help="run config; evaluates its test partition")
     p.add_argument("--data", help="dataset file/directory; evaluates everything")
-    p.add_argument("--format", default="auto", choices=("auto", "xyz", "tabular"))
+    p.add_argument("--format", default="auto", choices=DATASET_FORMATS)
     p.add_argument("--schema", help="comment-line schema (path or builtin:NAME)")
     p.add_argument("--partition", choices=("train", "val", "test", "all"),
                    help="with --config: which partition (default test)")
@@ -295,11 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", type=int, default=5, help="number of seeds to run")
     p.add_argument("--atoms", default="1,2,4,6", help="comma list of molecule sizes")
-    p.add_argument("--atom-dim", type=int, default=DEFAULT_CHECK_CONFIG.atom_dim)
-    p.add_argument("--count-dim", type=int, default=DEFAULT_CHECK_CONFIG.count_dim)
-    p.add_argument("--hidden-dim", type=int, default=DEFAULT_CHECK_CONFIG.hidden_dim)
-    p.add_argument("--mlp-dim", type=int, default=DEFAULT_CHECK_CONFIG.mlp_dim)
-    p.add_argument("--steps", type=int, default=DEFAULT_CHECK_CONFIG.steps)
+    for name in _CHECK_SIZES:
+        p.add_argument("--" + name.replace("_", "-"), type=int,
+                       default=getattr(DEFAULT_CHECK_CONFIG, name))
     p.add_argument("--fd-step", type=float, default=1e-5)
     p.add_argument("--threshold", type=float, default=1e-4)
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)

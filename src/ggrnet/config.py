@@ -7,17 +7,21 @@ defaults materialized, so a run can be reproduced by pointing ``train
 """
 from __future__ import annotations
 
+import dataclasses
+import json
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from .data import CommentSchema, sample_dataset_path
-from .errors import ConfigError
+from .data import (DATASET_FORMATS, DEFAULT_ELEMENTS, CommentSchema, SplitSpec,
+                   sample_dataset_path)
+from .errors import ConfigError, DataError
 from .model import ModelConfig
 from .training import TrainConfig
-from .data import SplitSpec
 
-__all__ = ["RunSpec", "parse_config_text", "load_run_spec", "resolve_run_spec"]
+__all__ = ["RunSpec", "parse_config_text", "load_run_spec", "resolve_run_spec",
+           "resolve_schema"]
 
 
 def _parse_bool(s: str) -> bool:
@@ -36,38 +40,46 @@ def _parse_elements(s: str) -> tuple[str, ...]:
     return items
 
 
+def _canonical(value: Any) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(value)
+    return str(value)
+
+
+_PARSERS: dict[Any, Callable[[str], Any]] = {bool: _parse_bool, int: int, float: float}
+
+
+def _section_keys(prefix: str, cls, skip: tuple[str, ...] = ()) -> dict:
+    """``prefix.field`` keys of a config dataclass, typed and defaulted by its fields."""
+    hints = typing.get_type_hints(cls)
+    return {f"{prefix}.{f.name}": (_PARSERS[hints[f.name]], _canonical(f.default))
+            for f in dataclasses.fields(cls) if f.name not in skip}
+
+
 # key -> (parser, default in canonical string form)
 _KEYS: dict[str, tuple[Callable[[str], Any], str]] = {
     "dataset.path": (str, ""),
     "dataset.format": (str, "auto"),
     "dataset.schema": (str, ""),
-    "dataset.elements": (_parse_elements, "H,C,N,O,F,S,Cl"),
+    "dataset.elements": (_parse_elements, _canonical(DEFAULT_ELEMENTS)),
     "target": (str, ""),
-    "split.train": (float, "0.8"),
-    "split.val": (float, "0.1"),
-    "split.test": (float, "0.1"),
-    "split.seed": (int, "0"),
-    "model.atom_dim": (int, "50"),
-    "model.count_dim": (int, "50"),
-    "model.hidden_dim": (int, "100"),
-    "model.mlp_dim": (int, "100"),
-    "model.steps": (int, "5"),
-    "model.use_atom_embedding": (_parse_bool, "true"),
-    "model.use_count_feature": (_parse_bool, "true"),
-    "model.use_distance_feature": (_parse_bool, "true"),
-    "model.distance_epsilon": (float, "1e-06"),
-    "train.lr0": (float, "0.03"),
-    "train.decay": (float, "0.01"),
-    "train.epochs": (int, "500"),
-    "train.batch_size": (int, "10"),
-    "train.clip_norm": (float, "10.0"),
-    "train.seed": (int, "0"),
+    **_section_keys("split", SplitSpec),
+    **_section_keys("model", ModelConfig),
+    **_section_keys("train", TrainConfig, skip=("target_property", "model")),
     "run.runs": (int, "1"),
     "run.threads": (int, "1"),
     "run.resplit": (_parse_bool, "false"),
 }
 
-_VALID_FORMATS = ("auto", "xyz", "tabular")
+def _known_key(key: str, where: str) -> str:
+    if key not in _KEYS:
+        raise ConfigError(f"{where}unknown config key '{key}' "
+                          f"(known keys: {', '.join(sorted(_KEYS))})")
+    return key
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -80,21 +92,8 @@ def parse_config_text(text: str) -> dict[str, str]:
         if "=" not in body:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got '{line.strip()}'")
         key, value = (part.strip() for part in body.split("=", 1))
-        if key not in _KEYS:
-            raise ConfigError(f"config line {lineno}: unknown key '{key}' "
-                              f"(known keys: {', '.join(sorted(_KEYS))})")
-        raw[key] = value
+        raw[_known_key(key, f"config line {lineno}: ")] = value
     return raw
-
-
-def _canonical(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return ",".join(value)
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -106,41 +105,26 @@ class RunSpec:
     def __getitem__(self, key: str) -> Any:
         return self.values[key]
 
+    def _section(self, prefix: str) -> dict[str, Any]:
+        return {key[len(prefix) + 1:]: value for key, value in self.values.items()
+                if key.startswith(prefix + ".")}
+
     def model_config(self) -> ModelConfig:
-        v = self.values
-        return ModelConfig(atom_dim=v["model.atom_dim"], count_dim=v["model.count_dim"],
-                           hidden_dim=v["model.hidden_dim"], mlp_dim=v["model.mlp_dim"],
-                           steps=v["model.steps"],
-                           use_atom_embedding=v["model.use_atom_embedding"],
-                           use_count_feature=v["model.use_count_feature"],
-                           use_distance_feature=v["model.use_distance_feature"],
-                           distance_epsilon=v["model.distance_epsilon"])
+        return ModelConfig(**self._section("model"))
 
     def train_config(self, seed_offset: int = 0) -> TrainConfig:
-        v = self.values
-        return TrainConfig(target_property=v["target"], lr0=v["train.lr0"],
-                           decay=v["train.decay"], epochs=v["train.epochs"],
-                           batch_size=v["train.batch_size"], clip_norm=v["train.clip_norm"],
-                           seed=v["train.seed"] + seed_offset, model=self.model_config())
+        section = self._section("train")
+        section["seed"] += seed_offset
+        return TrainConfig(target_property=self.values["target"], model=self.model_config(),
+                           **section)
 
     def split_spec(self, seed_offset: int = 0) -> SplitSpec:
-        v = self.values
-        return SplitSpec(train=v["split.train"], val=v["split.val"], test=v["split.test"],
-                         seed=v["split.seed"] + seed_offset)
+        section = self._section("split")
+        section["seed"] += seed_offset
+        return SplitSpec(**section)
 
     def schema(self) -> CommentSchema | None:
-        spec = self.values["dataset.schema"]
-        if not spec:
-            return None
-        if spec.startswith("builtin:"):
-            try:
-                return CommentSchema.builtin(spec.split(":", 1)[1])
-            except Exception as err:
-                raise ConfigError(f"dataset.schema: {err}") from err
-        path = Path(spec)
-        if not path.is_file():
-            raise ConfigError(f"dataset.schema: no such file: {spec}")
-        return CommentSchema.from_file(path)
+        return resolve_schema(self.values["dataset.schema"])
 
     def dataset_path(self) -> Path:
         spec = self.values["dataset.path"]
@@ -163,23 +147,16 @@ def resolve_run_spec(raw: dict[str, str], overrides: Sequence[str] = ()) -> RunS
         if "=" not in item:
             raise ConfigError(f"override '{item}' is not of the form key=value")
         key, value = (part.strip() for part in item.split("=", 1))
-        if key not in _KEYS:
-            raise ConfigError(f"unknown config key '{key}' "
-                              f"(known keys: {', '.join(sorted(_KEYS))})")
-        merged[key] = value
+        merged[_known_key(key, "")] = value
 
     typed: dict[str, Any] = {}
     for key, raw_value in merged.items():
-        parser, _ = _KEYS[key]
-        if isinstance(raw_value, str):
-            try:
-                typed[key] = parser(raw_value)
-            except ValueError as err:
-                raise ConfigError(f"config key '{key}': {err}") from err
-        else:
-            typed[key] = raw_value
-    if typed["dataset.format"] not in _VALID_FORMATS:
-        raise ConfigError(f"dataset.format must be one of {_VALID_FORMATS}, "
+        try:
+            typed[key] = _KEYS[key][0](raw_value)
+        except ValueError as err:
+            raise ConfigError(f"config key '{key}': {err}") from err
+    if typed["dataset.format"] not in DATASET_FORMATS:
+        raise ConfigError(f"dataset.format must be one of {DATASET_FORMATS}, "
                           f"got '{typed['dataset.format']}'")
     # keep stored paths absolute so a manifest reproduces the run from anywhere
     path = typed["dataset.path"]
@@ -193,3 +170,21 @@ def load_run_spec(path, overrides: Sequence[str] = ()) -> RunSpec:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     return resolve_run_spec(parse_config_text(path.read_text(encoding="utf-8")), overrides)
+
+
+def resolve_schema(spec: str | None) -> CommentSchema | None:
+    """The comment-line schema named by ``spec``: ``builtin:NAME`` or a JSON file
+    path; ``None`` when empty. Every way the schema can be unusable raises
+    :class:`ConfigError`."""
+    if not spec:
+        return None
+    try:
+        if spec.startswith("builtin:"):
+            return CommentSchema.builtin(spec.split(":", 1)[1])
+        return CommentSchema.from_file(spec)
+    except OSError as err:
+        raise ConfigError(f"schema '{spec}': cannot read: {err.strerror}") from err
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"schema '{spec}': malformed JSON: {err}") from err
+    except (UnicodeDecodeError, DataError) as err:
+        raise ConfigError(f"schema '{spec}': {err}") from err

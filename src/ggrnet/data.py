@@ -23,6 +23,7 @@ from .errors import DataError, ParseError, VocabularyError
 
 __all__ = [
     "DEFAULT_ELEMENTS",
+    "DATASET_FORMATS",
     "Molecule",
     "Dataset",
     "Normalizer",
@@ -43,6 +44,8 @@ __all__ = [
 DEFAULT_ELEMENTS: tuple[str, ...] = ("H", "C", "N", "O", "F", "S", "Cl")
 
 DEFAULT_DISTANCE_EPSILON = 1e-6
+
+DATASET_FORMATS = ("auto", "xyz", "tabular")
 
 
 @dataclass(frozen=True)
@@ -236,11 +239,21 @@ class CommentSchema:
 
     @staticmethod
     def from_file(path) -> "CommentSchema":
+        """Read a JSON schema; a structure other than the documented one raises
+        :class:`DataError`."""
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        return CommentSchema(id_columns=tuple(raw.get("id_columns", ())),
-                             target_columns=raw.get("targets", {}),
-                             units=raw.get("units", {}))
+        if not isinstance(raw, dict):
+            raise DataError("schema is not a JSON object")
+        ids, targets = raw.get("id_columns", []), raw.get("targets", {})
+        units = raw.get("units", {})
+        if not (isinstance(targets, dict) and all(map(_is_column, targets.values()))):
+            raise DataError("'targets' must map names to non-negative column numbers")
+        if not (isinstance(ids, list) and all(map(_is_column, ids))):
+            raise DataError("'id_columns' must be a list of non-negative column numbers")
+        if not (isinstance(units, dict) and all(isinstance(u, str) for u in units.values())):
+            raise DataError("'units' must map names to strings")
+        return CommentSchema(id_columns=tuple(ids), target_columns=targets, units=units)
 
     @staticmethod
     def builtin(name: str) -> "CommentSchema":
@@ -248,6 +261,10 @@ class CommentSchema:
         if not path.is_file():
             raise DataError(f"no builtin schema named '{name}'")
         return CommentSchema.from_file(path)
+
+
+def _is_column(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _as_text(text) -> str:
@@ -435,18 +452,16 @@ def load_dataset(path, fmt: str = "auto", schema: CommentSchema | None = None,
         if not files:
             raise DataError(f"no .xyz files under directory {path}")
         molecules = [parse_extended_xyz(p.read_bytes(), schema, vocabulary) for p in files]
-        names = schema.property_names if schema is not None else []
-        units = dict(schema.units) if schema is not None else {}
-        return Dataset(molecules, names, vocabulary, units)
-    if fmt == "auto":
-        fmt = "tabular" if path.suffix.lower() in (".csv", ".tsv") else "xyz"
-    text = path.read_bytes()
-    if fmt == "tabular":
-        delim = "\t" if path.suffix.lower() == ".tsv" else ","
-        return parse_tabular(text, vocabulary, delimiter=delim)
-    if fmt == "xyz":
+    else:
+        if fmt == "auto":
+            fmt = "tabular" if path.suffix.lower() in (".csv", ".tsv") else "xyz"
+        text = path.read_bytes()
+        if fmt == "tabular":
+            delim = "\t" if path.suffix.lower() == ".tsv" else ","
+            return parse_tabular(text, vocabulary, delimiter=delim)
+        if fmt != "xyz":
+            raise DataError(f"unknown dataset format '{fmt}'")
         molecules = parse_extended_xyz_records(text, schema, vocabulary)
-        names = schema.property_names if schema is not None else []
-        units = dict(schema.units) if schema is not None else {}
-        return Dataset(molecules, names, vocabulary, units)
-    raise DataError(f"unknown dataset format '{fmt}'")
+    if schema is None:
+        return Dataset(molecules, [], vocabulary)
+    return Dataset(molecules, schema.property_names, vocabulary, schema.units)

@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes: config errors exit 2, data
-errors exit 3, numerical aborts exit 4.
+The CLI maps these onto process exit codes: config and checkpoint errors
+(:class:`ConfigError`, :class:`CheckpointError`) exit 2, data errors
+(:class:`ParseError`, :class:`VocabularyError`, :class:`DataError`) exit 3,
+numerical aborts (:class:`NumericalError`) exit 4, and a failed gradient
+check exits 5. :class:`ShapeError` is a programming error and is not mapped.
 """
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Graph
 from .data import Molecule
-from .model import ModelConfig, ModelParams, MoleculeEncoding, forward, init_params
+from .model import ModelConfig, ModelParams, MoleculeEncoding, _is_bias, forward, init_params
 from .synth import random_molecules
 from .training import mse_loss
 
@@ -31,9 +31,6 @@ class GradCheckReport:
     worst_tensor: str
     worst_index: tuple[int, int]
     parameter_count: int
-
-    def passed(self, threshold: float = 1e-4) -> bool:
-        return self.max_error < threshold
 
 
 def gradient_check(params: ModelParams, cfg: ModelConfig, molecules: Sequence[Molecule],
@@ -94,7 +91,7 @@ def _random_params(cfg: ModelConfig, vocab_size: int, max_atom_count: int,
     params = init_params(cfg, vocab_size, max_atom_count, seed)
     rng = np.random.default_rng(seed + 20_000)
     for name, tensor in params.named():
-        if "bias" in name or name.startswith("readout_b"):
+        if _is_bias(name):
             tensor.values[:] = rng.uniform(-0.5, 0.5, size=tensor.shape)
     return params
 

@@ -23,24 +23,23 @@ and reused across steps and calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Graph, Tensor, _stable_sigmoid
-from .data import Molecule, inverse_distance_matrix
+from .autodiff import Graph, Tensor
+from .data import DEFAULT_DISTANCE_EPSILON, Molecule, inverse_distance_matrix
 from .errors import ConfigError, NumericalError, VocabularyError
 
 __all__ = [
     "ModelConfig",
     "ModelParams",
     "MoleculeEncoding",
+    "param_shapes",
     "init_params",
-    "pair_message",
     "message_step",
-    "step",
     "readout",
     "forward",
 ]
@@ -62,7 +61,7 @@ class ModelConfig:
     use_atom_embedding: bool = True
     use_count_feature: bool = True
     use_distance_feature: bool = True
-    distance_epsilon: float = 1e-6
+    distance_epsilon: float = DEFAULT_DISTANCE_EPSILON
 
     def __post_init__(self):
         for name in ("atom_dim", "count_dim", "hidden_dim", "mlp_dim", "steps"):
@@ -80,24 +79,20 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """All trainable tensors. One gate/candidate weight set exists regardless
-    of the number of recursion steps."""
+    """All trainable tensors, shaped as :func:`param_shapes` lists them. One
+    gate/candidate weight set exists regardless of the number of recursion
+    steps; ``mlp`` holds the readout's (weight, bias) pairs."""
 
-    atom_embedding: Tensor      # [vocab, atom_dim]
-    count_embedding: Tensor     # [max_atom_count, count_dim]
-    gate_weight: Tensor         # [hidden, concat_dim]
-    gate_bias: Tensor           # [hidden, 1]
+    atom_embedding: Tensor
+    count_embedding: Tensor
+    gate_weight: Tensor
+    gate_bias: Tensor
     candidate_weight: Tensor
     candidate_bias: Tensor
-    mlp: list[tuple[Tensor, Tensor]] = field(default_factory=list)  # [(W, b)] x 3
+    mlp: list[tuple[Tensor, Tensor]] = field(default_factory=list)
 
     def named(self) -> list[tuple[str, Tensor]]:
-        pairs = [("atom_embedding", self.atom_embedding),
-                 ("count_embedding", self.count_embedding),
-                 ("gate_weight", self.gate_weight),
-                 ("gate_bias", self.gate_bias),
-                 ("candidate_weight", self.candidate_weight),
-                 ("candidate_bias", self.candidate_bias)]
+        pairs = [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "mlp"]
         for i, (w, b) in enumerate(self.mlp):
             pairs.append((f"readout_w{i}", w))
             pairs.append((f"readout_b{i}", b))
@@ -110,62 +105,61 @@ class ModelParams:
         return sum(t.values.size for t in self.tensors())
 
     @property
-    def vocab_size(self) -> int:
-        return self.atom_embedding.rows
-
-    @property
     def max_atom_count(self) -> int:
         return self.count_embedding.rows
 
     def copy(self) -> "ModelParams":
-        def dup(t: Tensor) -> Tensor:
-            return ad.parameter(t.values.copy(), t.name)
-        return ModelParams(atom_embedding=dup(self.atom_embedding),
-                           count_embedding=dup(self.count_embedding),
-                           gate_weight=dup(self.gate_weight),
-                           gate_bias=dup(self.gate_bias),
-                           candidate_weight=dup(self.candidate_weight),
-                           candidate_bias=dup(self.candidate_bias),
-                           mlp=[(dup(w), dup(b)) for w, b in self.mlp])
+        return ModelParams.from_named({name: ad.parameter(t.values.copy(), t.name)
+                                       for name, t in self.named()})
+
+    @classmethod
+    def from_named(cls, tensors: Mapping[str, Tensor]) -> "ModelParams":
+        """Inverse of :meth:`named`: tensors keyed by their :func:`param_shapes` name."""
+        core = {name: t for name, t in tensors.items() if not name.startswith("readout_")}
+        layers = sum(name.startswith("readout_w") for name in tensors)
+        return cls(**core, mlp=[(tensors[f"readout_w{i}"], tensors[f"readout_b{i}"])
+                                  for i in range(layers)])
 
 
-def _uniform_init(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    bound = math.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-bound, bound, size=(rows, cols))
+def param_shapes(cfg: ModelConfig, vocab_size: int,
+                 max_atom_count: int) -> list[tuple[str, tuple[int, int]]]:
+    """Name and shape of every trainable tensor, in :meth:`ModelParams.named` order."""
+    shapes = [("atom_embedding", (vocab_size, cfg.atom_dim)),
+              ("count_embedding", (max_atom_count, cfg.count_dim)),
+              ("gate_weight", (cfg.hidden_dim, cfg.concat_dim)),
+              ("gate_bias", (cfg.hidden_dim, 1)),
+              ("candidate_weight", (cfg.hidden_dim, cfg.concat_dim)),
+              ("candidate_bias", (cfg.hidden_dim, 1))]
+    widths = (cfg.hidden_dim, cfg.mlp_dim, cfg.mlp_dim, 1)
+    for i, (cols, rows) in enumerate(zip(widths, widths[1:])):
+        shapes += [(f"readout_w{i}", (rows, cols)), (f"readout_b{i}", (rows, 1))]
+    return shapes
+
+
+def _is_bias(name: str) -> bool:
+    return name.endswith("_bias") or name.startswith("readout_b")
 
 
 def init_params(cfg: ModelConfig, vocab_size: int, max_atom_count: int, seed: int) -> ModelParams:
     """Seed-deterministic fan-scaled uniform weights; biases start at zero.
 
-    The draw order is fixed (embeddings, gate, candidate, readout), so a
-    given seed always yields bit-identical parameters.
+    Weights are drawn in :func:`param_shapes` order (embeddings, gate,
+    candidate, readout), so a given seed always yields bit-identical
+    parameters.
     """
     if vocab_size < 1 or max_atom_count < 1:
         raise ConfigError(f"vocab_size and max_atom_count must be >= 1, "
                           f"got {vocab_size} and {max_atom_count}")
     rng = np.random.default_rng(seed)
-    d_in = cfg.concat_dim
-
-    def weight(name, rows, cols):
-        return ad.parameter(_uniform_init(rng, rows, cols), name)
-
-    def zero_bias(name, rows):
-        return ad.parameter(np.zeros((rows, 1)), name)
-
-    atom_emb = weight("atom_embedding", vocab_size, cfg.atom_dim)
-    count_emb = weight("count_embedding", max_atom_count, cfg.count_dim)
-    gate_w = weight("gate_weight", cfg.hidden_dim, d_in)
-    cand_w = weight("candidate_weight", cfg.hidden_dim, d_in)
-    mlp_sizes = [(cfg.mlp_dim, cfg.hidden_dim), (cfg.mlp_dim, cfg.mlp_dim), (1, cfg.mlp_dim)]
-    mlp = [(weight(f"readout_w{i}", r, c), zero_bias(f"readout_b{i}", r))
-           for i, (r, c) in enumerate(mlp_sizes)]
-    return ModelParams(atom_embedding=atom_emb,
-                       count_embedding=count_emb,
-                       gate_weight=gate_w,
-                       gate_bias=zero_bias("gate_bias", cfg.hidden_dim),
-                       candidate_weight=cand_w,
-                       candidate_bias=zero_bias("candidate_bias", cfg.hidden_dim),
-                       mlp=mlp)
+    tensors = {}
+    for name, (rows, cols) in param_shapes(cfg, vocab_size, max_atom_count):
+        if _is_bias(name):
+            values = np.zeros((rows, cols))
+        else:
+            bound = math.sqrt(6.0 / (rows + cols))
+            values = rng.uniform(-bound, bound, size=(rows, cols))
+        tensors[name] = ad.parameter(values, name)
+    return ModelParams.from_named(tensors)
 
 
 def element_indices(symbols: Sequence[str], vocabulary: Sequence[str]) -> list[int]:
@@ -200,22 +194,6 @@ class MoleculeEncoding:
         self.element_onehot = ad.constant(onehot, "element_onehot")
         self.inv_dist = (inverse_distance_matrix(molecule.coords, cfg.distance_epsilon)
                          if cfg.use_distance_feature else None)
-
-
-def pair_message(params: ModelParams, xv, hv, xw, hw, xn, dvw: float) -> np.ndarray:
-    """One ordered pair's message, straight from its definition.
-
-    ``sigmoid(gate) * tanh(candidate)`` where gate and candidate are affine
-    maps of the concatenated (receiver embedding, receiver hidden, sender
-    embedding, sender hidden, count embedding, distance) vector. Pure numpy;
-    used as the pairwise reference for the vectorized step and by callers
-    that want single messages without a graph.
-    """
-    inp = np.concatenate([np.ravel(xv), np.ravel(hv), np.ravel(xw), np.ravel(hw),
-                          np.ravel(xn), [float(dvw)]]).reshape(-1, 1)
-    gate = params.gate_weight.values @ inp + params.gate_bias.values
-    cand = params.candidate_weight.values @ inp + params.candidate_bias.values
-    return (_stable_sigmoid(gate) * np.tanh(cand)).ravel()
 
 
 def _input_blocks(graph: Graph | None, enc: MoleculeEncoding, params: ModelParams,
@@ -321,30 +299,6 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     return ad._result(graph, "message_step", inputs, out, rule)
 
 
-def _pair_inputs(cfg: ModelConfig, enc: MoleculeEncoding, x: Tensor | None, state: Tensor,
-                 count: Tensor | None) -> np.ndarray:
-    """A step's per-pair input matrix ``[concat_dim, N(N-1)]``, rebuilt in numpy
-    off the tape for inspection. Columns are the ordered pairs, receiver-major:
-    (0,1), (0,2), ..., (1,0), (1,2), ...; switched-off features are zero rows."""
-    n = enc.n
-    recv, send = np.nonzero(~np.eye(n, dtype=bool))
-    xv = x.values if x is not None else np.zeros((cfg.atom_dim, n))
-    h = state.values
-    c = count.values if count is not None else np.zeros((cfg.count_dim, 1))
-    d = enc.inv_dist[recv, send] if enc.inv_dist is not None else np.zeros(len(recv))
-    return np.concatenate((xv[:, recv], h[:, recv], xv[:, send], h[:, send],
-                           np.repeat(c, len(recv), axis=1), d[None, :]))
-
-
-def step(graph: Graph | None, state: Tensor, molecule: Molecule, params: ModelParams,
-         cfg: ModelConfig, vocabulary: Sequence[str],
-         encoding: MoleculeEncoding | None = None) -> Tensor:
-    """One recursion step: next hidden state [hidden, N] from the current one."""
-    enc = encoding or MoleculeEncoding(molecule, vocabulary, cfg)
-    x, count = _input_blocks(graph, enc, params, cfg)
-    return message_step(graph, params, cfg, x, state, count, enc.inv_dist)
-
-
 def readout(graph: Graph | None, state: Tensor, params: ModelParams) -> Tensor:
     """Mean hidden vector through the three-layer ReLU MLP; returns [1, 1]."""
     n = state.cols
@@ -356,13 +310,11 @@ def readout(graph: Graph | None, state: Tensor, params: ModelParams) -> Tensor:
 
 
 def forward(graph: Graph | None, molecule: Molecule, params: ModelParams, cfg: ModelConfig,
-            vocabulary: Sequence[str], encoding: MoleculeEncoding | None = None,
-            trace: list | None = None) -> Tensor:
+            vocabulary: Sequence[str], encoding: MoleculeEncoding | None = None) -> Tensor:
     """Full prediction for one molecule, in normalized target space.
 
-    Hidden states start at zero. ``trace``, when given, collects the per-pair
-    input matrix of every step (for inspection/testing). A
-    :class:`NumericalError` names the molecule and the recursion step.
+    Hidden states start at zero. A :class:`NumericalError` names the molecule
+    and the recursion step.
     """
     enc = encoding or MoleculeEncoding(molecule, vocabulary, cfg)
     where = "input embeddings"
@@ -371,8 +323,6 @@ def forward(graph: Graph | None, molecule: Molecule, params: ModelParams, cfg: M
         state = ad.constant(np.zeros((cfg.hidden_dim, enc.n)))
         for k in range(cfg.steps):
             where = f"step {k}"
-            if trace is not None:
-                trace.append(_pair_inputs(cfg, enc, x, state, count))
             state = message_step(graph, params, cfg, x, state, count, enc.inv_dist)
         where = "readout"
         return readout(graph, state, params)

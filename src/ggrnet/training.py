@@ -133,18 +133,6 @@ def mae(pred: Sequence[float], target: Sequence[float]) -> float:
     return float(np.mean(np.abs(pred - target)))
 
 
-def _encodings(ds: Dataset, cfg: ModelConfig, vocabulary: Sequence[str],
-               cache: dict) -> list[MoleculeEncoding]:
-    out = []
-    for mol in ds:
-        enc = cache.get(id(mol))
-        if enc is None:
-            enc = MoleculeEncoding(mol, vocabulary, cfg)
-            cache[id(mol)] = enc
-        out.append(enc)
-    return out
-
-
 def predict(params: ModelParams, ds: Dataset, cfg: ModelConfig, vocabulary: Sequence[str],
             normalizer: Normalizer | None = None,
             encodings: Sequence[MoleculeEncoding] | None = None) -> np.ndarray:
@@ -195,9 +183,8 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
     params = init_params(cfg.model, len(vocabulary), train_ds.max_atom_count, cfg.seed)
     tensors = params.tensors()
 
-    cache: dict = {}
-    train_encs = _encodings(train_ds, cfg.model, vocabulary, cache)
-    val_encs = _encodings(val_ds, cfg.model, vocabulary, cache)
+    train_encs = [MoleculeEncoding(m, vocabulary, cfg.model) for m in train_ds]
+    val_encs = [MoleculeEncoding(m, vocabulary, cfg.model) for m in val_ds]
     targets_norm = [normalizer.normalize(m.targets[prop]) for m in train_ds]
 
     n = len(train_ds)

@@ -6,6 +6,13 @@ from ggrnet.autodiff import Graph, Tensor
 from ggrnet.errors import NumericalError, ShapeError
 
 
+def total(graph, t):
+    """Sum of all entries as a recorded [1, 1] tensor, from two matmuls."""
+    rows = ad.constant(np.ones((1, t.rows)))
+    cols = ad.constant(np.ones((t.cols, 1)))
+    return ad.matmul(graph, ad.matmul(graph, rows, t), cols)
+
+
 def fd_gradient_check(build, leaves, step=1e-5, tol=1e-5):
     """Compare backward() against central differences of build(None)."""
     graph = Graph()
@@ -93,7 +100,7 @@ def test_linear_gradients():
     w = ad.parameter(rng.uniform(-2, 2, (3, 4)), "w")
     b = ad.parameter(rng.uniform(-2, 2, (3, 1)), "b")
     x = ad.parameter(rng.uniform(-2, 2, (4, 2)), "x")
-    fd_gradient_check(lambda g: ad.sum_all(g, ad.linear(g, w, b, x)), [w, b, x])
+    fd_gradient_check(lambda g: total(g, ad.linear(g, w, b, x)), [w, b, x])
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +187,14 @@ def test_sigmoid_extreme_inputs_do_not_overflow():
 @pytest.mark.parametrize("op", [ad.sigmoid, ad.tanh])
 def test_smooth_unary_gradients(op):
     x = ad.parameter(np.random.default_rng(2).uniform(-2, 2, (4, 3)), "x")
-    fd_gradient_check(lambda g: ad.sum_all(g, op(g, x)), [x])
+    fd_gradient_check(lambda g: total(g, op(g, x)), [x])
 
 
 def test_relu_gradients_away_from_kink():
     rng = np.random.default_rng(3)
     vals = rng.uniform(0.05, 2.0, (4, 3)) * rng.choice([-1.0, 1.0], (4, 3))
     x = ad.parameter(vals, "x")
-    fd_gradient_check(lambda g: ad.sum_all(g, ad.relu(g, x)), [x])
+    fd_gradient_check(lambda g: total(g, ad.relu(g, x)), [x])
 
 
 @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.hadamard])
@@ -195,7 +202,7 @@ def test_binary_gradients(op):
     rng = np.random.default_rng(4)
     a = ad.parameter(rng.uniform(-2, 2, (3, 2)), "a")
     b = ad.parameter(rng.uniform(-2, 2, (3, 2)), "b")
-    fd_gradient_check(lambda g: ad.sum_all(g, op(g, a, b)), [a, b])
+    fd_gradient_check(lambda g: total(g, op(g, a, b)), [a, b])
 
 
 def test_scale_transpose_matmul_gradients():
@@ -205,7 +212,7 @@ def test_scale_transpose_matmul_gradients():
 
     def build(g):
         prod = ad.matmul(g, a, b)
-        return ad.sum_all(g, ad.scale(g, ad.transpose(g, prod), 0.7))
+        return total(g, ad.scale(g, ad.transpose(g, prod), 0.7))
 
     fd_gradient_check(build, [a, b])
 
@@ -228,14 +235,14 @@ def test_op_reports_non_finite_output():
 def test_backward_sum_gives_ones():
     x = ad.parameter(np.random.default_rng(6).normal(size=(3, 4)), "x")
     g = Graph()
-    ad.backward(g, ad.sum_all(g, x))
+    ad.backward(g, total(g, x))
     assert np.array_equal(x.grad, np.ones((3, 4)))
 
 
 def test_backward_half_square_norm_gives_x():
     x = ad.parameter(np.random.default_rng(7).normal(size=(5, 1)), "x")
     g = Graph()
-    loss = ad.scale(g, ad.sum_all(g, ad.hadamard(g, x, x)), 0.5)
+    loss = ad.scale(g, total(g, ad.hadamard(g, x, x)), 0.5)
     ad.backward(g, loss)
     assert np.allclose(x.grad, x.values, atol=1e-15)
 
@@ -252,7 +259,7 @@ def test_gradient_accumulation_double_use():
     x = ad.parameter([1.5], "x")
     g = Graph()
     y = ad.add(g, x, x)
-    ad.backward(g, ad.sum_all(g, y))
+    ad.backward(g, total(g, y))
     assert x.grad[0, 0] == 2.0
 
 
@@ -260,7 +267,7 @@ def test_gradient_accumulation_three_uses():
     x = ad.parameter([2.0], "x")
     g = Graph()
     y = ad.add(g, ad.add(g, x, x), x)
-    ad.backward(g, ad.sum_all(g, y))
+    ad.backward(g, total(g, y))
     assert x.grad[0, 0] == 3.0
 
 
@@ -268,7 +275,7 @@ def test_grad_accumulates_across_backward_calls():
     x = ad.parameter([1.0], "x")
     for _ in range(2):
         g = Graph()
-        ad.backward(g, ad.sum_all(g, x))
+        ad.backward(g, total(g, x))
     assert x.grad[0, 0] == 2.0
     ad.zero_grads([x])
     assert x.grad[0, 0] == 0.0
@@ -281,7 +288,7 @@ def test_forward_and_backward_are_deterministic():
         b = ad.parameter(rng.normal(size=(5, 3)), "b")
         g = Graph()
         out = ad.tanh(g, ad.matmul(g, a, b))
-        loss = ad.sum_all(g, ad.hadamard(g, out, out))
+        loss = total(g, ad.hadamard(g, out, out))
         ad.backward(g, loss)
         return loss.item(), a.grad.copy(), b.grad.copy()
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -121,4 +122,31 @@ def test_header_missing_max_atom_count(tmp_path):
     write_checkpoint(path)
     rewrite_header(path, lambda header: header.pop("max_atom_count"))
     with pytest.raises(CheckpointError, match="fields: 'max_atom_count'"):
+        load_checkpoint(path)
+
+
+def test_file_bytes_are_pinned(tmp_path):
+    # the exact bytes written for seed 0; any change to the format, the header
+    # or the parameter draws shows here
+    path = tmp_path / "x.ckpt"
+    write_checkpoint(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "f987213dd2c1f780b8776ac99d14bbbf116349b95c888c1629a2119885bdb600"
+
+
+def test_wrong_tensor_set(tmp_path):
+    path = tmp_path / "x.ckpt"
+    write_checkpoint(path)
+    rewrite_header(path, lambda header: header["tensors"][3].update(name="extra_bias"))
+    with pytest.raises(CheckpointError, match="tensor set"):
+        load_checkpoint(path)
+
+
+def test_wrong_tensor_shape(tmp_path):
+    # gate_bias [4, 1] declared as [2, 2]: same payload size, wrong shape
+    path = tmp_path / "x.ckpt"
+    write_checkpoint(path)
+    rewrite_header(path, lambda header: header["tensors"][3].update(rows=2, cols=2))
+    with pytest.raises(CheckpointError, match=r"'gate_bias' has shape \(2, 2\), "
+                                              r"expected \(4, 1\)"):
         load_checkpoint(path)

@@ -175,6 +175,85 @@ def test_eval_needs_source(trained_run):
 
 
 # ---------------------------------------------------------------------------
+# schemas
+
+
+SCHEMA_FAULTS = {
+    "unknown builtin": None,
+    "missing file": None,
+    "malformed JSON": "{bad",
+    "not an object": "[0, 1]",
+    "targets not an object": '{"targets": [1, 2]}',
+    "negative target column": '{"targets": {"energy": -1}}',
+    "non-integer target column": '{"targets": {"energy": "1"}}',
+    "id_columns not a list": '{"id_columns": 0, "targets": {"energy": 1}}',
+    "id_columns not ints": '{"id_columns": [0.5], "targets": {"energy": 1}}',
+}
+
+
+def _faulty_schema(tmp_path, fault):
+    if fault == "unknown builtin":
+        return "builtin:nope"
+    path = tmp_path / "schema.json"
+    if SCHEMA_FAULTS[fault] is not None:
+        path.write_text(SCHEMA_FAULTS[fault])
+    return str(path)
+
+
+@pytest.mark.parametrize("entry", ["predict --schema", "eval --schema", "dataset.schema"])
+@pytest.mark.parametrize("fault", list(SCHEMA_FAULTS))
+def test_unusable_schema_is_one_line_exit_2(trained_run, tmp_path, capsys, entry, fault):
+    from ggrnet.data import sample_dataset_path
+
+    schema = _faulty_schema(tmp_path, fault)
+    ckpt = str(trained_run / "best.ckpt")
+    if entry == "predict --schema":
+        argv = ["predict", ckpt, str(sample_dataset_path()), "--schema", schema]
+    elif entry == "eval --schema":
+        argv = ["eval", ckpt, "--data", str(sample_dataset_path()), "--schema", schema]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CONFIG + f"dataset.schema = {schema}\n")
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: schema '{schema}': ")
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread cap
+
+
+def test_thread_cap_sets_and_restores_blas_threads():
+    from ggrnet.cli import _blas_thread_control, _thread_cap
+
+    control = _blas_thread_control()
+    if control is None:
+        pytest.skip("no OpenBLAS thread control in this numpy build")
+    _, get_threads = control
+    before = get_threads()
+    with _thread_cap(2):
+        outer = get_threads()
+        with _thread_cap(1):
+            assert get_threads() == 1
+        assert get_threads() == outer
+    assert get_threads() == before
+
+
+def test_thread_cap_warns_without_blas_control(monkeypatch, capsys):
+    import ggrnet.cli as cli
+
+    monkeypatch.setattr(cli, "_blas_thread_control", lambda: None)
+    with cli._thread_cap(1):
+        pass
+    assert capsys.readouterr().err.startswith("warning: ")
+    with cli._thread_cap(None):
+        pass
+    assert capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
 # predict
 
 

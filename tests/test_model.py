@@ -14,9 +14,8 @@ from ggrnet.model import (
     MoleculeEncoding,
     forward,
     init_params,
-    pair_message,
+    message_step,
     readout,
-    step,
 )
 from ggrnet.synth import random_molecule, random_molecules
 from oracle import straightline_forward
@@ -100,84 +99,24 @@ def test_biases_start_zero():
 
 
 # ---------------------------------------------------------------------------
-# pair message
+# message step
 
 
-def test_message_zero_params_gives_zeros():
-    params = small_params()
-    for _, t in params.named():
-        t.values[:] = 0.0
-    out = pair_message(params, np.ones(3), np.ones(4), np.ones(3), np.ones(4),
-                       np.ones(2), 0.5)
-    assert np.array_equal(out, np.zeros(4))
-
-
-def test_message_zero_candidate_annihilates():
-    params = small_params(seed=3)
-    params.candidate_weight.values[:] = 0.0
-    params.candidate_bias.values[:] = 0.0
-    rng = np.random.default_rng(0)
-    out = pair_message(params, rng.normal(size=3), rng.normal(size=4),
-                       rng.normal(size=3), rng.normal(size=4), rng.normal(size=2), 1.3)
-    assert np.array_equal(out, np.zeros(4))
-
-
-def test_message_scalar_hand_case():
-    # one-dimensional everything, unit weights, zero biases:
-    # both affine outputs equal the input sum 1+0+1+0+1+0.5 = 3.5
-    cfg = ModelConfig(atom_dim=1, count_dim=1, hidden_dim=1, mlp_dim=1, steps=1)
-    params = init_params(cfg, 2, 4, seed=0)
-    params.gate_weight.values[:] = 1.0
-    params.candidate_weight.values[:] = 1.0
-    out = pair_message(params, [1.0], [0.0], [1.0], [0.0], [1.0], 0.5)
-    expected = (1.0 / (1.0 + math.exp(-3.5))) * math.tanh(3.5)
-    assert out[0] == pytest.approx(expected, abs=1e-15)
-
-
-def test_message_is_directed():
-    params = small_params(seed=7)
-    rng = np.random.default_rng(1)
-    xv, xw = rng.normal(size=3), rng.normal(size=3)
-    hv, hw = rng.normal(size=4), rng.normal(size=4)
-    xn = rng.normal(size=2)
-    fwd = pair_message(params, xv, hv, xw, hw, xn, 0.8)
-    rev = pair_message(params, xw, hw, xv, hv, xn, 0.8)
-    assert not np.allclose(fwd, rev)
-
-
-# ---------------------------------------------------------------------------
-# step
-
-
-def test_step_single_atom_stays_zero():
-    params = small_params()
-    mol = Molecule("m", ("C",), np.zeros((1, 3)), {})
-    state = ad.constant(np.zeros((SMALL.hidden_dim, 1)))
-    for _ in range(4):
-        state = step(None, state, mol, params, SMALL, VOCAB)
-        assert np.array_equal(state.values, np.zeros((SMALL.hidden_dim, 1)))
-
-
-def test_step_two_atoms_structure():
-    params = small_params(seed=2)
-    mol = random_molecule(np.random.default_rng(3), 2, elements=VOCAB)
-    enc = MoleculeEncoding(mol, VOCAB, SMALL)
-    state = ad.constant(np.zeros((SMALL.hidden_dim, 2)))
-    out = step(None, state, mol, params, SMALL, VOCAB, enc).values
-
-    emb = params.atom_embedding.values
+def run_step(params, cfg, mol, state_values, encoding=None):
+    """One :func:`message_step` on ``mol`` with its inputs built from the
+    parameter tables directly; switched-off features pass ``None``."""
+    enc = encoding or MoleculeEncoding(mol, VOCAB, cfg)
     idx = [VOCAB.index(s) for s in mol.symbols]
-    xn = params.count_embedding.values[1]  # two atoms -> second row
-    d01 = 1.0 / np.linalg.norm(mol.coords[0] - mol.coords[1])
-    zero_h = np.zeros(SMALL.hidden_dim)
-    m01 = pair_message(params, emb[idx[0]], zero_h, emb[idx[1]], zero_h, xn, d01)
-    m10 = pair_message(params, emb[idx[1]], zero_h, emb[idx[0]], zero_h, xn, d01)
-    assert np.allclose(out[:, 0], m01 / 2, atol=1e-14)
-    assert np.allclose(out[:, 1], m10 / 2, atol=1e-14)
+    row = min(mol.natoms, params.max_atom_count) - 1
+    x = ad.constant(params.atom_embedding.values[idx].T) if cfg.use_atom_embedding else None
+    count = (ad.constant(params.count_embedding.values[row][:, None])
+             if cfg.use_count_feature else None)
+    return message_step(None, params, cfg, x, ad.constant(state_values), count,
+                        enc.inv_dist).values
 
 
 def _message_oracle(params, cfg, inp_vec):
-    """Nested-loop message from raw weight lists; independent of pair_message."""
+    """Nested-loop message of one ordered pair from raw weight lists."""
     hidden = cfg.hidden_dim
     gw = params.gate_weight.values.tolist()
     gb = params.gate_bias.values.tolist()
@@ -195,51 +134,124 @@ def _message_oracle(params, cfg, inp_vec):
     return out
 
 
+def _step_oracle(params, cfg, mol, state_values):
+    """Next hidden state from the pairwise definition, one nested-loop message
+    per ordered pair; a switched-off feature enters as zeros."""
+    n = mol.natoms
+    emb = params.atom_embedding.values
+    atom = [emb[VOCAB.index(s)].tolist() if cfg.use_atom_embedding else [0.0] * cfg.atom_dim
+            for s in mol.symbols]
+    xn = (params.count_embedding.values[min(n, params.max_atom_count) - 1].tolist()
+          if cfg.use_count_feature else [0.0] * cfg.count_dim)
+    expected = np.zeros((cfg.hidden_dim, n))
+    for v in range(n):
+        for w in range(n):
+            if w == v:
+                continue
+            d = (1.0 / max(np.linalg.norm(mol.coords[v] - mol.coords[w]), 1e-6)
+                 if cfg.use_distance_feature else 0.0)
+            inp = (atom[v] + state_values[:, v].tolist() + atom[w]
+                   + state_values[:, w].tolist() + xn + [d])
+            expected[:, v] += _message_oracle(params, cfg, inp)
+    return expected / n
+
+
+def test_message_zero_params_gives_zeros():
+    params = small_params()
+    for _, t in params.named():
+        t.values[:] = 0.0
+    rng = np.random.default_rng(0)
+    mol = random_molecule(rng, 3, elements=VOCAB)
+    out = run_step(params, SMALL, mol, rng.normal(size=(SMALL.hidden_dim, 3)))
+    assert np.array_equal(out, np.zeros((SMALL.hidden_dim, 3)))
+
+
+def test_message_zero_candidate_annihilates():
+    params = small_params(seed=3)
+    params.candidate_weight.values[:] = 0.0
+    params.candidate_bias.values[:] = 0.0
+    rng = np.random.default_rng(0)
+    mol = random_molecule(rng, 4, elements=VOCAB)
+    out = run_step(params, SMALL, mol, rng.normal(size=(SMALL.hidden_dim, 4)))
+    assert np.array_equal(out, np.zeros((SMALL.hidden_dim, 4)))
+
+
+def test_message_scalar_hand_case():
+    # one-dimensional everything, unit weights, zero biases, two atoms with
+    # embedding 1, zero hidden state, count embedding 1, inverse distance 0.5:
+    # both affine outputs of either pair equal 1+0+1+0+1+0.5 = 3.5
+    cfg = ModelConfig(atom_dim=1, count_dim=1, hidden_dim=1, mlp_dim=1, steps=1)
+    params = init_params(cfg, 2, 4, seed=0)
+    params.gate_weight.values[:] = 1.0
+    params.candidate_weight.values[:] = 1.0
+    out = message_step(None, params, cfg, ad.constant([[1.0, 1.0]]),
+                       ad.constant([[0.0, 0.0]]), ad.constant([[1.0]]),
+                       np.array([[0.0, 0.5], [0.5, 0.0]]))
+    expected = (1.0 / (1.0 + math.exp(-3.5))) * math.tanh(3.5) / 2
+    assert out.values[0, 0] == pytest.approx(expected, abs=1e-15)
+    assert out.values[0, 1] == pytest.approx(expected, abs=1e-15)
+
+
+def test_message_is_directed():
+    # with two atoms, receiver v's output is the single message from w over 2;
+    # swapping receiver and sender gives a different message
+    params = small_params(seed=7)
+    rng = np.random.default_rng(1)
+    mol = random_molecule(rng, 2, elements=("C", "O"))
+    out = run_step(params, SMALL, mol, rng.normal(size=(SMALL.hidden_dim, 2)))
+    assert not np.allclose(out[:, 0], out[:, 1])
+
+
+def test_step_single_atom_stays_zero():
+    params = small_params()
+    mol = Molecule("m", ("C",), np.zeros((1, 3)), {})
+    state = np.zeros((SMALL.hidden_dim, 1))
+    for _ in range(4):
+        state = run_step(params, SMALL, mol, state)
+        assert np.array_equal(state, np.zeros((SMALL.hidden_dim, 1)))
+
+
+def test_step_two_atoms_structure():
+    params = small_params(seed=2)
+    mol = random_molecule(np.random.default_rng(3), 2, elements=VOCAB)
+    out = run_step(params, SMALL, mol, np.zeros((SMALL.hidden_dim, 2)))
+
+    emb = params.atom_embedding.values
+    idx = [VOCAB.index(s) for s in mol.symbols]
+    xn = params.count_embedding.values[1].tolist()  # two atoms -> second row
+    d01 = 1.0 / np.linalg.norm(mol.coords[0] - mol.coords[1])
+    zero_h = [0.0] * SMALL.hidden_dim
+    m01 = _message_oracle(params, SMALL, emb[idx[0]].tolist() + zero_h
+                          + emb[idx[1]].tolist() + zero_h + xn + [d01])
+    m10 = _message_oracle(params, SMALL, emb[idx[1]].tolist() + zero_h
+                          + emb[idx[0]].tolist() + zero_h + xn + [d01])
+    assert np.allclose(out[:, 0], np.array(m01) / 2, atol=1e-14)
+    assert np.allclose(out[:, 1], np.array(m10) / 2, atol=1e-14)
+
+
 def test_step_matches_nested_loop_oracle():
     params = small_params(seed=9)
     rng = np.random.default_rng(4)
     mol = random_molecule(rng, 3, elements=VOCAB)
     enc = MoleculeEncoding(mol, VOCAB, SMALL)
     state_values = rng.normal(size=(SMALL.hidden_dim, 3))
-    out = step(None, ad.constant(state_values), mol, params, SMALL, VOCAB, enc).values
-
-    emb = params.atom_embedding.values
-    idx = [VOCAB.index(s) for s in mol.symbols]
-    xn = params.count_embedding.values[2].tolist()
-    expected = np.zeros((SMALL.hidden_dim, 3))
-    for v in range(3):
-        for w in range(3):
-            if w == v:
-                continue
-            d = 1.0 / np.linalg.norm(mol.coords[v] - mol.coords[w])
-            inp = (emb[idx[v]].tolist() + state_values[:, v].tolist()
-                   + emb[idx[w]].tolist() + state_values[:, w].tolist() + xn + [d])
-            expected[:, v] += _message_oracle(params, SMALL, inp)
-    expected /= 3
-    assert np.allclose(out, expected, atol=1e-12)
+    out = run_step(params, SMALL, mol, state_values, enc)
+    assert np.allclose(out, _step_oracle(params, SMALL, mol, state_values), atol=1e-12)
 
 
 def test_batched_step_matches_pairwise_definition():
-    # vectorized step vs the per-pair message function, tight tolerance
+    # all pairs at once vs one message per pair, for several sizes and with
+    # each feature switched off (its weight block skipped, not multiplied by 0)
     params = small_params(seed=13)
     rng = np.random.default_rng(5)
-    for n in (2, 4, 6):
-        mol = random_molecule(rng, n, elements=VOCAB)
-        enc = MoleculeEncoding(mol, VOCAB, SMALL)
-        state_values = rng.normal(size=(SMALL.hidden_dim, n))
-        out = step(None, ad.constant(state_values), mol, params, SMALL, VOCAB, enc).values
-        emb = params.atom_embedding.values
-        idx = [VOCAB.index(s) for s in mol.symbols]
-        xn = params.count_embedding.values[min(n, 8) - 1]
-        expected = np.zeros((SMALL.hidden_dim, n))
-        for v in range(n):
-            for w in range(n):
-                if w != v:
-                    d = 1.0 / max(np.linalg.norm(mol.coords[v] - mol.coords[w]), 1e-6)
-                    expected[:, v] += pair_message(params, emb[idx[v]], state_values[:, v],
-                                                   emb[idx[w]], state_values[:, w], xn, d)
-        expected /= n
-        assert np.abs(out - expected).max() < 1e-12
+    for flag in (None, "use_atom_embedding", "use_count_feature", "use_distance_feature"):
+        cfg = replace(SMALL, **{flag: False}) if flag else SMALL
+        for n in (2, 4, 6):
+            mol = random_molecule(rng, n, elements=VOCAB)
+            state_values = rng.normal(size=(cfg.hidden_dim, n))
+            out = run_step(params, cfg, mol, state_values)
+            assert np.abs(out - _step_oracle(params, cfg, mol, state_values)).max() < 1e-12, \
+                (flag, n)
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +333,22 @@ def test_forward_matches_straightline_oracle():
 
 
 def test_forward_skip_connections_reinject_embeddings():
+    # with the hidden-state column blocks of both weights zeroed, a step's
+    # output depends only on the embeddings, count and distances; since they
+    # re-enter at every step, every step repeats the first one exactly
     cfg = ModelConfig(atom_dim=3, count_dim=2, hidden_dim=4, mlp_dim=4, steps=4)
     params = init_params(cfg, len(VOCAB), 8, seed=1)
     mol = random_molecule(np.random.default_rng(10), 4, elements=VOCAB)
-    trace = []
-    forward(None, mol, params, cfg, VOCAB, trace=trace)
-    assert len(trace) == 4
-    # receiver-embedding rows of the pair input are identical at steps 0 and 3
-    assert np.array_equal(trace[0][:cfg.atom_dim], trace[3][:cfg.atom_dim])
-    # hidden-state rows change between steps
-    assert not np.array_equal(trace[0][cfg.atom_dim:cfg.atom_dim + cfg.hidden_dim],
-                              trace[3][cfg.atom_dim:cfg.atom_dim + cfg.hidden_dim])
+    one_step = replace(cfg, steps=1)
+    # the hidden state feeds back while its blocks are live
+    assert forward(None, mol, params, cfg, VOCAB).item() != \
+        forward(None, mol, params, one_step, VOCAB).item()
+    half = cfg.atom_dim + cfg.hidden_dim
+    for weight in (params.gate_weight, params.candidate_weight):
+        weight.values[:, cfg.atom_dim:half] = 0.0
+        weight.values[:, half + cfg.atom_dim:2 * half] = 0.0
+    assert forward(None, mol, params, cfg, VOCAB).item() == \
+        forward(None, mol, params, one_step, VOCAB).item()
 
 
 def test_forward_zero_candidate_collapses_to_zero_state_readout():
