@@ -21,8 +21,7 @@ from .data import DATASET_FORMATS, Dataset, load_dataset, parse_extended_xyz_rec
 from .errors import (CheckpointError, ConfigError, DataError, NumericalError, ParseError,
                      VocabularyError)
 from .gradcheck import DEFAULT_CHECK_CONFIG, run_gradcheck
-from .model import forward
-from .training import ABLATION_FLAGS, evaluate, run_ablation, train
+from .training import ABLATION_FLAGS, evaluate, predict, run_ablation, train
 
 __all__ = ["main", "entrypoint", "build_parser"]
 
@@ -53,20 +52,25 @@ def _blas_thread_control():
 
 @contextlib.contextmanager
 def _thread_cap(n: int | None):
-    """Cap BLAS worker threads, restoring the previous count on exit; --threads 1
-    makes numerics run-to-run identical."""
-    control = _blas_thread_control() if n else None
+    """Cap BLAS worker threads at ``n`` (0 or ``None``: no cap), restoring the
+    previous count on exit; --threads 1 makes numerics run-to-run identical.
+    Yields the thread count the loaded OpenBLAS reports in effect, or ``None``
+    when it offers no thread control."""
+    if n is not None and n < 0:
+        raise ConfigError(f"--threads must be >= 0 (0 means no cap), got {n}")
+    control = _blas_thread_control()
     if control is None:
         if n:
             print("warning: no OpenBLAS thread control found; BLAS threads not capped",
                   file=sys.stderr)
-        yield
+        yield None
         return
     set_threads, get_threads = control
     previous = get_threads()
-    set_threads(n)
+    if n:
+        set_threads(n)
     try:
-        yield
+        yield get_threads()
     finally:
         set_threads(previous)
 
@@ -103,11 +107,11 @@ def _flag_overrides(args) -> list[str]:
 
 def _cmd_train(args) -> int:
     spec = load_run_spec(args.config, _flag_overrides(args))
-    with _thread_cap(spec["run.threads"]):
-        return _run_training(spec, Path(args.out))
+    with _thread_cap(spec["run.threads"]) as blas_threads:
+        return _run_training(spec, Path(args.out), blas_threads)
 
 
-def _run_training(spec: RunSpec, out: Path) -> int:
+def _run_training(spec: RunSpec, out: Path, blas_threads: int | None) -> int:
     ds = _load_spec_dataset(spec)
     target = _checked_target(spec, ds)
     unit = ds.units.get(target, "")
@@ -160,6 +164,7 @@ def _run_training(spec: RunSpec, out: Path) -> int:
     mean_best, spread_best = agg("test_mae_best")
     mean_final, spread_final = agg("test_mae_final")
     report = {"property": target, "unit": unit, "runs": run_infos,
+              "blas_threads": blas_threads,
               "mean_test_mae_best": mean_best, "spread_test_mae_best": spread_best,
               "mean_test_mae_final": mean_final, "spread_test_mae_final": spread_final}
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
@@ -211,10 +216,9 @@ def _cmd_predict(args) -> int:
     schema = resolve_schema(args.schema)
     molecules = parse_extended_xyz_records(path.read_bytes(), schema, ckpt.vocabulary)
     with _thread_cap(args.threads):
-        for mol in molecules:
-            value = ckpt.normalizer.invert(
-                forward(None, mol, ckpt.params, ckpt.config, ckpt.vocabulary).item())
-            print(f"{mol.mol_id}\t{value!r}")
+        values = predict(ckpt.params, molecules, ckpt.config, ckpt.vocabulary, ckpt.normalizer)
+    for mol, value in zip(molecules, values.tolist()):
+        print(f"{mol.mol_id}\t{value!r}")
     return 0
 
 

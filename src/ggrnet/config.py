@@ -155,6 +155,11 @@ def resolve_run_spec(raw: dict[str, str], overrides: Sequence[str] = ()) -> RunS
             typed[key] = _KEYS[key][0](raw_value)
         except ValueError as err:
             raise ConfigError(f"config key '{key}': {err}") from err
+    if typed["run.runs"] < 1:
+        raise ConfigError(f"config key 'run.runs' must be >= 1, got {typed['run.runs']}")
+    if typed["run.threads"] < 0:
+        raise ConfigError(f"config key 'run.threads' must be >= 0 (0 means no cap), "
+                          f"got {typed['run.threads']}")
     if typed["dataset.format"] not in DATASET_FORMATS:
         raise ConfigError(f"dataset.format must be one of {DATASET_FORMATS}, "
                           f"got '{typed['dataset.format']}'")

@@ -2,7 +2,8 @@
 
 For every parameter entry, the analytic gradient (one recorded forward plus
 backward over a small batch loss) is compared against central differences of
-the unrecorded forward path. The error metric is
+the unrecorded forward path. Every loss evaluation runs the whole batch
+through one forward pass, as training does. The error metric is
 ``|analytic - numeric| / max(|analytic|, |numeric|, 1)``, i.e. relative for
 large gradients and absolute near zero.
 """
@@ -16,7 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Graph
 from .data import Molecule
-from .model import ModelConfig, ModelParams, MoleculeEncoding, _is_bias, forward, init_params
+from .model import (ModelConfig, ModelParams, MoleculeEncoding, _is_bias, forward_batch,
+                    init_params)
 from .synth import random_molecules
 from .training import mse_loss
 
@@ -44,9 +46,7 @@ def gradient_check(params: ModelParams, cfg: ModelConfig, molecules: Sequence[Mo
     encodings = [MoleculeEncoding(m, vocabulary, cfg) for m in molecules]
 
     def loss_value(graph: Graph | None) -> ad.Tensor:
-        preds = [forward(graph, mol, params, cfg, vocabulary, enc)
-                 for mol, enc in zip(molecules, encodings)]
-        return mse_loss(graph, preds, targets)
+        return mse_loss(graph, forward_batch(graph, encodings, params, cfg), targets)
 
     named = params.named()
     ad.zero_grads([t for _, t in named])

@@ -8,6 +8,7 @@ and the best-validation parameter snapshot is kept alongside the final one.
 """
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -16,9 +17,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Graph, Tensor
-from .data import Dataset, Normalizer, fit_normalizer
+from .data import Dataset, Molecule, Normalizer, fit_normalizer
 from .errors import DataError, NumericalError, ShapeError
-from .model import ModelConfig, ModelParams, MoleculeEncoding, forward, init_params
+from .model import ModelConfig, ModelParams, MoleculeEncoding, forward_batch, init_params
 
 __all__ = [
     "TrainConfig",
@@ -35,6 +36,11 @@ __all__ = [
     "train",
     "run_ablation",
 ]
+
+# molecules per forward pass in predict/evaluate: a no-grad pass frees each
+# molecule's message grids before the next is built, so memory grows with
+# the chunk only through its [hidden, ΣN] states
+PREDICT_CHUNK = 10
 
 
 @dataclass(frozen=True)
@@ -106,20 +112,20 @@ def lr_at_epoch(lr0: float, decay: float, epoch: int) -> float:
     return lr0 / (1.0 + decay * epoch)
 
 
-def mse_loss(graph: Graph | None, preds: Sequence, targets: Sequence[float]) -> Tensor:
-    """Differentiable mean squared error; predictions may be 1x1 tensors or floats."""
-    if len(preds) != len(targets):
-        raise ShapeError(f"mse_loss: {len(preds)} predictions vs {len(targets)} targets")
-    if not preds:
-        raise ShapeError("mse_loss: empty prediction list")
-    acc = None
-    for pred, target in zip(preds, targets):
-        if not isinstance(pred, Tensor):
-            pred = ad.constant([[float(pred)]])
-        diff = ad.sub(graph, pred, ad.constant([[float(target)]]))
-        sq = ad.hadamard(graph, diff, diff)
-        acc = sq if acc is None else ad.add(graph, acc, sq)
-    return ad.scale(graph, acc, 1.0 / len(preds))
+def mse_loss(graph: Graph | None, preds: Tensor | Sequence,
+             targets: Sequence[float]) -> Tensor:
+    """Differentiable mean squared error of a ``[1, B]`` prediction row, or of a
+    list of 1x1 tensors or floats."""
+    if not isinstance(preds, Tensor):
+        if not preds:
+            raise ShapeError("mse_loss: empty prediction list")
+        parts = [p if isinstance(p, Tensor) else ad.constant([[float(p)]]) for p in preds]
+        preds = ad.transpose(graph, ad.concat_rows(graph, parts))
+    if preds.shape != (1, len(targets)):
+        raise ShapeError(f"mse_loss: {preds.cols} predictions vs {len(targets)} targets")
+    diff = ad.sub(graph, preds, ad.constant([[float(t) for t in targets]]))
+    return ad.scale(graph, ad.matmul(graph, diff, ad.transpose(graph, diff)),
+                    1.0 / len(targets))
 
 
 def mae(pred: Sequence[float], target: Sequence[float]) -> float:
@@ -133,18 +139,22 @@ def mae(pred: Sequence[float], target: Sequence[float]) -> float:
     return float(np.mean(np.abs(pred - target)))
 
 
-def predict(params: ModelParams, ds: Dataset, cfg: ModelConfig, vocabulary: Sequence[str],
-            normalizer: Normalizer | None = None,
+def predict(params: ModelParams, molecules: Sequence[Molecule], cfg: ModelConfig,
+            vocabulary: Sequence[str], normalizer: Normalizer | None = None,
             encodings: Sequence[MoleculeEncoding] | None = None) -> np.ndarray:
-    """Model outputs for every molecule, without recording any graph.
+    """Model outputs for every molecule, in order, without recording any graph;
+    one forward pass per :data:`PREDICT_CHUNK` molecules, each chunk encoded
+    only when it is reached.
 
     Returns normalized-space values unless a normalizer is given, in which
     case predictions are inverse-transformed to original units.
     """
     if encodings is None:
-        encodings = [MoleculeEncoding(m, vocabulary, cfg) for m in ds]
-    raw = np.array([forward(None, mol, params, cfg, vocabulary, enc).item()
-                    for mol, enc in zip(ds, encodings)])
+        encodings = (MoleculeEncoding(m, vocabulary, cfg) for m in molecules)
+    pending, raw = iter(encodings), []
+    while chunk := list(itertools.islice(pending, PREDICT_CHUNK)):
+        raw.extend(forward_batch(None, chunk, params, cfg).values[0])
+    raw = np.array(raw)
     return normalizer.invert(raw) if normalizer is not None else raw
 
 
@@ -205,8 +215,8 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
             try:
                 ad.zero_grads(tensors)
                 graph = Graph()
-                preds = [forward(graph, train_ds[i], params, cfg.model, vocabulary,
-                                 train_encs[i]) for i in batch]
+                preds = forward_batch(graph, [train_encs[i] for i in batch], params,
+                                      cfg.model)
                 loss = mse_loss(graph, preds, [targets_norm[i] for i in batch])
                 ad.backward(graph, loss)
             except NumericalError as err:

@@ -120,6 +120,42 @@ def test_train_multi_runs(config_file, tmp_path):
     assert "mean_test_mae_best" in report
 
 
+@pytest.mark.parametrize("source", ["file", "set", "flag"])
+@pytest.mark.parametrize("key,value", [("run.runs", "0"), ("run.runs", "-2"),
+                                       ("run.threads", "-1")])
+def test_bad_run_or_thread_count_is_one_line_exit_2(tmp_path, capsys, source, key, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CONFIG + (f"{key} = {value}\n" if source == "file" else ""))
+    extra = {"file": [], "set": ["--set", f"{key}={value}"],
+             "flag": ["--" + key.split(".")[1], value]}[source]
+    rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o"), *extra])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key '{key}'") and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "gradcheck"])
+def test_negative_threads_flag_is_one_line_exit_2(trained_run, capsys, command):
+    from ggrnet.data import sample_dataset_path
+
+    args = {"eval": ["eval", str(trained_run / "best.ckpt"), "--config",
+                     str(trained_run / "manifest.cfg")],
+            "predict": ["predict", str(trained_run / "best.ckpt"), str(sample_dataset_path())],
+            "gradcheck": ["gradcheck", "--seeds", "1"]}[command]
+    assert main([*args, "--threads", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --threads must be >= 0") and err.count("\n") == 1, err
+
+
+def test_train_report_records_blas_threads(trained_run):
+    from ggrnet.cli import _blas_thread_control
+
+    report = json.loads((trained_run / "report.json").read_text())
+    expected = None if _blas_thread_control() is None else 1  # trained with --threads 1
+    assert report["blas_threads"] == expected
+
+
 def test_train_rerun_from_manifest_is_bit_identical(trained_run, tmp_path):
     out2 = tmp_path / "again"
     rc = main(["train", "--config", str(trained_run / "manifest.cfg"),
@@ -270,6 +306,21 @@ def test_predict_deterministic_lines(trained_run, tmp_path, capsys):
     name, value = first[0].split("\t")
     assert name == "sample0"
     float(value)
+
+
+def test_predict_equals_per_molecule_forward(trained_run, capsys):
+    from ggrnet.data import parse_extended_xyz_records, sample_dataset_path
+
+    assert main(["predict", str(trained_run / "best.ckpt"), str(sample_dataset_path())]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    ckpt = load_checkpoint(trained_run / "best.ckpt")
+    molecules = parse_extended_xyz_records(sample_dataset_path().read_bytes(), None,
+                                           ckpt.vocabulary)
+    assert [line.split("\t")[0] for line in lines] == [m.mol_id for m in molecules]
+    for line, mol in zip(lines, molecules):
+        expected = ckpt.normalizer.invert(
+            forward(None, mol, ckpt.params, ckpt.config, ckpt.vocabulary).item())
+        assert abs(float(line.split("\t")[1]) - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_predict_single_atom_is_offset_only(trained_run, tmp_path, capsys):

@@ -13,11 +13,13 @@ from ggrnet.model import (
     ModelConfig,
     MoleculeEncoding,
     forward,
+    forward_batch,
     init_params,
     message_step,
     readout,
 )
 from ggrnet.synth import random_molecule, random_molecules
+from ggrnet.training import mse_loss
 from oracle import straightline_forward
 
 VOCAB = ("H", "C", "N", "O")
@@ -103,16 +105,18 @@ def test_biases_start_zero():
 
 
 def run_step(params, cfg, mol, state_values, encoding=None):
-    """One :func:`message_step` on ``mol`` with its inputs built from the
-    parameter tables directly; switched-off features pass ``None``."""
+    """One :func:`message_step` on ``mol`` as a batch of one, with its inputs
+    built from the parameter tables directly; switched-off features pass
+    ``None``."""
     enc = encoding or MoleculeEncoding(mol, VOCAB, cfg)
     idx = [VOCAB.index(s) for s in mol.symbols]
     row = min(mol.natoms, params.max_atom_count) - 1
     x = ad.constant(params.atom_embedding.values[idx].T) if cfg.use_atom_embedding else None
-    count = (ad.constant(params.count_embedding.values[row][:, None])
+    count = (ad.constant(np.repeat(params.count_embedding.values[row][:, None], mol.natoms, 1))
              if cfg.use_count_feature else None)
+    inv_dist = [enc.inv_dist] if cfg.use_distance_feature else None
     return message_step(None, params, cfg, x, ad.constant(state_values), count,
-                        enc.inv_dist).values
+                        [mol.natoms], inv_dist).values
 
 
 def _message_oracle(params, cfg, inp_vec):
@@ -185,8 +189,8 @@ def test_message_scalar_hand_case():
     params.gate_weight.values[:] = 1.0
     params.candidate_weight.values[:] = 1.0
     out = message_step(None, params, cfg, ad.constant([[1.0, 1.0]]),
-                       ad.constant([[0.0, 0.0]]), ad.constant([[1.0]]),
-                       np.array([[0.0, 0.5], [0.5, 0.0]]))
+                       ad.constant([[0.0, 0.0]]), ad.constant([[1.0, 1.0]]),
+                       [2], [np.array([[0.0, 0.5], [0.5, 0.0]])])
     expected = (1.0 / (1.0 + math.exp(-3.5))) * math.tanh(3.5) / 2
     assert out.values[0, 0] == pytest.approx(expected, abs=1e-15)
     assert out.values[0, 1] == pytest.approx(expected, abs=1e-15)
@@ -260,7 +264,7 @@ def test_batched_step_matches_pairwise_definition():
 
 def test_readout_zero_state_zero_biases():
     params = small_params()
-    out = readout(None, ad.constant(np.zeros((SMALL.hidden_dim, 3))), params)
+    out = readout(None, ad.constant(np.zeros((SMALL.hidden_dim, 3))), params, [3])
     assert out.item() == 0.0
 
 
@@ -268,10 +272,10 @@ def test_readout_permutation_of_columns():
     params = small_params(seed=4)
     rng = np.random.default_rng(6)
     state = rng.normal(size=(SMALL.hidden_dim, 5))
-    base = readout(None, ad.constant(state), params).item()
+    base = readout(None, ad.constant(state), params, [5]).item()
     for _ in range(5):
         perm = rng.permutation(5)
-        shuffled = readout(None, ad.constant(state[:, perm]), params).item()
+        shuffled = readout(None, ad.constant(state[:, perm]), params, [5]).item()
         assert abs(shuffled - base) < 1e-10
 
 
@@ -282,9 +286,9 @@ def test_readout_hand_case():
     for w, _ in params.mlp:
         w.values[:] = 1.0
     state = ad.constant([[0.6, 1.0]])
-    assert readout(None, state, params).item() == pytest.approx(0.8, abs=1e-15)
+    assert readout(None, state, params, [2]).item() == pytest.approx(0.8, abs=1e-15)
     negative = ad.constant([[-0.6, -1.0]])  # ReLU zeroes the pooled mean
-    assert readout(None, negative, params).item() == 0.0
+    assert readout(None, negative, params, [2]).item() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +299,7 @@ def test_forward_single_atom_is_input_independent():
     params = small_params(seed=8)
     base = forward(None, Molecule("a", ("C",), np.zeros((1, 3)), {}), params, SMALL, VOCAB)
     moved = forward(None, Molecule("b", ("O",), np.full((1, 3), 7.5), {}), params, SMALL, VOCAB)
-    zero_state = readout(None, ad.constant(np.zeros((SMALL.hidden_dim, 1))), params)
+    zero_state = readout(None, ad.constant(np.zeros((SMALL.hidden_dim, 1))), params, [1])
     assert base.item() == moved.item() == zero_state.item()
 
 
@@ -356,7 +360,7 @@ def test_forward_zero_candidate_collapses_to_zero_state_readout():
     params.candidate_weight.values[:] = 0.0
     params.candidate_bias.values[:] = 0.0
     rng = np.random.default_rng(11)
-    expected = readout(None, ad.constant(np.zeros((SMALL.hidden_dim, 1))), params).item()
+    expected = readout(None, ad.constant(np.zeros((SMALL.hidden_dim, 1))), params, [1]).item()
     for n in (2, 5):
         mol = random_molecule(rng, n, elements=VOCAB)
         assert forward(None, mol, params, SMALL, VOCAB).item() == expected
@@ -437,3 +441,65 @@ def test_overflowing_pre_activation_names_op_molecule_and_step():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalError, match=r"^molecule m3, step 0: .*'message_step'"):
         forward(None, mol, params, SMALL, VOCAB)
+
+
+# ---------------------------------------------------------------------------
+# batches: one disjoint union through every op
+
+
+MIXED_SIZES = (1, 2, 5, 9)
+
+
+def mixed_batch(cfg, seed=0):
+    molecules = random_molecules(seed, len(MIXED_SIZES), sizes=MIXED_SIZES, elements=VOCAB)
+    return molecules, [MoleculeEncoding(m, VOCAB, cfg) for m in molecules]
+
+
+@pytest.mark.parametrize("flag", [None, "use_atom_embedding", "use_count_feature",
+                                  "use_distance_feature"])
+def test_batch_equals_per_molecule_forward(flag):
+    cfg = replace(ModelConfig(), **{flag: False}) if flag else ModelConfig()
+    params = init_params(cfg, len(VOCAB), 6, seed=17)  # 9 atoms clamp to the last row
+    molecules, encodings = mixed_batch(cfg, seed=18)
+    batch = forward_batch(None, encodings, params, cfg)
+    assert batch.shape == (1, len(molecules))
+    for j, mol in enumerate(molecules):
+        alone = forward(None, mol, params, cfg, VOCAB).item()
+        assert abs(batch.values[0, j] - alone) <= 1e-12 * max(1.0, abs(alone)), (flag, j)
+
+
+def test_batch_gradients_equal_mean_of_per_molecule_gradients():
+    params = small_params(seed=19, max_atoms=9)
+    rng = np.random.default_rng(20)
+    for _, b in params.mlp:  # keep ReLU pre-activations off the kink
+        b.values[:] = rng.uniform(-0.3, 0.3, size=b.shape)
+    molecules, encodings = mixed_batch(SMALL, seed=21)
+    targets = rng.normal(size=len(molecules)).tolist()
+    tensors = params.tensors()
+
+    def gradients(encs, tgts):
+        ad.zero_grads(tensors)
+        graph = ad.Graph()
+        ad.backward(graph, mse_loss(graph, forward_batch(graph, encs, params, SMALL), tgts))
+        return [t.grad.copy() for t in tensors]
+
+    batch = gradients(encodings, targets)
+    alone = [gradients([enc], [t]) for enc, t in zip(encodings, targets)]
+    for k, (name, _) in enumerate(params.named()):
+        mean = sum(grads[k] for grads in alone) / len(alone)
+        scale = max(np.abs(mean).max(), 1e-300)
+        assert np.abs(batch[k] - mean).max() <= 1e-10 * scale, name
+
+
+def test_non_finite_pre_activation_names_the_molecule_in_its_batch():
+    # a huge distance weight overflows only where two atoms are close together
+    params = small_params(seed=22)
+    params.gate_weight.values[:, -1] = 1e308
+    molecules = [Molecule("far0", ("C", "H", "O"), [[0, 0, 0], [4, 0, 0], [0, 4, 0]], {}),
+                 Molecule("far1", ("C", "C"), [[0, 0, 0], [0, 0, 4]], {}),
+                 Molecule("close", ("C", "H"), [[0, 0, 0], [0.1, 0, 0]], {}),
+                 Molecule("far3", ("N", "O"), [[0, 0, 0], [5, 0, 0]], {})]
+    encodings = [MoleculeEncoding(m, VOCAB, SMALL) for m in molecules]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match=r"^molecule close, step 0: .*'message_step'"):
+        forward_batch(None, encodings, params, SMALL)

@@ -189,6 +189,35 @@ def test_divergence_aborts_with_position(comp_splits):
             train(tr, va, quick_config(epochs=5, lr0=1e150, clip_norm=1e300))
 
 
+def test_non_finite_step_names_epoch_batch_molecule_and_step(comp_splits):
+    # coincident atoms under a subnormal distance floor give an infinite
+    # inverse distance, so only that molecule's grid turns non-finite
+    from ggrnet.data import Dataset, Molecule
+
+    tr, va, _ = comp_splits
+    mols = list(tr)
+    mols[5] = Molecule("dup", mols[5].symbols, np.zeros((mols[5].natoms, 3)), mols[5].targets)
+    bad = Dataset(mols, tr.property_names, tr.element_vocabulary)
+    cfg = quick_config(model=dataclasses.replace(SMALL, distance_epsilon=1e-310))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match=r"^training aborted at epoch 0, batch \d+: "
+                                                r"molecule dup, step 0: .*'message_step'"):
+        train(bad, va, cfg)
+
+
+def test_predict_chunks_keep_order_and_values():
+    # more molecules than one chunk, and a partial last chunk
+    from ggrnet.model import forward
+    from ggrnet.training import PREDICT_CHUNK, predict
+
+    ds = geometric_dataset(2 * PREDICT_CHUNK + 3, seed=61, n_atoms=(1, 9))
+    params = init_params(SMALL, len(ds.element_vocabulary), ds.max_atom_count, seed=4)
+    got = predict(params, ds, SMALL, ds.element_vocabulary)
+    want = [forward(None, m, params, SMALL, ds.element_vocabulary).item() for m in ds]
+    assert got.shape == (len(ds),)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
 def test_evaluate_is_pure_and_repeatable(comp_splits):
     tr, va, _ = comp_splits
     cfg = quick_config(epochs=2)
