@@ -114,7 +114,8 @@ class Graph:
     A graph stays valid as long as the value buffers of its input tensors
     are not mutated; optimizer steps therefore run only after the backward
     pass of the batch that produced the gradients, and each batch records a
-    fresh graph.
+    fresh graph. An op may reuse its saved buffers in its backward rule, so
+    a graph is back-propagated once.
     """
 
     def __init__(self):

@@ -5,11 +5,16 @@ length, a canonical JSON header (model config, vocabulary, target +
 normalizer, tensor manifest), then the raw little-endian float64 buffers in
 manifest order. Serialization is canonical (sorted keys, no whitespace, no
 timestamps), so save -> load -> save reproduces the file byte for byte.
+
+Checkpoints and the run's other result files are written through
+:func:`atomic_write`, so an interrupted write never leaves a partial file.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +26,8 @@ from .data import Normalizer
 from .errors import CheckpointError
 from .model import ModelConfig, ModelParams, param_shapes
 
-__all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint", "FORMAT_VERSION"]
+__all__ = ["Checkpoint", "atomic_write", "save_checkpoint", "load_checkpoint",
+           "FORMAT_VERSION"]
 
 _MAGIC = b"GGRNETCK"
 FORMAT_VERSION = 1
@@ -41,6 +47,23 @@ class Checkpoint:
         return self.params.max_atom_count
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb", **kwargs):
+    """Open a temporary file next to ``path`` for writing and move it onto
+    ``path`` with :func:`os.replace` once the block completes. If the block
+    raises, the temporary file is removed and ``path`` keeps its previous
+    content (or stays absent)."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path, params: ModelParams, config: ModelConfig, vocabulary,
                     normalizer: Normalizer, target_property: str, unit: str = "") -> None:
     named = params.named()
@@ -53,7 +76,7 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig, vocabulary,
         "tensors": [{"name": name, "rows": t.rows, "cols": t.cols} for name, t in named],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IQ", FORMAT_VERSION, len(blob)))
         fh.write(blob)

@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .config import RunSpec, load_run_spec, resolve_schema
 from .data import DATASET_FORMATS, Dataset, load_dataset, parse_extended_xyz_records, split
 from .errors import (CheckpointError, ConfigError, DataError, NumericalError, ParseError,
@@ -105,6 +105,11 @@ def _flag_overrides(args) -> list[str]:
     return overrides
 
 
+def _write_text(path: Path, text: str) -> None:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _cmd_train(args) -> int:
     spec = load_run_spec(args.config, _flag_overrides(args))
     with _thread_cap(spec["run.threads"]) as blas_threads:
@@ -116,7 +121,7 @@ def _run_training(spec: RunSpec, out: Path, blas_threads: int | None) -> int:
     target = _checked_target(spec, ds)
     unit = ds.units.get(target, "")
     out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.cfg").write_text(spec.manifest_text(), encoding="utf-8")
+    _write_text(out / "manifest.cfg", spec.manifest_text())
 
     runs = spec["run.runs"]
     run_infos = []
@@ -167,8 +172,7 @@ def _run_training(spec: RunSpec, out: Path, blas_threads: int | None) -> int:
               "blas_threads": blas_threads,
               "mean_test_mae_best": mean_best, "spread_test_mae_best": spread_best,
               "mean_test_mae_final": mean_final, "spread_test_mae_final": spread_final}
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                                     encoding="utf-8")
+    _write_text(out / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(json.dumps(report, sort_keys=True))
     return 0
 
@@ -268,11 +272,10 @@ def _cmd_ablate(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "manifest.cfg").write_text(spec.manifest_text(), encoding="utf-8")
+        _write_text(out / "manifest.cfg", spec.manifest_text())
         payload = [{"variant": row.name, "val_mae": row.val_mae, "test_mae": row.test_mae}
                    for row in rows]
-        (out / "ablation.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                                           encoding="utf-8")
+        _write_text(out / "ablation.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 

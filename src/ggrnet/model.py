@@ -12,20 +12,27 @@ A batch of molecules runs as one disjoint union: the atoms of all molecules
 are the columns of one ``[hidden, ΣN]`` state, molecule after molecule, and
 every recorded op of a forward pass covers the whole batch. Gate and
 candidate are affine in the concatenated pair input, so each splits by block
-into a receiver term and a sender term, each one ``[ΣN, hidden]`` product
-with the atom columns of the batch, plus the count term (each atom carries
-its molecule's count embedding, picked by a one-hot matmul) and the distance
+into a receiver term and a sender term, each a ``[ΣN, hidden]`` product with
+the atom columns of the batch, plus the count term (each atom carries its
+molecule's count embedding, picked by a one-hot matmul) and the distance
 weight times the molecule's ``[N, N]`` inverse-distance matrix. Pairs exist
-only within a molecule, so inside the step each molecule gets its own
-``[N, N, hidden]`` pre-activation grid (receiver, sender, hidden innermost),
-whose diagonal is masked out. Each step is one recorded op with a
-hand-written backward (:func:`message_step`) that reduces the grids molecule
-by molecule and forms the weight gradients once per batch. The readout
-averages each molecule's columns with one matmul and runs the MLP on the
-``[mlp, B]`` block, one column per molecule. A single molecule is a batch of
-one (:func:`forward`). The constant per-molecule structure (element indices,
+only within a molecule, so each molecule gets its own ``[N, N, hidden]``
+pre-activation grid (receiver, sender, hidden innermost), whose diagonal is
+masked out.
+
+The whole recursion is one recorded op, :func:`message_step`. The
+embedding, count and bias parts of the terms are the same at every step (the
+skip connections), so they are formed once per batch, and a step adds only
+the hidden-state product. Overflow is checked on a per-molecule bound of the
+terms rather than on every grid entry. The op's hand-written backward runs
+back-propagation through time: it walks the steps in reverse, reduces each
+molecule's grids to per-atom adjoints, and forms each weight gradient once
+per batch from the adjoints of all steps. The readout averages each
+molecule's columns with one matmul and runs the MLP on the ``[mlp, B]``
+block, one column per molecule. A single molecule is a batch of one
+(:func:`forward`). The constant per-molecule structure (element indices,
 inverse distances) is precomputed once in :class:`MoleculeEncoding` and
-reused across steps and calls.
+reused across calls.
 """
 from __future__ import annotations
 
@@ -224,132 +231,203 @@ def _input_blocks(graph: Graph | None, encodings: Sequence[MoleculeEncoding],
     return x, count
 
 
-class _GridError(NumericalError):
-    """A non-finite pre-activation in the grid of the batch's molecule ``index``."""
-
-    def __init__(self, index: int):
-        super().__init__("non-finite values produced by op 'message_step'")
-        self.index = index
-
-
 def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
                  x: Tensor | None, state: Tensor, count: Tensor | None,
-                 sizes: Sequence[int], inv_dist: Sequence[np.ndarray] | None) -> Tensor:
-    """One recursion step of a batch as one recorded op: the next state ``[hidden, ΣN]``.
+                 sizes: Sequence[int], inv_dist: Sequence[np.ndarray] | None,
+                 ids: Sequence[str] | None = None) -> Tensor:
+    """All ``cfg.steps`` recursion steps of a batch as one recorded op: the
+    final state ``[hidden, ΣN]``.
 
     Molecule k owns the ``sizes[k]`` atom columns after those of molecules
-    0..k-1. ``x`` is ``[atom, ΣN]``, ``count`` ``[count, ΣN]`` and
-    ``inv_dist[k]`` molecule k's ``[n, n]`` matrix with a zero diagonal;
-    ``None`` marks a feature switched off, whose weight block is skipped and
-    gets a zero gradient. For gate and candidate alike, with ``z = [x;
-    state]``, pair (v, w) of a molecule has the pre-activation ``R[v] + S[w]
-    + w_d * inv_dist[v, w]``, where ``R = (W_r z + W_cnt count + b)ᵀ`` and
-    ``S = (W_s z)ᵀ`` are ``[ΣN, hidden]`` products with column blocks of the
-    weight, one matmul each for the whole batch. Each molecule's
+    0..k-1 and is named ``ids[k]`` in errors (its batch index by default).
+    ``x`` is ``[atom, ΣN]``, ``count`` ``[count, ΣN]`` and ``inv_dist[k]``
+    molecule k's ``[n, n]`` matrix with a zero diagonal; ``None`` marks a
+    feature switched off, whose weight block is skipped and gets a zero
+    gradient. The recursion starts from ``state``, a constant that gets no
+    gradient.
+
+    For gate and candidate alike, pair (v, w) of a molecule has the
+    pre-activation ``R[v] + S[w] + w_d * inv_dist[v, w]``, with the receiver
+    term ``R = (W_r,x x + W_cnt count + b + W_r,h h)ᵀ`` and the sender term
+    ``S = (W_s,x x + W_s,h h)ᵀ``. Only the ``h`` products change from step to
+    step, so the rest of all four terms is one ``[ΣN, 4 hidden]`` block formed
+    once per batch, and each step adds one product of the state with the four
+    hidden-state blocks stacked. The gate's columns are stored negated, so
+    the sigmoid's ``exp`` runs on the grid as built. Each molecule's
     ``[n, n, hidden]`` grids (receiver, sender, hidden) give the messages
     ``sigmoid(gate) * tanh(candidate)``, diagonal masked, summed over senders
-    and divided by n. Raises a :class:`NumericalError` naming the molecule's
-    batch index if any pre-activation is non-finite, which the saturating
-    gates would hide.
+    and divided by n.
+
+    Instead of testing every grid entry, each step bounds each molecule's
+    pre-activations by ``max|R| + max|S| + max|w_d| max(inv_dist)``, summed
+    in the grid's order: float addition and multiplication are monotone, so
+    if the bound is finite so is every entry. A molecule whose bound is not
+    raises a :class:`NumericalError` naming it and the step, since the
+    saturating gates would hide it; that rejects a finite grid only when one
+    of the three terms exceeds about a third of the float maximum, and any
+    NaN makes the bound NaN. A one-atom molecule has no pairs and never
+    raises.
+
+    The backward walks the steps in reverse. It overwrites each molecule's
+    grids with their adjoints, reduces them to the per-atom adjoints of the
+    four terms and carries the state adjoint back through the hidden-state
+    blocks; a non-finite per-atom adjoint raises a :class:`NumericalError`
+    naming the molecule and step. Each weight block's gradient is then one
+    matmul over the columns of all steps, or over their sum for the
+    step-invariant blocks.
     """
-    half = cfg.atom_dim + cfg.hidden_dim          # receiver columns; sender ones follow
-    lo = 0 if x is not None else cfg.atom_dim     # first used column within each half
-    recv, send = slice(lo, half), slice(half + lo, 2 * half)
+    hidden, steps = cfg.hidden_dim, cfg.steps
+    half = cfg.atom_dim + hidden                  # receiver columns; sender ones follow
+    recv_x, recv_h = slice(0, cfg.atom_dim), slice(cfg.atom_dim, half)
+    send_x, send_h = slice(half, half + cfg.atom_dim), slice(half + cfg.atom_dim, 2 * half)
     cnt = slice(2 * half, 2 * half + cfg.count_dim)
-    z = state.values if x is None else np.concatenate((x.values, state.values))
-    bounds = np.cumsum([0, *sizes]).tolist()
+    ids = range(len(sizes)) if ids is None else ids
+    bounds = np.cumsum([0, *sizes])
+    edges, atoms = bounds.tolist(), int(bounds[-1])
     inv_n = np.repeat([1.0 / n for n in sizes], sizes)[:, None]
 
-    def atom_terms(weight: Tensor, bias: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        w = weight.values
-        r = z.T @ w[:, recv].T
-        r += bias.values.T
-        if count is not None:
-            r += count.values.T @ w[:, cnt].T
-        return r, z.T @ w[:, send].T, w[:, -1]
+    gate_w, cand_w = params.gate_weight.values, params.candidate_weight.values
 
-    def grid(k: int, r: np.ndarray, s: np.ndarray, w_d: np.ndarray) -> np.ndarray:
-        a, b = bounds[k], bounds[k + 1]
+    def stacked(*blocks) -> np.ndarray:
+        """Rows of each column block: the gate's negated, then the candidate's."""
+        return np.concatenate([m for c in blocks for m in (-gate_w[:, c], cand_w[:, c])])
+
+    # the four terms' columns: [R_gate, R_cand, S_gate, S_cand]
+    w_h, w_x = stacked(recv_h, send_h), stacked(recv_x, send_x)
+    w_cnt, w_d = stacked(cnt), stacked(-1)
+    fixed = x.values.T @ w_x.T if x is not None else np.zeros((atoms, 4 * hidden))
+    fixed[:, :2 * hidden] += np.concatenate((-params.gate_bias.values,
+                                             params.candidate_bias.values))[:, 0]
+    if count is not None:
+        fixed[:, :2 * hidden] += count.values.T @ w_cnt.T
+
+    # per molecule, gate and candidate: fl(max|w_d| max(inv_dist)), added first as in the grid
+    dist_bound = np.zeros((len(sizes), 2))
+    if inv_dist is not None:
+        dist_bound = np.outer([m.max() for m in inv_dist],
+                              np.abs(w_d).reshape(2, hidden).max(axis=1))
+    pairless = np.asarray(sizes) < 2
+
+    terms = np.empty((atoms, 4 * hidden))        # every step's four terms, one buffer
+    blocks = terms.reshape(atoms, 4, hidden)
+
+    def grid(k: int, j: int) -> np.ndarray:
+        a, b = edges[k], edges[k + 1]
+        r, s = blocks[a:b, None, j], blocks[None, a:b, 2 + j]
         if inv_dist is None:
-            pre = r[a:b, None, :] + s[None, a:b, :]
-        else:
-            pre = np.multiply.outer(inv_dist[k], w_d)
-            pre += r[a:b, None, :]
-            pre += s[None, a:b, :]
-        pre.reshape((b - a) ** 2, -1)[::b - a + 1] = 0.0  # the diagonal is no pair
-        if not np.isfinite(pre).all():
-            raise _GridError(k)
+            return r + s
+        pre = np.multiply.outer(inv_dist[k], w_d[j * hidden:(j + 1) * hidden])
+        pre += r
+        pre += s
         return pre
 
-    gate_terms = atom_terms(params.gate_weight, params.gate_bias)
-    cand_terms = atom_terms(params.candidate_weight, params.candidate_bias)
-    out = np.empty((len(inv_n), cfg.hidden_dim))
-    grids = []
-    for k, n in enumerate(sizes):
-        # sigmoid in place; exp(-x) overflows to inf below x = -709, giving exactly 0
-        gate = grid(k, *gate_terms)
+    recording = graph is not None
+    states = np.empty((steps, atoms, hidden)) if recording else None
+    grids: list[list[tuple[np.ndarray, np.ndarray]]] = []
+    h = state.values.T
+    for step in range(steps):
+        if recording:
+            states[step] = h
+        np.matmul(h, w_h.T, out=terms)
+        terms += fixed
+        peak = np.maximum.reduceat(np.abs(terms).reshape(atoms, 2, 2, hidden).max(axis=3),
+                                   bounds[:-1], axis=0)
+        bound = (dist_bound + peak[:, 0]) + peak[:, 1]
+        bound[pairless] = 0.0
+        if not np.isfinite(bound).all():
+            k = int(np.flatnonzero(~np.isfinite(bound).all(axis=1))[0])
+            raise NumericalError(f"molecule {ids[k]}, step {step}: "
+                                 f"non-finite values produced by op 'message_step'")
+        h = np.empty((atoms, hidden))
+        step_grids = []
+        # exp of the negated gate overflows to inf above 709, giving a gate of exactly 0
         with np.errstate(over="ignore"):
-            np.exp(np.negative(gate, out=gate), out=gate)
-        gate += 1.0
-        np.reciprocal(gate, out=gate)
-        cand = grid(k, *cand_terms)
-        np.tanh(cand, out=cand)
-        # tanh(0) = 0 masks the diagonal's messages and gate gradients; a zero
-        # gate there also masks the candidate gradients
-        gate.reshape(n * n, -1)[::n + 1] = 0.0
-        np.einsum("vwi,vwi->vi", gate, cand, out=out[bounds[k]:bounds[k + 1]])
-        if graph is not None:
-            grids.append((gate, cand))
-        del gate, cand                            # without a graph, free the grids now
-    out *= inv_n
+            for k, n in enumerate(sizes):
+                gate = grid(k, 0)
+                np.exp(gate, out=gate)
+                gate += 1.0
+                np.reciprocal(gate, out=gate)
+                # a zero gate masks the diagonal's messages and both adjoints
+                gate.reshape(n * n, -1)[::n + 1] = 0.0
+                cand = grid(k, 1)
+                np.tanh(cand, out=cand)
+                np.einsum("vwi,vwi->vi", gate, cand, out=h[edges[k]:edges[k + 1]])
+                if recording:
+                    step_grids.append((gate, cand))
+                del gate, cand                    # without a graph, free the grids now
+        h *= inv_n
+        grids.append(step_grids)
 
-    weights = (params.gate_weight, params.candidate_weight)
-    inputs = (params.gate_weight, params.gate_bias, params.candidate_weight,
-              params.candidate_bias, state, *(t for t in (x, count) if t is not None))
+    def check(adjoint: np.ndarray, step: int) -> None:
+        if not np.isfinite(adjoint).all():
+            row = np.flatnonzero(~np.isfinite(adjoint).all(axis=1))[0]
+            k = int(np.searchsorted(bounds, row, side="right")) - 1
+            raise NumericalError(f"molecule {ids[k]}, step {step}: "
+                                 f"non-finite gradient in backward rule of op 'message_step'")
 
     def rule(g):
-        # the receiver's output gradient g[:, v] / n scales every pair (v, w)
-        g_n = g.T * inv_n
-        d_r = [np.empty_like(g_n), np.empty_like(g_n)]   # gate, candidate: [ΣN, hidden]
-        d_s = [np.empty_like(g_n), np.empty_like(g_n)]
-        d_wd = [0.0, 0.0]
-        for k, (gate, cand) in enumerate(grids):
-            a, b = bounds[k], bounds[k + 1]
-            # per pair, d(message)/d(pre-activation) of gate and of candidate
-            d_gate = 1.0 - gate
-            d_gate *= gate
-            d_gate *= cand
-            d_gate *= g_n[a:b, None, :]
-            d_cand = cand * cand
-            np.subtract(1.0, d_cand, out=d_cand)
-            d_cand *= gate
-            d_cand *= g_n[a:b, None, :]
-            for j, d_pre in enumerate((d_gate, d_cand)):
-                d_pre.sum(axis=1, out=d_r[j][a:b])
-                d_pre.sum(axis=0, out=d_s[j][a:b])
-                if inv_dist is not None:
-                    d_wd[j] = d_wd[j] + inv_dist[k].ravel() @ d_pre.reshape((b - a) ** 2, -1)
-        grads, d_z, d_count = [], 0.0, 0.0
-        for weight, dr, ds, dwd in zip(weights, d_r, d_s, d_wd):
-            w = weight.values
-            d_w = np.zeros_like(w)
-            d_w[:, recv] = dr.T @ z.T
-            d_w[:, send] = ds.T @ z.T
-            d_z = d_z + w[:, recv].T @ dr.T + w[:, send].T @ ds.T
-            if count is not None:
-                d_w[:, cnt] = dr.T @ count.values.T
-                d_count = d_count + w[:, cnt].T @ dr.T
-            if inv_dist is not None:
-                d_w[:, -1] = dwd
-            grads += [d_w, dr.sum(axis=0)[:, None]]
-        grads.append(d_z if x is None else d_z[cfg.atom_dim:])
+        if not grids:
+            raise RuntimeError("op 'message_step' overwrites its grids in the backward, "
+                               "so its graph can be back-propagated only once")
+        pending = grids[:]
+        grids.clear()
+        g = g.T
+        d_terms = np.empty((steps, atoms, 4 * hidden))
+        d_wd = np.zeros(2 * hidden)
+        scratch, ones = np.empty(max(sizes) ** 2 * hidden), np.ones(max(sizes))
+        for step in reversed(range(steps)):
+            # the receiver's output gradient g[v] / n scales every pair (v, w)
+            g_n = g * inv_n
+            d = d_terms[step]
+            for k, (gate, cand) in enumerate(pending[step]):
+                a, b = edges[k], edges[k + 1]
+                u = scratch[:(b - a) ** 2 * hidden].reshape(b - a, b - a, hidden)
+                np.multiply(gate, g_n[a:b, None, :], out=u)
+                # the grids become the adjoints of their stored pre-activations:
+                # u cand (gate - 1) for the negated gate, u (1 - cand²) for the candidate
+                gate -= 1.0
+                gate *= u
+                gate *= cand
+                cand *= cand
+                np.subtract(1.0, cand, out=cand)
+                cand *= u
+                for j, adj in enumerate((gate, cand)):
+                    # sums over senders and over receivers, as BLAS products with ones
+                    np.matmul(ones[:b - a], adj, out=d[a:b, j * hidden:(j + 1) * hidden])
+                    d[a:b, (2 + j) * hidden:(3 + j) * hidden] = \
+                        (ones[:b - a] @ adj.reshape(b - a, -1)).reshape(b - a, hidden)
+                    if inv_dist is not None:
+                        d_wd[j * hidden:(j + 1) * hidden] += \
+                            inv_dist[k].ravel() @ adj.reshape((b - a) ** 2, hidden)
+            pending[step] = None                  # free this step's grids
+            check(d, step)
+            if step > 0:
+                g = d @ w_h
+                check(g, step)
+        # the initial state is usually zero, so its step adds nothing to the
+        # hidden-state blocks
+        first = 0 if states[0].any() else 1
+        d_w = np.zeros((2 * hidden, gate_w.shape[1]))   # rows: negated gate, candidate
+        d_w_h = d_terms[first:].reshape(-1, 4 * hidden).T @ states[first:].reshape(-1, hidden)
+        d_w[:, recv_h], d_w[:, send_h] = d_w_h[:2 * hidden], d_w_h[2 * hidden:]
+        d_fixed = d_terms.sum(axis=0)
+        d_recv = d_fixed[:, :2 * hidden]
+        d_inputs = []
         if x is not None:
-            grads.append(d_z[:cfg.atom_dim])
+            d_w_x = d_fixed.T @ x.values.T
+            d_w[:, recv_x], d_w[:, send_x] = d_w_x[:2 * hidden], d_w_x[2 * hidden:]
+            d_inputs.append((d_fixed @ w_x).T)
         if count is not None:
-            grads.append(d_count)
-        return tuple(grads)
+            d_w[:, cnt] = d_recv.T @ count.values.T
+            d_inputs.append((d_recv @ w_cnt).T)
+        if inv_dist is not None:
+            d_w[:, -1] = d_wd
+        d_b = d_recv.sum(axis=0)[:, None]
+        return (-d_w[:hidden], -d_b[:hidden], d_w[hidden:], d_b[hidden:], *d_inputs)
 
-    return ad._result(graph, "message_step", inputs, out.T, rule)
+    inputs = (params.gate_weight, params.gate_bias, params.candidate_weight,
+              params.candidate_bias, *(t for t in (x, count) if t is not None))
+    return ad._result(graph, "message_step", inputs, h.T, rule)
 
 
 def readout(graph: Graph | None, state: Tensor, params: ModelParams,
@@ -376,26 +454,29 @@ def forward_batch(graph: Graph | None, encodings: Sequence[MoleculeEncoding],
     target space.
 
     Hidden states start at zero. A :class:`NumericalError` names the
-    molecule (or, where no single one is to blame, the batch) and the
-    recursion step.
+    molecule and the recursion step, or, where no single molecule is to
+    blame, the batch and the input embeddings or the readout.
     """
     sizes = [enc.n for enc in encodings]
-    where = "input embeddings"
-    try:
-        x, count = _input_blocks(graph, encodings, params, cfg)
-        inv_dist = [enc.inv_dist for enc in encodings] if cfg.use_distance_feature else None
-        state = ad.constant(np.zeros((cfg.hidden_dim, sum(sizes))))
-        for k in range(cfg.steps):
-            where = f"step {k}"
-            state = message_step(graph, params, cfg, x, state, count, sizes, inv_dist)
-        where = "readout"
-        return readout(graph, state, params, sizes)
-    except _GridError as err:
-        raise NumericalError(f"molecule {encodings[err.index].mol_id}, {where}: {err}") from err
-    except NumericalError as err:
+
+    def batch_error(where: str, err: NumericalError) -> NumericalError:
         names = (f"molecule {encodings[0].mol_id}" if len(encodings) == 1 else
                  f"molecules ({', '.join(enc.mol_id for enc in encodings)})")
-        raise NumericalError(f"{names}, {where}: {err}") from err
+        return NumericalError(f"{names}, {where}: {err}")
+
+    try:
+        x, count = _input_blocks(graph, encodings, params, cfg)
+    except NumericalError as err:
+        raise batch_error("input embeddings", err) from err
+    inv_dist = [enc.inv_dist for enc in encodings] if cfg.use_distance_feature else None
+    zeros = ad.constant(np.zeros((cfg.hidden_dim, sum(sizes))))
+    # the recursion names the molecule and step of its own errors
+    state = message_step(graph, params, cfg, x, zeros, count, sizes, inv_dist,
+                         [enc.mol_id for enc in encodings])
+    try:
+        return readout(graph, state, params, sizes)
+    except NumericalError as err:
+        raise batch_error("readout", err) from err
 
 
 def forward(graph: Graph | None, molecule: Molecule, params: ModelParams, cfg: ModelConfig,

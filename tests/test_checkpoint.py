@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from ggrnet.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
+from ggrnet.checkpoint import FORMAT_VERSION, atomic_write, load_checkpoint, save_checkpoint
 from ggrnet.data import Normalizer
 from ggrnet.errors import CheckpointError
 from ggrnet.model import ModelConfig, init_params
@@ -132,6 +132,35 @@ def test_file_bytes_are_pinned(tmp_path):
     write_checkpoint(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         "f987213dd2c1f780b8776ac99d14bbbf116349b95c888c1629a2119885bdb600"
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path):
+    # the last tensor cannot be converted, so the save fails after the header
+    # and all other tensors have been written
+    path = tmp_path / "x.ckpt"
+    params = write_checkpoint(path)
+    before = path.read_bytes()
+    params.mlp[-1][1].values = np.array([["not a number"]], dtype=object)
+    with pytest.raises(ValueError):
+        save_checkpoint(path, params, CFG, VOCAB, Normalizer(mean=1.5, std=0.25), "energy")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]
+
+
+def test_atomic_write_replaces_whole_or_not_at_all(tmp_path):
+    path = tmp_path / "report.json"
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        fh.write("old\n")
+    with pytest.raises(OSError, match="disk full"):
+        with atomic_write(path, "w", encoding="utf-8") as fh:
+            fh.write("partial")
+            raise OSError("disk full")
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        fh.write("new\n")
+    assert path.read_text(encoding="utf-8") == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_wrong_tensor_set(tmp_path):

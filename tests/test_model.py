@@ -104,19 +104,27 @@ def test_biases_start_zero():
 # message step
 
 
-def run_step(params, cfg, mol, state_values, encoding=None):
-    """One :func:`message_step` on ``mol`` as a batch of one, with its inputs
-    built from the parameter tables directly; switched-off features pass
+def step_inputs(params, cfg, molecules):
+    """``x``, ``count`` and ``inv_dist`` of :func:`message_step` for a batch,
+    built from the parameter tables directly; switched-off features are
     ``None``."""
-    enc = encoding or MoleculeEncoding(mol, VOCAB, cfg)
-    idx = [VOCAB.index(s) for s in mol.symbols]
-    row = min(mol.natoms, params.max_atom_count) - 1
+    idx = [VOCAB.index(s) for mol in molecules for s in mol.symbols]
+    rows = [min(mol.natoms, params.max_atom_count) - 1 for mol in molecules]
     x = ad.constant(params.atom_embedding.values[idx].T) if cfg.use_atom_embedding else None
-    count = (ad.constant(np.repeat(params.count_embedding.values[row][:, None], mol.natoms, 1))
+    count = (ad.constant(np.repeat(params.count_embedding.values[rows].T,
+                                   [mol.natoms for mol in molecules], axis=1))
              if cfg.use_count_feature else None)
-    inv_dist = [enc.inv_dist] if cfg.use_distance_feature else None
-    return message_step(None, params, cfg, x, ad.constant(state_values), count,
-                        [mol.natoms], inv_dist).values
+    inv_dist = ([MoleculeEncoding(mol, VOCAB, cfg).inv_dist for mol in molecules]
+                if cfg.use_distance_feature else None)
+    return x, count, inv_dist
+
+
+def run_step(params, cfg, mol, state_values):
+    """One recursion step of :func:`message_step` (``steps=1``) on ``mol`` as a
+    batch of one."""
+    x, count, inv_dist = step_inputs(params, cfg, [mol])
+    return message_step(None, params, replace(cfg, steps=1), x, ad.constant(state_values),
+                        count, [mol.natoms], inv_dist).values
 
 
 def _message_oracle(params, cfg, inp_vec):
@@ -237,9 +245,8 @@ def test_step_matches_nested_loop_oracle():
     params = small_params(seed=9)
     rng = np.random.default_rng(4)
     mol = random_molecule(rng, 3, elements=VOCAB)
-    enc = MoleculeEncoding(mol, VOCAB, SMALL)
     state_values = rng.normal(size=(SMALL.hidden_dim, 3))
-    out = run_step(params, SMALL, mol, state_values, enc)
+    out = run_step(params, SMALL, mol, state_values)
     assert np.allclose(out, _step_oracle(params, SMALL, mol, state_values), atol=1e-12)
 
 
@@ -412,8 +419,9 @@ def test_ablations_keep_shapes_and_match_oracle(flag):
     assert abs(got - want) < 1e-10
 
 
-def test_forward_gradients_match_finite_differences():
-    cfg = ModelConfig(atom_dim=3, count_dim=2, hidden_dim=4, mlp_dim=4, steps=2)
+@pytest.mark.parametrize("steps", [1, 2, 5])
+def test_forward_gradients_match_finite_differences(steps):
+    cfg = ModelConfig(atom_dim=3, count_dim=2, hidden_dim=4, mlp_dim=4, steps=steps)
     params = init_params(cfg, len(VOCAB), 6, seed=4)
     # move MLP biases off zero so no ReLU pre-activation sits on the kink
     rng = np.random.default_rng(15)
@@ -422,6 +430,13 @@ def test_forward_gradients_match_finite_differences():
     molecules = random_molecules(16, 3, sizes=(2, 4, 5), elements=VOCAB)
     report = gradient_check(params, cfg, molecules, [0.3, -0.2, 0.9], VOCAB)
     assert report.max_error < 1e-5, report
+    if steps == 1:
+        # the only step reads the zero initial state, so the hidden-state
+        # column blocks get exactly zero gradient
+        half = cfg.atom_dim + cfg.hidden_dim
+        for weight in (params.gate_weight, params.candidate_weight):
+            assert not weight.grad[:, cfg.atom_dim:half].any()
+            assert not weight.grad[:, half + cfg.atom_dim:2 * half].any()
 
 
 @pytest.mark.parametrize("flag", ["use_atom_embedding", "use_count_feature",
@@ -441,6 +456,90 @@ def test_overflowing_pre_activation_names_op_molecule_and_step():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalError, match=r"^molecule m3, step 0: .*'message_step'"):
         forward(None, mol, params, SMALL, VOCAB)
+
+
+def test_overflow_in_a_later_step_names_that_step():
+    # the state starts at zero, so huge hidden-state columns of the gate leave
+    # step 0 finite; positive biases then make step 0's messages near 1, so the
+    # gate's pre-activations overflow in step 1
+    params = small_params(seed=23)
+    half = SMALL.atom_dim + SMALL.hidden_dim
+    params.gate_weight.values[:, SMALL.atom_dim:half] = 1e308
+    params.gate_weight.values[:, half + SMALL.atom_dim:2 * half] = 1e308
+    params.gate_bias.values[:] = 3.0
+    params.candidate_bias.values[:] = 3.0
+    mol = random_molecule(np.random.default_rng(24), 4, elements=VOCAB, mol_id="late")
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match=r"^molecule late, step 1: .*'message_step'"):
+        forward(None, mol, params, SMALL, VOCAB)
+
+
+def test_non_finite_gradient_names_the_molecule_and_step():
+    # the candidate reads only the hidden state, which therefore stays zero
+    # and keeps every candidate at tanh(0) = 0; a huge upstream gradient then
+    # passes the candidate's unit hidden-state weights and overflows the state
+    # adjoint carried back from the last step, in the molecule with pairs
+    cfg = replace(SMALL, steps=2)
+    params = small_params(seed=25)
+    half = cfg.atom_dim + cfg.hidden_dim
+    params.candidate_weight.values[:] = 0.0
+    params.candidate_weight.values[:, cfg.atom_dim:half] = 1.0
+    params.candidate_weight.values[:, half + cfg.atom_dim:2 * half] = 1.0
+    molecules = [Molecule("lone", ("C",), np.zeros((1, 3)), {}),
+                 random_molecule(np.random.default_rng(26), 2, elements=VOCAB, mol_id="pair")]
+    x, count, inv_dist = step_inputs(params, cfg, molecules)
+    graph = ad.Graph()
+    out = message_step(graph, params, cfg, x, ad.constant(np.zeros((cfg.hidden_dim, 3))),
+                       count, [1, 2], inv_dist, ["lone", "pair"])
+    huge = ad.constant(np.full((1, cfg.hidden_dim), 1e308))
+    loss = ad.matmul(graph, ad.matmul(graph, huge, out), ad.constant(np.ones((3, 1))))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match=r"^molecule pair, step 1: non-finite gradient "
+                                                r"in backward rule of op 'message_step'$"):
+        ad.backward(graph, loss)
+
+
+def test_second_backward_through_the_recursion_raises():
+    # the backward overwrites the grids it saved, so a rerun would be wrong
+    params = small_params(seed=30)
+    _, encodings = mixed_batch(SMALL, seed=31)
+    graph = ad.Graph()
+    loss = mse_loss(graph, forward_batch(graph, encodings, params, SMALL), [0.0] * 4)
+    ad.backward(graph, loss)
+    with pytest.raises(RuntimeError, match="back-propagated only once"):
+        ad.backward(graph, loss)
+
+
+def test_step_gradients_from_a_non_zero_state():
+    # the model starts from zero, which leaves the first step out of the
+    # hidden-state weight gradients; from any other state it counts
+    cfg = replace(SMALL, steps=2)
+    params = small_params(seed=27)
+    rng = np.random.default_rng(28)
+    molecules = random_molecules(29, 2, sizes=(3, 4), elements=VOCAB)
+    x, count, inv_dist = step_inputs(params, cfg, molecules)
+    state = ad.constant(rng.normal(size=(cfg.hidden_dim, 7)))
+    left = ad.constant(rng.normal(size=(1, cfg.hidden_dim)))
+    right = ad.constant(rng.normal(size=(7, 1)))
+
+    def loss(graph):
+        out = message_step(graph, params, cfg, x, state, count, [3, 4], inv_dist)
+        return ad.matmul(graph, ad.matmul(graph, left, out), right)
+
+    tensors = [params.gate_weight, params.gate_bias, params.candidate_weight,
+               params.candidate_bias]
+    ad.zero_grads(tensors)
+    graph = ad.Graph()
+    ad.backward(graph, loss(graph))
+    for t in tensors:
+        for idx in np.ndindex(t.shape):
+            orig = t.values[idx]
+            t.values[idx] = orig + 1e-6
+            hi = loss(None).item()
+            t.values[idx] = orig - 1e-6
+            lo = loss(None).item()
+            t.values[idx] = orig
+            assert abs(t.grad[idx] - (hi - lo) / 2e-6) < 1e-8, (t.name, idx)
 
 
 # ---------------------------------------------------------------------------
