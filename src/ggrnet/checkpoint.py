@@ -98,7 +98,7 @@ def load_checkpoint(path) -> Checkpoint:
     body_start = len(_MAGIC) + 12
     try:
         header = json.loads(raw[body_start:body_start + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
         raise CheckpointError(f"{path}: corrupt header: {err}") from err
 
     try:
@@ -106,11 +106,15 @@ def load_checkpoint(path) -> Checkpoint:
         vocabulary = list(header["vocabulary"])
         target = header["target"]
         normalizer = Normalizer(mean=float(target["mean"]), std=float(target["std"]))
-        manifest = [(entry["name"], int(entry["rows"]), int(entry["cols"]))
+        target_property, unit = str(target["property"]), str(target.get("unit", ""))
+        manifest = [(str(entry["name"]), int(entry["rows"]), int(entry["cols"]))
                     for entry in header["tensors"]]
         max_atom_count = int(header["max_atom_count"])
     except (KeyError, TypeError, ValueError) as err:
         raise CheckpointError(f"{path}: header has missing or malformed fields: {err}") from err
+    for name, rows, cols in manifest:
+        if rows < 0 or cols < 0:
+            raise CheckpointError(f"{path}: tensor '{name}' has negative shape ({rows}, {cols})")
 
     tensors = {}
     offset = body_start + header_len
@@ -126,8 +130,7 @@ def load_checkpoint(path) -> Checkpoint:
 
     params = _assemble_params(tensors, config, len(vocabulary), max_atom_count, path)
     return Checkpoint(params=params, config=config, vocabulary=vocabulary,
-                      normalizer=normalizer, target_property=str(target["property"]),
-                      unit=str(target.get("unit", "")))
+                      normalizer=normalizer, target_property=target_property, unit=unit)
 
 
 def _assemble_params(tensors: dict, config: ModelConfig, vocab_size: int,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import itertools
 import json
 import sys
 from dataclasses import replace
@@ -17,11 +18,11 @@ from pathlib import Path
 
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .config import RunSpec, load_run_spec, resolve_schema
-from .data import DATASET_FORMATS, Dataset, load_dataset, parse_extended_xyz_records, split
+from .data import DATASET_FORMATS, Dataset, iter_extended_xyz_records, load_dataset, split
 from .errors import (CheckpointError, ConfigError, DataError, NumericalError, ParseError,
                      VocabularyError)
 from .gradcheck import DEFAULT_CHECK_CONFIG, run_gradcheck
-from .training import ABLATION_FLAGS, evaluate, predict, run_ablation, train
+from .training import ABLATION_FLAGS, PREDICT_CHUNK, evaluate, predict, run_ablation, train
 
 __all__ = ["main", "entrypoint", "build_parser"]
 
@@ -140,7 +141,8 @@ def _run_training(spec: RunSpec, out: Path, blas_threads: int | None) -> int:
                     {"epoch": rep.epoch, "lr": rep.lr, "train_mse": rep.train_mse,
                      "val_mae": rep.val_mae, "grad_norm": rep.grad_norm},
                     sort_keys=True) + "\n")
-                _timing.write(json.dumps({"epoch": rep.epoch, "seconds": rep.seconds}) + "\n")
+                _timing.write(json.dumps({"epoch": rep.epoch, "seconds": rep.seconds,
+                                          "minor_faults": rep.minor_faults}) + "\n")
                 print(f"run {_run} epoch {rep.epoch}: lr={rep.lr:.6g} "
                       f"train_mse={rep.train_mse:.6g} val_mae={rep.val_mae:.6g} "
                       f"({rep.seconds:.2f}s)", file=sys.stderr)
@@ -218,11 +220,15 @@ def _cmd_predict(args) -> int:
     if not path.is_file():
         raise DataError(f"molecule file not found: {path}")
     schema = resolve_schema(args.schema)
-    molecules = parse_extended_xyz_records(path.read_bytes(), schema, ckpt.vocabulary)
-    with _thread_cap(args.threads):
-        values = predict(ckpt.params, molecules, ckpt.config, ckpt.vocabulary, ckpt.normalizer)
-    for mol, value in zip(molecules, values.tolist()):
-        print(f"{mol.mol_id}\t{value!r}")
+    with _thread_cap(args.threads), open(path, "rb") as fh:
+        # each chunk is read, predicted and printed before the next is read,
+        # so memory does not grow with the file
+        molecules = iter_extended_xyz_records(fh, schema, ckpt.vocabulary)
+        while chunk := list(itertools.islice(molecules, PREDICT_CHUNK)):
+            values = predict(ckpt.params, chunk, ckpt.config, ckpt.vocabulary, ckpt.normalizer)
+            lines = (f"{mol.mol_id}\t{value!r}\n" for mol, value in zip(chunk, values.tolist()))
+            print("".join(lines), end="", flush=True)
+            del chunk                             # before the next chunk is read
     return 0
 
 

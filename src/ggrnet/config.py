@@ -189,7 +189,9 @@ def resolve_schema(spec: str | None) -> CommentSchema | None:
         return CommentSchema.from_file(spec)
     except OSError as err:
         raise ConfigError(f"schema '{spec}': cannot read: {err.strerror}") from err
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise ConfigError(f"schema '{spec}': malformed JSON: {err}") from err
     except (UnicodeDecodeError, DataError) as err:
         raise ConfigError(f"schema '{spec}': {err}") from err
+    except ValueError as err:                     # a path the system cannot name
+        raise ConfigError(f"schema '{spec}': cannot read: {err}") from err

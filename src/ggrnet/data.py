@@ -34,6 +34,7 @@ __all__ = [
     "inverse_distance",
     "inverse_distance_matrix",
     "parse_extended_xyz",
+    "iter_extended_xyz_records",
     "parse_extended_xyz_records",
     "format_extended_xyz",
     "parse_tabular",
@@ -267,10 +268,29 @@ def _is_column(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _as_text(text) -> str:
-    if isinstance(text, bytes):
+def _as_text(text, first_line: int = 1) -> str:
+    """``text`` as str, bytes decoded as UTF-8; undecodable bytes raise a
+    :class:`ParseError` naming their line, counted from ``first_line``."""
+    if not isinstance(text, bytes):
+        return text
+    try:
         return text.decode("utf-8")
-    return text
+    except UnicodeDecodeError as err:
+        # the lines before the bad byte, the one it is on included
+        before = text[:err.start].decode("utf-8") + "."
+        raise ParseError(f"line {first_line + len(before.splitlines()) - 1}: "
+                         f"not UTF-8 text") from None
+
+
+def _text_lines(chunks: Iterable[str | bytes]) -> Iterator[str]:
+    """The lines, as ``str.splitlines`` splits them, of the text that
+    ``chunks`` join to; each chunk (str, or UTF-8 bytes) ends at a line break
+    or at the end of the text, as the lines of a file or the whole text do."""
+    lineno = 1
+    for chunk in chunks:
+        lines = _as_text(chunk, lineno).splitlines()
+        lineno += len(lines)
+        yield from lines
 
 
 def _parse_float(token: str, position: str) -> float:
@@ -284,19 +304,22 @@ def _parse_float(token: str, position: str) -> float:
     return value
 
 
-def _parse_xyz_record(lines: Sequence[str], start: int, schema: CommentSchema | None,
-                      vocabulary: Sequence[str], fallback_id: str) -> tuple[Molecule, int]:
-    """Parse one record beginning at ``lines[start]``; returns (molecule, next line index)."""
-    count_line = lines[start].strip()
+def _parse_xyz_record(lines: Iterator[str], start: int, count_line: str,
+                      schema: CommentSchema | None, vocabulary: Sequence[str],
+                      fallback_id: str) -> Molecule:
+    """Parse the record whose atom count line, ``count_line``, is line
+    ``start`` (1-based), taking the record's other lines from ``lines``."""
+    count_line = count_line.strip()
     try:
         natoms = int(count_line)
     except ValueError:
-        raise ParseError(f"line {start + 1}: expected an atom count, got '{count_line}'") from None
+        raise ParseError(f"line {start}: expected an atom count, got '{count_line}'") from None
     if natoms < 1:
-        raise ParseError(f"line {start + 1}: atom count must be >= 1, got {natoms}")
-    if start + 1 >= len(lines):
-        raise ParseError(f"line {start + 2}: missing property record line")
-    comment_fields = lines[start + 1].split()
+        raise ParseError(f"line {start}: atom count must be >= 1, got {natoms}")
+    comment = next(lines, None)
+    if comment is None:
+        raise ParseError(f"line {start + 1}: missing property record line")
+    comment_fields = comment.split()
 
     mol_id = fallback_id
     targets: dict[str, float] = {}
@@ -305,35 +328,34 @@ def _parse_xyz_record(lines: Sequence[str], start: int, schema: CommentSchema | 
             try:
                 mol_id = "_".join(comment_fields[c] for c in schema.id_columns)
             except IndexError:
-                raise ParseError(f"line {start + 2}: property record has only "
+                raise ParseError(f"line {start + 1}: property record has only "
                                  f"{len(comment_fields)} fields; id columns {schema.id_columns} missing") from None
         for name, col in schema.target_columns.items():
             if col >= len(comment_fields):
-                raise ParseError(f"line {start + 2}: property record has only "
+                raise ParseError(f"line {start + 1}: property record has only "
                                  f"{len(comment_fields)} fields; column {col} for '{name}' missing")
-            targets[name] = _parse_float(comment_fields[col], f"line {start + 2}, field {col}")
+            targets[name] = _parse_float(comment_fields[col], f"line {start + 1}, field {col}")
     elif comment_fields:
         mol_id = comment_fields[0]
 
     vocab = set(vocabulary)
     symbols: list[str] = []
-    coords = np.empty((natoms, 3))
+    coords: list[list[float]] = []
     for i in range(natoms):
         lineno = start + 2 + i
-        if lineno >= len(lines):
-            raise ParseError(f"line {lineno + 1}: expected atom line {i + 1} of {natoms}, "
+        line = next(lines, None)
+        if line is None:
+            raise ParseError(f"line {lineno}: expected atom line {i + 1} of {natoms}, "
                              "found end of input")
-        fields = lines[lineno].split()
+        fields = line.split()
         if len(fields) < 4:
-            raise ParseError(f"line {lineno + 1}: atom line needs 'symbol x y z', got '{lines[lineno]}'")
+            raise ParseError(f"line {lineno}: atom line needs 'symbol x y z', got '{line}'")
         sym = fields[0]
         if sym not in vocab:
-            raise VocabularyError(f"line {lineno + 1}: unknown element symbol '{sym}'")
+            raise VocabularyError(f"line {lineno}: unknown element symbol '{sym}'")
         symbols.append(sym)
-        for axis in range(3):
-            coords[i, axis] = _parse_float(fields[1 + axis], f"line {lineno + 1}")
-    mol = Molecule(mol_id=mol_id, symbols=tuple(symbols), coords=coords, targets=targets)
-    return mol, start + 2 + natoms
+        coords.append([_parse_float(token, f"line {lineno}") for token in fields[1:4]])
+    return Molecule(mol_id=mol_id, symbols=tuple(symbols), coords=coords, targets=targets)
 
 
 def parse_extended_xyz(text, schema: CommentSchema | None = None,
@@ -343,29 +365,39 @@ def parse_extended_xyz(text, schema: CommentSchema | None = None,
     Content after the declared atom lines (vibrational data, string
     identifiers, and similar trailers) is ignored.
     """
-    lines = _as_text(text).splitlines()
+    lines = list(_text_lines([text]))
     if not any(line.strip() for line in lines):
         raise ParseError("line 1: empty input")
-    mol, _ = _parse_xyz_record(lines, 0, schema, vocabulary, fallback_id="mol0")
-    return mol
+    rest = iter(lines)
+    return _parse_xyz_record(rest, 1, next(rest), schema, vocabulary, fallback_id="mol0")
+
+
+def iter_extended_xyz_records(chunks: Iterable[str | bytes], schema: CommentSchema | None = None,
+                              vocabulary: Sequence[str] = DEFAULT_ELEMENTS) -> Iterator[Molecule]:
+    """Parse concatenated extended-XYZ records one at a time, reading no
+    further into ``chunks`` than the record being parsed. ``chunks`` are
+    pieces of the text, each ending at a line break or at the end of the
+    text: the lines of a file opened in binary or text mode, or the whole
+    text as one piece. Blank lines between records are skipped."""
+    lines = _text_lines(chunks)
+    lineno = count = 0
+    for line in lines:
+        lineno += 1
+        if not line.strip():
+            continue
+        mol = _parse_xyz_record(lines, lineno, line, schema, vocabulary,
+                                fallback_id=f"mol{count}")
+        lineno += 1 + mol.natoms
+        count += 1
+        yield mol
+    if not count:
+        raise ParseError("line 1: no records")
 
 
 def parse_extended_xyz_records(text, schema: CommentSchema | None = None,
                                vocabulary: Sequence[str] = DEFAULT_ELEMENTS) -> list[Molecule]:
     """Parse concatenated extended-XYZ records until the stream is exhausted."""
-    lines = _as_text(text).splitlines()
-    molecules: list[Molecule] = []
-    pos = 0
-    while pos < len(lines):
-        if not lines[pos].strip():
-            pos += 1
-            continue
-        mol, pos = _parse_xyz_record(lines, pos, schema, vocabulary,
-                                     fallback_id=f"mol{len(molecules)}")
-        molecules.append(mol)
-    if not molecules:
-        raise ParseError("line 1: no records")
-    return molecules
+    return list(iter_extended_xyz_records([text], schema, vocabulary))
 
 
 def format_extended_xyz(mol: Molecule, property_order: Sequence[str] | None = None,
@@ -392,7 +424,11 @@ def parse_tabular(text, vocabulary: Sequence[str] = DEFAULT_ELEMENTS,
     ``atoms`` is a space-separated symbol list and ``coords`` the matching
     flattened ``x y z`` triples.
     """
-    rows = list(csv.reader(io.StringIO(_as_text(text)), delimiter=delimiter))
+    reader = csv.reader(io.StringIO(_as_text(text)), delimiter=delimiter)
+    try:
+        rows = list(reader)
+    except csv.Error as err:
+        raise ParseError(f"line {reader.line_num}: {err}") from None
     rows = [row for row in rows if row and any(f.strip() for f in row)]
     if not rows:
         raise DataError("no records")

@@ -27,7 +27,12 @@ the hidden-state product. Overflow is checked on a per-molecule bound of the
 terms rather than on every grid entry. The op's hand-written backward runs
 back-propagation through time: it walks the steps in reverse, reduces each
 molecule's grids to per-atom adjoints, and forms each weight gradient once
-per batch from the adjoints of all steps. The readout averages each
+per batch from the adjoints of all steps. A recorded recursion carves
+every batch-sized array it keeps for its backward (the grids, the saved
+states, the per-step adjoints) out of one flat workspace that outlives the
+batch: the op checks it out when it records and hands it back at the end of
+its backward, so the next batch reuses memory that is already mapped instead
+of faulting in its grids afresh. The readout averages each
 molecule's columns with one matmul and runs the MLP on the ``[mlp, B]``
 block, one column per molecule. A single molecule is a batch of one
 (:func:`forward`). The constant per-molecule structure (element indices,
@@ -231,6 +236,42 @@ def _input_blocks(graph: Graph | None, encodings: Sequence[MoleculeEncoding],
     return x, count
 
 
+# The spare workspace of recorded recursions: at most one flat float64
+# buffer. A recorded message_step takes it (or a new, larger one) and gives
+# it back as the last act of its backward, so no two graphs hold the same
+# buffer; a graph that is dropped unreplayed takes its buffer with it.
+_spare: list[np.ndarray] = []
+
+
+def _take_workspace(size: int) -> np.ndarray:
+    """A flat float64 buffer of at least ``size`` entries: the spare one if it
+    is large enough, else a new one (a smaller spare is freed first)."""
+    if _spare and _spare[-1].size >= size:
+        return _spare.pop()
+    _spare.clear()
+    return np.empty(size)
+
+
+def _give_workspace(buf: np.ndarray) -> None:
+    """Keep ``buf`` as the spare, unless the spare kept is larger."""
+    if not _spare or _spare[-1].size < buf.size:
+        _spare[:] = [buf]
+
+
+def _carver(buf: np.ndarray):
+    """``carve(shape)``: consecutive views of the flat ``buf``, one per call."""
+    offset = 0
+
+    def carve(shape: tuple[int, ...]) -> np.ndarray:
+        nonlocal offset
+        size = math.prod(shape)
+        view = buf[offset:offset + size].reshape(shape)
+        offset += size
+        return view
+
+    return carve
+
+
 def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
                  x: Tensor | None, state: Tensor, count: Tensor | None,
                  sizes: Sequence[int], inv_dist: Sequence[np.ndarray] | None,
@@ -275,6 +316,13 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     naming the molecule and step. Each weight block's gradient is then one
     matmul over the columns of all steps, or over their sum for the
     step-invariant blocks.
+
+    When ``graph`` records, every batch-sized array the op keeps or uses in
+    its backward (the ``[ΣN, 4 hidden]`` terms, the saved states, each step's
+    grids, the per-step adjoints and the backward's scratch) is a view of one
+    workspace checked out for this graph alone and handed back when its
+    backward ends; without a graph, each molecule's grids are allocated and
+    freed in turn, so inference holds one molecule's grids at a time.
     """
     hidden, steps = cfg.hidden_dim, cfg.steps
     half = cfg.atom_dim + hidden                  # receiver columns; sender ones follow
@@ -292,10 +340,25 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
         """Rows of each column block: the gate's negated, then the candidate's."""
         return np.concatenate([m for c in blocks for m in (-gate_w[:, c], cand_w[:, c])])
 
+    recording = graph is not None
+    grid_sizes = [n * n * hidden for n in sizes]
+    if recording:
+        # fixed and terms, the saved states, the per-step adjoints, every
+        # step's gate and candidate grids, and the backward's scratch
+        work = _take_workspace((2 + steps) * atoms * 4 * hidden + steps * atoms * hidden
+                               + 2 * steps * sum(grid_sizes) + max(grid_sizes))
+        carve = _carver(work)
+    else:
+        carve = np.empty
+
     # the four terms' columns: [R_gate, R_cand, S_gate, S_cand]
     w_h, w_x = stacked(recv_h, send_h), stacked(recv_x, send_x)
     w_cnt, w_d = stacked(cnt), stacked(-1)
-    fixed = x.values.T @ w_x.T if x is not None else np.zeros((atoms, 4 * hidden))
+    fixed = carve((atoms, 4 * hidden))
+    if x is not None:
+        np.matmul(x.values.T, w_x.T, out=fixed)
+    else:
+        fixed.fill(0.0)
     fixed[:, :2 * hidden] += np.concatenate((-params.gate_bias.values,
                                              params.candidate_bias.values))[:, 0]
     if count is not None:
@@ -308,21 +371,21 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
                               np.abs(w_d).reshape(2, hidden).max(axis=1))
     pairless = np.asarray(sizes) < 2
 
-    terms = np.empty((atoms, 4 * hidden))        # every step's four terms, one buffer
+    terms = carve((atoms, 4 * hidden))           # every step's four terms, one buffer
     blocks = terms.reshape(atoms, 4, hidden)
 
     def grid(k: int, j: int) -> np.ndarray:
         a, b = edges[k], edges[k + 1]
         r, s = blocks[a:b, None, j], blocks[None, a:b, 2 + j]
+        pre = carve((b - a, b - a, hidden))
         if inv_dist is None:
-            return r + s
-        pre = np.multiply.outer(inv_dist[k], w_d[j * hidden:(j + 1) * hidden])
+            return np.add(r, s, out=pre)
+        np.multiply.outer(inv_dist[k], w_d[j * hidden:(j + 1) * hidden], out=pre)
         pre += r
         pre += s
         return pre
 
-    recording = graph is not None
-    states = np.empty((steps, atoms, hidden)) if recording else None
+    states = carve((steps, atoms, hidden)) if recording else None
     grids: list[list[tuple[np.ndarray, np.ndarray]]] = []
     h = state.values.T
     for step in range(steps):
@@ -372,9 +435,9 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
         pending = grids[:]
         grids.clear()
         g = g.T
-        d_terms = np.empty((steps, atoms, 4 * hidden))
+        d_terms = carve((steps, atoms, 4 * hidden))
         d_wd = np.zeros(2 * hidden)
-        scratch, ones = np.empty(max(sizes) ** 2 * hidden), np.ones(max(sizes))
+        scratch, ones = carve((max(grid_sizes),)), np.ones(max(sizes))
         for step in reversed(range(steps)):
             # the receiver's output gradient g[v] / n scales every pair (v, w)
             g_n = g * inv_n
@@ -399,7 +462,6 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
                     if inv_dist is not None:
                         d_wd[j * hidden:(j + 1) * hidden] += \
                             inv_dist[k].ravel() @ adj.reshape((b - a) ** 2, hidden)
-            pending[step] = None                  # free this step's grids
             check(d, step)
             if step > 0:
                 g = d @ w_h
@@ -423,7 +485,9 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
         if inv_dist is not None:
             d_w[:, -1] = d_wd
         d_b = d_recv.sum(axis=0)[:, None]
-        return (-d_w[:hidden], -d_b[:hidden], d_w[hidden:], d_b[hidden:], *d_inputs)
+        grads = (-d_w[:hidden], -d_b[:hidden], d_w[hidden:], d_b[hidden:], *d_inputs)
+        _give_workspace(work)                     # no view of it is read after this
+        return grads
 
     inputs = (params.gate_weight, params.gate_bias, params.candidate_weight,
               params.candidate_bias, *(t for t in (x, count) if t is not None))

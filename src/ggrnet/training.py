@@ -9,6 +9,7 @@ and the best-validation parameter snapshot is kept alongside the final one.
 from __future__ import annotations
 
 import itertools
+import resource
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -83,6 +84,7 @@ class EpochReport:
     val_mae: float          # original target units
     grad_norm: float        # max post-clip global norm over the epoch's batches
     seconds: float
+    minor_faults: int       # the process's minor page faults during the epoch
 
 
 @dataclass
@@ -206,6 +208,7 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
 
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
+        faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         lr = lr_at_epoch(cfg.lr0, cfg.decay, epoch)
         order = rng.permutation(n)
         sq_sum = 0.0
@@ -233,7 +236,9 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
                               encodings=val_encs)
         report = EpochReport(epoch=epoch, lr=lr, train_mse=sq_sum / n,
                              val_mae=val_report.mae, grad_norm=max_norm,
-                             seconds=time.perf_counter() - t0)
+                             seconds=time.perf_counter() - t0,
+                             minor_faults=resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                             - faults0)
         reports.append(report)
         if epoch_callback is not None:
             epoch_callback(report)

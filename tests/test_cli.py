@@ -66,6 +66,15 @@ def test_train_writes_artifacts(trained_run):
     assert len(report["runs"]) == 1
 
 
+def test_timing_records_count_minor_page_faults(trained_run):
+    # wall-clock-dependent signals stay off the deterministic metrics stream
+    records = read_metrics(trained_run / "timing.jsonl")
+    assert [rec["epoch"] for rec in records] == [0, 1, 2]
+    for rec in records:
+        assert set(rec) == {"epoch", "seconds", "minor_faults"}
+        assert type(rec["minor_faults"]) is int and rec["minor_faults"] >= 0
+
+
 def test_train_epoch_override(config_file, tmp_path, capsys):
     out = tmp_path / "short"
     rc = main(["train", "--config", str(config_file), "--out", str(out), "--epochs", "1"])
@@ -365,6 +374,49 @@ def test_predict_parse_error_reports_line(trained_run, tmp_path, capsys):
     rc = main(["predict", str(trained_run / "best.ckpt"), str(bad)])
     assert rc == 3
     assert "line 4" in capsys.readouterr().err
+
+
+def test_predict_holds_one_chunk_of_molecules_at_a_time(trained_run, tmp_path, capsys,
+                                                        monkeypatch):
+    import weakref
+
+    import ggrnet.cli as cli
+    from ggrnet.data import iter_extended_xyz_records, sample_dataset_path
+    from ggrnet.training import PREDICT_CHUNK
+
+    molecules = tmp_path / "many.xyz"
+    molecules.write_text(sample_dataset_path().read_text() * 4)
+    alive, most = [0], []
+
+    def released():
+        alive[0] -= 1
+
+    def counted(*args):
+        for mol in iter_extended_xyz_records(*args):
+            alive[0] += 1
+            weakref.finalize(mol, released)
+            most.append(alive[0])
+            yield mol
+
+    monkeypatch.setattr(cli, "iter_extended_xyz_records", counted)
+    assert main(["predict", str(trained_run / "best.ckpt"), str(molecules)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == len(most) == 40
+    # one chunk, plus the record being parsed
+    assert max(most) <= PREDICT_CHUNK + 1
+
+
+def test_predict_prints_earlier_chunks_before_a_malformed_record(trained_run, tmp_path,
+                                                                 capsys):
+    from ggrnet.data import sample_dataset_path
+
+    good = sample_dataset_path().read_text() * 2
+    molecules = tmp_path / "late.xyz"
+    molecules.write_text(good + "2\nbroken\nC 0 0 0\n")
+    assert main(["predict", str(trained_run / "best.ckpt"), str(molecules)]) == 3
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 20
+    assert err == f"error: line {len(good.splitlines()) + 4}: expected atom line 2 of 2, " \
+                  f"found end of input\n"
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from ggrnet.data import (
     format_extended_xyz,
     inverse_distance,
     inverse_distance_matrix,
+    iter_extended_xyz_records,
     load_dataset,
     parse_extended_xyz,
     parse_extended_xyz_records,
@@ -107,6 +108,22 @@ def test_parse_records_multiple_and_blank_lines():
 def test_parse_records_empty_input():
     with pytest.raises(ParseError, match="no records"):
         parse_extended_xyz_records("\n\n", schema=SCHEMA)
+
+
+def test_records_stream_from_file_lines_as_from_the_whole_text(tmp_path):
+    # a file's lines give the same records, and undecodable bytes name their line
+    text = "1\na 1.0\nC 0 0 0\r\n\n2\nb 2.0\nH 0 0 0\nH 1 0 0"
+    path = tmp_path / "m.xyz"
+    path.write_bytes(text.encode())
+    with open(path, "rb") as fh:
+        streamed = list(iter_extended_xyz_records(fh, SCHEMA))
+    whole = parse_extended_xyz_records(text, schema=SCHEMA)
+    assert [(m.mol_id, m.symbols, m.coords.tolist()) for m in streamed] == \
+           [(m.mol_id, m.symbols, m.coords.tolist()) for m in whole]
+    for chunks, line in (([text.encode().replace(b"H 1", b"\xff 1")], 8),
+                         ([b"1\n", b"a 1.0\n", b"\xff\n"], 3)):
+        with pytest.raises(ParseError, match=f"^line {line}: not UTF-8 text$"):
+            list(iter_extended_xyz_records(chunks, SCHEMA))
 
 
 def test_xyz_round_trip_preserves_geometry():

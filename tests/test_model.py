@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -508,6 +509,83 @@ def test_second_backward_through_the_recursion_raises():
     ad.backward(graph, loss)
     with pytest.raises(RuntimeError, match="back-propagated only once"):
         ad.backward(graph, loss)
+
+
+def batch_gradients(params, cfg, encodings, targets):
+    """Parameter gradients of the mean squared error of one recorded batch."""
+    tensors = params.tensors()
+    ad.zero_grads(tensors)
+    graph = ad.Graph()
+    ad.backward(graph, mse_loss(graph, forward_batch(graph, encodings, params, cfg), targets))
+    return [t.grad.copy() for t in tensors]
+
+
+def test_training_batches_reuse_the_recursion_workspace():
+    # the grids of a warm batch stay allocated for the next one, so a repeat
+    # of the batch allocates far less than its grids take
+    cfg = ModelConfig()
+    molecules = [random_molecule(np.random.default_rng(40 + n), n, elements=VOCAB)
+                 for n in (12, 20, 29)]
+    params = init_params(cfg, len(VOCAB), 29, seed=41)
+    encodings = [MoleculeEncoding(m, VOCAB, cfg) for m in molecules]
+    batch_gradients(params, cfg, encodings, [0.0] * 3)
+    tracemalloc.start()
+    try:
+        batch_gradients(params, cfg, encodings, [0.0] * 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    grid_bytes = 2 * sum(m.natoms ** 2 for m in molecules) * cfg.hidden_dim * 8 * cfg.steps
+    assert peak < grid_bytes / 2, (peak, grid_bytes)
+
+
+def test_interleaved_graphs_keep_their_own_grids():
+    # a graph holds its workspace from its forward to the end of its backward,
+    # so forwards recorded or run in between cannot overwrite its grids
+    params = small_params(seed=42, max_atoms=9)
+    rng = np.random.default_rng(43)
+    big = [MoleculeEncoding(m, VOCAB, SMALL)
+           for m in random_molecules(44, 3, sizes=(9, 7, 5), elements=VOCAB)]
+    small = [MoleculeEncoding(m, VOCAB, SMALL)
+             for m in random_molecules(45, 2, sizes=(6, 4), elements=VOCAB)]
+    big_targets, small_targets = rng.normal(size=3).tolist(), rng.normal(size=2).tolist()
+    clean_big = batch_gradients(params, SMALL, big, big_targets)
+    clean_small = batch_gradients(params, SMALL, small, small_targets)
+
+    tensors = params.tensors()
+    ad.zero_grads(tensors)
+    graph_big, graph_small = ad.Graph(), ad.Graph()
+    loss_big = mse_loss(graph_big, forward_batch(graph_big, big, params, SMALL), big_targets)
+    forward_batch(None, small, params, SMALL)
+    loss_small = mse_loss(graph_small, forward_batch(graph_small, small, params, SMALL),
+                          small_targets)
+    ad.backward(graph_small, loss_small)
+    grads_small = [t.grad.copy() for t in tensors]
+    ad.zero_grads(tensors)
+    ad.backward(graph_big, loss_big)
+    grads_big = [t.grad.copy() for t in tensors]
+    for (name, _), a, b, c, d in zip(params.named(), grads_big, clean_big, grads_small,
+                                     clean_small):
+        assert np.array_equal(a, b) and np.array_equal(c, d), name
+
+
+def test_gradients_after_an_overflowing_forward_are_clean():
+    # the overflow leaves a workspace checked out and half written; the next
+    # batch must not see it
+    params = small_params(seed=46, max_atoms=9)
+    encodings = [MoleculeEncoding(m, VOCAB, SMALL)
+                 for m in random_molecules(47, 3, sizes=(9, 4, 6), elements=VOCAB)]
+    targets = [0.5, -1.0, 2.0]
+    clean = batch_gradients(params, SMALL, encodings, targets)
+    broken = params.copy()
+    broken.gate_weight.values[:] = 1e308
+    broken.atom_embedding.values[:] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="'message_step'"):
+        forward_batch(ad.Graph(), encodings, broken, SMALL)
+    after = batch_gradients(params, SMALL, encodings, targets)
+    for (name, _), a, b in zip(params.named(), after, clean):
+        assert np.array_equal(a, b), name
 
 
 def test_step_gradients_from_a_non_zero_state():
