@@ -141,8 +141,10 @@ def _run_training(spec: RunSpec, out: Path, blas_threads: int | None) -> int:
                     {"epoch": rep.epoch, "lr": rep.lr, "train_mse": rep.train_mse,
                      "val_mae": rep.val_mae, "grad_norm": rep.grad_norm},
                     sort_keys=True) + "\n")
-                _timing.write(json.dumps({"epoch": rep.epoch, "seconds": rep.seconds,
-                                          "minor_faults": rep.minor_faults}) + "\n")
+                _timing.write(json.dumps(
+                    {"epoch": rep.epoch, "seconds": rep.seconds, "forward_s": rep.forward_s,
+                     "backward_s": rep.backward_s, "update_s": rep.update_s,
+                     "eval_s": rep.eval_s, "minor_faults": rep.minor_faults}) + "\n")
                 print(f"run {_run} epoch {rep.epoch}: lr={rep.lr:.6g} "
                       f"train_mse={rep.train_mse:.6g} val_mae={rep.val_mae:.6g} "
                       f"({rep.seconds:.2f}s)", file=sys.stderr)
@@ -183,6 +185,10 @@ _PARTITIONS = {"train": 0, "val": 1, "test": 2}
 
 
 def _cmd_eval(args) -> int:
+    if args.config and args.data:
+        raise ConfigError("eval takes --config or --data, not both")
+    if args.partition and not args.config:
+        raise ConfigError("eval --partition needs --config")
     ckpt = load_checkpoint(args.checkpoint)
     if args.config:
         spec = load_run_spec(args.config)

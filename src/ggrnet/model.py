@@ -23,16 +23,22 @@ masked out.
 The whole recursion is one recorded op, :func:`message_step`. The
 embedding, count and bias parts of the terms are the same at every step (the
 skip connections), so they are formed once per batch, and a step adds only
-the hidden-state product. Overflow is checked on a per-molecule bound of the
+the hidden-state product. Each grid is built by one stacked BLAS product of
+the molecule's constant ``[N, N, 2]`` pair matrix ``[inv_dist | 1]`` with a
+per-receiver ``[2, hidden]`` right-hand side ``[w_d; R[v]]``, which forms
+distance and receiver term together, and one in-place addition of the
+sender term. Overflow is checked on a per-molecule bound of the
 terms rather than on every grid entry. The op's hand-written backward runs
 back-propagation through time: it walks the steps in reverse, reduces each
 molecule's grids to per-atom adjoints, and forms each weight gradient once
-per batch from the adjoints of all steps. A recorded recursion carves
-every batch-sized array it keeps for its backward (the grids, the saved
-states, the per-step adjoints) out of one flat workspace that outlives the
-batch: the op checks it out when it records and hands it back at the end of
-its backward, so the next batch reuses memory that is already mapped instead
-of faulting in its grids afresh. The readout averages each
+per batch from the adjoints of all steps. The op carves its batch-sized
+arrays out of one flat workspace that outlives the batch, so the next batch
+reuses memory that is already mapped instead of faulting it in afresh. A
+recorded recursion keeps every step's grids, the saved states and the
+per-step adjoints there, checks the workspace out when it records and hands
+it back at the end of its backward; a recursion without a graph builds each
+molecule's grids in turn into the same two slots and hands the workspace
+back when it returns. The readout averages each
 molecule's columns with one matmul and runs the MLP on the ``[mlp, B]``
 block, one column per molecule. A single molecule is a batch of one
 (:func:`forward`). The constant per-molecule structure (element indices,
@@ -236,10 +242,11 @@ def _input_blocks(graph: Graph | None, encodings: Sequence[MoleculeEncoding],
     return x, count
 
 
-# The spare workspace of recorded recursions: at most one flat float64
-# buffer. A recorded message_step takes it (or a new, larger one) and gives
-# it back as the last act of its backward, so no two graphs hold the same
-# buffer; a graph that is dropped unreplayed takes its buffer with it.
+# The spare workspace of the recursion: at most one flat float64 buffer.
+# A message_step takes it (or a new, larger one) and gives it back when it
+# returns, or, when recorded, as the last act of its backward, so no two
+# calls or graphs hold the same buffer; a call that raises, or a graph that
+# is dropped unreplayed, takes its buffer with it.
 _spare: list[np.ndarray] = []
 
 
@@ -299,6 +306,13 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     ``sigmoid(gate) * tanh(candidate)``, diagonal masked, summed over senders
     and divided by n.
 
+    Each grid is built in the grid's order ``(dist + R) + S``: one stacked
+    product of the molecule's ``[n, n, 2]`` pair matrix ``[inv_dist | 1]``
+    (first column zero without distances) with the ``[n, 2, hidden]``
+    right-hand sides ``[w_d; R[v]]`` writes ``inv_dist[v, w] w_d + R[v]``
+    for every receiver in one BLAS call, and an in-place addition adds
+    ``S[w]``.
+
     Instead of testing every grid entry, each step bounds each molecule's
     pre-activations by ``max|R| + max|S| + max|w_d| max(inv_dist)``, summed
     in the grid's order: float addition and multiplication are monotone, so
@@ -317,12 +331,15 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     matmul over the columns of all steps, or over their sum for the
     step-invariant blocks.
 
-    When ``graph`` records, every batch-sized array the op keeps or uses in
-    its backward (the ``[ΣN, 4 hidden]`` terms, the saved states, each step's
-    grids, the per-step adjoints and the backward's scratch) is a view of one
-    workspace checked out for this graph alone and handed back when its
-    backward ends; without a graph, each molecule's grids are allocated and
-    freed in turn, so inference holds one molecule's grids at a time.
+    Every batch-sized array the op uses is a view of one workspace checked
+    out for this call alone. It holds the stacked weight blocks, the
+    ``[ΣN, 4 hidden]`` terms, the right-hand sides and the pair matrices.
+    When ``graph`` records, it also holds the saved states, each step's
+    grids, the per-step adjoints and the backward's scratch, and is handed
+    back when the backward ends. Without a graph, it also holds two grid
+    slots sized for the largest molecule, into which each molecule's gate and
+    candidate are built in turn, so inference holds one molecule's grids at a
+    time; it is handed back when the call returns.
     """
     hidden, steps = cfg.hidden_dim, cfg.steps
     half = cfg.atom_dim + hidden                  # receiver columns; sender ones follow
@@ -336,25 +353,31 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
 
     gate_w, cand_w = params.gate_weight.values, params.candidate_weight.values
 
-    def stacked(*blocks) -> np.ndarray:
-        """Rows of each column block: the gate's negated, then the candidate's."""
-        return np.concatenate([m for c in blocks for m in (-gate_w[:, c], cand_w[:, c])])
-
     recording = graph is not None
     grid_sizes = [n * n * hidden for n in sizes]
+    # the stacked weights, fixed and terms, the right-hand sides and the pair
+    # matrices; then, when recording, the saved states, every step's gate and
+    # candidate grids, the per-step adjoints and the backward's scratch, else
+    # one molecule's gate and candidate grids, reused for each molecule in turn
+    size = 2 * gate_w.size + 3 * atoms * 4 * hidden + 2 * sum(n * n for n in sizes)
     if recording:
-        # fixed and terms, the saved states, the per-step adjoints, every
-        # step's gate and candidate grids, and the backward's scratch
-        work = _take_workspace((2 + steps) * atoms * 4 * hidden + steps * atoms * hidden
-                               + 2 * steps * sum(grid_sizes) + max(grid_sizes))
-        carve = _carver(work)
+        size += steps * atoms * 5 * hidden + 2 * steps * sum(grid_sizes) + max(grid_sizes)
     else:
-        carve = np.empty
+        size += 2 * max(grid_sizes)
+    work = _take_workspace(size)
+    carve = _carver(work)
+
+    def stacked(*blocks) -> np.ndarray:
+        """Rows of each column block: the gate's negated, then the candidate's."""
+        parts = [m for c in blocks for m in (-gate_w[:, c], cand_w[:, c])]
+        rows = 2 * hidden * len(blocks)
+        return np.concatenate(parts, out=carve((rows, *parts[0].shape[1:])))
 
     # the four terms' columns: [R_gate, R_cand, S_gate, S_cand]
     w_h, w_x = stacked(recv_h, send_h), stacked(recv_x, send_x)
     w_cnt, w_d = stacked(cnt), stacked(-1)
     fixed = carve((atoms, 4 * hidden))
+    terms = carve((atoms, 4 * hidden))           # every step's four terms, one buffer
     if x is not None:
         np.matmul(x.values.T, w_x.T, out=fixed)
     else:
@@ -362,7 +385,10 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     fixed[:, :2 * hidden] += np.concatenate((-params.gate_bias.values,
                                              params.candidate_bias.values))[:, 0]
     if count is not None:
-        fixed[:, :2 * hidden] += count.values.T @ w_cnt.T
+        # terms is free until the first step
+        fixed[:, :2 * hidden] += np.matmul(count.values.T, w_cnt.T,
+                                           out=terms.reshape(-1)[:atoms * 2 * hidden]
+                                           .reshape(atoms, 2 * hidden))
 
     # per molecule, gate and candidate: fl(max|w_d| max(inv_dist)), added first as in the grid
     dist_bound = np.zeros((len(sizes), 2))
@@ -371,18 +397,27 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
                               np.abs(w_d).reshape(2, hidden).max(axis=1))
     pairless = np.asarray(sizes) < 2
 
-    terms = carve((atoms, 4 * hidden))           # every step's four terms, one buffer
     blocks = terms.reshape(atoms, 4, hidden)
+    # receiver v's right-hand sides [w_d; R[v]], gate's and candidate's, and
+    # each molecule's [n, n, 2] pair matrix [inv_dist | 1], so that one stacked
+    # product forms inv_dist[v, w] w_d + R[v] for all pairs; the distance comes
+    # first, so the product is rounded before R is added, as the bound assumes
+    # (an FMA-accumulating BLAS gives other bits with R first)
+    rhs = carve((atoms, 2, 2, hidden))
+    pairs = []
+    for k, n in enumerate(sizes):
+        pair = carve((n, n, 2))
+        pair[..., 0] = 0.0 if inv_dist is None else inv_dist[k]
+        pair[..., 1] = 1.0
+        pairs.append(pair)
+    slots = None if recording else (carve((max(grid_sizes),)), carve((max(grid_sizes),)))
 
     def grid(k: int, j: int) -> np.ndarray:
         a, b = edges[k], edges[k + 1]
-        r, s = blocks[a:b, None, j], blocks[None, a:b, 2 + j]
-        pre = carve((b - a, b - a, hidden))
-        if inv_dist is None:
-            return np.add(r, s, out=pre)
-        np.multiply.outer(inv_dist[k], w_d[j * hidden:(j + 1) * hidden], out=pre)
-        pre += r
-        pre += s
+        shape = (b - a, b - a, hidden)
+        pre = carve(shape) if recording else slots[j][:math.prod(shape)].reshape(shape)
+        np.matmul(pairs[k], rhs[a:b, j], out=pre)
+        pre += blocks[None, a:b, 2 + j]
         return pre
 
     states = carve((steps, atoms, hidden)) if recording else None
@@ -393,14 +428,17 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
             states[step] = h
         np.matmul(h, w_h.T, out=terms)
         terms += fixed
-        peak = np.maximum.reduceat(np.abs(terms).reshape(atoms, 2, 2, hidden).max(axis=3),
-                                   bounds[:-1], axis=0)
+        # rhs is free until it is filled below
+        peak = np.abs(terms.reshape(rhs.shape), out=rhs).max(axis=3)
+        peak = np.maximum.reduceat(peak, bounds[:-1], axis=0)
         bound = (dist_bound + peak[:, 0]) + peak[:, 1]
         bound[pairless] = 0.0
         if not np.isfinite(bound).all():
             k = int(np.flatnonzero(~np.isfinite(bound).all(axis=1))[0])
             raise NumericalError(f"molecule {ids[k]}, step {step}: "
                                  f"non-finite values produced by op 'message_step'")
+        rhs[:, :, 0] = w_d.reshape(2, hidden)
+        rhs[:, :, 1] = blocks[:, :2]
         h = np.empty((atoms, hidden))
         step_grids = []
         # exp of the negated gate overflows to inf above 709, giving a gate of exactly 0
@@ -417,9 +455,10 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
                 np.einsum("vwi,vwi->vi", gate, cand, out=h[edges[k]:edges[k + 1]])
                 if recording:
                     step_grids.append((gate, cand))
-                del gate, cand                    # without a graph, free the grids now
         h *= inv_n
         grids.append(step_grids)
+    if not recording:
+        _give_workspace(work)
 
     def check(adjoint: np.ndarray, step: int) -> None:
         if not np.isfinite(adjoint).all():

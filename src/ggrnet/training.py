@@ -38,9 +38,10 @@ __all__ = [
     "run_ablation",
 ]
 
-# molecules per forward pass in predict/evaluate: a no-grad pass frees each
-# molecule's message grids before the next is built, so memory grows with
-# the chunk only through its [hidden, ΣN] states
+# molecules per forward pass in predict/evaluate: a no-grad pass builds each
+# molecule's message grids in turn into the same two workspace slots, sized
+# for the chunk's largest molecule, so memory grows with the chunk only
+# through its [ΣN, 4 hidden] terms and [hidden, ΣN] states
 PREDICT_CHUNK = 10
 
 
@@ -85,6 +86,12 @@ class EpochReport:
     grad_norm: float        # max post-clip global norm over the epoch's batches
     seconds: float
     minor_faults: int       # the process's minor page faults during the epoch
+    # parts of seconds: zeroing gradients, forward and loss; backward;
+    # clipping and update; the validation pass
+    forward_s: float
+    backward_s: float
+    update_s: float
+    eval_s: float
 
 
 @dataclass
@@ -114,16 +121,9 @@ def lr_at_epoch(lr0: float, decay: float, epoch: int) -> float:
     return lr0 / (1.0 + decay * epoch)
 
 
-def mse_loss(graph: Graph | None, preds: Tensor | Sequence,
-             targets: Sequence[float]) -> Tensor:
-    """Differentiable mean squared error of a ``[1, B]`` prediction row, or of a
-    list of 1x1 tensors or floats."""
-    if not isinstance(preds, Tensor):
-        if not preds:
-            raise ShapeError("mse_loss: empty prediction list")
-        parts = [p if isinstance(p, Tensor) else ad.constant([[float(p)]]) for p in preds]
-        preds = ad.transpose(graph, ad.concat_rows(graph, parts))
-    if preds.shape != (1, len(targets)):
+def mse_loss(graph: Graph | None, preds: Tensor, targets: Sequence[float]) -> Tensor:
+    """Differentiable mean squared error of a ``[1, B]`` prediction row."""
+    if len(targets) == 0 or preds.shape != (1, len(targets)):
         raise ShapeError(f"mse_loss: {preds.cols} predictions vs {len(targets)} targets")
     diff = ad.sub(graph, preds, ad.constant([[float(t) for t in targets]]))
     return ad.scale(graph, ad.matmul(graph, diff, ad.transpose(graph, diff)),
@@ -213,32 +213,44 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
         order = rng.permutation(n)
         sq_sum = 0.0
         max_norm = 0.0
+        forward_s = backward_s = update_s = 0.0
         for batch_idx, lo in enumerate(range(0, n, cfg.batch_size)):
             batch = order[lo:lo + cfg.batch_size]
+            t_forward = time.perf_counter()
             try:
                 ad.zero_grads(tensors)
                 graph = Graph()
                 preds = forward_batch(graph, [train_encs[i] for i in batch], params,
                                       cfg.model)
                 loss = mse_loss(graph, preds, [targets_norm[i] for i in batch])
+                t_backward = time.perf_counter()
                 ad.backward(graph, loss)
             except NumericalError as err:
                 raise NumericalError(
                     f"training aborted at epoch {epoch}, batch {batch_idx}: {err}") from err
+            t_update = time.perf_counter()
             pre_norm = ad.clip_global_norm(tensors, cfg.clip_norm)
             post_norm = ad.global_grad_norm(tensors) if pre_norm > cfg.clip_norm else pre_norm
             max_norm = max(max_norm, post_norm)
             for t in tensors:
                 t.values -= lr * t.grad
             sq_sum += loss.item() * len(batch)
+            t_done = time.perf_counter()
+            forward_s += t_backward - t_forward
+            backward_s += t_update - t_backward
+            update_s += t_done - t_update
 
+        t_eval = time.perf_counter()
         val_report = evaluate(params, val_ds, normalizer, cfg.model, vocabulary, prop,
                               encodings=val_encs)
+        t_done = time.perf_counter()
         report = EpochReport(epoch=epoch, lr=lr, train_mse=sq_sum / n,
                              val_mae=val_report.mae, grad_norm=max_norm,
-                             seconds=time.perf_counter() - t0,
+                             seconds=t_done - t0,
                              minor_faults=resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                             - faults0)
+                             - faults0,
+                             forward_s=forward_s, backward_s=backward_s, update_s=update_s,
+                             eval_s=t_done - t_eval)
         reports.append(report)
         if epoch_callback is not None:
             epoch_callback(report)

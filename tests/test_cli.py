@@ -66,13 +66,24 @@ def test_train_writes_artifacts(trained_run):
     assert len(report["runs"]) == 1
 
 
+TIMING_PARTS = ("forward_s", "backward_s", "update_s", "eval_s")
+
+
 def test_timing_records_count_minor_page_faults(trained_run):
     # wall-clock-dependent signals stay off the deterministic metrics stream
     records = read_metrics(trained_run / "timing.jsonl")
     assert [rec["epoch"] for rec in records] == [0, 1, 2]
     for rec in records:
-        assert set(rec) == {"epoch", "seconds", "minor_faults"}
+        assert set(rec) == {"epoch", "seconds", "minor_faults", *TIMING_PARTS}
         assert type(rec["minor_faults"]) is int and rec["minor_faults"] >= 0
+
+
+def test_timing_records_split_each_epoch(trained_run):
+    for rec in read_metrics(trained_run / "timing.jsonl"):
+        parts = [rec[key] for key in TIMING_PARTS]
+        assert all(type(part) is float and part >= 0.0 for part in parts), rec
+        assert rec["forward_s"] > 0.0 and rec["backward_s"] > 0.0 and rec["eval_s"] > 0.0
+        assert sum(parts) <= rec["seconds"], rec
 
 
 def test_train_epoch_override(config_file, tmp_path, capsys):
@@ -217,6 +228,28 @@ def test_eval_empty_dataset(trained_run, tmp_path):
 
 def test_eval_needs_source(trained_run):
     assert main(["eval", str(trained_run / "best.ckpt")]) == 2
+
+
+def test_eval_partition_without_config_is_one_line_exit_2(trained_run, capsys):
+    from ggrnet.data import sample_dataset_path
+
+    rc = main(["eval", str(trained_run / "best.ckpt"), "--data", str(sample_dataset_path()),
+               "--schema", "builtin:sample", "--partition", "val"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: eval --partition needs --config\n"
+
+
+def test_eval_data_beside_config_is_one_line_exit_2(trained_run, capsys):
+    from ggrnet.data import sample_dataset_path
+
+    rc = main(["eval", str(trained_run / "best.ckpt"), "--config",
+               str(trained_run / "manifest.cfg"), "--data", str(sample_dataset_path())])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: eval takes --config or --data, not both\n"
 
 
 # ---------------------------------------------------------------------------

@@ -588,6 +588,44 @@ def test_gradients_after_an_overflowing_forward_are_clean():
         assert np.array_equal(a, b), name
 
 
+def test_inference_builds_its_grids_in_the_reused_workspace():
+    # a warm no-grad pass builds every molecule's gate and candidate into the
+    # workspace's two grid slots, so it allocates less than one largest grid
+    cfg = ModelConfig()
+    molecules = [random_molecule(np.random.default_rng(50 + n), n, elements=VOCAB)
+                 for n in (12, 20, 29)]
+    params = init_params(cfg, len(VOCAB), 29, seed=51)
+    encodings = [MoleculeEncoding(m, VOCAB, cfg) for m in molecules]
+    forward_batch(None, encodings, params, cfg)
+    tracemalloc.start()
+    try:
+        forward_batch(None, encodings, params, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    grid_bytes = 29 ** 2 * cfg.hidden_dim * 8
+    assert peak < grid_bytes, (peak, grid_bytes)
+
+
+@pytest.mark.parametrize("flag", [None, "use_atom_embedding"])
+def test_inference_after_an_overflowing_inference_is_clean(flag):
+    # the overflow leaves the workspace it took half written; the next no-grad
+    # pass must read nothing of it
+    cfg = SMALL if flag is None else replace(SMALL, **{flag: False})
+    params = init_params(cfg, len(VOCAB), 9, seed=52)
+    encodings = [MoleculeEncoding(m, VOCAB, cfg)
+                 for m in random_molecules(53, 3, sizes=(9, 4, 6), elements=VOCAB)]
+    clean = forward_batch(None, encodings, params, cfg).values
+    broken = params.copy()
+    broken.gate_weight.values[:] = 1e308
+    broken.count_embedding.values[:] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="'message_step'"):
+        forward_batch(None, encodings, broken, cfg)
+    after = forward_batch(None, encodings, params, cfg).values
+    assert np.array_equal(after, clean)
+
+
 def test_step_gradients_from_a_non_zero_state():
     # the model starts from zero, which leaves the first step out of the
     # hidden-state weight gradients; from any other state it counts

@@ -64,24 +64,28 @@ def test_lr_schedule_rejects_negative_epoch():
 # losses and metrics
 
 
+def row(values):
+    return ad.constant([list(values)])
+
+
 def test_mse_zero_when_equal():
-    assert mse_loss(None, [1.0, 2.0], [1.0, 2.0]).item() == 0.0
+    assert mse_loss(None, row([1.0, 2.0]), [1.0, 2.0]).item() == 0.0
 
 
 def test_mse_hand_case():
-    assert mse_loss(None, [0.0, 0.0], [1.0, 3.0]).item() == 5.0
+    assert mse_loss(None, row([0.0, 0.0]), [1.0, 3.0]).item() == 5.0
 
 
 def test_mse_length_mismatch():
     with pytest.raises(ShapeError):
-        mse_loss(None, [1.0], [1.0, 2.0])
+        mse_loss(None, row([1.0]), [1.0, 2.0])
     with pytest.raises(ShapeError):
-        mse_loss(None, [], [])
+        mse_loss(None, ad.constant(np.zeros((1, 0))), [])
 
 
 def test_mse_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
-    preds = [ad.parameter([[float(v)]]) for v in rng.normal(size=4)]
+    preds = ad.parameter(rng.normal(size=(1, 4)))
     targets = rng.normal(size=4).tolist()
 
     def build(graph):
@@ -89,16 +93,16 @@ def test_mse_gradient_matches_finite_differences():
 
     graph = ad.Graph()
     ad.backward(graph, build(graph))
-    for k, p in enumerate(preds):
-        expected = 2.0 * (p.values[0, 0] - targets[k]) / len(preds)
-        assert p.grad[0, 0] == pytest.approx(expected, rel=1e-12)
-        orig = p.values[0, 0]
-        p.values[0, 0] = orig + 1e-6
+    for k in range(preds.cols):
+        expected = 2.0 * (preds.values[0, k] - targets[k]) / preds.cols
+        assert preds.grad[0, k] == pytest.approx(expected, rel=1e-12)
+        orig = preds.values[0, k]
+        preds.values[0, k] = orig + 1e-6
         hi = build(None).item()
-        p.values[0, 0] = orig - 1e-6
+        preds.values[0, k] = orig - 1e-6
         lo = build(None).item()
-        p.values[0, 0] = orig
-        assert p.grad[0, 0] == pytest.approx((hi - lo) / 2e-6, abs=1e-7)
+        preds.values[0, k] = orig
+        assert preds.grad[0, k] == pytest.approx((hi - lo) / 2e-6, abs=1e-7)
 
 
 def test_mae_examples():
@@ -113,7 +117,7 @@ def test_mae_examples():
 def test_mae_bounded_by_rmse(pairs):
     preds = [p for p, _ in pairs]
     targets = [t for _, t in pairs]
-    rmse = math.sqrt(mse_loss(None, preds, targets).item())
+    rmse = math.sqrt(mse_loss(None, row(preds), targets).item())
     assert mae(preds, targets) <= rmse + 1e-9
 
 
