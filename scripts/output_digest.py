@@ -4,8 +4,10 @@
 Usage: ``python scripts/output_digest.py SRC_DIR``, where ``SRC_DIR`` holds
 the ``ggrnet`` package to test (``src`` of a checkout).
 
-For every feature configuration (dims 50/50/100/100 and 4/4/8/8, each with
-all features on and with each feature switched off) and every fixed batch of
+For every configuration (dims 50/50/100/100 and 4/4/8/8, each with all
+features on and with each feature switched off, with a 29-row count table;
+and dims 4/4/8/8 with all features on and a 6-row count table, whose last
+row every molecule of more than 6 atoms uses) and every fixed batch of
 generated molecules (1 to 29 atoms), one line gives the configuration, the
 batch's atom counts and the sha256 of the no-grad predictions, the recorded
 predictions, the loss and every parameter gradient of the mean squared error.
@@ -20,6 +22,8 @@ import sys
 BATCHES = ((1,), (2, 3), (1, 4, 5, 6, 7, 8), (9, 12, 15), (17, 21, 25), (29,), (29, 28, 1, 13))
 DIMS = {"default": {}, "small": {"atom_dim": 4, "count_dim": 4, "hidden_dim": 8, "mlp_dim": 8}}
 FEATURES = ("all", "use_atom_embedding", "use_count_feature", "use_distance_feature")
+# (dims, feature switched off or "all", count-table rows)
+CONFIGS = [(d, f, 29) for d in DIMS for f in FEATURES] + [("small", "all", 6)]
 
 
 def main(argv) -> int:
@@ -39,25 +43,24 @@ def main(argv) -> int:
     batches = [[random_molecule(rng, n, vocab, mol_id=f"m{n}") for n in sizes]
                for sizes in BATCHES]
     targets = [rng.normal(size=len(sizes)).tolist() for sizes in BATCHES]
-    for dims_name, dims in DIMS.items():
-        for feature in FEATURES:
-            switches = {} if feature == "all" else {feature: False}
-            cfg = ModelConfig(**dims, **switches)
-            params = init_params(cfg, len(vocab), 29, seed=7)
-            tensors = params.tensors()
-            for molecules, batch_targets in zip(batches, targets):
-                encodings = [MoleculeEncoding(m, vocab, cfg) for m in molecules]
-                digest = hashlib.sha256()
-                digest.update(forward_batch(None, encodings, params, cfg).values.tobytes())
-                zero_grads(tensors)
-                graph = Graph()
-                preds = forward_batch(graph, encodings, params, cfg)
-                loss = mse_loss(graph, preds, batch_targets)
-                backward(graph, loss)
-                for array in (preds.values, loss.values, *(t.grad for t in tensors)):
-                    digest.update(np.ascontiguousarray(array).tobytes())
-                sizes = ",".join(str(m.natoms) for m in molecules)
-                print(f"{dims_name}\t{feature}\t{sizes}\t{digest.hexdigest()}")
+    for dims_name, feature, rows in CONFIGS:
+        switches = {} if feature == "all" else {feature: False}
+        cfg = ModelConfig(**DIMS[dims_name], **switches)
+        params = init_params(cfg, len(vocab), rows, seed=7)
+        tensors = params.tensors()
+        for molecules, batch_targets in zip(batches, targets):
+            encodings = [MoleculeEncoding(m, vocab, cfg) for m in molecules]
+            digest = hashlib.sha256()
+            digest.update(forward_batch(None, encodings, params, cfg).values.tobytes())
+            zero_grads(tensors)
+            graph = Graph()
+            preds = forward_batch(graph, encodings, params, cfg)
+            loss = mse_loss(graph, preds, batch_targets)
+            backward(graph, loss)
+            for array in (preds.values, loss.values, *(t.grad for t in tensors)):
+                digest.update(np.ascontiguousarray(array).tobytes())
+            sizes = ",".join(str(m.natoms) for m in molecules)
+            print(f"{dims_name}\t{feature}\t{rows}\t{sizes}\t{digest.hexdigest()}")
     return 0
 
 

@@ -187,6 +187,8 @@ _PARTITIONS = {"train": 0, "val": 1, "test": 2}
 def _cmd_eval(args) -> int:
     if args.config and args.data:
         raise ConfigError("eval takes --config or --data, not both")
+    if args.config and (args.schema or args.format != "auto"):
+        raise ConfigError("eval --schema and --format go with --data, not --config")
     if args.partition and not args.config:
         raise ConfigError("eval --partition needs --config")
     ckpt = load_checkpoint(args.checkpoint)

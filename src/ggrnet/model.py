@@ -14,13 +14,14 @@ every recorded op of a forward pass covers the whole batch. Gate and
 candidate are affine in the concatenated pair input, so each splits by block
 into a receiver term and a sender term, each a ``[ΣN, hidden]`` product with
 the atom columns of the batch, plus the count term (each atom carries its
-molecule's count embedding, picked by a one-hot matmul) and the distance
+molecule's count embedding, a row gathered from the table) and the distance
 weight times the molecule's ``[N, N]`` inverse-distance matrix. Pairs exist
 only within a molecule, so each molecule gets its own ``[N, N, hidden]``
 pre-activation grid (receiver, sender, hidden innermost), whose diagonal is
 masked out.
 
-The whole recursion is one recorded op, :func:`message_step`. The
+The whole recursion is one recorded op, :func:`message_step`, which reads
+its inputs from the batch's encodings and the embedding tables itself. The
 embedding, count and bias parts of the terms are the same at every step (the
 skip connections), so they are formed once per batch, and a step adds only
 the hidden-state product. Each grid is built by one stacked BLAS product of
@@ -31,7 +32,8 @@ sender term. Overflow is checked on a per-molecule bound of the
 terms rather than on every grid entry. The op's hand-written backward runs
 back-propagation through time: it walks the steps in reverse, reduces each
 molecule's grids to per-atom adjoints, and forms each weight gradient once
-per batch from the adjoints of all steps. The op carves its batch-sized
+per batch from the adjoints of all steps; the embedding gradients are
+scatter-added into the tables' gradients. The op carves its batch-sized
 arrays out of one flat workspace that outlives the batch, so the next batch
 reuses memory that is already mapped instead of faulting it in afresh. A
 recorded recursion keeps every step's grids, the saved states and the
@@ -218,30 +220,6 @@ class MoleculeEncoding:
                          if cfg.use_distance_feature else None)
 
 
-def _onehot(rows: int, indices: np.ndarray) -> Tensor:
-    """``[rows, len(indices)]`` constant with a one in row ``indices[j]`` of column j."""
-    out = np.zeros((rows, len(indices)))
-    out[indices, np.arange(len(indices))] = 1.0
-    return ad.constant(out)
-
-
-def _input_blocks(graph: Graph | None, encodings: Sequence[MoleculeEncoding],
-                  params: ModelParams, cfg: ModelConfig) -> tuple[Tensor | None, Tensor | None]:
-    """Step-invariant message inputs of every atom of the batch: the atom
-    embeddings ``[atom, ΣN]`` and the count embedding of each atom's molecule
-    ``[count, ΣN]``; ``None`` for a feature switched off."""
-    x = count = None
-    if cfg.use_atom_embedding:
-        onehot = _onehot(params.atom_embedding.rows,
-                         np.concatenate([enc.elements for enc in encodings]))
-        x = ad.matmul(graph, ad.transpose(graph, params.atom_embedding), onehot)
-    if cfg.use_count_feature:
-        rows = [min(enc.n, params.max_atom_count) - 1 for enc in encodings]
-        onehot = _onehot(params.max_atom_count, np.repeat(rows, [enc.n for enc in encodings]))
-        count = ad.matmul(graph, ad.transpose(graph, params.count_embedding), onehot)
-    return x, count
-
-
 # The spare workspace of the recursion: at most one flat float64 buffer.
 # A message_step takes it (or a new, larger one) and gives it back when it
 # returns, or, when recorded, as the last act of its backward, so no two
@@ -265,6 +243,11 @@ def _give_workspace(buf: np.ndarray) -> None:
         _spare[:] = [buf]
 
 
+def release_workspace() -> None:
+    """Free the spare workspace; the next recursion allocates a new one."""
+    _spare.clear()
+
+
 def _carver(buf: np.ndarray):
     """``carve(shape)``: consecutive views of the flat ``buf``, one per call."""
     offset = 0
@@ -280,19 +263,20 @@ def _carver(buf: np.ndarray):
 
 
 def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
-                 x: Tensor | None, state: Tensor, count: Tensor | None,
-                 sizes: Sequence[int], inv_dist: Sequence[np.ndarray] | None,
-                 ids: Sequence[str] | None = None) -> Tensor:
+                 encodings: Sequence[MoleculeEncoding],
+                 state: np.ndarray | None = None) -> Tensor:
     """All ``cfg.steps`` recursion steps of a batch as one recorded op: the
     final state ``[hidden, ΣN]``.
 
-    Molecule k owns the ``sizes[k]`` atom columns after those of molecules
-    0..k-1 and is named ``ids[k]`` in errors (its batch index by default).
-    ``x`` is ``[atom, ΣN]``, ``count`` ``[count, ΣN]`` and ``inv_dist[k]``
-    molecule k's ``[n, n]`` matrix with a zero diagonal; ``None`` marks a
-    feature switched off, whose weight block is skipped and gets a zero
-    gradient. The recursion starts from ``state``, a constant that gets no
-    gradient.
+    Molecule k of ``encodings`` owns its ``n`` atom columns after those of
+    molecules 0..k-1 and is named by its ``mol_id`` in errors. The op gathers
+    the step-invariant inputs itself: ``x`` ``[atom, ΣN]``, each atom's
+    embedding row; ``count`` ``[count, ΣN]``, the count-embedding row of its
+    molecule (the last row for molecules larger than the table); and each
+    molecule's ``[n, n]`` ``inv_dist``. A feature that ``cfg`` switches off
+    has no input, and its weight block is skipped and gets a zero gradient.
+    The recursion starts from ``state`` ``[hidden, ΣN]`` (zero if not
+    given), which gets no gradient.
 
     For gate and candidate alike, pair (v, w) of a molecule has the
     pre-activation ``R[v] + S[w] + w_d * inv_dist[v, w]``, with the receiver
@@ -329,7 +313,10 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     blocks; a non-finite per-atom adjoint raises a :class:`NumericalError`
     naming the molecule and step. Each weight block's gradient is then one
     matmul over the columns of all steps, or over their sum for the
-    step-invariant blocks.
+    step-invariant blocks. The op adds the gradients of ``x`` and ``count``
+    to the tables' ``grad`` itself, so the tables are not inputs of its tape
+    entry: each atom's adjoint row is scatter-added (``np.add.at``), so atoms
+    that share a row accumulate, and a non-finite sum raises here.
 
     Every batch-sized array the op uses is a view of one workspace checked
     out for this call alone. It holds the stacked weight blocks, the
@@ -346,7 +333,16 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     recv_x, recv_h = slice(0, cfg.atom_dim), slice(cfg.atom_dim, half)
     send_x, send_h = slice(half, half + cfg.atom_dim), slice(half + cfg.atom_dim, 2 * half)
     cnt = slice(2 * half, 2 * half + cfg.count_dim)
-    ids = range(len(sizes)) if ids is None else ids
+    sizes, ids = [enc.n for enc in encodings], [enc.mol_id for enc in encodings]
+    # the step-invariant inputs, gathered as C-contiguous [dim, ΣN] blocks
+    x = count = None
+    if cfg.use_atom_embedding:
+        elements = np.concatenate([enc.elements for enc in encodings])
+        x = np.ascontiguousarray(params.atom_embedding.values.T[:, elements])
+    if cfg.use_count_feature:
+        rows = np.repeat([min(n, params.max_atom_count) - 1 for n in sizes], sizes)
+        count = np.ascontiguousarray(params.count_embedding.values.T[:, rows])
+    inv_dist = [enc.inv_dist for enc in encodings] if cfg.use_distance_feature else None
     bounds = np.cumsum([0, *sizes])
     edges, atoms = bounds.tolist(), int(bounds[-1])
     inv_n = np.repeat([1.0 / n for n in sizes], sizes)[:, None]
@@ -379,14 +375,14 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     fixed = carve((atoms, 4 * hidden))
     terms = carve((atoms, 4 * hidden))           # every step's four terms, one buffer
     if x is not None:
-        np.matmul(x.values.T, w_x.T, out=fixed)
+        np.matmul(x.T, w_x.T, out=fixed)
     else:
         fixed.fill(0.0)
     fixed[:, :2 * hidden] += np.concatenate((-params.gate_bias.values,
                                              params.candidate_bias.values))[:, 0]
     if count is not None:
         # terms is free until the first step
-        fixed[:, :2 * hidden] += np.matmul(count.values.T, w_cnt.T,
+        fixed[:, :2 * hidden] += np.matmul(count.T, w_cnt.T,
                                            out=terms.reshape(-1)[:atoms * 2 * hidden]
                                            .reshape(atoms, 2 * hidden))
 
@@ -422,7 +418,7 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
 
     states = carve((steps, atoms, hidden)) if recording else None
     grids: list[list[tuple[np.ndarray, np.ndarray]]] = []
-    h = state.values.T
+    h = np.zeros((atoms, hidden)) if state is None else state.T
     for step in range(steps):
         if recording:
             states[step] = h
@@ -466,6 +462,14 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
             k = int(np.searchsorted(bounds, row, side="right")) - 1
             raise NumericalError(f"molecule {ids[k]}, step {step}: "
                                  f"non-finite gradient in backward rule of op 'message_step'")
+
+    def add_rows(table: Tensor, rows: np.ndarray, adjoint: np.ndarray) -> None:
+        grad = np.zeros_like(table.values)
+        np.add.at(grad, rows, adjoint)
+        if not np.isfinite(grad).all():
+            raise NumericalError(f"non-finite gradient of '{table.name}' "
+                                 f"in backward rule of op 'message_step'")
+        table.grad += grad
 
     def rule(g):
         if not grids:
@@ -513,23 +517,22 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
         d_w[:, recv_h], d_w[:, send_h] = d_w_h[:2 * hidden], d_w_h[2 * hidden:]
         d_fixed = d_terms.sum(axis=0)
         d_recv = d_fixed[:, :2 * hidden]
-        d_inputs = []
         if x is not None:
-            d_w_x = d_fixed.T @ x.values.T
+            d_w_x = d_fixed.T @ x.T
             d_w[:, recv_x], d_w[:, send_x] = d_w_x[:2 * hidden], d_w_x[2 * hidden:]
-            d_inputs.append((d_fixed @ w_x).T)
+            add_rows(params.atom_embedding, elements, d_fixed @ w_x)
         if count is not None:
-            d_w[:, cnt] = d_recv.T @ count.values.T
-            d_inputs.append((d_recv @ w_cnt).T)
+            d_w[:, cnt] = d_recv.T @ count.T
+            add_rows(params.count_embedding, rows, d_recv @ w_cnt)
         if inv_dist is not None:
             d_w[:, -1] = d_wd
         d_b = d_recv.sum(axis=0)[:, None]
-        grads = (-d_w[:hidden], -d_b[:hidden], d_w[hidden:], d_b[hidden:], *d_inputs)
+        grads = (-d_w[:hidden], -d_b[:hidden], d_w[hidden:], d_b[hidden:])
         _give_workspace(work)                     # no view of it is read after this
         return grads
 
     inputs = (params.gate_weight, params.gate_bias, params.candidate_weight,
-              params.candidate_bias, *(t for t in (x, count) if t is not None))
+              params.candidate_bias)
     return ad._result(graph, "message_step", inputs, h.T, rule)
 
 
@@ -558,28 +561,16 @@ def forward_batch(graph: Graph | None, encodings: Sequence[MoleculeEncoding],
 
     Hidden states start at zero. A :class:`NumericalError` names the
     molecule and the recursion step, or, where no single molecule is to
-    blame, the batch and the input embeddings or the readout.
+    blame, the batch and the readout.
     """
-    sizes = [enc.n for enc in encodings]
-
-    def batch_error(where: str, err: NumericalError) -> NumericalError:
+    # the recursion names the molecule and step of its own errors
+    state = message_step(graph, params, cfg, encodings)
+    try:
+        return readout(graph, state, params, [enc.n for enc in encodings])
+    except NumericalError as err:
         names = (f"molecule {encodings[0].mol_id}" if len(encodings) == 1 else
                  f"molecules ({', '.join(enc.mol_id for enc in encodings)})")
-        return NumericalError(f"{names}, {where}: {err}")
-
-    try:
-        x, count = _input_blocks(graph, encodings, params, cfg)
-    except NumericalError as err:
-        raise batch_error("input embeddings", err) from err
-    inv_dist = [enc.inv_dist for enc in encodings] if cfg.use_distance_feature else None
-    zeros = ad.constant(np.zeros((cfg.hidden_dim, sum(sizes))))
-    # the recursion names the molecule and step of its own errors
-    state = message_step(graph, params, cfg, x, zeros, count, sizes, inv_dist,
-                         [enc.mol_id for enc in encodings])
-    try:
-        return readout(graph, state, params, sizes)
-    except NumericalError as err:
-        raise batch_error("readout", err) from err
+        raise NumericalError(f"{names}, readout: {err}") from err
 
 
 def forward(graph: Graph | None, molecule: Molecule, params: ModelParams, cfg: ModelConfig,

@@ -20,7 +20,8 @@ from . import autodiff as ad
 from .autodiff import Graph, Tensor
 from .data import Dataset, Molecule, Normalizer, fit_normalizer
 from .errors import DataError, NumericalError, ShapeError
-from .model import ModelConfig, ModelParams, MoleculeEncoding, forward_batch, init_params
+from .model import (ModelConfig, ModelParams, MoleculeEncoding, forward_batch, init_params,
+                    release_workspace)
 
 __all__ = [
     "TrainConfig",
@@ -184,7 +185,8 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
 
     The normalizer is fit on the training partition only. Every epoch
     reshuffles the training indices from one seeded RNG stream, so a given
-    seed reproduces the whole run bit for bit.
+    seed reproduces the whole run bit for bit. The recursion workspace that
+    batches reuse is freed when the run returns or raises.
     """
     prop = cfg.target_property
     if prop not in train_ds.property_names or prop not in val_ds.property_names:
@@ -206,62 +208,65 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
     best_params = params.copy()
     best_epoch = -1
 
-    for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        lr = lr_at_epoch(cfg.lr0, cfg.decay, epoch)
-        order = rng.permutation(n)
-        sq_sum = 0.0
-        max_norm = 0.0
-        forward_s = backward_s = update_s = 0.0
-        for batch_idx, lo in enumerate(range(0, n, cfg.batch_size)):
-            batch = order[lo:lo + cfg.batch_size]
-            t_forward = time.perf_counter()
-            try:
-                ad.zero_grads(tensors)
-                graph = Graph()
-                preds = forward_batch(graph, [train_encs[i] for i in batch], params,
-                                      cfg.model)
-                loss = mse_loss(graph, preds, [targets_norm[i] for i in batch])
-                t_backward = time.perf_counter()
-                ad.backward(graph, loss)
-            except NumericalError as err:
-                raise NumericalError(
-                    f"training aborted at epoch {epoch}, batch {batch_idx}: {err}") from err
-            t_update = time.perf_counter()
-            pre_norm = ad.clip_global_norm(tensors, cfg.clip_norm)
-            post_norm = ad.global_grad_norm(tensors) if pre_norm > cfg.clip_norm else pre_norm
-            max_norm = max(max_norm, post_norm)
-            for t in tensors:
-                t.values -= lr * t.grad
-            sq_sum += loss.item() * len(batch)
+    try:
+        for epoch in range(cfg.epochs):
+            t0 = time.perf_counter()
+            faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            lr = lr_at_epoch(cfg.lr0, cfg.decay, epoch)
+            order = rng.permutation(n)
+            sq_sum = 0.0
+            max_norm = 0.0
+            forward_s = backward_s = update_s = 0.0
+            for batch_idx, lo in enumerate(range(0, n, cfg.batch_size)):
+                batch = order[lo:lo + cfg.batch_size]
+                t_forward = time.perf_counter()
+                try:
+                    ad.zero_grads(tensors)
+                    graph = Graph()
+                    preds = forward_batch(graph, [train_encs[i] for i in batch], params,
+                                          cfg.model)
+                    loss = mse_loss(graph, preds, [targets_norm[i] for i in batch])
+                    t_backward = time.perf_counter()
+                    ad.backward(graph, loss)
+                except NumericalError as err:
+                    raise NumericalError(
+                        f"training aborted at epoch {epoch}, batch {batch_idx}: {err}") from err
+                t_update = time.perf_counter()
+                pre_norm = ad.clip_global_norm(tensors, cfg.clip_norm)
+                post_norm = ad.global_grad_norm(tensors) if pre_norm > cfg.clip_norm else pre_norm
+                max_norm = max(max_norm, post_norm)
+                for t in tensors:
+                    t.values -= lr * t.grad
+                sq_sum += loss.item() * len(batch)
+                t_done = time.perf_counter()
+                forward_s += t_backward - t_forward
+                backward_s += t_update - t_backward
+                update_s += t_done - t_update
+
+            t_eval = time.perf_counter()
+            val_report = evaluate(params, val_ds, normalizer, cfg.model, vocabulary, prop,
+                                  encodings=val_encs)
             t_done = time.perf_counter()
-            forward_s += t_backward - t_forward
-            backward_s += t_update - t_backward
-            update_s += t_done - t_update
+            report = EpochReport(epoch=epoch, lr=lr, train_mse=sq_sum / n,
+                                 val_mae=val_report.mae, grad_norm=max_norm,
+                                 seconds=t_done - t0,
+                                 minor_faults=resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                                 - faults0,
+                                 forward_s=forward_s, backward_s=backward_s, update_s=update_s,
+                                 eval_s=t_done - t_eval)
+            reports.append(report)
+            if epoch_callback is not None:
+                epoch_callback(report)
+            if report.val_mae < best_val:
+                best_val = report.val_mae
+                best_params = params.copy()
+                best_epoch = epoch
 
-        t_eval = time.perf_counter()
-        val_report = evaluate(params, val_ds, normalizer, cfg.model, vocabulary, prop,
-                              encodings=val_encs)
-        t_done = time.perf_counter()
-        report = EpochReport(epoch=epoch, lr=lr, train_mse=sq_sum / n,
-                             val_mae=val_report.mae, grad_norm=max_norm,
-                             seconds=t_done - t0,
-                             minor_faults=resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                             - faults0,
-                             forward_s=forward_s, backward_s=backward_s, update_s=update_s,
-                             eval_s=t_done - t_eval)
-        reports.append(report)
-        if epoch_callback is not None:
-            epoch_callback(report)
-        if report.val_mae < best_val:
-            best_val = report.val_mae
-            best_params = params.copy()
-            best_epoch = epoch
-
-    return TrainResult(final_params=params, best_params=best_params, best_epoch=best_epoch,
-                       best_val_mae=best_val, reports=reports, normalizer=normalizer,
-                       config=cfg, vocabulary=vocabulary)
+        return TrainResult(final_params=params, best_params=best_params, best_epoch=best_epoch,
+                           best_val_mae=best_val, reports=reports, normalizer=normalizer,
+                           config=cfg, vocabulary=vocabulary)
+    finally:
+        release_workspace()
 
 
 # ---------------------------------------------------------------------------

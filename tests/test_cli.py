@@ -6,6 +6,7 @@ import pytest
 
 from ggrnet.checkpoint import load_checkpoint
 from ggrnet.cli import main
+from ggrnet.data import sample_dataset_path
 from ggrnet.model import forward
 
 BASE_CONFIG = """
@@ -157,8 +158,6 @@ def test_bad_run_or_thread_count_is_one_line_exit_2(tmp_path, capsys, source, ke
 
 @pytest.mark.parametrize("command", ["eval", "predict", "gradcheck"])
 def test_negative_threads_flag_is_one_line_exit_2(trained_run, capsys, command):
-    from ggrnet.data import sample_dataset_path
-
     args = {"eval": ["eval", str(trained_run / "best.ckpt"), "--config",
                      str(trained_run / "manifest.cfg")],
             "predict": ["predict", str(trained_run / "best.ckpt"), str(sample_dataset_path())],
@@ -231,8 +230,6 @@ def test_eval_needs_source(trained_run):
 
 
 def test_eval_partition_without_config_is_one_line_exit_2(trained_run, capsys):
-    from ggrnet.data import sample_dataset_path
-
     rc = main(["eval", str(trained_run / "best.ckpt"), "--data", str(sample_dataset_path()),
                "--schema", "builtin:sample", "--partition", "val"])
     assert rc == 2
@@ -241,15 +238,21 @@ def test_eval_partition_without_config_is_one_line_exit_2(trained_run, capsys):
     assert captured.err == "error: eval --partition needs --config\n"
 
 
-def test_eval_data_beside_config_is_one_line_exit_2(trained_run, capsys):
-    from ggrnet.data import sample_dataset_path
+ONLY_WITH_DATA = "eval --schema and --format go with --data, not --config"
 
+
+@pytest.mark.parametrize("extra, message", [
+    (["--data", str(sample_dataset_path())], "eval takes --config or --data, not both"),
+    (["--schema", "builtin:nonexistent"], ONLY_WITH_DATA),
+    (["--format", "tabular"], ONLY_WITH_DATA),
+], ids=["data", "schema", "format"])
+def test_eval_data_beside_config_is_one_line_exit_2(trained_run, capsys, extra, message):
     rc = main(["eval", str(trained_run / "best.ckpt"), "--config",
-               str(trained_run / "manifest.cfg"), "--data", str(sample_dataset_path())])
+               str(trained_run / "manifest.cfg"), *extra])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: eval takes --config or --data, not both\n"
+    assert captured.err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +284,6 @@ def _faulty_schema(tmp_path, fault):
 @pytest.mark.parametrize("entry", ["predict --schema", "eval --schema", "dataset.schema"])
 @pytest.mark.parametrize("fault", list(SCHEMA_FAULTS))
 def test_unusable_schema_is_one_line_exit_2(trained_run, tmp_path, capsys, entry, fault):
-    from ggrnet.data import sample_dataset_path
-
     schema = _faulty_schema(tmp_path, fault)
     ckpt = str(trained_run / "best.ckpt")
     if entry == "predict --schema":
@@ -336,8 +337,6 @@ def test_thread_cap_warns_without_blas_control(monkeypatch, capsys):
 
 
 def test_predict_deterministic_lines(trained_run, tmp_path, capsys):
-    from ggrnet.data import sample_dataset_path
-
     rc = main(["predict", str(trained_run / "best.ckpt"), str(sample_dataset_path())])
     assert rc == 0
     first = capsys.readouterr().out.splitlines()
@@ -351,7 +350,7 @@ def test_predict_deterministic_lines(trained_run, tmp_path, capsys):
 
 
 def test_predict_equals_per_molecule_forward(trained_run, capsys):
-    from ggrnet.data import parse_extended_xyz_records, sample_dataset_path
+    from ggrnet.data import parse_extended_xyz_records
 
     assert main(["predict", str(trained_run / "best.ckpt"), str(sample_dataset_path())]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -414,7 +413,7 @@ def test_predict_holds_one_chunk_of_molecules_at_a_time(trained_run, tmp_path, c
     import weakref
 
     import ggrnet.cli as cli
-    from ggrnet.data import iter_extended_xyz_records, sample_dataset_path
+    from ggrnet.data import iter_extended_xyz_records
     from ggrnet.training import PREDICT_CHUNK
 
     molecules = tmp_path / "many.xyz"
@@ -440,8 +439,6 @@ def test_predict_holds_one_chunk_of_molecules_at_a_time(trained_run, tmp_path, c
 
 def test_predict_prints_earlier_chunks_before_a_malformed_record(trained_run, tmp_path,
                                                                  capsys):
-    from ggrnet.data import sample_dataset_path
-
     good = sample_dataset_path().read_text() * 2
     molecules = tmp_path / "late.xyz"
     molecules.write_text(good + "2\nbroken\nC 0 0 0\n")

@@ -105,27 +105,15 @@ def test_biases_start_zero():
 # message step
 
 
-def step_inputs(params, cfg, molecules):
-    """``x``, ``count`` and ``inv_dist`` of :func:`message_step` for a batch,
-    built from the parameter tables directly; switched-off features are
-    ``None``."""
-    idx = [VOCAB.index(s) for mol in molecules for s in mol.symbols]
-    rows = [min(mol.natoms, params.max_atom_count) - 1 for mol in molecules]
-    x = ad.constant(params.atom_embedding.values[idx].T) if cfg.use_atom_embedding else None
-    count = (ad.constant(np.repeat(params.count_embedding.values[rows].T,
-                                   [mol.natoms for mol in molecules], axis=1))
-             if cfg.use_count_feature else None)
-    inv_dist = ([MoleculeEncoding(mol, VOCAB, cfg).inv_dist for mol in molecules]
-                if cfg.use_distance_feature else None)
-    return x, count, inv_dist
+def encode(cfg, molecules):
+    return [MoleculeEncoding(mol, VOCAB, cfg) for mol in molecules]
 
 
 def run_step(params, cfg, mol, state_values):
     """One recursion step of :func:`message_step` (``steps=1``) on ``mol`` as a
     batch of one."""
-    x, count, inv_dist = step_inputs(params, cfg, [mol])
-    return message_step(None, params, replace(cfg, steps=1), x, ad.constant(state_values),
-                        count, [mol.natoms], inv_dist).values
+    return message_step(None, params, replace(cfg, steps=1), encode(cfg, [mol]),
+                        state_values).values
 
 
 def _message_oracle(params, cfg, inp_vec):
@@ -197,9 +185,10 @@ def test_message_scalar_hand_case():
     params = init_params(cfg, 2, 4, seed=0)
     params.gate_weight.values[:] = 1.0
     params.candidate_weight.values[:] = 1.0
-    out = message_step(None, params, cfg, ad.constant([[1.0, 1.0]]),
-                       ad.constant([[0.0, 0.0]]), ad.constant([[1.0, 1.0]]),
-                       [2], [np.array([[0.0, 0.5], [0.5, 0.0]])])
+    params.atom_embedding.values[:] = 1.0
+    params.count_embedding.values[:] = 1.0
+    mol = Molecule("m", ("H", "C"), np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]), {})
+    out = message_step(None, params, cfg, encode(cfg, [mol]))
     expected = (1.0 / (1.0 + math.exp(-3.5))) * math.tanh(3.5) / 2
     assert out.values[0, 0] == pytest.approx(expected, abs=1e-15)
     assert out.values[0, 1] == pytest.approx(expected, abs=1e-15)
@@ -420,15 +409,19 @@ def test_ablations_keep_shapes_and_match_oracle(flag):
     assert abs(got - want) < 1e-10
 
 
-@pytest.mark.parametrize("steps", [1, 2, 5])
-def test_forward_gradients_match_finite_differences(steps):
+# the last case's 7- and 8-atom molecules share the clamped last row of the
+# 6-row count table, so its gradient sums over both
+@pytest.mark.parametrize("steps, sizes", [(1, (2, 4, 5)), (2, (2, 4, 5)), (5, (2, 4, 5)),
+                                          (2, (2, 7, 8))],
+                         ids=["1", "2", "5", "2-clamped"])
+def test_forward_gradients_match_finite_differences(steps, sizes):
     cfg = ModelConfig(atom_dim=3, count_dim=2, hidden_dim=4, mlp_dim=4, steps=steps)
     params = init_params(cfg, len(VOCAB), 6, seed=4)
     # move MLP biases off zero so no ReLU pre-activation sits on the kink
     rng = np.random.default_rng(15)
     for _, b in params.mlp:
         b.values[:] = rng.uniform(-0.3, 0.3, size=b.shape)
-    molecules = random_molecules(16, 3, sizes=(2, 4, 5), elements=VOCAB)
+    molecules = random_molecules(16, 3, sizes=sizes, elements=VOCAB)
     report = gradient_check(params, cfg, molecules, [0.3, -0.2, 0.9], VOCAB)
     assert report.max_error < 1e-5, report
     if steps == 1:
@@ -488,14 +481,28 @@ def test_non_finite_gradient_names_the_molecule_and_step():
     params.candidate_weight.values[:, half + cfg.atom_dim:2 * half] = 1.0
     molecules = [Molecule("lone", ("C",), np.zeros((1, 3)), {}),
                  random_molecule(np.random.default_rng(26), 2, elements=VOCAB, mol_id="pair")]
-    x, count, inv_dist = step_inputs(params, cfg, molecules)
     graph = ad.Graph()
-    out = message_step(graph, params, cfg, x, ad.constant(np.zeros((cfg.hidden_dim, 3))),
-                       count, [1, 2], inv_dist, ["lone", "pair"])
+    out = message_step(graph, params, cfg, encode(cfg, molecules))
     huge = ad.constant(np.full((1, cfg.hidden_dim), 1e308))
     loss = ad.matmul(graph, ad.matmul(graph, huge, out), ad.constant(np.ones((3, 1))))
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalError, match=r"^molecule pair, step 1: non-finite gradient "
+                                                r"in backward rule of op 'message_step'$"):
+        ad.backward(graph, loss)
+
+
+def test_non_finite_embedding_gradient_names_the_table():
+    # zero count embeddings keep huge count-weight columns out of the forward,
+    # but the table's gradient passes through them and overflows
+    params = small_params(seed=32)
+    params.count_embedding.values[:] = 0.0
+    cnt = 2 * (SMALL.atom_dim + SMALL.hidden_dim)
+    params.gate_weight.values[:, cnt:cnt + SMALL.count_dim] = 1e308
+    _, encodings = mixed_batch(SMALL, seed=33)
+    graph = ad.Graph()
+    loss = mse_loss(graph, forward_batch(graph, encodings, params, SMALL), [1e10] * 4)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match=r"^non-finite gradient of 'count_embedding' "
                                                 r"in backward rule of op 'message_step'$"):
         ad.backward(graph, loss)
 
@@ -633,17 +640,17 @@ def test_step_gradients_from_a_non_zero_state():
     params = small_params(seed=27)
     rng = np.random.default_rng(28)
     molecules = random_molecules(29, 2, sizes=(3, 4), elements=VOCAB)
-    x, count, inv_dist = step_inputs(params, cfg, molecules)
-    state = ad.constant(rng.normal(size=(cfg.hidden_dim, 7)))
+    encodings = encode(cfg, molecules)
+    state = rng.normal(size=(cfg.hidden_dim, 7))
     left = ad.constant(rng.normal(size=(1, cfg.hidden_dim)))
     right = ad.constant(rng.normal(size=(7, 1)))
 
     def loss(graph):
-        out = message_step(graph, params, cfg, x, state, count, [3, 4], inv_dist)
+        out = message_step(graph, params, cfg, encodings, state)
         return ad.matmul(graph, ad.matmul(graph, left, out), right)
 
-    tensors = [params.gate_weight, params.gate_bias, params.candidate_weight,
-               params.candidate_bias]
+    tensors = [params.atom_embedding, params.count_embedding, params.gate_weight,
+               params.gate_bias, params.candidate_weight, params.candidate_bias]
     ad.zero_grads(tensors)
     graph = ad.Graph()
     ad.backward(graph, loss(graph))

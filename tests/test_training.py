@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,22 @@ def test_non_finite_step_names_epoch_batch_molecule_and_step(comp_splits):
             pytest.raises(NumericalError, match=r"^training aborted at epoch 0, batch \d+: "
                                                 r"molecule dup, step 0: .*'message_step'"):
         train(bad, va, cfg)
+
+
+def test_train_drops_the_recursion_workspace():
+    # the workspace is kept between batches but not beyond the run: once
+    # train returns, what stays allocated is far less than one batch's grids
+    ds = geometric_dataset(4, seed=71, n_atoms=(20, 29))
+    cfg = quick_config(target_property="energy", epochs=1, model=ModelConfig(steps=2))
+    tracemalloc.start()
+    try:
+        result = train(ds, ds, cfg)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    grid_bytes = (2 * cfg.model.steps * sum(m.natoms ** 2 for m in ds)
+                  * cfg.model.hidden_dim * 8)
+    assert result.reports and current < grid_bytes, (current, grid_bytes)
 
 
 def test_predict_chunks_keep_order_and_values():
