@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
-import itertools
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,7 +22,7 @@ from .data import DATASET_FORMATS, Dataset, iter_extended_xyz_records, load_data
 from .errors import (CheckpointError, ConfigError, DataError, NumericalError, ParseError,
                      VocabularyError)
 from .gradcheck import DEFAULT_CHECK_CONFIG, run_gradcheck
-from .training import ABLATION_FLAGS, PREDICT_CHUNK, evaluate, predict, run_ablation, train
+from .training import ABLATION_FLAGS, evaluate, predict, run_ablation, train
 
 __all__ = ["main", "entrypoint", "build_parser"]
 
@@ -83,8 +83,6 @@ def _load_spec_dataset(spec: RunSpec) -> Dataset:
 
 def _checked_target(spec: RunSpec, ds: Dataset) -> str:
     target = spec["target"]
-    if not target:
-        raise ConfigError("config key 'target' is required")
     if target not in ds.property_names:
         raise DataError(f"target '{target}' not among dataset properties {ds.property_names}")
     return target
@@ -106,29 +104,49 @@ def _flag_overrides(args) -> list[str]:
     return overrides
 
 
+def _training_spec(args) -> RunSpec:
+    """The run spec of train and ablate, its ``target``, ``train.*``, ``model.*``
+    and ``split.*`` values checked before any work starts."""
+    spec = load_run_spec(args.config, _flag_overrides(args))
+    spec.train_config()
+    spec.split_spec()
+    return spec
+
+
+def _out_dir(path) -> Path:
+    """An ``--out`` directory, made now, so that a path that cannot be one
+    fails before any work starts."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"--out '{path}': cannot make a directory: {err.strerror}") from err
+    return out
+
+
 def _write_text(path: Path, text: str) -> None:
     with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
 def _cmd_train(args) -> int:
-    spec = load_run_spec(args.config, _flag_overrides(args))
+    spec = _training_spec(args)
+    out = _out_dir(args.out)
+    runs = spec["run.runs"]
+    run_dirs = [out] if runs == 1 else [_out_dir(out / f"run{r}") for r in range(runs)]
     with _thread_cap(spec["run.threads"]) as blas_threads:
-        return _run_training(spec, Path(args.out), blas_threads)
+        return _run_training(spec, out, run_dirs, blas_threads)
 
 
-def _run_training(spec: RunSpec, out: Path, blas_threads: int | None) -> int:
+def _run_training(spec: RunSpec, out: Path, run_dirs: list[Path],
+                  blas_threads: int | None) -> int:
     ds = _load_spec_dataset(spec)
     target = _checked_target(spec, ds)
     unit = ds.units.get(target, "")
-    out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "manifest.cfg", spec.manifest_text())
 
-    runs = spec["run.runs"]
     run_infos = []
-    for r in range(runs):
-        run_dir = out if runs == 1 else out / f"run{r}"
-        run_dir.mkdir(parents=True, exist_ok=True)
+    for r, run_dir in enumerate(run_dirs):
         split_offset = r if spec["run.resplit"] else 0
         train_ds, val_ds, test_ds = split(ds, spec.split_spec(split_offset))
         cfg = spec.train_config(seed_offset=r)
@@ -229,14 +247,12 @@ def _cmd_predict(args) -> int:
         raise DataError(f"molecule file not found: {path}")
     schema = resolve_schema(args.schema)
     with _thread_cap(args.threads), open(path, "rb") as fh:
-        # each chunk is read, predicted and printed before the next is read,
-        # so memory does not grow with the file
+        # predict reads, predicts and prints one chunk before it reads the
+        # next, so memory does not grow with the file
         molecules = iter_extended_xyz_records(fh, schema, ckpt.vocabulary)
-        while chunk := list(itertools.islice(molecules, PREDICT_CHUNK)):
-            values = predict(ckpt.params, chunk, ckpt.config, ckpt.vocabulary, ckpt.normalizer)
-            lines = (f"{mol.mol_id}\t{value!r}\n" for mol, value in zip(chunk, values.tolist()))
-            print("".join(lines), end="", flush=True)
-            del chunk                             # before the next chunk is read
+        for mol, value in predict(ckpt.params, molecules, ckpt.config, ckpt.vocabulary,
+                                  ckpt.normalizer):
+            print(f"{mol.mol_id}\t{value!r}", flush=True)
     return 0
 
 
@@ -245,9 +261,18 @@ _CHECK_SIZES = ("atom_dim", "count_dim", "hidden_dim", "mlp_dim", "steps")
 
 
 def _cmd_gradcheck(args) -> int:
-    atom_counts = [int(tok) for tok in args.atoms.split(",") if tok.strip()]
+    try:
+        atom_counts = [int(tok) for tok in args.atoms.split(",") if tok.strip()]
+    except ValueError:
+        atom_counts = []
     if not atom_counts or min(atom_counts) < 1:
         raise ConfigError(f"--atoms must list positive atom counts, got '{args.atoms}'")
+    for flag, ok, bound in (("seed", args.seed >= 0, ">= 0"), ("seeds", args.seeds >= 1, ">= 1"),
+                            ("fd_step", 0 < args.fd_step < math.inf, "finite and > 0"),
+                            ("threshold", args.threshold > 0, "> 0")):
+        if not ok:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be {bound}, "
+                              f"got {getattr(args, flag)}")
     cfg = replace(DEFAULT_CHECK_CONFIG, **{name: getattr(args, name) for name in _CHECK_SIZES})
     with _thread_cap(args.threads):
         reports = run_gradcheck(seed=args.seed, seeds=args.seeds, atom_counts=atom_counts,
@@ -265,7 +290,8 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    spec = load_run_spec(args.config, _flag_overrides(args))
+    spec = _training_spec(args)
+    out = _out_dir(args.out) if args.out else None
     which = list(ABLATION_FLAGS) if args.which == "all" else [args.which]
 
     with _thread_cap(spec["run.threads"]):
@@ -283,9 +309,7 @@ def _cmd_ablate(args) -> int:
     print("variant\tval_mae\ttest_mae")
     for row in rows:
         print(f"{row.name}\t{row.val_mae!r}\t{row.test_mae!r}")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         _write_text(out / "manifest.cfg", spec.manifest_text())
         payload = [{"variant": row.name, "val_mae": row.val_mae, "test_mae": row.test_mae}
                    for row in rows]

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, ParseError, VocabularyError
+from .errors import ConfigError, DataError, ParseError, VocabularyError
 
 __all__ = [
     "DEFAULT_ELEMENTS",
@@ -153,9 +153,12 @@ class SplitSpec:
     def __post_init__(self):
         for name, r in (("train", self.train), ("val", self.val), ("test", self.test)):
             if not (0.0 < r < 1.0):
-                raise DataError(f"split ratio '{name}' must be in (0, 1), got {r}")
+                raise ConfigError(f"split.{name} must be in (0, 1), got {r}")
         if abs(self.train + self.val + self.test - 1.0) > 1e-12:
-            raise DataError(f"split ratios must sum to 1, got {self.train + self.val + self.test}")
+            raise ConfigError(f"split.train, split.val and split.test must sum to 1, "
+                              f"got {self.train + self.val + self.test}")
+        if not self.seed >= 0:
+            raise ConfigError(f"split.seed must be >= 0, got {self.seed}")
 
 
 def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
@@ -360,16 +363,13 @@ def _parse_xyz_record(lines: Iterator[str], start: int, count_line: str,
 
 def parse_extended_xyz(text, schema: CommentSchema | None = None,
                        vocabulary: Sequence[str] = DEFAULT_ELEMENTS) -> Molecule:
-    """Parse a single molecule from the top of an extended-XYZ stream.
+    """Parse the first record of an extended-XYZ text, as
+    :func:`iter_extended_xyz_records` does.
 
-    Content after the declared atom lines (vibrational data, string
+    Content after its declared atom lines (vibrational data, string
     identifiers, and similar trailers) is ignored.
     """
-    lines = list(_text_lines([text]))
-    if not any(line.strip() for line in lines):
-        raise ParseError("line 1: empty input")
-    rest = iter(lines)
-    return _parse_xyz_record(rest, 1, next(rest), schema, vocabulary, fallback_id="mol0")
+    return next(iter_extended_xyz_records([text], schema, vocabulary))
 
 
 def iter_extended_xyz_records(chunks: Iterable[str | bytes], schema: CommentSchema | None = None,
@@ -487,7 +487,14 @@ def load_dataset(path, fmt: str = "auto", schema: CommentSchema | None = None,
         files = sorted(p for p in path.iterdir() if p.suffix.lower() == ".xyz")
         if not files:
             raise DataError(f"no .xyz files under directory {path}")
-        molecules = [parse_extended_xyz(p.read_bytes(), schema, vocabulary) for p in files]
+        molecules = []
+        for p in files:
+            try:
+                molecules.append(parse_extended_xyz(p.read_bytes(), schema, vocabulary))
+            except OSError as err:
+                raise DataError(f"{p.name}: cannot read: {err.strerror}") from err
+            except (ParseError, VocabularyError, DataError) as err:
+                raise type(err)(f"{p.name}: {err}") from err
     else:
         if fmt == "auto":
             fmt = "tabular" if path.suffix.lower() in (".csv", ".tsv") else "xyz"

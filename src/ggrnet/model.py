@@ -95,7 +95,7 @@ class ModelConfig:
         for name in ("atom_dim", "count_dim", "hidden_dim", "mlp_dim", "steps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"model.{name} must be >= 1, got {getattr(self, name)}")
-        if self.distance_epsilon <= 0:
+        if not self.distance_epsilon > 0:             # NaN fails too
             raise ConfigError(f"model.distance_epsilon must be > 0, got {self.distance_epsilon}")
 
     @property
@@ -574,7 +574,6 @@ def forward_batch(graph: Graph | None, encodings: Sequence[MoleculeEncoding],
 
 
 def forward(graph: Graph | None, molecule: Molecule, params: ModelParams, cfg: ModelConfig,
-            vocabulary: Sequence[str], encoding: MoleculeEncoding | None = None) -> Tensor:
-    """Full prediction ``[1, 1]`` for one molecule: a batch of one."""
-    enc = encoding or MoleculeEncoding(molecule, vocabulary, cfg)
-    return forward_batch(graph, [enc], params, cfg)
+            vocabulary: Sequence[str]) -> Tensor:
+    """Full prediction ``[1, 1]`` for one molecule: a batch of one, encoded here."""
+    return forward_batch(graph, [MoleculeEncoding(molecule, vocabulary, cfg)], params, cfg)

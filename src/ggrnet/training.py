@@ -9,17 +9,18 @@ and the best-validation parameter snapshot is kept alongside the final one.
 from __future__ import annotations
 
 import itertools
+import math
 import resource
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Graph, Tensor
 from .data import Dataset, Molecule, Normalizer, fit_normalizer
-from .errors import DataError, NumericalError, ShapeError
+from .errors import ConfigError, DataError, NumericalError, ShapeError
 from .model import (ModelConfig, ModelParams, MoleculeEncoding, forward_batch, init_params,
                     release_workspace)
 
@@ -39,7 +40,7 @@ __all__ = [
     "run_ablation",
 ]
 
-# molecules per forward pass in predict/evaluate: a no-grad pass builds each
+# molecules per forward pass of predict: a no-grad pass builds each
 # molecule's message grids in turn into the same two workspace slots, sized
 # for the chunk's largest molecule, so memory grows with the chunk only
 # through its [ΣN, 4 hidden] terms and [hidden, ΣN] states
@@ -66,16 +67,16 @@ class TrainConfig:
 
     def __post_init__(self):
         if not self.target_property:
-            raise DataError("target_property must be set")
-        if self.lr0 <= 0:
-            raise DataError(f"lr0 must be > 0, got {self.lr0}")
-        if self.decay < 0:
-            raise DataError(f"decay must be >= 0, got {self.decay}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise DataError(f"epochs and batch_size must be >= 1, "
-                            f"got {self.epochs} and {self.batch_size}")
-        if self.clip_norm <= 0:
-            raise DataError(f"clip_norm must be > 0, got {self.clip_norm}")
+            raise ConfigError("config key 'target' is required")
+        # each check fails on NaN
+        for name, ok, bound in (("lr0", 0 < self.lr0 < math.inf, "finite and > 0"),
+                                ("decay", self.decay >= 0, ">= 0"),
+                                ("epochs", self.epochs >= 1, ">= 1"),
+                                ("batch_size", self.batch_size >= 1, ">= 1"),
+                                ("clip_norm", self.clip_norm > 0, "> 0"),
+                                ("seed", self.seed >= 0, ">= 0")):
+            if not ok:
+                raise ConfigError(f"train.{name} must be {bound}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -142,37 +143,35 @@ def mae(pred: Sequence[float], target: Sequence[float]) -> float:
     return float(np.mean(np.abs(pred - target)))
 
 
-def predict(params: ModelParams, molecules: Sequence[Molecule], cfg: ModelConfig,
-            vocabulary: Sequence[str], normalizer: Normalizer | None = None,
-            encodings: Sequence[MoleculeEncoding] | None = None) -> np.ndarray:
-    """Model outputs for every molecule, in order, without recording any graph;
-    one forward pass per :data:`PREDICT_CHUNK` molecules, each chunk encoded
-    only when it is reached.
-
-    Returns normalized-space values unless a normalizer is given, in which
-    case predictions are inverse-transformed to original units.
-    """
-    if encodings is None:
-        encodings = (MoleculeEncoding(m, vocabulary, cfg) for m in molecules)
-    pending, raw = iter(encodings), []
+def predict(params: ModelParams, molecules: Iterable[Molecule], cfg: ModelConfig,
+            vocabulary: Sequence[str],
+            normalizer: Normalizer | None = None) -> Iterator[tuple[Molecule, float]]:
+    """``(molecule, value)`` pairs in order, each value a Python float, without
+    recording any graph: one forward pass per :data:`PREDICT_CHUNK` molecules,
+    each chunk read and encoded when reached and dropped before the next is
+    read. Values are in original units when a normalizer is given."""
+    pending = iter(molecules)
     while chunk := list(itertools.islice(pending, PREDICT_CHUNK)):
-        raw.extend(forward_batch(None, chunk, params, cfg).values[0])
-    raw = np.array(raw)
-    return normalizer.invert(raw) if normalizer is not None else raw
+        encodings = [MoleculeEncoding(m, vocabulary, cfg) for m in chunk]
+        values = forward_batch(None, encodings, params, cfg).values[0]
+        if normalizer is not None:
+            values = normalizer.invert(values)
+        yield from zip(chunk, values.tolist())
+        del chunk, encodings                      # before the next chunk is read
 
 
 def evaluate(params: ModelParams, ds: Dataset, normalizer: Normalizer, cfg: ModelConfig,
              vocabulary: Sequence[str], target_property: str,
-             with_residuals: bool = False,
-             encodings: Sequence[MoleculeEncoding] | None = None) -> EvalReport:
-    """MAE over a dataset in original target units. Pure: mutates nothing."""
+             with_residuals: bool = False) -> EvalReport:
+    """MAE over a dataset in original target units, from the values of
+    :func:`predict`. Pure: mutates nothing."""
     if len(ds) == 0:
         raise DataError("cannot evaluate on an empty dataset")
     if list(ds.element_vocabulary) != list(vocabulary):
         raise DataError(f"vocabulary mismatch: dataset has {ds.element_vocabulary}, "
                         f"model expects {list(vocabulary)}")
     targets = ds.target_values(target_property)
-    preds = predict(params, ds, cfg, vocabulary, normalizer, encodings)
+    preds = np.array([value for _, value in predict(params, ds, cfg, vocabulary, normalizer)])
     residuals = tuple(float(r) for r in (preds - targets)) if with_residuals else None
     return EvalReport(property_name=target_property, n=len(ds), mae=mae(preds, targets),
                       residuals=residuals)
@@ -198,7 +197,6 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
     tensors = params.tensors()
 
     train_encs = [MoleculeEncoding(m, vocabulary, cfg.model) for m in train_ds]
-    val_encs = [MoleculeEncoding(m, vocabulary, cfg.model) for m in val_ds]
     targets_norm = [normalizer.normalize(m.targets[prop]) for m in train_ds]
 
     n = len(train_ds)
@@ -244,8 +242,7 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
                 update_s += t_done - t_update
 
             t_eval = time.perf_counter()
-            val_report = evaluate(params, val_ds, normalizer, cfg.model, vocabulary, prop,
-                                  encodings=val_encs)
+            val_report = evaluate(params, val_ds, normalizer, cfg.model, vocabulary, prop)
             t_done = time.perf_counter()
             report = EpochReport(epoch=epoch, lr=lr, train_mse=sq_sum / n,
                                  val_mae=val_report.mae, grad_norm=max_norm,

@@ -1,4 +1,4 @@
-"""Straight-line reference forward pass for oracle comparisons.
+"""Straight-line reference recursion step and forward pass for oracle comparisons.
 
 Pure Python floats, lists, and explicit pair loops; shares no code path
 with the vectorized implementation it is used to check.
@@ -13,7 +13,10 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def straightline_forward(molecule, params, cfg, vocabulary) -> float:
+def straightline_step(molecule, params, cfg, vocabulary, h) -> list[list[float]]:
+    """Next hidden state of every atom from ``h`` (one list per atom): the mean
+    over all ``n`` atoms of the messages each receives from the other atoms.
+    A switched-off feature enters as zeros."""
     n = molecule.natoms
     hidden = cfg.hidden_dim
     vocab_index = {s: i for i, s in enumerate(vocabulary)}
@@ -42,24 +45,30 @@ def straightline_forward(molecule, params, cfg, vocabulary) -> float:
         dz = coords[v][2] - coords[w][2]
         return 1.0 / max(math.sqrt(dx * dx + dy * dy + dz * dz), cfg.distance_epsilon)
 
+    nxt = []
+    for v in range(n):
+        acc = [0.0] * hidden
+        for w in range(n):
+            if w == v:
+                continue
+            inp = atom_vecs[v] + h[v] + atom_vecs[w] + h[w] + count_vec + [inv_dist(v, w)]
+            for i in range(hidden):
+                p = gate_b[i]
+                q = cand_b[i]
+                for j, xj in enumerate(inp):
+                    p += gate_w[i][j] * xj
+                    q += cand_w[i][j] * xj
+                acc[i] += _sigmoid(p) * math.tanh(q)
+        nxt.append([a / n for a in acc])
+    return nxt
+
+
+def straightline_forward(molecule, params, cfg, vocabulary) -> float:
+    n = molecule.natoms
+    hidden = cfg.hidden_dim
     h = [[0.0] * hidden for _ in range(n)]
     for _ in range(cfg.steps):
-        nxt = []
-        for v in range(n):
-            acc = [0.0] * hidden
-            for w in range(n):
-                if w == v:
-                    continue
-                inp = atom_vecs[v] + h[v] + atom_vecs[w] + h[w] + count_vec + [inv_dist(v, w)]
-                for i in range(hidden):
-                    p = gate_b[i]
-                    q = cand_b[i]
-                    for j, xj in enumerate(inp):
-                        p += gate_w[i][j] * xj
-                        q += cand_w[i][j] * xj
-                    acc[i] += _sigmoid(p) * math.tanh(q)
-            nxt.append([a / n for a in acc])
-        h = nxt
+        h = straightline_step(molecule, params, cfg, vocabulary, h)
 
     vec = [sum(h[v][i] for v in range(n)) / n for i in range(hidden)]
     last = len(params.mlp) - 1

@@ -2,11 +2,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ggrnet.checkpoint import load_checkpoint
 from ggrnet.cli import main
-from ggrnet.data import sample_dataset_path
+from ggrnet.config import resolve_schema
+from ggrnet.data import Molecule, load_dataset, sample_dataset_path
 from ggrnet.model import forward
 
 BASE_CONFIG = """
@@ -118,8 +120,6 @@ def test_train_missing_config_file(tmp_path, capsys):
 
 
 def test_train_numerical_abort_exit_code(config_file, tmp_path, capsys):
-    import numpy as np
-
     out = tmp_path / "diverge"
     with np.errstate(over="ignore", invalid="ignore"):
         rc = main(["train", "--config", str(config_file), "--out", str(out),
@@ -154,6 +154,50 @@ def test_bad_run_or_thread_count_is_one_line_exit_2(tmp_path, capsys, source, ke
     err = capsys.readouterr().err
     assert err.startswith(f"error: config key '{key}'") and err.count("\n") == 1, err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("extra, key", [
+    (["--set", "train.lr0=-1"], "train.lr0"),
+    (["--set", "train.lr0=nan"], "train.lr0"),
+    (["--set", "train.lr0=inf"], "train.lr0"),
+    (["--set", "train.decay=nan"], "train.decay"),
+    (["--set", "train.decay=-0.5"], "train.decay"),
+    (["--set", "train.clip_norm=nan"], "train.clip_norm"),
+    (["--set", "train.clip_norm=0"], "train.clip_norm"),
+    (["--set", "train.batch_size=0"], "train.batch_size"),
+    (["--set", "train.epochs=0"], "train.epochs"),
+    (["--set", "train.seed=-1"], "train.seed"),
+    (["--seed", "-5"], "train.seed"),
+    (["--set", "split.train=0.9"], "split.train, split.val and split.test"),
+    (["--set", "split.val=nan"], "split.val"),
+    (["--set", "split.test=0"], "split.test"),
+    (["--set", "split.seed=-1"], "split.seed"),
+    (["--set", "model.distance_epsilon=nan"], "model.distance_epsilon"),
+    (["--set", "model.steps=0"], "model.steps"),
+    (["--set", "target="], "config key 'target'"),
+])
+def test_out_of_range_setting_is_one_line_exit_2_naming_its_key(config_file, tmp_path, capsys,
+                                                                extra, key):
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(config_file), "--out", str(out), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_train_resplit_steps_the_split_seed(config_file, tmp_path):
+    runs = {}
+    for name, extra in (("same", []), ("resplit", ["--resplit"])):
+        out = tmp_path / name
+        assert main(["train", "--config", str(config_file), "--out", str(out),
+                     "--epochs", "1", "--runs", "2", *extra]) == 0
+        runs[name] = json.loads((out / "report.json").read_text())["runs"]
+    assert [run["split_seed"] for run in runs["same"]] == [7, 7]
+    assert [run["split_seed"] for run in runs["resplit"]] == [7, 8]
+    assert [run["seed"] for run in runs["resplit"]] == [1, 2]
+    # the first run is the same run either way; the second trains on another split
+    assert runs["resplit"][0] == runs["same"][0]
+    assert runs["resplit"][1]["test_mae_best"] != runs["same"][1]["test_mae_best"]
 
 
 @pytest.mark.parametrize("command", ["eval", "predict", "gradcheck"])
@@ -198,6 +242,40 @@ def test_eval_matches_train_report(trained_run, capsys):
         payload = json.loads(capsys.readouterr().out)
         assert payload["mae"] == report["runs"][0][key]
         assert payload["property"] == "energy"
+
+
+def test_eval_residuals_are_prediction_minus_target(trained_run, capsys):
+    ckpt = str(trained_run / "best.ckpt")
+    assert main(["eval", ckpt, "--data", str(sample_dataset_path()), "--schema",
+                 "builtin:sample", "--residuals"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert main(["predict", ckpt, str(sample_dataset_path())]) == 0
+    preds = [float(line.split("\t")[1]) for line in capsys.readouterr().out.splitlines()]
+    targets = load_dataset(sample_dataset_path(), "xyz",
+                           resolve_schema("builtin:sample")).target_values("energy")
+    assert set(payload) == {"property", "unit", "n", "mae", "residuals"}
+    assert payload["n"] == len(payload["residuals"]) == 10
+    assert payload["residuals"] == [p - t for p, t in zip(preds, targets)]
+    assert payload["mae"] == pytest.approx(
+        sum(map(abs, payload["residuals"])) / 10, rel=1e-12)
+
+
+@pytest.mark.parametrize("suffix, delimiter", [(".csv", ","), (".tsv", "\t")])
+def test_eval_reads_a_tabular_file_by_its_suffix(trained_run, tmp_path, capsys, suffix,
+                                                 delimiter):
+    ds = load_dataset(sample_dataset_path(), "xyz", resolve_schema("builtin:sample"))
+    rows = [["id", "atoms", "coords", "energy"]] + [
+        [m.mol_id, " ".join(m.symbols), " ".join(repr(c) for c in m.coords.ravel().tolist()),
+         repr(m.targets["energy"])] for m in ds]
+    table = tmp_path / f"sample{suffix}"
+    table.write_text("".join(delimiter.join(row) + "\n" for row in rows))
+    ckpt = str(trained_run / "best.ckpt")
+    assert main(["eval", ckpt, "--data", str(table)]) == 0
+    from_table = json.loads(capsys.readouterr().out)
+    assert main(["eval", ckpt, "--data", str(sample_dataset_path()),
+                 "--schema", "builtin:sample"]) == 0
+    from_xyz = json.loads(capsys.readouterr().out)
+    assert from_table["n"] == 10 and from_table["mae"] == from_xyz["mae"]
 
 
 def test_eval_corrupted_checkpoint(trained_run, tmp_path, capsys):
@@ -372,24 +450,14 @@ def test_predict_single_atom_is_offset_only(trained_run, tmp_path, capsys):
     f2 = tmp_path / "two.xyz"
     f2.write_text("1\nb\nO 5.0 -3.0 2.0\n")
     ckpt = load_checkpoint(trained_run / "best.ckpt")
+    carbon = Molecule("x", ("C",), np.zeros((1, 3)), {})
     expected = ckpt.normalizer.invert(
-        forward(None, None, ckpt.params, ckpt.config, ckpt.vocabulary,
-                encoding=_single_atom_encoding(ckpt)).item())
+        forward(None, carbon, ckpt.params, ckpt.config, ckpt.vocabulary).item())
     values = []
     for f in (f1, f2):
         assert main(["predict", str(trained_run / "best.ckpt"), str(f)]) == 0
         values.append(float(capsys.readouterr().out.split("\t")[1]))
     assert values[0] == values[1] == expected
-
-
-def _single_atom_encoding(ckpt):
-    import numpy as np
-
-    from ggrnet.data import Molecule
-    from ggrnet.model import MoleculeEncoding
-
-    mol = Molecule("x", ("C",), np.zeros((1, 3)), {})
-    return MoleculeEncoding(mol, ckpt.vocabulary, ckpt.config)
 
 
 def test_predict_unknown_element(trained_run, tmp_path, capsys):
@@ -500,6 +568,42 @@ def test_ablate_invalid_name(config_file, capsys):
     rc = main(["ablate", "--config", str(config_file), "--which", "no_gravity"])
     assert rc == 2
     assert "no_count" in capsys.readouterr().err  # usage text lists valid choices
+
+
+# ---------------------------------------------------------------------------
+# bad command-line inputs
+
+
+@pytest.mark.parametrize("argv, code, start", [
+    (["gradcheck", "--seeds", "0"], 2, "--seeds must be >= 1"),
+    (["gradcheck", "--fd-step", "0"], 2, "--fd-step must be finite and > 0"),
+    (["gradcheck", "--fd-step", "nan"], 2, "--fd-step must be finite and > 0"),
+    (["gradcheck", "--atoms", "1,x"], 2, "--atoms must list positive atom counts"),
+    (["gradcheck", "--seed", "-5"], 2, "--seed must be >= 0"),
+    (["gradcheck", "--threshold", "nan"], 2, "--threshold must be > 0"),
+    (["train", "--config", "{cfg}", "--out", "{file}"], 2, "--out '{file}'"),
+    (["train", "--config", "{cfg}", "--out", "{file}/sub"], 2, "--out '{file}/sub'"),
+    (["train", "--config", "{cfg}", "--out", "{dir}", "--runs", "2"], 2, "--out '{dir}/run1'"),
+    (["ablate", "--config", "{cfg}", "--which", "all", "--out", "{file}"], 2, "--out '{file}'"),
+    (["eval", "{ckpt}", "--data", "{dir}"], 3, "empty.xyz: line 1: "),
+    (["eval", "{ckpt}", "--data", "{nested}"], 3, "sub.xyz: cannot read: "),
+], ids=["seeds", "fd-step", "fd-step-nan", "atoms", "seed", "threshold-nan", "train-out",
+        "train-out-below", "train-run-dir", "ablate-out", "eval-dir", "eval-dir-entry"])
+def test_bad_input_is_one_line_with_its_exit_code(trained_run, config_file, tmp_path, capsys,
+                                                 argv, code, start):
+    places = {"cfg": config_file, "file": tmp_path / "taken", "ckpt": trained_run / "best.ckpt",
+              "dir": tmp_path / "molecules", "nested": tmp_path / "nested"}
+    places["file"].write_text("")
+    places["dir"].mkdir()
+    (places["dir"] / "a.xyz").write_text("1\na 0.5 1\nC 0 0 0\n")
+    (places["dir"] / "empty.xyz").write_text("")
+    (places["dir"] / "run1").write_text("")        # where train --runs 2 puts a directory
+    (places["nested"] / "sub.xyz").mkdir(parents=True)
+    assert main([arg.format(**places) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + start.format(**places)), captured.err
+    assert captured.err.count("\n") == 1, captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from ggrnet.data import (
     sample_dataset_path,
     split,
 )
-from ggrnet.errors import DataError, ParseError, VocabularyError
+from ggrnet.errors import ConfigError, DataError, ParseError, VocabularyError
 from ggrnet.synth import random_molecules
 
 SCHEMA = CommentSchema(id_columns=(0,), target_columns={"target_y": 1})
@@ -252,9 +252,9 @@ def test_split_empty_partition_error():
 
 
 def test_split_spec_validation():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match="must sum to 1"):
         SplitSpec(0.8, 0.1, 0.2)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match=r"^split\.train must be in \(0, 1\)"):
         SplitSpec(1.0, 0.0, 0.0)
 
 

@@ -21,7 +21,7 @@ from ggrnet.model import (
 )
 from ggrnet.synth import random_molecule, random_molecules
 from ggrnet.training import mse_loss
-from oracle import straightline_forward
+from oracle import straightline_forward, straightline_step
 
 VOCAB = ("H", "C", "N", "O")
 SMALL = ModelConfig(atom_dim=3, count_dim=2, hidden_dim=4, mlp_dim=5, steps=3)
@@ -116,45 +116,9 @@ def run_step(params, cfg, mol, state_values):
                         state_values).values
 
 
-def _message_oracle(params, cfg, inp_vec):
-    """Nested-loop message of one ordered pair from raw weight lists."""
-    hidden = cfg.hidden_dim
-    gw = params.gate_weight.values.tolist()
-    gb = params.gate_bias.values.tolist()
-    cw = params.candidate_weight.values.tolist()
-    cb = params.candidate_bias.values.tolist()
-    out = []
-    for i in range(hidden):
-        p = gb[i][0]
-        q = cb[i][0]
-        for j, x in enumerate(inp_vec):
-            p += gw[i][j] * x
-            q += cw[i][j] * x
-        sig = 1.0 / (1.0 + math.exp(-p)) if p >= 0 else math.exp(p) / (1.0 + math.exp(p))
-        out.append(sig * math.tanh(q))
-    return out
-
-
-def _step_oracle(params, cfg, mol, state_values):
-    """Next hidden state from the pairwise definition, one nested-loop message
-    per ordered pair; a switched-off feature enters as zeros."""
-    n = mol.natoms
-    emb = params.atom_embedding.values
-    atom = [emb[VOCAB.index(s)].tolist() if cfg.use_atom_embedding else [0.0] * cfg.atom_dim
-            for s in mol.symbols]
-    xn = (params.count_embedding.values[min(n, params.max_atom_count) - 1].tolist()
-          if cfg.use_count_feature else [0.0] * cfg.count_dim)
-    expected = np.zeros((cfg.hidden_dim, n))
-    for v in range(n):
-        for w in range(n):
-            if w == v:
-                continue
-            d = (1.0 / max(np.linalg.norm(mol.coords[v] - mol.coords[w]), 1e-6)
-                 if cfg.use_distance_feature else 0.0)
-            inp = (atom[v] + state_values[:, v].tolist() + atom[w]
-                   + state_values[:, w].tolist() + xn + [d])
-            expected[:, v] += _message_oracle(params, cfg, inp)
-    return expected / n
+def oracle_step(params, cfg, mol, state_values):
+    """:func:`straightline_step` on a ``[hidden, n]`` state array."""
+    return np.array(straightline_step(mol, params, cfg, VOCAB, state_values.T.tolist())).T
 
 
 def test_message_zero_params_gives_zeros():
@@ -214,21 +178,13 @@ def test_step_single_atom_stays_zero():
 
 
 def test_step_two_atoms_structure():
+    # from a zero state, each of two atoms receives one message, from the
+    # other, over 2
     params = small_params(seed=2)
     mol = random_molecule(np.random.default_rng(3), 2, elements=VOCAB)
-    out = run_step(params, SMALL, mol, np.zeros((SMALL.hidden_dim, 2)))
-
-    emb = params.atom_embedding.values
-    idx = [VOCAB.index(s) for s in mol.symbols]
-    xn = params.count_embedding.values[1].tolist()  # two atoms -> second row
-    d01 = 1.0 / np.linalg.norm(mol.coords[0] - mol.coords[1])
-    zero_h = [0.0] * SMALL.hidden_dim
-    m01 = _message_oracle(params, SMALL, emb[idx[0]].tolist() + zero_h
-                          + emb[idx[1]].tolist() + zero_h + xn + [d01])
-    m10 = _message_oracle(params, SMALL, emb[idx[1]].tolist() + zero_h
-                          + emb[idx[0]].tolist() + zero_h + xn + [d01])
-    assert np.allclose(out[:, 0], np.array(m01) / 2, atol=1e-14)
-    assert np.allclose(out[:, 1], np.array(m10) / 2, atol=1e-14)
+    zero = np.zeros((SMALL.hidden_dim, 2))
+    out = run_step(params, SMALL, mol, zero)
+    assert np.allclose(out, oracle_step(params, SMALL, mol, zero), atol=1e-14)
 
 
 def test_step_matches_nested_loop_oracle():
@@ -237,7 +193,7 @@ def test_step_matches_nested_loop_oracle():
     mol = random_molecule(rng, 3, elements=VOCAB)
     state_values = rng.normal(size=(SMALL.hidden_dim, 3))
     out = run_step(params, SMALL, mol, state_values)
-    assert np.allclose(out, _step_oracle(params, SMALL, mol, state_values), atol=1e-12)
+    assert np.allclose(out, oracle_step(params, SMALL, mol, state_values), atol=1e-12)
 
 
 def test_batched_step_matches_pairwise_definition():
@@ -251,7 +207,7 @@ def test_batched_step_matches_pairwise_definition():
             mol = random_molecule(rng, n, elements=VOCAB)
             state_values = rng.normal(size=(cfg.hidden_dim, n))
             out = run_step(params, cfg, mol, state_values)
-            assert np.abs(out - _step_oracle(params, cfg, mol, state_values)).max() < 1e-12, \
+            assert np.abs(out - oracle_step(params, cfg, mol, state_values)).max() < 1e-12, \
                 (flag, n)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import ggrnet.autodiff as ad
 from ggrnet.data import Normalizer, SplitSpec, split
-from ggrnet.errors import DataError, NumericalError, ShapeError
+from ggrnet.errors import ConfigError, DataError, NumericalError, ShapeError
 from ggrnet.model import ModelConfig, init_params
 from ggrnet.synth import composition_dataset, geometric_dataset
 from ggrnet.training import (
@@ -233,9 +233,11 @@ def test_predict_chunks_keep_order_and_values():
 
     ds = geometric_dataset(2 * PREDICT_CHUNK + 3, seed=61, n_atoms=(1, 9))
     params = init_params(SMALL, len(ds.element_vocabulary), ds.max_atom_count, seed=4)
-    got = predict(params, ds, SMALL, ds.element_vocabulary)
+    pairs = list(predict(params, ds, SMALL, ds.element_vocabulary))
+    assert [mol for mol, _ in pairs] == list(ds)
+    assert all(type(value) is float for _, value in pairs)
+    got = np.array([value for _, value in pairs])
     want = [forward(None, m, params, SMALL, ds.element_vocabulary).item() for m in ds]
-    assert got.shape == (len(ds),)
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
@@ -281,10 +283,10 @@ def test_evaluate_memorized_self_targets(comp_splits):
 
     tr, va, _ = comp_splits
     result = train(tr, va, quick_config(epochs=2))
-    preds = predict(result.final_params, va, SMALL, result.vocabulary, result.normalizer)
     relabeled = Dataset(
-        [Molecule(m.mol_id, m.symbols, m.coords, {"ncarbon": float(p)})
-         for m, p in zip(va, preds)],
+        [Molecule(m.mol_id, m.symbols, m.coords, {"ncarbon": p})
+         for m, p in predict(result.final_params, va, SMALL, result.vocabulary,
+                             result.normalizer)],
         ["ncarbon"], va.element_vocabulary)
     report = evaluate(result.final_params, relabeled, result.normalizer, SMALL,
                       result.vocabulary, "ncarbon")
@@ -301,13 +303,13 @@ def test_overfit_smoke_carbon_count():
 
 
 def test_config_validation():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match=r"^train\.lr0 "):
         quick_config(lr0=0.0)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match=r"^train\.epochs "):
         quick_config(epochs=0)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match=r"^train\.clip_norm "):
         quick_config(clip_norm=-1.0)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match="'target'"):
         quick_config(target_property="")
 
 
