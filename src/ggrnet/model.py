@@ -16,36 +16,36 @@ into a receiver term and a sender term, each a ``[ΣN, hidden]`` product with
 the atom columns of the batch, plus the count term (each atom carries its
 molecule's count embedding, a row gathered from the table) and the distance
 weight times the molecule's ``[N, N]`` inverse-distance matrix. Pairs exist
-only within a molecule, so each molecule gets its own ``[N, N, hidden]``
-pre-activation grid (receiver, sender, hidden innermost), whose diagonal is
-masked out.
+only within a molecule, so each molecule gets its own ``[2, N, N, hidden]``
+pre-activation grid (gate and candidate, receiver, sender, hidden
+innermost), whose diagonal is masked out.
 
 The whole recursion is one recorded op, :func:`message_step`, which reads
 its inputs from the batch's encodings and the embedding tables itself. The
 embedding, count and bias parts of the terms are the same at every step (the
 skip connections), so they are formed once per batch, and a step adds only
 the hidden-state product. Each grid is built by one stacked BLAS product of
-the molecule's constant ``[N, N, 2]`` pair matrix ``[inv_dist | 1]`` with a
-per-receiver ``[2, hidden]`` right-hand side ``[w_d; R[v]]``, which forms
-distance and receiver term together, and one in-place addition of the
-sender term. Overflow is checked on a per-molecule bound of the
+the molecule's constant ``[N, N, 2]`` pair matrix ``[inv_dist | 1]`` with
+per-kind, per-receiver ``[2, hidden]`` right-hand sides ``[w_d; R[v]]``,
+which forms distance and receiver terms together, and one in-place addition
+of both sender terms. Overflow is checked on a per-molecule bound of the
 terms rather than on every grid entry. The op's hand-written backward runs
 back-propagation through time: it walks the steps in reverse, reduces each
 molecule's grids to per-atom adjoints, and forms each weight gradient once
 per batch from the adjoints of all steps; the embedding gradients are
 scatter-added into the tables' gradients. The op carves its batch-sized
 arrays out of one flat workspace that outlives the batch, so the next batch
-reuses memory that is already mapped instead of faulting it in afresh. A
-recorded recursion keeps every step's grids, the saved states and the
-per-step adjoints there, checks the workspace out when it records and hands
-it back at the end of its backward; a recursion without a graph builds each
-molecule's grids in turn into the same two slots and hands the workspace
-back when it returns. The readout averages each
-molecule's columns with one matmul and runs the MLP on the ``[mlp, B]``
-block, one column per molecule. A single molecule is a batch of one
-(:func:`forward`). The constant per-molecule structure (element indices,
-inverse distances) is precomputed once in :class:`MoleculeEncoding` and
-reused across calls.
+reuses memory that is already mapped instead of faulting it in afresh. Both
+modes build each molecule's grid in turn into one slot sized for the
+largest molecule. A recorded recursion activates into grids of its own,
+which it keeps there with every step's input state and the per-step
+adjoints, and hands the workspace back at the end of its backward; a
+recursion without a graph activates in place and hands the workspace back
+when it returns. The readout averages each molecule's columns with one
+matmul and runs the MLP on the ``[mlp, B]`` block, one column per molecule.
+A single molecule is a batch of one (:func:`forward`). The constant
+per-molecule structure (element indices, inverse distances) is precomputed
+in :class:`MoleculeEncoding`, which every step and call can share.
 """
 from __future__ import annotations
 
@@ -286,16 +286,16 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     once per batch, and each step adds one product of the state with the four
     hidden-state blocks stacked. The gate's columns are stored negated, so
     the sigmoid's ``exp`` runs on the grid as built. Each molecule's
-    ``[n, n, hidden]`` grids (receiver, sender, hidden) give the messages
-    ``sigmoid(gate) * tanh(candidate)``, diagonal masked, summed over senders
-    and divided by n.
+    ``[2, n, n, hidden]`` grid (gate and candidate, receiver, sender, hidden)
+    gives the messages ``sigmoid(gate) * tanh(candidate)``, diagonal masked,
+    summed over senders and divided by n.
 
-    Each grid is built in the grid's order ``(dist + R) + S``: one stacked
-    product of the molecule's ``[n, n, 2]`` pair matrix ``[inv_dist | 1]``
-    (first column zero without distances) with the ``[n, 2, hidden]``
-    right-hand sides ``[w_d; R[v]]`` writes ``inv_dist[v, w] w_d + R[v]``
-    for every receiver in one BLAS call, and an in-place addition adds
-    ``S[w]``.
+    Each grid is built in the order ``(dist + R) + S``: one stacked product
+    of the molecule's ``[n, n, 2]`` pair matrix ``[inv_dist | 1]`` (first
+    column zero without distances) with the ``[2, n, 2, hidden]`` right-hand
+    sides ``[w_d; R[v]]`` of both kinds writes ``inv_dist[v, w] w_d + R[v]``
+    for every kind and receiver in one BLAS call, and one in-place addition
+    adds both ``S[w]``.
 
     Instead of testing every grid entry, each step bounds each molecule's
     pre-activations by ``max|R| + max|S| + max|w_d| max(inv_dist)``, summed
@@ -320,13 +320,16 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
 
     Every batch-sized array the op uses is a view of one workspace checked
     out for this call alone. It holds the stacked weight blocks, the
-    ``[ΣN, 4 hidden]`` terms, the right-hand sides and the pair matrices.
-    When ``graph`` records, it also holds the saved states, each step's
-    grids, the per-step adjoints and the backward's scratch, and is handed
-    back when the backward ends. Without a graph, it also holds two grid
-    slots sized for the largest molecule, into which each molecule's gate and
-    candidate are built in turn, so inference holds one molecule's grids at a
-    time; it is handed back when the call returns.
+    ``[ΣN, 4 hidden]`` terms, the right-hand sides, the pair matrices and
+    one grid slot sized for the largest molecule, into which each molecule's
+    grid is built in turn. When ``graph`` records, ``exp`` and ``tanh`` write
+    each step's activations into grids of their own, and the workspace also
+    holds each step's input state and the per-step adjoints; the backward
+    uses the slot as scratch and hands the workspace back when it ends.
+    Without a graph the activations stay in the slot, so inference holds one
+    molecule's grid at a time, one state buffer is read and rewritten by
+    every step, and the workspace is handed back when the call returns. Only
+    the returned state is a fresh array.
     """
     hidden, steps = cfg.hidden_dim, cfg.steps
     half = cfg.atom_dim + hidden                  # receiver columns; sender ones follow
@@ -351,15 +354,13 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
 
     recording = graph is not None
     grid_sizes = [n * n * hidden for n in sizes]
-    # the stacked weights, fixed and terms, the right-hand sides and the pair
-    # matrices; then, when recording, the saved states, every step's gate and
-    # candidate grids, the per-step adjoints and the backward's scratch, else
-    # one molecule's gate and candidate grids, reused for each molecule in turn
-    size = 2 * gate_w.size + 3 * atoms * 4 * hidden + 2 * sum(n * n for n in sizes)
+    # the stacked weights, fixed and terms, the right-hand sides, the pair
+    # matrices, the grid slot and the states; then, when recording, every
+    # step's gate and candidate grids and the per-step adjoints
+    size = (2 * gate_w.size + 3 * atoms * 4 * hidden + 2 * sum(n * n for n in sizes)
+            + 2 * max(grid_sizes) + (steps if recording else 1) * atoms * hidden)
     if recording:
-        size += steps * atoms * 5 * hidden + 2 * steps * sum(grid_sizes) + max(grid_sizes)
-    else:
-        size += 2 * max(grid_sizes)
+        size += steps * atoms * 4 * hidden + 2 * steps * sum(grid_sizes)
     work = _take_workspace(size)
     carve = _carver(work)
 
@@ -406,23 +407,14 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
         pair[..., 0] = 0.0 if inv_dist is None else inv_dist[k]
         pair[..., 1] = 1.0
         pairs.append(pair)
-    slots = None if recording else (carve((max(grid_sizes),)), carve((max(grid_sizes),)))
-
-    def grid(k: int, j: int) -> np.ndarray:
-        a, b = edges[k], edges[k + 1]
-        shape = (b - a, b - a, hidden)
-        pre = carve(shape) if recording else slots[j][:math.prod(shape)].reshape(shape)
-        np.matmul(pairs[k], rhs[a:b, j], out=pre)
-        pre += blocks[None, a:b, 2 + j]
-        return pre
-
-    states = carve((steps, atoms, hidden)) if recording else None
-    grids: list[list[tuple[np.ndarray, np.ndarray]]] = []
-    h = np.zeros((atoms, hidden)) if state is None else state.T
+    # each molecule's pre-activations in turn, and the backward's scratch
+    slot = carve((2 * max(grid_sizes),))
+    # each step's input state, or one buffer that a step reads before it writes
+    states = carve((steps if recording else 1, atoms, hidden))
+    states[0] = 0.0 if state is None else state.T
+    grids: list[list[np.ndarray]] = []
     for step in range(steps):
-        if recording:
-            states[step] = h
-        np.matmul(h, w_h.T, out=terms)
+        np.matmul(states[step % len(states)], w_h.T, out=terms)
         terms += fixed
         # rhs is free until it is filled below
         peak = np.abs(terms.reshape(rhs.shape), out=rhs).max(axis=3)
@@ -435,22 +427,27 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
                                  f"non-finite values produced by op 'message_step'")
         rhs[:, :, 0] = w_d.reshape(2, hidden)
         rhs[:, :, 1] = blocks[:, :2]
-        h = np.empty((atoms, hidden))
+        # the returned state is the one array that outlives the workspace
+        h = np.empty((atoms, hidden)) if step == steps - 1 else states[(step + 1) % len(states)]
         step_grids = []
         # exp of the negated gate overflows to inf above 709, giving a gate of exactly 0
         with np.errstate(over="ignore"):
             for k, n in enumerate(sizes):
-                gate = grid(k, 0)
-                np.exp(gate, out=gate)
+                a, b = edges[k], edges[k + 1]
+                pre = slot[:2 * n * n * hidden].reshape(2, n, n, hidden)
+                np.matmul(pairs[k], rhs[a:b].transpose(1, 0, 2, 3), out=pre)
+                pre += blocks[a:b, 2:].transpose(1, 0, 2)[:, None]
+                # a recorded step keeps its activations, so they go to its own grids
+                out = carve(pre.shape) if recording else pre
+                gate, cand = out
+                np.exp(pre[0], out=gate)
                 gate += 1.0
                 np.reciprocal(gate, out=gate)
                 # a zero gate masks the diagonal's messages and both adjoints
                 gate.reshape(n * n, -1)[::n + 1] = 0.0
-                cand = grid(k, 1)
-                np.tanh(cand, out=cand)
-                np.einsum("vwi,vwi->vi", gate, cand, out=h[edges[k]:edges[k + 1]])
-                if recording:
-                    step_grids.append((gate, cand))
+                np.tanh(pre[1], out=cand)
+                np.einsum("vwi,vwi->vi", gate, cand, out=h[a:b])
+                step_grids.append(out)
         h *= inv_n
         grids.append(step_grids)
     if not recording:
@@ -479,15 +476,16 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
         grids.clear()
         g = g.T
         d_terms = carve((steps, atoms, 4 * hidden))
-        d_wd = np.zeros(2 * hidden)
-        scratch, ones = carve((max(grid_sizes),)), np.ones(max(sizes))
+        d_wd = np.zeros((2, hidden))
+        ones = np.ones(max(sizes))
         for step in reversed(range(steps)):
             # the receiver's output gradient g[v] / n scales every pair (v, w)
             g_n = g * inv_n
             d = d_terms[step]
-            for k, (gate, cand) in enumerate(pending[step]):
+            for k, (n, grid) in enumerate(zip(sizes, pending[step])):
                 a, b = edges[k], edges[k + 1]
-                u = scratch[:(b - a) ** 2 * hidden].reshape(b - a, b - a, hidden)
+                gate, cand = grid
+                u = slot[:n * n * hidden].reshape(n, n, hidden)
                 np.multiply(gate, g_n[a:b, None, :], out=u)
                 # the grids become the adjoints of their stored pre-activations:
                 # u cand (gate - 1) for the negated gate, u (1 - cand²) for the candidate
@@ -497,14 +495,13 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
                 cand *= cand
                 np.subtract(1.0, cand, out=cand)
                 cand *= u
-                for j, adj in enumerate((gate, cand)):
-                    # sums over senders and over receivers, as BLAS products with ones
-                    np.matmul(ones[:b - a], adj, out=d[a:b, j * hidden:(j + 1) * hidden])
-                    d[a:b, (2 + j) * hidden:(3 + j) * hidden] = \
-                        (ones[:b - a] @ adj.reshape(b - a, -1)).reshape(b - a, hidden)
-                    if inv_dist is not None:
-                        d_wd[j * hidden:(j + 1) * hidden] += \
-                            inv_dist[k].ravel() @ adj.reshape((b - a) ** 2, hidden)
+                # the [4, n, hidden] per-atom adjoints of the four terms: sums over
+                # senders and over receivers, as BLAS products with ones
+                parts = d[a:b].reshape(n, 4, hidden).transpose(1, 0, 2)
+                np.matmul(ones[:n], grid, out=parts[:2])
+                parts[2:] = (ones[:n] @ grid.reshape(2, n, -1)).reshape(2, n, hidden)
+                if inv_dist is not None:
+                    d_wd += inv_dist[k].ravel() @ grid.reshape(2, n * n, hidden)
             check(d, step)
             if step > 0:
                 g = d @ w_h
@@ -525,7 +522,7 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
             d_w[:, cnt] = d_recv.T @ count.T
             add_rows(params.count_embedding, rows, d_recv @ w_cnt)
         if inv_dist is not None:
-            d_w[:, -1] = d_wd
+            d_w[:, -1] = d_wd.ravel()
         d_b = d_recv.sum(axis=0)[:, None]
         grads = (-d_w[:hidden], -d_b[:hidden], d_w[hidden:], d_b[hidden:])
         _give_workspace(work)                     # no view of it is read after this

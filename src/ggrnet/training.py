@@ -41,9 +41,9 @@ __all__ = [
 ]
 
 # molecules per forward pass of predict: a no-grad pass builds each
-# molecule's message grids in turn into the same two workspace slots, sized
-# for the chunk's largest molecule, so memory grows with the chunk only
-# through its [ΣN, 4 hidden] terms and [hidden, ΣN] states
+# molecule's joint gate and candidate grid in turn into one workspace slot,
+# sized for the chunk's largest molecule, so memory grows with the chunk only
+# through its [ΣN, 4 hidden] terms and [ΣN, hidden] states
 PREDICT_CHUNK = 10
 
 
@@ -184,8 +184,9 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
 
     The normalizer is fit on the training partition only. Every epoch
     reshuffles the training indices from one seeded RNG stream, so a given
-    seed reproduces the whole run bit for bit. The recursion workspace that
-    batches reuse is freed when the run returns or raises.
+    seed reproduces the whole run bit for bit. Each batch is encoded when it
+    runs, with the training set's own vocabulary, so no element is unknown.
+    The recursion workspace that batches reuse is freed when the run ends.
     """
     prop = cfg.target_property
     if prop not in train_ds.property_names or prop not in val_ds.property_names:
@@ -196,7 +197,6 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
     params = init_params(cfg.model, len(vocabulary), train_ds.max_atom_count, cfg.seed)
     tensors = params.tensors()
 
-    train_encs = [MoleculeEncoding(m, vocabulary, cfg.model) for m in train_ds]
     targets_norm = [normalizer.normalize(m.targets[prop]) for m in train_ds]
 
     n = len(train_ds)
@@ -221,8 +221,8 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
                 try:
                     ad.zero_grads(tensors)
                     graph = Graph()
-                    preds = forward_batch(graph, [train_encs[i] for i in batch], params,
-                                          cfg.model)
+                    preds = forward_batch(graph, [MoleculeEncoding(train_ds[i], vocabulary, cfg.model)
+                                                  for i in batch], params, cfg.model)
                     loss = mse_loss(graph, preds, [targets_norm[i] for i in batch])
                     t_backward = time.perf_counter()
                     ad.backward(graph, loss)

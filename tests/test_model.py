@@ -552,8 +552,8 @@ def test_gradients_after_an_overflowing_forward_are_clean():
 
 
 def test_inference_builds_its_grids_in_the_reused_workspace():
-    # a warm no-grad pass builds every molecule's gate and candidate into the
-    # workspace's two grid slots, so it allocates less than one largest grid
+    # a warm no-grad pass builds every molecule's joint gate and candidate grid
+    # into the workspace's one grid slot, so it allocates less than one largest grid
     cfg = ModelConfig()
     molecules = [random_molecule(np.random.default_rng(50 + n), n, elements=VOCAB)
                  for n in (12, 20, 29)]
@@ -644,6 +644,18 @@ def test_batch_equals_per_molecule_forward(flag):
     for j, mol in enumerate(molecules):
         alone = forward(None, mol, params, cfg, VOCAB).item()
         assert abs(batch.values[0, j] - alone) <= 1e-12 * max(1.0, abs(alone)), (flag, j)
+
+
+@pytest.mark.parametrize("flag", [None, "use_atom_embedding", "use_count_feature",
+                                  "use_distance_feature"])
+def test_recorded_and_unrecorded_predictions_are_bitwise_equal(flag):
+    # both modes build every grid by the same calls into the same slot; they
+    # differ only in where the activations are written
+    cfg = replace(ModelConfig(), **{flag: False}) if flag else ModelConfig()
+    params = init_params(cfg, len(VOCAB), 6, seed=23)  # 9 atoms clamp to the last row
+    _, encodings = mixed_batch(cfg, seed=24)
+    recorded = forward_batch(ad.Graph(), encodings, params, cfg).values
+    assert np.array_equal(recorded, forward_batch(None, encodings, params, cfg).values)
 
 
 def test_batch_gradients_equal_mean_of_per_molecule_gradients():
