@@ -14,7 +14,10 @@ predictions, the loss and every parameter gradient of the mean squared error.
 A last line per configuration gives the sha256 of the residuals and the MAE
 that ``evaluate`` reports, through a normalizer of mean 1.5 and standard
 deviation 0.25, on a dataset of 23 generated molecules (1 to 29 atoms), more
-than two of ``evaluate``'s chunks. Two source trees whose outputs are bitwise
+than two of ``evaluate``'s chunks. The last lines give the ``repr`` of each
+report of ``run_gradcheck(seed=0, seeds=2)``, once with all features on and
+once with the distance feature switched off; the ``repr`` of a float names
+its bits. Two source trees whose outputs are bitwise
 equal print identical lines, so ``diff`` of two runs compares them. BLAS runs
 on one thread, as for a bit-reproducible run; nothing is downloaded or
 written.
@@ -22,6 +25,7 @@ written.
 import hashlib
 import os
 import sys
+from dataclasses import replace
 
 BATCHES = ((1,), (2, 3), (1, 4, 5, 6, 7, 8), (9, 12, 15), (17, 21, 25), (29,), (29, 28, 1, 13))
 DIMS = {"default": {}, "small": {"atom_dim": 4, "count_dim": 4, "hidden_dim": 8, "mlp_dim": 8}}
@@ -42,6 +46,7 @@ def main(argv) -> int:
     import numpy as np
     from ggrnet import Graph, ModelConfig, backward, init_params, mse_loss, zero_grads
     from ggrnet.data import Dataset, Molecule, Normalizer
+    from ggrnet.gradcheck import DEFAULT_CHECK_CONFIG, run_gradcheck
     from ggrnet.model import MoleculeEncoding, forward_batch
     from ggrnet.synth import random_molecule
     from ggrnet.training import evaluate
@@ -77,6 +82,10 @@ def main(argv) -> int:
         report = evaluate(params, evaluated, normalizer, cfg, vocab, "y", with_residuals=True)
         digest = hashlib.sha256(np.array([*report.residuals, report.mae]).tobytes())
         print(f"{dims_name}\t{feature}\t{rows}\tevaluate:{report.n}\t{digest.hexdigest()}")
+    for feature in ("all", "use_distance_feature"):
+        switches = {} if feature == "all" else {feature: False}
+        for report in run_gradcheck(seed=0, seeds=2, cfg=replace(DEFAULT_CHECK_CONFIG, **switches)):
+            print(f"gradcheck\t{feature}\t{report!r}")
     return 0
 
 

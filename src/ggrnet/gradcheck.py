@@ -2,8 +2,13 @@
 
 For every parameter entry, the analytic gradient (one recorded forward plus
 backward over a small batch loss) is compared against central differences of
-the unrecorded forward path. Every loss evaluation runs the whole batch
-through one forward pass, as training does. The error metric is
+the unrecorded forward path. A loss evaluation runs the whole batch at once,
+as training does, but only through the stages that the perturbed entry
+feeds: the recursion and the readout for an embedding, gate or candidate
+entry, and the readout alone for a readout entry, on the unperturbed
+recursion state computed once per check (the recursion reads no readout
+tensor, so the loss has the same bits as a whole forward pass). The error
+metric is
 ``|analytic - numeric| / max(|analytic|, |numeric|, 1)``, i.e. relative for
 large gradients and absolute near zero.
 """
@@ -18,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import Graph
 from .data import Molecule
 from .model import (ModelConfig, ModelParams, MoleculeEncoding, _is_bias, forward_batch,
-                    init_params)
+                    init_params, message_step, readout_batch)
 from .synth import random_molecules
 from .training import mse_loss
 
@@ -41,34 +46,41 @@ def gradient_check(params: ModelParams, cfg: ModelConfig, molecules: Sequence[Mo
     """Compare analytic and central-difference gradients of the batch MSE.
 
     ``corrupt`` deliberately scales one analytic gradient to verify the check
-    itself can fail (negative control).
+    itself can fail (negative control). Every perturbed entry is restored
+    bitwise, also when a loss evaluation raises.
     """
     encodings = [MoleculeEncoding(m, vocabulary, cfg) for m in molecules]
-
-    def loss_value(graph: Graph | None) -> ad.Tensor:
-        return mse_loss(graph, forward_batch(graph, encodings, params, cfg), targets)
 
     named = params.named()
     ad.zero_grads([t for _, t in named])
     graph = Graph()
-    ad.backward(graph, loss_value(graph))
+    ad.backward(graph, mse_loss(graph, forward_batch(graph, encodings, params, cfg), targets))
     analytic = {name: t.grad.copy() for name, t in named}
     if corrupt:
         analytic["gate_weight"] *= 1.01
+    state = message_step(None, params, cfg, encodings)
+
+    def loss_value(readout_only: bool) -> float:
+        preds = (readout_batch(None, state, params, encodings) if readout_only
+                 else forward_batch(None, encodings, params, cfg))
+        return mse_loss(None, preds, targets).item()
 
     worst = (0.0, "", (0, 0))
     total = 0
     for name, tensor in named:
         values = tensor.values
         grad = analytic[name]
+        readout_only = name.startswith("readout_")
         for idx in np.ndindex(values.shape):
             total += 1
             orig = values[idx]
-            values[idx] = orig + fd_step
-            hi = loss_value(None).item()
-            values[idx] = orig - fd_step
-            lo = loss_value(None).item()
-            values[idx] = orig
+            try:
+                values[idx] = orig + fd_step
+                hi = loss_value(readout_only)
+                values[idx] = orig - fd_step
+                lo = loss_value(readout_only)
+            finally:
+                values[idx] = orig
             numeric = (hi - lo) / (2.0 * fd_step)
             a = grad[idx]
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)

@@ -68,6 +68,7 @@ __all__ = [
     "init_params",
     "message_step",
     "readout",
+    "readout_batch",
     "forward_batch",
     "forward",
 ]
@@ -137,7 +138,9 @@ class ModelParams:
         return self.count_embedding.rows
 
     def copy(self) -> "ModelParams":
-        return ModelParams.from_named({name: ad.parameter(t.values.copy(), t.name)
+        """A snapshot of the values (each :class:`Tensor` copies its own) as
+        constants, so it allocates no gradient buffers."""
+        return ModelParams.from_named({name: ad.constant(t.values, t.name)
                                        for name, t in self.named()})
 
     @classmethod
@@ -304,8 +307,13 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     raises a :class:`NumericalError` naming it and the step, since the
     saturating gates would hide it; that rejects a finite grid only when one
     of the three terms exceeds about a third of the float maximum, and any
-    NaN makes the bound NaN. A one-atom molecule has no pairs and never
-    raises.
+    NaN makes the bound NaN. A one-atom molecule has no pairs: it never
+    raises, no grid is built for it, its state columns are +0.0 at every step
+    and its per-atom adjoints are 0.
+
+    The per-step loops repeat no step-invariant work: each molecule's views
+    of its pair matrix, right-hand sides, sender terms and grid slot are made
+    once per call, and one ``np.errstate`` covers all steps.
 
     The backward walks the steps in reverse. It overwrites each molecule's
     grids with their adjoints, reduces them to the per-atom adjoints of the
@@ -319,7 +327,8 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     that share a row accumulate, and a non-finite sum raises here.
 
     Every batch-sized array the op uses is a view of one workspace checked
-    out for this call alone. It holds the stacked weight blocks, the
+    out for this call alone. It holds the stacked weight blocks (the gate's
+    negated straight into it, with no temporaries), the
     ``[ΣN, 4 hidden]`` terms, the right-hand sides, the pair matrices and
     one grid slot sized for the largest molecule, into which each molecule's
     grid is built in turn. When ``graph`` records, ``exp`` and ``tanh`` write
@@ -365,10 +374,14 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     carve = _carver(work)
 
     def stacked(*blocks) -> np.ndarray:
-        """Rows of each column block: the gate's negated, then the candidate's."""
-        parts = [m for c in blocks for m in (-gate_w[:, c], cand_w[:, c])]
-        rows = 2 * hidden * len(blocks)
-        return np.concatenate(parts, out=carve((rows, *parts[0].shape[1:])))
+        """Rows of each column block: the gate's negated, then the candidate's,
+        written straight into the workspace."""
+        width = gate_w[:, blocks[0]].shape[1:]
+        out = carve((len(blocks), 2, hidden, *width))
+        for part, c in zip(out, blocks):
+            np.negative(gate_w[:, c], out=part[0])
+            part[1] = cand_w[:, c]
+        return out.reshape(-1, *width)
 
     # the four terms' columns: [R_gate, R_cand, S_gate, S_cand]
     w_h, w_x = stacked(recv_h, send_h), stacked(recv_x, send_x)
@@ -409,34 +422,47 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
         pairs.append(pair)
     # each molecule's pre-activations in turn, and the backward's scratch
     slot = carve((2 * max(grid_sizes),))
+    # the step-invariant views of each molecule that has pairs: its atom rows,
+    # pair matrix, right-hand sides, sender terms and grid in the slot. A
+    # one-atom molecule has none, so its state rows (lone) are zero at every step
+    mols, lone = [], []
+    for k, n in enumerate(sizes):
+        a, b = edges[k], edges[k + 1]
+        if n > 1:
+            mols.append((k, n, a, b, pairs[k], rhs[a:b].transpose(1, 0, 2, 3),
+                         blocks[a:b, 2:].transpose(1, 0, 2)[:, None],
+                         slot[:2 * n * n * hidden].reshape(2, n, n, hidden)))
+        else:
+            lone.append(a)
+    lone = np.array(lone, dtype=np.intp)
     # each step's input state, or one buffer that a step reads before it writes
     states = carve((steps if recording else 1, atoms, hidden))
     states[0] = 0.0 if state is None else state.T
     grids: list[list[np.ndarray]] = []
-    for step in range(steps):
-        np.matmul(states[step % len(states)], w_h.T, out=terms)
-        terms += fixed
-        # rhs is free until it is filled below
-        peak = np.abs(terms.reshape(rhs.shape), out=rhs).max(axis=3)
-        peak = np.maximum.reduceat(peak, bounds[:-1], axis=0)
-        bound = (dist_bound + peak[:, 0]) + peak[:, 1]
-        bound[pairless] = 0.0
-        if not np.isfinite(bound).all():
-            k = int(np.flatnonzero(~np.isfinite(bound).all(axis=1))[0])
-            raise NumericalError(f"molecule {ids[k]}, step {step}: "
-                                 f"non-finite values produced by op 'message_step'")
-        rhs[:, :, 0] = w_d.reshape(2, hidden)
-        rhs[:, :, 1] = blocks[:, :2]
-        # the returned state is the one array that outlives the workspace
-        h = np.empty((atoms, hidden)) if step == steps - 1 else states[(step + 1) % len(states)]
-        step_grids = []
-        # exp of the negated gate overflows to inf above 709, giving a gate of exactly 0
-        with np.errstate(over="ignore"):
-            for k, n in enumerate(sizes):
-                a, b = edges[k], edges[k + 1]
-                pre = slot[:2 * n * n * hidden].reshape(2, n, n, hidden)
-                np.matmul(pairs[k], rhs[a:b].transpose(1, 0, 2, 3), out=pre)
-                pre += blocks[a:b, 2:].transpose(1, 0, 2)[:, None]
+    # exp of the negated gate overflows to inf above 709, giving a gate of exactly 0;
+    # an overflow anywhere else makes the bound below raise
+    with np.errstate(over="ignore"):
+        for step in range(steps):
+            np.matmul(states[step % len(states)], w_h.T, out=terms)
+            terms += fixed
+            # rhs is free until it is filled below
+            peak = np.abs(terms.reshape(rhs.shape), out=rhs).max(axis=3)
+            peak = np.maximum.reduceat(peak, bounds[:-1], axis=0)
+            bound = (dist_bound + peak[:, 0]) + peak[:, 1]
+            bound[pairless] = 0.0
+            if not np.isfinite(bound).all():
+                k = int(np.flatnonzero(~np.isfinite(bound).all(axis=1))[0])
+                raise NumericalError(f"molecule {ids[k]}, step {step}: "
+                                     f"non-finite values produced by op 'message_step'")
+            rhs[:, :, 0] = w_d.reshape(2, hidden)
+            rhs[:, :, 1] = blocks[:, :2]
+            # the returned state is the one array that outlives the workspace
+            h = np.empty((atoms, hidden)) if step == steps - 1 else states[(step + 1) % len(states)]
+            h[lone] = 0.0
+            step_grids = []
+            for _, n, a, b, pair, rhs_k, send, pre in mols:
+                np.matmul(pair, rhs_k, out=pre)
+                pre += send
                 # a recorded step keeps its activations, so they go to its own grids
                 out = carve(pre.shape) if recording else pre
                 gate, cand = out
@@ -448,8 +474,8 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
                 np.tanh(pre[1], out=cand)
                 np.einsum("vwi,vwi->vi", gate, cand, out=h[a:b])
                 step_grids.append(out)
-        h *= inv_n
-        grids.append(step_grids)
+            h *= inv_n
+            grids.append(step_grids)
     if not recording:
         _give_workspace(work)
 
@@ -476,16 +502,21 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
         grids.clear()
         g = g.T
         d_terms = carve((steps, atoms, 4 * hidden))
+        d_terms[:, lone] = 0.0                    # no pairs, so no adjoints
         d_wd = np.zeros((2, hidden))
         ones = np.ones(max(sizes))
+        # per molecule with pairs: its scratch, its [steps, 4, n, hidden] per-atom
+        # adjoints of the four terms, and its inverse distances
+        views = [(n, a, b, slot[:n * n * hidden].reshape(n, n, hidden), ones[:n],
+                  d_terms[:, a:b].reshape(steps, n, 4, hidden).transpose(0, 2, 1, 3),
+                  None if inv_dist is None else inv_dist[k].ravel())
+                 for k, n, a, b, *_ in mols]
         for step in reversed(range(steps)):
             # the receiver's output gradient g[v] / n scales every pair (v, w)
             g_n = g * inv_n
             d = d_terms[step]
-            for k, (n, grid) in enumerate(zip(sizes, pending[step])):
-                a, b = edges[k], edges[k + 1]
+            for (n, a, b, u, ones_n, adjoints, dist), grid in zip(views, pending[step]):
                 gate, cand = grid
-                u = slot[:n * n * hidden].reshape(n, n, hidden)
                 np.multiply(gate, g_n[a:b, None, :], out=u)
                 # the grids become the adjoints of their stored pre-activations:
                 # u cand (gate - 1) for the negated gate, u (1 - cand²) for the candidate
@@ -497,11 +528,10 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
                 cand *= u
                 # the [4, n, hidden] per-atom adjoints of the four terms: sums over
                 # senders and over receivers, as BLAS products with ones
-                parts = d[a:b].reshape(n, 4, hidden).transpose(1, 0, 2)
-                np.matmul(ones[:n], grid, out=parts[:2])
-                parts[2:] = (ones[:n] @ grid.reshape(2, n, -1)).reshape(2, n, hidden)
-                if inv_dist is not None:
-                    d_wd += inv_dist[k].ravel() @ grid.reshape(2, n * n, hidden)
+                np.matmul(ones_n, grid, out=adjoints[step, :2])
+                adjoints[step, 2:] = (ones_n @ grid.reshape(2, n, -1)).reshape(2, n, hidden)
+                if dist is not None:
+                    d_wd += dist @ grid.reshape(2, n * n, hidden)
             check(d, step)
             if step > 0:
                 g = d @ w_h
@@ -551,23 +581,30 @@ def readout(graph: Graph | None, state: Tensor, params: ModelParams,
     return ad.linear(graph, w2, b2, hidden2)
 
 
-def forward_batch(graph: Graph | None, encodings: Sequence[MoleculeEncoding],
-                  params: ModelParams, cfg: ModelConfig) -> Tensor:
-    """Predictions ``[1, B]`` for a batch of encoded molecules, in normalized
-    target space.
-
-    Hidden states start at zero. A :class:`NumericalError` names the
-    molecule and the recursion step, or, where no single molecule is to
-    blame, the batch and the readout.
-    """
-    # the recursion names the molecule and step of its own errors
-    state = message_step(graph, params, cfg, encodings)
+def readout_batch(graph: Graph | None, state: Tensor, params: ModelParams,
+                  encodings: Sequence[MoleculeEncoding]) -> Tensor:
+    """The second stage of :func:`forward_batch`: :func:`readout` of the
+    recursion state of ``encodings``, whose :class:`NumericalError` names the
+    batch and the readout."""
     try:
         return readout(graph, state, params, [enc.n for enc in encodings])
     except NumericalError as err:
         names = (f"molecule {encodings[0].mol_id}" if len(encodings) == 1 else
                  f"molecules ({', '.join(enc.mol_id for enc in encodings)})")
         raise NumericalError(f"{names}, readout: {err}") from err
+
+
+def forward_batch(graph: Graph | None, encodings: Sequence[MoleculeEncoding],
+                  params: ModelParams, cfg: ModelConfig) -> Tensor:
+    """Predictions ``[1, B]`` for a batch of encoded molecules, in normalized
+    target space: :func:`message_step`, then :func:`readout_batch`.
+
+    Hidden states start at zero. A :class:`NumericalError` names the
+    molecule and the recursion step, or, where no single molecule is to
+    blame, the batch and the readout.
+    """
+    # the recursion names the molecule and step of its own errors
+    return readout_batch(graph, message_step(graph, params, cfg, encodings), params, encodings)
 
 
 def forward(graph: Graph | None, molecule: Molecule, params: ModelParams, cfg: ModelConfig,

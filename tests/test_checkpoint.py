@@ -125,6 +125,14 @@ def test_header_missing_max_atom_count(tmp_path):
         load_checkpoint(path)
 
 
+def test_a_params_snapshot_saves_the_same_bytes(tmp_path):
+    # training saves its best params from a snapshot without gradient buffers
+    params = write_checkpoint(tmp_path / "params.ckpt")
+    save_checkpoint(tmp_path / "copy.ckpt", params.copy(), CFG, VOCAB,
+                    Normalizer(mean=1.5, std=0.25), "energy", unit="arb")
+    assert (tmp_path / "copy.ckpt").read_bytes() == (tmp_path / "params.ckpt").read_bytes()
+
+
 def test_file_bytes_are_pinned(tmp_path):
     # the exact bytes written for seed 0; any change to the format, the header
     # or the parameter draws shows here

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ggrnet.autodiff as ad
+import ggrnet.gradcheck as gradcheck
 from ggrnet.data import Molecule
 from ggrnet.errors import ConfigError, NumericalError, VocabularyError
 from ggrnet.gradcheck import DEFAULT_CHECK_CONFIG, gradient_check, run_gradcheck
@@ -99,6 +100,23 @@ def test_biases_start_zero():
     assert np.array_equal(params.gate_bias.values, np.zeros((SMALL.hidden_dim, 1)))
     for _, b in params.mlp:
         assert not b.values.any()
+
+
+def test_params_copy_is_a_snapshot_without_gradient_buffers():
+    # a best-params snapshot allocates its values and no gradient arrays
+    params = init_params(ModelConfig(), len(VOCAB), 29, seed=41)
+    nbytes = sum(t.values.nbytes for t in params.tensors())
+    tracemalloc.start()
+    try:
+        snapshot = params.copy()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert nbytes <= peak < 1.1 * nbytes, (peak, nbytes)
+    for (name, t), (copy_name, c) in zip(params.named(), snapshot.named()):
+        assert copy_name == name == c.name and c.grad is None and not c.requires_grad
+        assert c.values.tobytes() == t.values.tobytes()
+        assert not np.shares_memory(c.values, t.values)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +412,105 @@ def test_forward_gradients_match_finite_differences(steps, sizes):
 def test_ablation_gradients_match_finite_differences(flag):
     (report,) = run_gradcheck(seed=0, seeds=1, cfg=replace(DEFAULT_CHECK_CONFIG, **{flag: False}))
     assert report.max_error < 1e-4, report
+
+
+def test_gradient_check_report_equals_a_whole_forward_reference_loop():
+    # the check runs only the readout for a readout entry, on the recursion
+    # state computed once; every loss must have the bits of a whole forward
+    cfg = ModelConfig(atom_dim=3, count_dim=2, hidden_dim=4, mlp_dim=4, steps=2)
+    params = init_params(cfg, len(VOCAB), 6, seed=30)
+    rng = np.random.default_rng(31)
+    for _, b in params.mlp:
+        b.values[:] = rng.uniform(-0.3, 0.3, size=b.shape)
+    molecules = random_molecules(32, 3, sizes=(1, 2, 5), elements=VOCAB)
+    targets = [0.4, -0.7, 1.1]
+    encodings = encode(cfg, molecules)
+    named = params.named()
+    ad.zero_grads([t for _, t in named])
+    graph = ad.Graph()
+    ad.backward(graph, mse_loss(graph, forward_batch(graph, encodings, params, cfg), targets))
+    fd_step, worst, total = 1e-5, (0.0, "", (0, 0)), 0
+    for name, tensor in named:
+        grad = tensor.grad.copy()
+        for idx in np.ndindex(tensor.shape):
+            total += 1
+            orig = tensor.values[idx]
+            losses = []
+            for value in (orig + fd_step, orig - fd_step):
+                tensor.values[idx] = value
+                preds = forward_batch(None, encodings, params, cfg)
+                losses.append(mse_loss(None, preds, targets).item())
+            tensor.values[idx] = orig
+            numeric = (losses[0] - losses[1]) / (2.0 * fd_step)
+            err = abs(grad[idx] - numeric) / max(abs(grad[idx]), abs(numeric), 1.0)
+            if err > worst[0]:
+                worst = (err, name, idx)
+    report = gradient_check(params, cfg, molecules, targets, VOCAB, fd_step=fd_step)
+    assert (report.max_error, report.worst_tensor, report.worst_index) == worst
+    assert report.parameter_count == total == params.parameter_count()
+
+
+@pytest.mark.parametrize("stage, failing_call", [("forward_batch", 5), ("forward_batch", 2),
+                                                 ("readout_batch", 3)])
+def test_gradient_check_restores_every_entry_when_an_evaluation_raises(monkeypatch, stage,
+                                                                      failing_call):
+    params = init_params(DEFAULT_CHECK_CONFIG, len(VOCAB), 6, seed=36)
+    before = [t.values.tobytes() for t in params.tensors()]
+    molecules = random_molecules(37, 3, sizes=(1, 2, 4), elements=VOCAB)
+    real = getattr(gradcheck, stage)
+    calls = 0
+
+    def failing(graph, *args):
+        nonlocal calls
+        if graph is None:                         # a loss evaluation
+            calls += 1
+            if calls == failing_call:
+                raise NumericalError("evaluation failed")
+        return real(graph, *args)
+
+    monkeypatch.setattr(gradcheck, stage, failing)
+    with pytest.raises(NumericalError, match="evaluation failed"):
+        gradient_check(params, DEFAULT_CHECK_CONFIG, molecules, [0.1, 0.2, 0.3], VOCAB)
+    assert calls == failing_call
+    for (name, t), values in zip(params.named(), before):
+        assert t.values.tobytes() == values, name
+
+
+@pytest.mark.parametrize("recorded", [False, True])
+def test_one_atom_molecules_keep_a_positive_zero_state(recorded):
+    # a one-atom molecule has no pairs: its columns are +0.0 at every step,
+    # from a zero or a random initial state, and in a workspace that an
+    # earlier batch left full of other values
+    params = small_params(seed=33)
+    rng = np.random.default_rng(34)
+    sizes = (1, 3, 1, 2)
+    encodings = encode(SMALL, random_molecules(35, 4, sizes=sizes, elements=VOCAB))
+    lone = [0, 4]
+    for state in (None, rng.normal(size=(SMALL.hidden_dim, 7)), None):
+        graph = ad.Graph() if recorded else None
+        out = message_step(graph, params, SMALL, encodings, state)
+        assert (out.values[:, lone] == 0.0).all() and not np.signbit(out.values[:, lone]).any()
+        assert np.delete(out.values, lone, axis=1).all()
+        if recorded:
+            ad.backward(graph, mse_loss(graph, readout(graph, out, params, sizes),
+                                        [0.1, 0.2, 0.3, 0.4]))
+
+
+def test_one_atom_molecules_give_the_recursion_no_gradient():
+    # their per-atom adjoints are zero, so a batch of them alone leaves every
+    # recursion tensor's gradient at zero, while the readout's output bias has one
+    params = small_params(seed=39)
+    encodings = encode(SMALL, random_molecules(40, 2, sizes=(1, 1), elements=VOCAB))
+    for _, b in params.mlp:
+        b.values[:] = 0.5
+    ad.zero_grads(params.tensors())
+    graph = ad.Graph()
+    ad.backward(graph, mse_loss(graph, forward_batch(graph, encodings, params, SMALL),
+                                [0.3, -0.2]))
+    for name, t in params.named():
+        if not name.startswith("readout_"):
+            assert not t.grad.any(), name
+    assert params.mlp[-1][1].grad.any()
 
 
 def test_overflowing_pre_activation_names_op_molecule_and_step():
