@@ -15,9 +15,9 @@ A last line per configuration gives the sha256 of the residuals and the MAE
 that ``evaluate`` reports, through a normalizer of mean 1.5 and standard
 deviation 0.25, on a dataset of 23 generated molecules (1 to 29 atoms), more
 than two of ``evaluate``'s chunks. The last lines give the ``repr`` of each
-report of ``run_gradcheck(seed=0, seeds=2)``, once with all features on and
-once with the distance feature switched off; the ``repr`` of a float names
-its bits. Two source trees whose outputs are bitwise
+report of ``run_gradcheck(seed=0, seeds=2)``, with all features on and with
+each feature switched off, and of the same check with ``corrupt=True`` (the
+negative control, all features on); the ``repr`` of a float names its bits. Two source trees whose outputs are bitwise
 equal print identical lines, so ``diff`` of two runs compares them. BLAS runs
 on one thread, as for a bit-reproducible run; nothing is downloaded or
 written.
@@ -82,10 +82,12 @@ def main(argv) -> int:
         report = evaluate(params, evaluated, normalizer, cfg, vocab, "y", with_residuals=True)
         digest = hashlib.sha256(np.array([*report.residuals, report.mae]).tobytes())
         print(f"{dims_name}\t{feature}\t{rows}\tevaluate:{report.n}\t{digest.hexdigest()}")
-    for feature in ("all", "use_distance_feature"):
+    for feature in FEATURES:
         switches = {} if feature == "all" else {feature: False}
         for report in run_gradcheck(seed=0, seeds=2, cfg=replace(DEFAULT_CHECK_CONFIG, **switches)):
             print(f"gradcheck\t{feature}\t{report!r}")
+    for report in run_gradcheck(seed=0, seeds=2, corrupt=True):
+        print(f"gradcheck\tall\tcorrupt\t{report!r}")
     return 0
 
 

@@ -4,11 +4,16 @@ For every parameter entry, the analytic gradient (one recorded forward plus
 backward over a small batch loss) is compared against central differences of
 the unrecorded forward path. A loss evaluation runs the whole batch at once,
 as training does, but only through the stages that the perturbed entry
-feeds: the recursion and the readout for an embedding, gate or candidate
-entry, and the readout alone for a readout entry, on the unperturbed
-recursion state computed once per check (the recursion reads no readout
-tensor, so the loss has the same bits as a whole forward pass). The error
-metric is
+feeds. A readout entry is perturbed in place and runs the readout alone, on
+the unperturbed recursion state computed once per check (the recursion reads
+no readout tensor). The embedding, gate and candidate entries never touch
+the live tensors: each one's ``+`` and ``-`` perturbations are replicas of
+the recursion, one tensor's values replaced, and the replicas of several
+entries run as one no-grad :func:`~ggrnet.model.message_step` over a
+leading replica axis, as many as fit :data:`REPLICA_BYTES` of workspace
+(at least one entry per call). Each replica's final state then runs the
+readout and the loss by itself. Every loss has the bits of a whole forward
+pass with the entry written into the live tensor. The error metric is
 ``|analytic - numeric| / max(|analytic|, |numeric|, 1)``, i.e. relative for
 large gradients and absolute near zero.
 """
@@ -20,16 +25,19 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Graph
+from .autodiff import Graph, Tensor
 from .data import Molecule
-from .model import (ModelConfig, ModelParams, MoleculeEncoding, _is_bias, forward_batch,
-                    init_params, message_step, readout_batch)
+from .model import (ModelConfig, ModelParams, MoleculeEncoding, _is_bias, _workspace_size,
+                    forward_batch, init_params, message_step, readout_batch, release_workspace)
 from .synth import random_molecules
 from .training import mse_loss
 
 __all__ = ["GradCheckReport", "gradient_check", "run_gradcheck", "DEFAULT_CHECK_CONFIG"]
 
 DEFAULT_CHECK_CONFIG = ModelConfig(atom_dim=4, count_dim=4, hidden_dim=8, mlp_dim=8, steps=3)
+
+# the workspace, in bytes, that the replicas of one recursion call may fill
+REPLICA_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -46,48 +54,91 @@ def gradient_check(params: ModelParams, cfg: ModelConfig, molecules: Sequence[Mo
     """Compare analytic and central-difference gradients of the batch MSE.
 
     ``corrupt`` deliberately scales one analytic gradient to verify the check
-    itself can fail (negative control). Every perturbed entry is restored
-    bitwise, also when a loss evaluation raises.
+    itself can fail (negative control). Every readout entry perturbed in
+    place is restored bitwise, also when a loss evaluation raises; the
+    recursion's entries are perturbed in replicas only. The spare recursion
+    workspace is freed when the check returns or raises.
     """
     encodings = [MoleculeEncoding(m, vocabulary, cfg) for m in molecules]
-
     named = params.named()
-    ad.zero_grads([t for _, t in named])
-    graph = Graph()
-    ad.backward(graph, mse_loss(graph, forward_batch(graph, encodings, params, cfg), targets))
-    analytic = {name: t.grad.copy() for name, t in named}
-    if corrupt:
-        analytic["gate_weight"] *= 1.01
-    state = message_step(None, params, cfg, encodings)
+    try:
+        ad.zero_grads([t for _, t in named])
+        graph = Graph()
+        ad.backward(graph, mse_loss(graph, forward_batch(graph, encodings, params, cfg),
+                                    targets))
+        analytic = {name: t.grad.copy() for name, t in named}
+        if corrupt:
+            analytic["gate_weight"] *= 1.01
+        state = message_step(None, params, cfg, encodings)
+        per_call = _entries_per_call(cfg, [enc.n for enc in encodings])
 
-    def loss_value(readout_only: bool) -> float:
-        preds = (readout_batch(None, state, params, encodings) if readout_only
-                 else forward_batch(None, encodings, params, cfg))
-        return mse_loss(None, preds, targets).item()
+        def loss(final: Tensor) -> float:
+            return mse_loss(None, readout_batch(None, final, params, encodings), targets).item()
 
-    worst = (0.0, "", (0, 0))
-    total = 0
-    for name, tensor in named:
-        values = tensor.values
-        grad = analytic[name]
-        readout_only = name.startswith("readout_")
-        for idx in np.ndindex(values.shape):
-            total += 1
-            orig = values[idx]
-            try:
-                values[idx] = orig + fd_step
-                hi = loss_value(readout_only)
-                values[idx] = orig - fd_step
-                lo = loss_value(readout_only)
-            finally:
-                values[idx] = orig
-            numeric = (hi - lo) / (2.0 * fd_step)
-            a = grad[idx]
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
-            if err > worst[0]:
-                worst = (err, name, idx)
+        worst = (0.0, "", (0, 0))
+        total = 0
+        for name, tensor in named:
+            if name.startswith("readout_"):
+                losses = _readout_losses(tensor.values, fd_step, lambda: loss(state))
+            else:
+                losses = ((idx, loss(hi), loss(lo)) for idx, hi, lo in
+                          _perturbed_states(params, cfg, encodings, name, fd_step, per_call))
+            grad = analytic[name]
+            for idx, hi, lo in losses:
+                total += 1
+                numeric = (hi - lo) / (2.0 * fd_step)
+                a = grad[idx]
+                err = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
+                if err > worst[0]:
+                    worst = (err, name, idx)
+    finally:
+        release_workspace()
     return GradCheckReport(max_error=worst[0], worst_tensor=worst[1],
                            worst_index=worst[2], parameter_count=total)
+
+
+def _readout_losses(values: np.ndarray, fd_step: float, loss):
+    """``(idx, hi, lo)`` per entry of ``values`` in :func:`np.ndindex` order:
+    ``loss()`` with the entry at ``orig + fd_step`` and at ``orig - fd_step``,
+    written in place and restored bitwise, also when ``loss`` raises."""
+    for idx in np.ndindex(values.shape):
+        orig = values[idx]
+        try:
+            values[idx] = orig + fd_step
+            hi = loss()
+            values[idx] = orig - fd_step
+            lo = loss()
+        finally:
+            values[idx] = orig
+        yield idx, hi, lo
+
+
+def _entries_per_call(cfg: ModelConfig, sizes: Sequence[int]) -> int:
+    """Entries whose two replicas fit one recursion call's workspace in
+    :data:`REPLICA_BYTES` together; at least one."""
+    shared = _workspace_size(cfg, sizes, replicas=0)
+    per_replica = _workspace_size(cfg, sizes, replicas=1) - shared
+    return max(1, (REPLICA_BYTES // 8 - shared) // (2 * per_replica))
+
+
+def _perturbed_states(params: ModelParams, cfg: ModelConfig,
+                      encodings: Sequence[MoleculeEncoding], name: str, fd_step: float,
+                      per_call: int):
+    """``(idx, hi, lo)`` per entry of the recursion tensor ``name`` in
+    :func:`np.ndindex` order: the final states of the batch with the entry at
+    ``orig + fd_step`` and at ``orig - fd_step``. The replicas of ``per_call``
+    entries run as one :func:`message_step`; the live tensor is never written."""
+    values = getattr(params, name).values
+    entries = list(np.ndindex(values.shape))
+    for start in range(0, len(entries), per_call):
+        chunk = entries[start:start + per_call]
+        stack = np.repeat(values[None], 2 * len(chunk), axis=0)
+        for j, idx in enumerate(chunk):
+            stack[(2 * j, *idx)] = values[idx] + fd_step
+            stack[(2 * j + 1, *idx)] = values[idx] - fd_step
+        finals = message_step(None, params, cfg, encodings, replicas=(name, stack))
+        for j, idx in enumerate(chunk):
+            yield idx, finals[2 * j], finals[2 * j + 1]
 
 
 def _random_params(cfg: ModelConfig, vocab_size: int, max_atom_count: int,

@@ -41,9 +41,11 @@ largest molecule. A recorded recursion activates into grids of its own,
 which it keeps there with every step's input state and the per-step
 adjoints, and hands the workspace back at the end of its backward; a
 recursion without a graph activates in place and hands the workspace back
-when it returns. The readout averages each molecule's columns with one
-matmul and runs the MLP on the ``[mlp, B]`` block, one column per molecule.
-A single molecule is a batch of one (:func:`forward`). The constant
+when it returns. A no-grad recursion can also run replicas of the batch in
+lockstep over a leading axis, each with one tensor's values replaced, as
+the gradient check does. The readout averages each molecule's columns with
+one matmul and runs the MLP on the ``[mlp, B]`` block, one column per
+molecule. A single molecule is a batch of one (:func:`forward`). The constant
 per-molecule structure (element indices, inverse distances) is precomputed
 in :class:`MoleculeEncoding`, which every step and call can share.
 """
@@ -265,9 +267,26 @@ def _carver(buf: np.ndarray):
     return carve
 
 
+def _workspace_size(cfg: ModelConfig, sizes: Sequence[int], replicas: int = 1,
+                    recording: bool = False) -> int:
+    """Entries of the workspace of a :func:`message_step` call on molecules of
+    ``sizes`` atoms: the pair matrices, which all replicas share; per replica,
+    the stacked weights, fixed and terms, the right-hand sides, the grid slot
+    and the states; and, when recording, every step's gate and candidate grids
+    and the per-step adjoints."""
+    hidden, steps, atoms = cfg.hidden_dim, cfg.steps, sum(sizes)
+    grids = [n * n * hidden for n in sizes]
+    size = 2 * sum(n * n for n in sizes) + replicas * (
+        2 * hidden * cfg.concat_dim + 12 * atoms * hidden + 2 * max(grids)
+        + (steps if recording else 1) * atoms * hidden)
+    if recording:
+        size += steps * atoms * 4 * hidden + 2 * steps * sum(grids)
+    return size
+
+
 def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
-                 encodings: Sequence[MoleculeEncoding],
-                 state: np.ndarray | None = None) -> Tensor:
+                 encodings: Sequence[MoleculeEncoding], state: np.ndarray | None = None,
+                 replicas: tuple[str, np.ndarray] | None = None) -> Tensor | list[Tensor]:
     """All ``cfg.steps`` recursion steps of a batch as one recorded op: the
     final state ``[hidden, ΣN]``.
 
@@ -280,6 +299,18 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     has no input, and its weight block is skipped and gets a zero gradient.
     The recursion starts from ``state`` ``[hidden, ΣN]`` (zero if not
     given), which gets no gradient.
+
+    ``replicas = (name, values)`` runs ``len(values)`` replicas of the batch
+    in one no-grad call: replica r reads ``values[r]`` in place of the values
+    of the recursion tensor ``name`` (an embedding table, or a gate or
+    candidate weight or bias) and shares every other tensor. Every array
+    that the parameters feed carries a leading replica axis, of length one
+    without replicas, so each numpy call of the step loop covers all
+    replicas: the terms are stacked products, each molecule's grids are
+    ``[replicas, 2, n, n, hidden]``, and the bound below is checked per
+    replica and molecule. The call returns the list of the replicas' final
+    states, each with the bits and the layout of a call with its values
+    written into the live tensor. A recorded call takes no replicas.
 
     For gate and candidate alike, pair (v, w) of a molecule has the
     pre-activation ``R[v] + S[w] + w_d * inv_dist[v, w]``, with the receiver
@@ -327,93 +358,100 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     that share a row accumulate, and a non-finite sum raises here.
 
     Every batch-sized array the op uses is a view of one workspace checked
-    out for this call alone. It holds the stacked weight blocks (the gate's
-    negated straight into it, with no temporaries), the
-    ``[ΣN, 4 hidden]`` terms, the right-hand sides, the pair matrices and
-    one grid slot sized for the largest molecule, into which each molecule's
-    grid is built in turn. When ``graph`` records, ``exp`` and ``tanh`` write
-    each step's activations into grids of their own, and the workspace also
-    holds each step's input state and the per-step adjoints; the backward
-    uses the slot as scratch and hands the workspace back when it ends.
+    out for this call alone (:func:`_workspace_size`). Once per replica, it
+    holds the stacked weight blocks (the gate's negated straight into it,
+    with no temporaries), the ``[ΣN, 4 hidden]`` terms, the right-hand sides
+    and one grid slot sized for the largest molecule, into which each
+    molecule's grids are built in turn; the pair matrices are shared. When
+    ``graph`` records, ``exp`` and ``tanh`` write each step's activations
+    into grids of their own, and the workspace also holds each step's input
+    state and the per-step adjoints; the backward uses the slot as scratch
+    and hands the workspace back when it ends.
     Without a graph the activations stay in the slot, so inference holds one
     molecule's grid at a time, one state buffer is read and rewritten by
     every step, and the workspace is handed back when the call returns. Only
-    the returned state is a fresh array.
+    the returned states are a fresh array.
     """
+    if replicas is not None and graph is not None:
+        raise ValueError("a recorded message_step takes no replicas")
     hidden, steps = cfg.hidden_dim, cfg.steps
     half = cfg.atom_dim + hidden                  # receiver columns; sender ones follow
     recv_x, recv_h = slice(0, cfg.atom_dim), slice(cfg.atom_dim, half)
     send_x, send_h = slice(half, half + cfg.atom_dim), slice(half + cfg.atom_dim, 2 * half)
     cnt = slice(2 * half, 2 * half + cfg.count_dim)
     sizes, ids = [enc.n for enc in encodings], [enc.mol_id for enc in encodings]
-    # the step-invariant inputs, gathered as C-contiguous [dim, ΣN] blocks
+    counts = np.array(sizes)
+    reps = 1 if replicas is None else len(replicas[1])
+
+    def value(name: str) -> np.ndarray:
+        """The named tensor's values with a leading replica axis: the
+        replicas' ``[reps, ...]`` if they replace it, else ``[1, ...]``."""
+        if replicas is not None and replicas[0] == name:
+            return replicas[1]
+        return getattr(params, name).values[None]
+
+    # the step-invariant inputs, gathered as C-contiguous [1 or reps, dim, ΣN] blocks
     x = count = None
     if cfg.use_atom_embedding:
         elements = np.concatenate([enc.elements for enc in encodings])
-        x = np.ascontiguousarray(params.atom_embedding.values.T[:, elements])
+        x = np.ascontiguousarray(value("atom_embedding").transpose(0, 2, 1)[:, :, elements])
     if cfg.use_count_feature:
-        rows = np.repeat([min(n, params.max_atom_count) - 1 for n in sizes], sizes)
-        count = np.ascontiguousarray(params.count_embedding.values.T[:, rows])
+        rows = np.repeat(np.minimum(counts, params.max_atom_count) - 1, counts)
+        count = np.ascontiguousarray(value("count_embedding").transpose(0, 2, 1)[:, :, rows])
     inv_dist = [enc.inv_dist for enc in encodings] if cfg.use_distance_feature else None
     bounds = np.cumsum([0, *sizes])
     edges, atoms = bounds.tolist(), int(bounds[-1])
-    inv_n = np.repeat([1.0 / n for n in sizes], sizes)[:, None]
+    inv_n = np.repeat(1.0 / counts, counts)[:, None]
 
-    gate_w, cand_w = params.gate_weight.values, params.candidate_weight.values
+    gate_w, cand_w = value("gate_weight"), value("candidate_weight")
 
     recording = graph is not None
     grid_sizes = [n * n * hidden for n in sizes]
-    # the stacked weights, fixed and terms, the right-hand sides, the pair
-    # matrices, the grid slot and the states; then, when recording, every
-    # step's gate and candidate grids and the per-step adjoints
-    size = (2 * gate_w.size + 3 * atoms * 4 * hidden + 2 * sum(n * n for n in sizes)
-            + 2 * max(grid_sizes) + (steps if recording else 1) * atoms * hidden)
-    if recording:
-        size += steps * atoms * 4 * hidden + 2 * steps * sum(grid_sizes)
-    work = _take_workspace(size)
+    work = _take_workspace(_workspace_size(cfg, sizes, reps, recording))
     carve = _carver(work)
 
     def stacked(*blocks) -> np.ndarray:
         """Rows of each column block: the gate's negated, then the candidate's,
-        written straight into the workspace."""
-        width = gate_w[:, blocks[0]].shape[1:]
-        out = carve((len(blocks), 2, hidden, *width))
-        for part, c in zip(out, blocks):
-            np.negative(gate_w[:, c], out=part[0])
-            part[1] = cand_w[:, c]
-        return out.reshape(-1, *width)
+        written straight into the workspace, per replica."""
+        width = gate_w[:, :, blocks[0]].shape[2:]
+        out = carve((reps, len(blocks), 2, hidden, *width))
+        for i, c in enumerate(blocks):
+            np.negative(gate_w[:, :, c], out=out[:, i, 0])
+            out[:, i, 1] = cand_w[:, :, c]
+        return out.reshape(reps, -1, *width)
 
     # the four terms' columns: [R_gate, R_cand, S_gate, S_cand]
     w_h, w_x = stacked(recv_h, send_h), stacked(recv_x, send_x)
     w_cnt, w_d = stacked(cnt), stacked(-1)
-    fixed = carve((atoms, 4 * hidden))
-    terms = carve((atoms, 4 * hidden))           # every step's four terms, one buffer
+    fixed = carve((reps, atoms, 4 * hidden))
+    terms = carve((reps, atoms, 4 * hidden))     # every step's four terms, one buffer
     if x is not None:
-        np.matmul(x.T, w_x.T, out=fixed)
+        np.matmul(x.transpose(0, 2, 1), w_x.transpose(0, 2, 1), out=fixed)
     else:
         fixed.fill(0.0)
-    fixed[:, :2 * hidden] += np.concatenate((-params.gate_bias.values,
-                                             params.candidate_bias.values))[:, 0]
+    # the gate's columns are negated, and x - b is x + (-b) to the bit
+    fixed[..., :hidden] -= value("gate_bias")[:, None, :, 0]
+    fixed[..., hidden:2 * hidden] += value("candidate_bias")[:, None, :, 0]
     if count is not None:
         # terms is free until the first step
-        fixed[:, :2 * hidden] += np.matmul(count.T, w_cnt.T,
-                                           out=terms.reshape(-1)[:atoms * 2 * hidden]
-                                           .reshape(atoms, 2 * hidden))
+        fixed[..., :2 * hidden] += np.matmul(
+            count.transpose(0, 2, 1), w_cnt.transpose(0, 2, 1),
+            out=terms.reshape(-1)[:reps * atoms * 2 * hidden].reshape(reps, atoms, 2 * hidden))
 
     # per molecule, gate and candidate: fl(max|w_d| max(inv_dist)), added first as in the grid
-    dist_bound = np.zeros((len(sizes), 2))
+    dist_bound = np.zeros((1, len(sizes), 2))
     if inv_dist is not None:
-        dist_bound = np.outer([m.max() for m in inv_dist],
-                              np.abs(w_d).reshape(2, hidden).max(axis=1))
-    pairless = np.asarray(sizes) < 2
+        dist_bound = (np.array([m.max() for m in inv_dist])[:, None]
+                      * np.abs(w_d).reshape(reps, 1, 2, hidden).max(axis=3))
+    pairless = counts < 2
 
-    blocks = terms.reshape(atoms, 4, hidden)
+    blocks = terms.reshape(reps, atoms, 4, hidden)
     # receiver v's right-hand sides [w_d; R[v]], gate's and candidate's, and
     # each molecule's [n, n, 2] pair matrix [inv_dist | 1], so that one stacked
     # product forms inv_dist[v, w] w_d + R[v] for all pairs; the distance comes
     # first, so the product is rounded before R is added, as the bound assumes
     # (an FMA-accumulating BLAS gives other bits with R first)
-    rhs = carve((atoms, 2, 2, hidden))
+    rhs = carve((reps, atoms, 2, 2, hidden))
     pairs = []
     for k, n in enumerate(sizes):
         pair = carve((n, n, 2))
@@ -421,59 +459,60 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
         pair[..., 1] = 1.0
         pairs.append(pair)
     # each molecule's pre-activations in turn, and the backward's scratch
-    slot = carve((2 * max(grid_sizes),))
+    slot = carve((reps * 2 * max(grid_sizes),))
     # the step-invariant views of each molecule that has pairs: its atom rows,
-    # pair matrix, right-hand sides, sender terms and grid in the slot. A
+    # pair matrix, right-hand sides, sender terms and grids in the slot. A
     # one-atom molecule has none, so its state rows (lone) are zero at every step
     mols, lone = [], []
     for k, n in enumerate(sizes):
         a, b = edges[k], edges[k + 1]
         if n > 1:
-            mols.append((k, n, a, b, pairs[k], rhs[a:b].transpose(1, 0, 2, 3),
-                         blocks[a:b, 2:].transpose(1, 0, 2)[:, None],
-                         slot[:2 * n * n * hidden].reshape(2, n, n, hidden)))
+            mols.append((k, n, a, b, pairs[k], rhs[:, a:b].transpose(0, 2, 1, 3, 4),
+                         blocks[:, a:b, 2:].transpose(0, 2, 1, 3)[:, :, None],
+                         slot[:reps * 2 * n * n * hidden].reshape(reps, 2, n, n, hidden)))
         else:
             lone.append(a)
     lone = np.array(lone, dtype=np.intp)
     # each step's input state, or one buffer that a step reads before it writes
-    states = carve((steps if recording else 1, atoms, hidden))
+    states = carve((steps if recording else 1, reps, atoms, hidden))
     states[0] = 0.0 if state is None else state.T
     grids: list[list[np.ndarray]] = []
     # exp of the negated gate overflows to inf above 709, giving a gate of exactly 0;
     # an overflow anywhere else makes the bound below raise
     with np.errstate(over="ignore"):
         for step in range(steps):
-            np.matmul(states[step % len(states)], w_h.T, out=terms)
+            np.matmul(states[step % len(states)], w_h.transpose(0, 2, 1), out=terms)
             terms += fixed
             # rhs is free until it is filled below
-            peak = np.abs(terms.reshape(rhs.shape), out=rhs).max(axis=3)
-            peak = np.maximum.reduceat(peak, bounds[:-1], axis=0)
-            bound = (dist_bound + peak[:, 0]) + peak[:, 1]
-            bound[pairless] = 0.0
+            peak = np.abs(terms.reshape(rhs.shape), out=rhs).max(axis=4)
+            peak = np.maximum.reduceat(peak, bounds[:-1], axis=1)
+            bound = (dist_bound + peak[:, :, 0]) + peak[:, :, 1]
+            bound[:, pairless] = 0.0
             if not np.isfinite(bound).all():
-                k = int(np.flatnonzero(~np.isfinite(bound).all(axis=1))[0])
+                k = int(np.nonzero(~np.isfinite(bound).all(axis=2))[1][0])
                 raise NumericalError(f"molecule {ids[k]}, step {step}: "
                                      f"non-finite values produced by op 'message_step'")
-            rhs[:, :, 0] = w_d.reshape(2, hidden)
-            rhs[:, :, 1] = blocks[:, :2]
-            # the returned state is the one array that outlives the workspace
-            h = np.empty((atoms, hidden)) if step == steps - 1 else states[(step + 1) % len(states)]
-            h[lone] = 0.0
+            rhs[:, :, :, 0] = w_d.reshape(reps, 1, 2, hidden)
+            rhs[:, :, :, 1] = blocks[:, :, :2]
+            # the returned states are the one array that outlives the workspace
+            h = (np.empty((reps, atoms, hidden)) if step == steps - 1
+                 else states[(step + 1) % len(states)])
+            h[:, lone] = 0.0
             step_grids = []
             for _, n, a, b, pair, rhs_k, send, pre in mols:
                 np.matmul(pair, rhs_k, out=pre)
                 pre += send
                 # a recorded step keeps its activations, so they go to its own grids
                 out = carve(pre.shape) if recording else pre
-                gate, cand = out
-                np.exp(pre[0], out=gate)
+                gate, cand = out[:, 0], out[:, 1]
+                np.exp(pre[:, 0], out=gate)
                 gate += 1.0
                 np.reciprocal(gate, out=gate)
                 # a zero gate masks the diagonal's messages and both adjoints
-                gate.reshape(n * n, -1)[::n + 1] = 0.0
-                np.tanh(pre[1], out=cand)
-                np.einsum("vwi,vwi->vi", gate, cand, out=h[a:b])
-                step_grids.append(out)
+                gate.reshape(reps, n * n, -1)[:, ::n + 1] = 0.0
+                np.tanh(pre[:, 1], out=cand)
+                np.einsum("rvwi,rvwi->rvi", gate, cand, out=h[:, a:b])
+                step_grids.append(out[0])
             h *= inv_n
             grids.append(step_grids)
     if not recording:
@@ -534,23 +573,23 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
                     d_wd += dist @ grid.reshape(2, n * n, hidden)
             check(d, step)
             if step > 0:
-                g = d @ w_h
+                g = d @ w_h[0]
                 check(g, step)
         # the initial state is usually zero, so its step adds nothing to the
         # hidden-state blocks
         first = 0 if states[0].any() else 1
-        d_w = np.zeros((2 * hidden, gate_w.shape[1]))   # rows: negated gate, candidate
+        d_w = np.zeros((2 * hidden, cfg.concat_dim))   # rows: negated gate, candidate
         d_w_h = d_terms[first:].reshape(-1, 4 * hidden).T @ states[first:].reshape(-1, hidden)
         d_w[:, recv_h], d_w[:, send_h] = d_w_h[:2 * hidden], d_w_h[2 * hidden:]
         d_fixed = d_terms.sum(axis=0)
         d_recv = d_fixed[:, :2 * hidden]
         if x is not None:
-            d_w_x = d_fixed.T @ x.T
+            d_w_x = d_fixed.T @ x[0].T
             d_w[:, recv_x], d_w[:, send_x] = d_w_x[:2 * hidden], d_w_x[2 * hidden:]
-            add_rows(params.atom_embedding, elements, d_fixed @ w_x)
+            add_rows(params.atom_embedding, elements, d_fixed @ w_x[0])
         if count is not None:
-            d_w[:, cnt] = d_recv.T @ count.T
-            add_rows(params.count_embedding, rows, d_recv @ w_cnt)
+            d_w[:, cnt] = d_recv.T @ count[0].T
+            add_rows(params.count_embedding, rows, d_recv @ w_cnt[0])
         if inv_dist is not None:
             d_w[:, -1] = d_wd.ravel()
         d_b = d_recv.sum(axis=0)[:, None]
@@ -560,7 +599,8 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
 
     inputs = (params.gate_weight, params.gate_bias, params.candidate_weight,
               params.candidate_bias)
-    return ad._result(graph, "message_step", inputs, h.T, rule)
+    finals = [ad._result(graph, "message_step", inputs, s.T, rule) for s in h]
+    return finals[0] if replicas is None else finals
 
 
 def readout(graph: Graph | None, state: Tensor, params: ModelParams,
@@ -571,9 +611,10 @@ def readout(graph: Graph | None, state: Tensor, params: ModelParams,
     order; one matmul with the ``[ΣN, B]`` matrix of 1/n averages each
     molecule's columns. Returns the ``[1, B]`` row of predictions.
     """
+    sizes = np.asarray(sizes)
     molecule = np.repeat(np.arange(len(sizes)), sizes)
     pool = np.zeros((state.cols, len(sizes)))
-    pool[np.arange(state.cols), molecule] = 1.0 / np.asarray(sizes, dtype=float)[molecule]
+    pool[np.arange(state.cols), molecule] = 1.0 / sizes[molecule]
     mean = ad.matmul(graph, state, ad.constant(pool))
     (w0, b0), (w1, b1), (w2, b2) = params.mlp
     hidden1 = ad.relu(graph, ad.linear(graph, w0, b0, mean))

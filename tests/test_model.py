@@ -8,6 +8,7 @@ import pytest
 
 import ggrnet.autodiff as ad
 import ggrnet.gradcheck as gradcheck
+import ggrnet.model as model
 from ggrnet.data import Molecule
 from ggrnet.errors import ConfigError, NumericalError, VocabularyError
 from ggrnet.gradcheck import DEFAULT_CHECK_CONFIG, gradient_check, run_gradcheck
@@ -398,6 +399,7 @@ def test_forward_gradients_match_finite_differences(steps, sizes):
     molecules = random_molecules(16, 3, sizes=sizes, elements=VOCAB)
     report = gradient_check(params, cfg, molecules, [0.3, -0.2, 0.9], VOCAB)
     assert report.max_error < 1e-5, report
+    assert model._spare == []                   # the check freed its workspace
     if steps == 1:
         # the only step reads the zero initial state, so the hidden-state
         # column blocks get exactly zero gradient
@@ -450,8 +452,12 @@ def test_gradient_check_report_equals_a_whole_forward_reference_loop():
     assert report.parameter_count == total == params.parameter_count()
 
 
-@pytest.mark.parametrize("stage, failing_call", [("forward_batch", 5), ("forward_batch", 2),
-                                                 ("readout_batch", 3)])
+# the first and a later replicated recursion call; the third readout call, on
+# a replica's state, and the third of the in-place readout entries, which
+# follow the 2 x 520 losses of the recursion entries
+@pytest.mark.parametrize("stage, failing_call", [("message_step", 1), ("message_step", 4),
+                                                 ("readout_batch", 3),
+                                                 ("readout_batch", 2 * 520 + 3)])
 def test_gradient_check_restores_every_entry_when_an_evaluation_raises(monkeypatch, stage,
                                                                       failing_call):
     params = init_params(DEFAULT_CHECK_CONFIG, len(VOCAB), 6, seed=36)
@@ -460,13 +466,14 @@ def test_gradient_check_restores_every_entry_when_an_evaluation_raises(monkeypat
     real = getattr(gradcheck, stage)
     calls = 0
 
-    def failing(graph, *args):
+    def failing(graph, *args, **kwargs):
         nonlocal calls
-        if graph is None:                         # a loss evaluation
+        # a loss evaluation: a replicated recursion or a readout without a graph
+        if graph is None and (stage == "readout_batch" or "replicas" in kwargs):
             calls += 1
             if calls == failing_call:
                 raise NumericalError("evaluation failed")
-        return real(graph, *args)
+        return real(graph, *args, **kwargs)
 
     monkeypatch.setattr(gradcheck, stage, failing)
     with pytest.raises(NumericalError, match="evaluation failed"):
@@ -474,6 +481,75 @@ def test_gradient_check_restores_every_entry_when_an_evaluation_raises(monkeypat
     assert calls == failing_call
     for (name, t), values in zip(params.named(), before):
         assert t.values.tobytes() == values, name
+    assert model._spare == []                   # the check freed its workspace
+
+
+RECURSION_TENSORS = ("atom_embedding", "count_embedding", "gate_weight", "gate_bias",
+                     "candidate_weight", "candidate_bias")
+
+
+@pytest.mark.parametrize("flag", [None, "use_atom_embedding", "use_count_feature",
+                                  "use_distance_feature"])
+def test_replicated_recursion_equals_the_live_tensor_per_replica(flag):
+    # every replica's final state has the bits and the layout of a recursion
+    # with its value written into the live tensor; 5 entries per call divide
+    # none of the entry counts 12, 16, 68 and 4, so chunks end mid-tensor
+    cfg = replace(SMALL, **{flag: False}) if flag else SMALL
+    params = init_params(cfg, len(VOCAB), 8, seed=54)
+    encodings = encode(cfg, random_molecules(55, 3, sizes=(2, 1, 4), elements=VOCAB))
+    before = [t.values.tobytes() for t in params.tensors()]
+    for name in RECURSION_TENSORS:
+        values = getattr(params, name).values
+        seen = []
+        for idx, hi, lo in gradcheck._perturbed_states(params, cfg, encodings, name, 1e-5, 5):
+            seen.append(idx)
+            # the lone atom's column stays +0.0
+            assert not hi.values[:, 2].any() and not np.signbit(hi.values[:, 2]).any()
+            orig = values[idx]
+            for value, got in ((orig + 1e-5, hi), (orig - 1e-5, lo)):
+                values[idx] = value
+                want = message_step(None, params, cfg, encodings)
+                values[idx] = orig
+                assert got.values.strides == want.values.strides, (name, idx)
+                assert got.values.tobytes() == want.values.tobytes(), (name, idx)
+        assert seen == list(np.ndindex(values.shape)), name
+    assert [t.values.tobytes() for t in params.tensors()] == before
+
+
+def test_an_overflowing_replica_names_the_molecule_and_step():
+    params = small_params(seed=56)
+    params.atom_embedding.values[:] = 1.0
+    encodings = encode(SMALL, [Molecule("lone", ("C",), np.zeros((1, 3)), {}),
+                               random_molecule(np.random.default_rng(57), 4, elements=VOCAB,
+                                               mol_id="m4")])
+    before = [t.values.tobytes() for t in params.tensors()]
+    stack = np.repeat(params.gate_weight.values[None], 3, axis=0)
+    stack[1] = 1e308                             # the receiver term overflows in replica 1 only
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match=r"^molecule m4, step 0: .*'message_step'"):
+        message_step(None, params, SMALL, encodings, replicas=("gate_weight", stack))
+    assert [t.values.tobytes() for t in params.tensors()] == before
+
+
+def test_replicas_per_call_fit_the_byte_budget():
+    # at least one entry per call, however large the batch; more only while
+    # their replicas' workspace fits the budget
+    big = replace(DEFAULT_CHECK_CONFIG, hidden_dim=100)
+    assert gradcheck._entries_per_call(big, [29]) == 1
+    sizes = [1, 2, 4, 6]
+    per_call = gradcheck._entries_per_call(DEFAULT_CHECK_CONFIG, sizes)
+    assert per_call > 1
+    assert (8 * model._workspace_size(DEFAULT_CHECK_CONFIG, sizes, 2 * per_call)
+            <= gradcheck.REPLICA_BYTES
+            < 8 * model._workspace_size(DEFAULT_CHECK_CONFIG, sizes, 2 * per_call + 2))
+
+
+def test_a_recorded_recursion_takes_no_replicas():
+    params = small_params(seed=58)
+    stack = params.gate_bias.values[None].copy()
+    with pytest.raises(ValueError, match="no replicas"):
+        message_step(ad.Graph(), params, SMALL, encode(SMALL, [random_molecule(
+            np.random.default_rng(59), 3, elements=VOCAB)]), replicas=("gate_bias", stack))
 
 
 @pytest.mark.parametrize("recorded", [False, True])
