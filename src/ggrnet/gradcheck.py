@@ -9,7 +9,7 @@ the unperturbed recursion state computed once per check (the recursion reads
 no readout tensor). The embedding, gate and candidate entries never touch
 the live tensors: each one's ``+`` and ``-`` perturbations are replicas of
 the recursion, one tensor's values replaced, and the replicas of several
-entries run as one no-grad :func:`~ggrnet.model.message_step` over a
+entries run as one no-grad :func:`~ggrnet.model.forward_batch` over a
 leading replica axis, as many as fit :data:`REPLICA_BYTES` of workspace
 (at least one entry per call). Each replica's final state then runs the
 readout and the loss by itself. Every loss has the bits of a whole forward
@@ -72,8 +72,11 @@ def gradient_check(params: ModelParams, cfg: ModelConfig, molecules: Sequence[Mo
         state = message_step(None, params, cfg, encodings)
         per_call = _entries_per_call(cfg, [enc.n for enc in encodings])
 
+        def batch_loss(preds: Tensor) -> float:
+            return mse_loss(None, preds, targets).item()
+
         def loss(final: Tensor) -> float:
-            return mse_loss(None, readout_batch(None, final, params, encodings), targets).item()
+            return batch_loss(readout_batch(None, final, params, encodings))
 
         worst = (0.0, "", (0, 0))
         total = 0
@@ -81,8 +84,9 @@ def gradient_check(params: ModelParams, cfg: ModelConfig, molecules: Sequence[Mo
             if name.startswith("readout_"):
                 losses = _readout_losses(tensor.values, fd_step, lambda: loss(state))
             else:
-                losses = ((idx, loss(hi), loss(lo)) for idx, hi, lo in
-                          _perturbed_states(params, cfg, encodings, name, fd_step, per_call))
+                losses = ((idx, batch_loss(hi), batch_loss(lo)) for idx, hi, lo in
+                          _perturbed_predictions(params, cfg, encodings, name, fd_step,
+                                                 per_call))
             grad = analytic[name]
             for idx, hi, lo in losses:
                 total += 1
@@ -121,13 +125,13 @@ def _entries_per_call(cfg: ModelConfig, sizes: Sequence[int]) -> int:
     return max(1, (REPLICA_BYTES // 8 - shared) // (2 * per_replica))
 
 
-def _perturbed_states(params: ModelParams, cfg: ModelConfig,
-                      encodings: Sequence[MoleculeEncoding], name: str, fd_step: float,
-                      per_call: int):
+def _perturbed_predictions(params: ModelParams, cfg: ModelConfig,
+                           encodings: Sequence[MoleculeEncoding], name: str, fd_step: float,
+                           per_call: int):
     """``(idx, hi, lo)`` per entry of the recursion tensor ``name`` in
-    :func:`np.ndindex` order: the final states of the batch with the entry at
+    :func:`np.ndindex` order: the batch's predictions with the entry at
     ``orig + fd_step`` and at ``orig - fd_step``. The replicas of ``per_call``
-    entries run as one :func:`message_step`; the live tensor is never written."""
+    entries run as one :func:`forward_batch`; the live tensor is never written."""
     values = getattr(params, name).values
     entries = list(np.ndindex(values.shape))
     for start in range(0, len(entries), per_call):
@@ -136,9 +140,9 @@ def _perturbed_states(params: ModelParams, cfg: ModelConfig,
         for j, idx in enumerate(chunk):
             stack[(2 * j, *idx)] = values[idx] + fd_step
             stack[(2 * j + 1, *idx)] = values[idx] - fd_step
-        finals = message_step(None, params, cfg, encodings, replicas=(name, stack))
+        preds = forward_batch(None, encodings, params, cfg, replicas=(name, stack))
         for j, idx in enumerate(chunk):
-            yield idx, finals[2 * j], finals[2 * j + 1]
+            yield idx, preds[2 * j], preds[2 * j + 1]
 
 
 def _random_params(cfg: ModelConfig, vocab_size: int, max_atom_count: int,

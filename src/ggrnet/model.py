@@ -636,15 +636,21 @@ def readout_batch(graph: Graph | None, state: Tensor, params: ModelParams,
 
 
 def forward_batch(graph: Graph | None, encodings: Sequence[MoleculeEncoding],
-                  params: ModelParams, cfg: ModelConfig) -> Tensor:
+                  params: ModelParams, cfg: ModelConfig,
+                  replicas: tuple[str, np.ndarray] | None = None) -> Tensor | list[Tensor]:
     """Predictions ``[1, B]`` for a batch of encoded molecules, in normalized
     target space: :func:`message_step`, then :func:`readout_batch`.
 
     Hidden states start at zero. A :class:`NumericalError` names the
     molecule and the recursion step, or, where no single molecule is to
-    blame, the batch and the readout.
+    blame, the batch and the readout. ``replicas`` runs the recursion's
+    replicas as :func:`message_step` does and returns the list of their
+    predictions, each replica's final state read out by itself.
     """
     # the recursion names the molecule and step of its own errors
+    if replicas is not None:
+        return [readout_batch(None, final, params, encodings)
+                for final in message_step(graph, params, cfg, encodings, replicas=replicas)]
     return readout_batch(graph, message_step(graph, params, cfg, encodings), params, encodings)
 
 

@@ -452,12 +452,10 @@ def test_gradient_check_report_equals_a_whole_forward_reference_loop():
     assert report.parameter_count == total == params.parameter_count()
 
 
-# the first and a later replicated recursion call; the third readout call, on
-# a replica's state, and the third of the in-place readout entries, which
-# follow the 2 x 520 losses of the recursion entries
-@pytest.mark.parametrize("stage, failing_call", [("message_step", 1), ("message_step", 4),
-                                                 ("readout_batch", 3),
-                                                 ("readout_batch", 2 * 520 + 3)])
+# a later replicated forward, the second, and the fifth; the third loss of the
+# readout entries, which the check perturbs in place
+@pytest.mark.parametrize("stage, failing_call", [("forward_batch", 5), ("forward_batch", 2),
+                                                 ("readout_batch", 3)])
 def test_gradient_check_restores_every_entry_when_an_evaluation_raises(monkeypatch, stage,
                                                                       failing_call):
     params = init_params(DEFAULT_CHECK_CONFIG, len(VOCAB), 6, seed=36)
@@ -468,7 +466,7 @@ def test_gradient_check_restores_every_entry_when_an_evaluation_raises(monkeypat
 
     def failing(graph, *args, **kwargs):
         nonlocal calls
-        # a loss evaluation: a replicated recursion or a readout without a graph
+        # a loss evaluation: a replicated forward or a readout without a graph
         if graph is None and (stage == "readout_batch" or "replicas" in kwargs):
             calls += 1
             if calls == failing_call:
@@ -491,28 +489,41 @@ RECURSION_TENSORS = ("atom_embedding", "count_embedding", "gate_weight", "gate_b
 @pytest.mark.parametrize("flag", [None, "use_atom_embedding", "use_count_feature",
                                   "use_distance_feature"])
 def test_replicated_recursion_equals_the_live_tensor_per_replica(flag):
-    # every replica's final state has the bits and the layout of a recursion
-    # with its value written into the live tensor; 5 entries per call divide
-    # none of the entry counts 12, 16, 68 and 4, so chunks end mid-tensor
+    # every replica's final state and predictions have the bits and the
+    # layout of a recursion and a forward with its value written into the
+    # live tensor; the states come from one call over all of a tensor's
+    # replicas, the predictions from the check's chunks of 5 entries, which
+    # divide none of the entry counts 12, 16, 68 and 4, so chunks end mid-tensor
     cfg = replace(SMALL, **{flag: False}) if flag else SMALL
     params = init_params(cfg, len(VOCAB), 8, seed=54)
     encodings = encode(cfg, random_molecules(55, 3, sizes=(2, 1, 4), elements=VOCAB))
     before = [t.values.tobytes() for t in params.tensors()]
     for name in RECURSION_TENSORS:
         values = getattr(params, name).values
+        entries = list(np.ndindex(values.shape))
+        stack = np.repeat(values[None], 2 * len(entries), axis=0)
+        for j, idx in enumerate(entries):
+            stack[(2 * j, *idx)] = values[idx] + 1e-5
+            stack[(2 * j + 1, *idx)] = values[idx] - 1e-5
+        finals = message_step(None, params, cfg, encodings, replicas=(name, stack))
         seen = []
-        for idx, hi, lo in gradcheck._perturbed_states(params, cfg, encodings, name, 1e-5, 5):
+        for idx, hi, lo in gradcheck._perturbed_predictions(params, cfg, encodings, name,
+                                                            1e-5, 5):
+            j = len(seen)
             seen.append(idx)
-            # the lone atom's column stays +0.0
-            assert not hi.values[:, 2].any() and not np.signbit(hi.values[:, 2]).any()
             orig = values[idx]
-            for value, got in ((orig + 1e-5, hi), (orig - 1e-5, lo)):
+            for value, state, got in ((orig + 1e-5, finals[2 * j], hi),
+                                      (orig - 1e-5, finals[2 * j + 1], lo)):
+                # the lone atom's column stays +0.0
+                assert not state.values[:, 2].any() and not np.signbit(state.values[:, 2]).any()
                 values[idx] = value
-                want = message_step(None, params, cfg, encodings)
+                want_state = message_step(None, params, cfg, encodings)
+                want = forward_batch(None, encodings, params, cfg)
                 values[idx] = orig
-                assert got.values.strides == want.values.strides, (name, idx)
-                assert got.values.tobytes() == want.values.tobytes(), (name, idx)
-        assert seen == list(np.ndindex(values.shape)), name
+                for a, b in ((state, want_state), (got, want)):
+                    assert a.values.strides == b.values.strides, (name, idx)
+                    assert a.values.tobytes() == b.values.tobytes(), (name, idx)
+        assert seen == entries, name
     assert [t.values.tobytes() for t in params.tensors()] == before
 
 
