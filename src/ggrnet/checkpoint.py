@@ -112,6 +112,12 @@ def load_checkpoint(path) -> Checkpoint:
         max_atom_count = int(header["max_atom_count"])
     except (KeyError, TypeError, ValueError) as err:
         raise CheckpointError(f"{path}: header has missing or malformed fields: {err}") from err
+    for f in dataclasses.fields(config):
+        if type(getattr(config, f.name)) is not type(f.default):
+            raise CheckpointError(f"{path}: config.{f.name} must be of type "
+                                  f"{type(f.default).__name__}, got {getattr(config, f.name)!r}")
+    if max_atom_count < 1:
+        raise CheckpointError(f"{path}: max_atom_count must be >= 1, got {max_atom_count}")
     for name, rows, cols in manifest:
         if rows < 0 or cols < 0:
             raise CheckpointError(f"{path}: tensor '{name}' has negative shape ({rows}, {cols})")

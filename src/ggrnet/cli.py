@@ -209,28 +209,28 @@ def _cmd_eval(args) -> int:
         raise ConfigError("eval --schema and --format go with --data, not --config")
     if args.partition and not args.config:
         raise ConfigError("eval --partition needs --config")
-    ckpt = load_checkpoint(args.checkpoint)
-    if args.config:
-        spec = load_run_spec(args.config)
-        ds = _load_spec_dataset(spec)
-        if list(ds.element_vocabulary) != list(ckpt.vocabulary):
-            raise CheckpointError(f"vocabulary mismatch: dataset uses "
-                                  f"{ds.element_vocabulary}, checkpoint expects "
-                                  f"{ckpt.vocabulary}")
-        partition = args.partition or "test"
-        if partition != "all":
-            ds = split(ds, spec.split_spec())[_PARTITIONS[partition]]
-    elif args.data:
-        schema = resolve_schema(args.schema)
-        ds = load_dataset(args.data, args.format, schema, ckpt.vocabulary)
-    else:
-        raise ConfigError("eval needs either --config or --data")
-
-    target = ckpt.target_property
-    if target not in ds.property_names:
-        raise DataError(f"checkpoint target '{target}' not among dataset properties "
-                        f"{ds.property_names}")
     with _thread_cap(args.threads):
+        ckpt = load_checkpoint(args.checkpoint)
+        if args.config:
+            spec = load_run_spec(args.config)
+            ds = _load_spec_dataset(spec)
+            if list(ds.element_vocabulary) != list(ckpt.vocabulary):
+                raise CheckpointError(f"vocabulary mismatch: dataset uses "
+                                      f"{ds.element_vocabulary}, checkpoint expects "
+                                      f"{ckpt.vocabulary}")
+            partition = args.partition or "test"
+            if partition != "all":
+                ds = split(ds, spec.split_spec())[_PARTITIONS[partition]]
+        elif args.data:
+            schema = resolve_schema(args.schema)
+            ds = load_dataset(args.data, args.format, schema, ckpt.vocabulary)
+        else:
+            raise ConfigError("eval needs either --config or --data")
+
+        target = ckpt.target_property
+        if target not in ds.property_names:
+            raise DataError(f"checkpoint target '{target}' not among dataset properties "
+                            f"{ds.property_names}")
         report = evaluate(ckpt.params, ds, ckpt.normalizer, ckpt.config, ckpt.vocabulary,
                           target, with_residuals=args.residuals)
     payload = {"property": target, "unit": ckpt.unit, "n": report.n, "mae": report.mae}
@@ -241,18 +241,19 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    path = Path(args.molecules)
-    if not path.is_file():
-        raise DataError(f"molecule file not found: {path}")
-    schema = resolve_schema(args.schema)
-    with _thread_cap(args.threads), open(path, "rb") as fh:
-        # predict reads, predicts and prints one chunk before it reads the
-        # next, so memory does not grow with the file
-        molecules = iter_extended_xyz_records(fh, schema, ckpt.vocabulary)
-        for mol, value in predict(ckpt.params, molecules, ckpt.config, ckpt.vocabulary,
-                                  ckpt.normalizer):
-            print(f"{mol.mol_id}\t{value!r}", flush=True)
+    with _thread_cap(args.threads):
+        ckpt = load_checkpoint(args.checkpoint)
+        path = Path(args.molecules)
+        if not path.is_file():
+            raise DataError(f"molecule file not found: {path}")
+        schema = resolve_schema(args.schema)
+        with open(path, "rb") as fh:
+            # predict reads, predicts and prints one chunk before it reads the
+            # next, so memory does not grow with the file
+            molecules = iter_extended_xyz_records(fh, schema, ckpt.vocabulary)
+            for mol, value in predict(ckpt.params, molecules, ckpt.config, ckpt.vocabulary,
+                                      ckpt.normalizer):
+                print(f"{mol.mol_id}\t{value!r}", flush=True)
     return 0
 
 

@@ -131,8 +131,9 @@ class Normalizer:
     std: float
 
     def __post_init__(self):
-        if not (self.std > 0):
-            raise DataError(f"normalizer std must be positive, got {self.std}")
+        if not (math.isfinite(self.mean) and 0 < self.std < math.inf):
+            raise DataError(f"normalizer needs a finite mean and a positive finite std, "
+                            f"got {self.mean} and {self.std}")
 
     def normalize(self, y):
         return (y - self.mean) / self.std

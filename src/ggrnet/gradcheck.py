@@ -2,18 +2,12 @@
 
 For every parameter entry, the analytic gradient (one recorded forward plus
 backward over a small batch loss) is compared against central differences of
-the unrecorded forward path. A loss evaluation runs the whole batch at once,
-as training does, but only through the stages that the perturbed entry
-feeds. A readout entry is perturbed in place and runs the readout alone, on
-the unperturbed recursion state computed once per check (the recursion reads
-no readout tensor). The embedding, gate and candidate entries never touch
-the live tensors: each one's ``+`` and ``-`` perturbations are replicas of
-the recursion, one tensor's values replaced, and the replicas of several
-entries run as one no-grad :func:`~ggrnet.model.forward_batch` over a
-leading replica axis, as many as fit :data:`REPLICA_BYTES` of workspace
-(at least one entry per call). Each replica's final state then runs the
-readout and the loss by itself. Every loss has the bits of a whole forward
-pass with the entry written into the live tensor. The error metric is
+the unrecorded forward path over the whole batch, as training runs it. No
+live tensor is written: an entry's ``+`` and ``-`` perturbations are two
+replicas of a no-grad :func:`~ggrnet.model.forward_batch`, which runs the
+replicas of as many entries of a tensor as fit :data:`REPLICA_BYTES` (at
+least one) and gives every loss the bits of a whole forward pass with the
+entry written into the live tensor. The error metric is
 ``|analytic - numeric| / max(|analytic|, |numeric|, 1)``, i.e. relative for
 large gradients and absolute near zero.
 """
@@ -25,10 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Graph, Tensor
+from .autodiff import Graph
 from .data import Molecule
 from .model import (ModelConfig, ModelParams, MoleculeEncoding, _is_bias, _workspace_size,
-                    forward_batch, init_params, message_step, readout_batch, release_workspace)
+                    forward_batch, init_params, release_workspace)
 from .synth import random_molecules
 from .training import mse_loss
 
@@ -36,7 +30,7 @@ __all__ = ["GradCheckReport", "gradient_check", "run_gradcheck", "DEFAULT_CHECK_
 
 DEFAULT_CHECK_CONFIG = ModelConfig(atom_dim=4, count_dim=4, hidden_dim=8, mlp_dim=8, steps=3)
 
-# the workspace, in bytes, that the replicas of one recursion call may fill
+# the bytes that the replicas of one forward_batch call may fill
 REPLICA_BYTES = 1 << 18
 
 
@@ -54,12 +48,12 @@ def gradient_check(params: ModelParams, cfg: ModelConfig, molecules: Sequence[Mo
     """Compare analytic and central-difference gradients of the batch MSE.
 
     ``corrupt`` deliberately scales one analytic gradient to verify the check
-    itself can fail (negative control). Every readout entry perturbed in
-    place is restored bitwise, also when a loss evaluation raises; the
-    recursion's entries are perturbed in replicas only. The spare recursion
+    itself can fail (negative control). Every entry is perturbed in replicas
+    only, so the check writes no parameter value. The spare recursion
     workspace is freed when the check returns or raises.
     """
     encodings = [MoleculeEncoding(m, vocabulary, cfg) for m in molecules]
+    sizes = [enc.n for enc in encodings]
     named = params.named()
     try:
         ad.zero_grads([t for _, t in named])
@@ -69,28 +63,16 @@ def gradient_check(params: ModelParams, cfg: ModelConfig, molecules: Sequence[Mo
         analytic = {name: t.grad.copy() for name, t in named}
         if corrupt:
             analytic["gate_weight"] *= 1.01
-        state = message_step(None, params, cfg, encodings)
-        per_call = _entries_per_call(cfg, [enc.n for enc in encodings])
-
-        def batch_loss(preds: Tensor) -> float:
-            return mse_loss(None, preds, targets).item()
-
-        def loss(final: Tensor) -> float:
-            return batch_loss(readout_batch(None, final, params, encodings))
-
         worst = (0.0, "", (0, 0))
         total = 0
         for name, tensor in named:
-            if name.startswith("readout_"):
-                losses = _readout_losses(tensor.values, fd_step, lambda: loss(state))
-            else:
-                losses = ((idx, batch_loss(hi), batch_loss(lo)) for idx, hi, lo in
-                          _perturbed_predictions(params, cfg, encodings, name, fd_step,
-                                                 per_call))
             grad = analytic[name]
-            for idx, hi, lo in losses:
+            per_call = _entries_per_call(cfg, sizes, name, tensor.values.size)
+            for idx, hi, lo in _perturbed_predictions(params, cfg, encodings, name, fd_step,
+                                                      per_call):
                 total += 1
-                numeric = (hi - lo) / (2.0 * fd_step)
+                numeric = ((mse_loss(None, hi, targets).item()
+                            - mse_loss(None, lo, targets).item()) / (2.0 * fd_step))
                 a = grad[idx]
                 err = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
                 if err > worst[0]:
@@ -101,38 +83,26 @@ def gradient_check(params: ModelParams, cfg: ModelConfig, molecules: Sequence[Mo
                            worst_index=worst[2], parameter_count=total)
 
 
-def _readout_losses(values: np.ndarray, fd_step: float, loss):
-    """``(idx, hi, lo)`` per entry of ``values`` in :func:`np.ndindex` order:
-    ``loss()`` with the entry at ``orig + fd_step`` and at ``orig - fd_step``,
-    written in place and restored bitwise, also when ``loss`` raises."""
-    for idx in np.ndindex(values.shape):
-        orig = values[idx]
-        try:
-            values[idx] = orig + fd_step
-            hi = loss()
-            values[idx] = orig - fd_step
-            lo = loss()
-        finally:
-            values[idx] = orig
-        yield idx, hi, lo
-
-
-def _entries_per_call(cfg: ModelConfig, sizes: Sequence[int]) -> int:
-    """Entries whose two replicas fit one recursion call's workspace in
-    :data:`REPLICA_BYTES` together; at least one."""
-    shared = _workspace_size(cfg, sizes, replicas=0)
-    per_replica = _workspace_size(cfg, sizes, replicas=1) - shared
+def _entries_per_call(cfg: ModelConfig, sizes: Sequence[int], name: str, size: int) -> int:
+    """Entries of tensor ``name`` (``size`` entries) whose two replicas fit
+    :data:`REPLICA_BYTES` in one call, at least one: the recursion's workspace
+    for a recursion tensor, the stacked values for a readout one."""
+    if name.startswith("readout_"):
+        shared, per_replica = 0, size
+    else:
+        shared = _workspace_size(cfg, sizes, replicas=0)
+        per_replica = _workspace_size(cfg, sizes, replicas=1) - shared
     return max(1, (REPLICA_BYTES // 8 - shared) // (2 * per_replica))
 
 
 def _perturbed_predictions(params: ModelParams, cfg: ModelConfig,
                            encodings: Sequence[MoleculeEncoding], name: str, fd_step: float,
                            per_call: int):
-    """``(idx, hi, lo)`` per entry of the recursion tensor ``name`` in
+    """``(idx, hi, lo)`` per entry of the tensor ``name`` in
     :func:`np.ndindex` order: the batch's predictions with the entry at
     ``orig + fd_step`` and at ``orig - fd_step``. The replicas of ``per_call``
     entries run as one :func:`forward_batch`; the live tensor is never written."""
-    values = getattr(params, name).values
+    values = dict(params.named())[name].values
     entries = list(np.ndindex(values.shape))
     for start in range(0, len(entries), per_call):
         chunk = entries[start:start + per_call]

@@ -52,7 +52,7 @@ in :class:`MoleculeEncoding`, which every step and call can share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -70,7 +70,6 @@ __all__ = [
     "init_params",
     "message_step",
     "readout",
-    "readout_batch",
     "forward_batch",
     "forward",
 ]
@@ -622,36 +621,47 @@ def readout(graph: Graph | None, state: Tensor, params: ModelParams,
     return ad.linear(graph, w2, b2, hidden2)
 
 
-def readout_batch(graph: Graph | None, state: Tensor, params: ModelParams,
-                  encodings: Sequence[MoleculeEncoding]) -> Tensor:
-    """The second stage of :func:`forward_batch`: :func:`readout` of the
-    recursion state of ``encodings``, whose :class:`NumericalError` names the
-    batch and the readout."""
-    try:
-        return readout(graph, state, params, [enc.n for enc in encodings])
-    except NumericalError as err:
-        names = (f"molecule {encodings[0].mol_id}" if len(encodings) == 1 else
-                 f"molecules ({', '.join(enc.mol_id for enc in encodings)})")
-        raise NumericalError(f"{names}, readout: {err}") from err
-
-
 def forward_batch(graph: Graph | None, encodings: Sequence[MoleculeEncoding],
                   params: ModelParams, cfg: ModelConfig,
                   replicas: tuple[str, np.ndarray] | None = None) -> Tensor | list[Tensor]:
     """Predictions ``[1, B]`` for a batch of encoded molecules, in normalized
-    target space: :func:`message_step`, then :func:`readout_batch`.
+    target space: :func:`message_step`, then :func:`readout`.
 
     Hidden states start at zero. A :class:`NumericalError` names the
     molecule and the recursion step, or, where no single molecule is to
-    blame, the batch and the readout. ``replicas`` runs the recursion's
-    replicas as :func:`message_step` does and returns the list of their
-    predictions, each replica's final state read out by itself.
+    blame, the batch and the readout.
+
+    ``replicas = (name, values)`` runs ``len(values)`` replicas of the batch
+    in one no-grad call and returns the list of their predictions: replica r
+    reads ``values[r]`` in place of parameter tensor ``name``'s values, which
+    are never written, and its predictions have the bits of a call with
+    ``values[r]`` written there. A recursion tensor's replicas run as
+    :func:`message_step` does; a readout tensor's share one recursion, and
+    each reads it out with only that one tensor swapped.
     """
+    sizes = [enc.n for enc in encodings]
     # the recursion names the molecule and step of its own errors
-    if replicas is not None:
-        return [readout_batch(None, final, params, encodings)
-                for final in message_step(graph, params, cfg, encodings, replicas=replicas)]
-    return readout_batch(graph, message_step(graph, params, cfg, encodings), params, encodings)
+    if replicas is None or not replicas[0].startswith("readout_"):
+        finals = message_step(graph, params, cfg, encodings, replicas=replicas)
+        runs = [(final, params) for final in (finals if replicas is not None else [finals])]
+    else:
+        if graph is not None:
+            raise ValueError("a recorded forward_batch takes no replicas")
+        name, stack = replicas
+        final = message_step(None, params, cfg, encodings)
+        flat = [t for pair in params.mlp for t in pair]
+        k = 2 * int(name[len("readout_w"):]) + name.startswith("readout_b")
+        runs = []
+        for values in stack:
+            flat[k] = ad.constant(values)
+            runs.append((final, replace(params, mlp=list(zip(flat[::2], flat[1::2])))))
+    try:
+        preds = [readout(graph, state, run_params, sizes) for state, run_params in runs]
+    except NumericalError as err:
+        names = (f"molecule {encodings[0].mol_id}" if len(encodings) == 1 else
+                 f"molecules ({', '.join(enc.mol_id for enc in encodings)})")
+        raise NumericalError(f"{names}, readout: {err}") from err
+    return preds if replicas is not None else preds[0]
 
 
 def forward(graph: Graph | None, molecule: Molecule, params: ModelParams, cfg: ModelConfig,

@@ -1,11 +1,15 @@
+import dataclasses
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
 
+import ggrnet.autodiff as ad
 from ggrnet.checkpoint import FORMAT_VERSION, atomic_write, load_checkpoint, save_checkpoint
+from ggrnet.cli import main
 from ggrnet.data import Normalizer
 from ggrnet.errors import CheckpointError
 from ggrnet.model import ModelConfig, init_params
@@ -187,3 +191,44 @@ def test_wrong_tensor_shape(tmp_path):
     with pytest.raises(CheckpointError, match=r"'gate_bias' has shape \(2, 2\), "
                                               r"expected \(4, 1\)"):
         load_checkpoint(path)
+
+
+def zero_row_count_table(path):
+    """A checkpoint whose count table has no rows, so max_atom_count is 0."""
+    cfg = dataclasses.replace(CFG, use_count_feature=True)
+    params = init_params(cfg, len(VOCAB), 6, seed=0)
+    params.count_embedding = ad.parameter(np.zeros((0, cfg.count_dim)), "count_embedding")
+    save_checkpoint(path, params, cfg, VOCAB, Normalizer(mean=1.5, std=0.25), "energy")
+
+
+# each a one-field edit of a valid header that loaded (or crashed later) before
+@pytest.mark.parametrize("edit, match", [
+    pytest.param({"config": {"steps": 2.5}}, "config.steps must be of type int, got 2.5",
+                 id="fractional-steps"),
+    pytest.param({"config": {"hidden_dim": 4.0}}, "config.hidden_dim must be of type int",
+                 id="float-hidden-dim"),
+    pytest.param({"config": {"use_distance_feature": "no"}},
+                 "config.use_distance_feature must be of type bool, got 'no'",
+                 id="string-feature-switch"),
+    pytest.param({"target": {"mean": math.nan}}, "positive finite std, got nan and 0.25",
+                 id="nan-target-mean"),
+    pytest.param({"target": {"std": math.inf}}, "positive finite std, got 1.5 and inf",
+                 id="infinite-target-std"),
+    pytest.param(None, "max_atom_count must be >= 1, got 0", id="zero-max-atom-count"),
+])
+def test_malformed_header_value_is_one_line_exit_2(tmp_path, capsys, edit, match):
+    path = tmp_path / "x.ckpt"
+    if edit is None:
+        zero_row_count_table(path)
+    else:
+        write_checkpoint(path)
+        rewrite_header(path, lambda header: [header[key].update(value)
+                                             for key, value in edit.items()])
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+    molecules = tmp_path / "m.xyz"
+    molecules.write_text("2\nm\nC 0 0 0\nO 0 0 1.2\n")
+    assert main(["predict", str(path), str(molecules)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert match in err

@@ -201,10 +201,13 @@ def test_train_resplit_steps_the_split_seed(config_file, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["eval", "predict", "gradcheck"])
-def test_negative_threads_flag_is_one_line_exit_2(trained_run, capsys, command):
-    args = {"eval": ["eval", str(trained_run / "best.ckpt"), "--config",
-                     str(trained_run / "manifest.cfg")],
-            "predict": ["predict", str(trained_run / "best.ckpt"), str(sample_dataset_path())],
+def test_negative_threads_flag_is_one_line_exit_2(trained_run, tmp_path, capsys, command):
+    # the inputs of eval and predict have data errors (exit 3), but the flag
+    # is checked before any input is read
+    bad = tmp_path / "bad.xyz"
+    bad.write_text("2\nm\nC 0 0 0\n")
+    args = {"eval": ["eval", str(trained_run / "best.ckpt"), "--data", str(bad)],
+            "predict": ["predict", str(trained_run / "best.ckpt"), str(tmp_path / "none.xyz")],
             "gradcheck": ["gradcheck", "--seeds", "1"]}[command]
     assert main([*args, "--threads", "-1"]) == 2
     err = capsys.readouterr().err

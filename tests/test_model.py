@@ -452,28 +452,31 @@ def test_gradient_check_report_equals_a_whole_forward_reference_loop():
     assert report.parameter_count == total == params.parameter_count()
 
 
-# a later replicated forward, the second, and the fifth; the third loss of the
-# readout entries, which the check perturbs in place
-@pytest.mark.parametrize("stage, failing_call", [("forward_batch", 5), ("forward_batch", 2),
-                                                 ("readout_batch", 3)])
-def test_gradient_check_restores_every_entry_when_an_evaluation_raises(monkeypatch, stage,
-                                                                      failing_call):
+# the fifth and the second replicated forward of a recursion tensor, and the
+# third of a readout tensor
+@pytest.mark.parametrize("kind, failing_call", [("recursion", 5), ("recursion", 2),
+                                                ("readout", 3)])
+def test_gradient_check_writes_no_live_tensor_when_an_evaluation_raises(monkeypatch, kind,
+                                                                       failing_call):
     params = init_params(DEFAULT_CHECK_CONFIG, len(VOCAB), 6, seed=36)
     before = [t.values.tobytes() for t in params.tensors()]
     molecules = random_molecules(37, 3, sizes=(1, 2, 4), elements=VOCAB)
-    real = getattr(gradcheck, stage)
+    real = gradcheck.forward_batch
     calls = 0
 
     def failing(graph, *args, **kwargs):
         nonlocal calls
-        # a loss evaluation: a replicated forward or a readout without a graph
-        if graph is None and (stage == "readout_batch" or "replicas" in kwargs):
-            calls += 1
-            if calls == failing_call:
-                raise NumericalError("evaluation failed")
+        if "replicas" in kwargs:                 # a loss evaluation
+            # no live tensor is written at any point of the check
+            for (name, t), values in zip(params.named(), before):
+                assert t.values.tobytes() == values, name
+            if kwargs["replicas"][0].startswith("readout_") == (kind == "readout"):
+                calls += 1
+                if calls == failing_call:
+                    raise NumericalError("evaluation failed")
         return real(graph, *args, **kwargs)
 
-    monkeypatch.setattr(gradcheck, stage, failing)
+    monkeypatch.setattr(gradcheck, "forward_batch", failing)
     with pytest.raises(NumericalError, match="evaluation failed"):
         gradient_check(params, DEFAULT_CHECK_CONFIG, molecules, [0.1, 0.2, 0.3], VOCAB)
     assert calls == failing_call
@@ -491,24 +494,27 @@ RECURSION_TENSORS = ("atom_embedding", "count_embedding", "gate_weight", "gate_b
 def test_replicated_recursion_equals_the_live_tensor_per_replica(flag):
     # every replica's final state and predictions have the bits and the
     # layout of a recursion and a forward with its value written into the
-    # live tensor; the states come from one call over all of a tensor's
-    # replicas, the predictions from the check's chunks of 5 entries, which
-    # divide none of the entry counts 12, 16, 68 and 4, so chunks end mid-tensor
+    # live tensor; a recursion tensor's states come from one call over all of
+    # its replicas (a readout tensor's replicas share the live recursion),
+    # the predictions from the check's chunks of 7 entries, which divide none
+    # of the entry counts 12, 16, 68, 4, 20, 5, 25 and 1, so chunks end mid-tensor
     cfg = replace(SMALL, **{flag: False}) if flag else SMALL
     params = init_params(cfg, len(VOCAB), 8, seed=54)
     encodings = encode(cfg, random_molecules(55, 3, sizes=(2, 1, 4), elements=VOCAB))
     before = [t.values.tobytes() for t in params.tensors()]
-    for name in RECURSION_TENSORS:
-        values = getattr(params, name).values
+    for name, tensor in params.named():
+        values = tensor.values
         entries = list(np.ndindex(values.shape))
         stack = np.repeat(values[None], 2 * len(entries), axis=0)
         for j, idx in enumerate(entries):
             stack[(2 * j, *idx)] = values[idx] + 1e-5
             stack[(2 * j + 1, *idx)] = values[idx] - 1e-5
-        finals = message_step(None, params, cfg, encodings, replicas=(name, stack))
+        finals = (message_step(None, params, cfg, encodings, replicas=(name, stack))
+                  if name in RECURSION_TENSORS
+                  else [message_step(None, params, cfg, encodings)] * len(stack))
         seen = []
         for idx, hi, lo in gradcheck._perturbed_predictions(params, cfg, encodings, name,
-                                                            1e-5, 5):
+                                                            1e-5, 7):
             j = len(seen)
             seen.append(idx)
             orig = values[idx]
@@ -543,24 +549,38 @@ def test_an_overflowing_replica_names_the_molecule_and_step():
 
 
 def test_replicas_per_call_fit_the_byte_budget():
-    # at least one entry per call, however large the batch; more only while
-    # their replicas' workspace fits the budget
-    big = replace(DEFAULT_CHECK_CONFIG, hidden_dim=100)
-    assert gradcheck._entries_per_call(big, [29]) == 1
+    # at least one entry per call, however large the batch or the tensor; more
+    # only while their replicas' workspace, or a readout tensor's stacked
+    # values, fit the budget
+    big = replace(DEFAULT_CHECK_CONFIG, hidden_dim=100, mlp_dim=100)
+    assert gradcheck._entries_per_call(big, [29], "gate_weight", 100 * 225) == 1
+    assert gradcheck._entries_per_call(big, [29], "readout_w1", 100 * 100) == 1
     sizes = [1, 2, 4, 6]
-    per_call = gradcheck._entries_per_call(DEFAULT_CHECK_CONFIG, sizes)
+    per_call = gradcheck._entries_per_call(DEFAULT_CHECK_CONFIG, sizes, "gate_weight", 8 * 29)
     assert per_call > 1
     assert (8 * model._workspace_size(DEFAULT_CHECK_CONFIG, sizes, 2 * per_call)
             <= gradcheck.REPLICA_BYTES
             < 8 * model._workspace_size(DEFAULT_CHECK_CONFIG, sizes, 2 * per_call + 2))
+    # at the check's dims, each readout tensor runs in one call
+    for name, shape in model.param_shapes(DEFAULT_CHECK_CONFIG, len(VOCAB), 6):
+        if name.startswith("readout_"):
+            size = math.prod(shape)
+            per_call = gradcheck._entries_per_call(DEFAULT_CHECK_CONFIG, sizes, name, size)
+            assert per_call >= size and 16 * per_call * size <= gradcheck.REPLICA_BYTES
+    per_call = gradcheck._entries_per_call(big, [29], "readout_b1", 100)
+    assert 16 * per_call * 100 <= gradcheck.REPLICA_BYTES < 16 * (per_call + 1) * 100
 
 
 def test_a_recorded_recursion_takes_no_replicas():
     params = small_params(seed=58)
+    encodings = encode(SMALL, [random_molecule(np.random.default_rng(59), 3, elements=VOCAB)])
     stack = params.gate_bias.values[None].copy()
     with pytest.raises(ValueError, match="no replicas"):
-        message_step(ad.Graph(), params, SMALL, encode(SMALL, [random_molecule(
-            np.random.default_rng(59), 3, elements=VOCAB)]), replicas=("gate_bias", stack))
+        message_step(ad.Graph(), params, SMALL, encodings, replicas=("gate_bias", stack))
+    # nor does a recorded forward of a readout tensor's replicas
+    stack = params.mlp[0][1].values[None].copy()
+    with pytest.raises(ValueError, match="no replicas"):
+        forward_batch(ad.Graph(), encodings, params, SMALL, replicas=("readout_b0", stack))
 
 
 @pytest.mark.parametrize("recorded", [False, True])
