@@ -132,8 +132,11 @@ class Graph:
 
 
 def _result(graph: Graph | None, name: str, inputs: tuple[Tensor, ...],
-            out_values: np.ndarray, rule) -> Tensor:
-    if not np.isfinite(out_values).all():
+            out_values: np.ndarray, rule, checked: np.ndarray | None = None) -> Tensor:
+    """The op's output, recorded if ``graph`` is given, after one finiteness
+    check of ``checked`` (an op's intermediates and output in one array), or
+    of the output itself."""
+    if not np.isfinite(out_values if checked is None else checked).all():
         raise NumericalError(f"non-finite values produced by op '{name}'")
     out = Tensor.__new__(Tensor)
     out.values = out_values

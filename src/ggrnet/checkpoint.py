@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import Normalizer
+from .data import Normalizer, repeated_symbol
 from .errors import CheckpointError
 from .model import ModelConfig, ModelParams, param_shapes
 
@@ -104,6 +104,7 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         config = ModelConfig(**header["config"])
         vocabulary = list(header["vocabulary"])
+        repeated = repeated_symbol(vocabulary)
         target = header["target"]
         normalizer = Normalizer(mean=float(target["mean"]), std=float(target["std"]))
         target_property, unit = str(target["property"]), str(target.get("unit", ""))
@@ -116,6 +117,8 @@ def load_checkpoint(path) -> Checkpoint:
         if type(getattr(config, f.name)) is not type(f.default):
             raise CheckpointError(f"{path}: config.{f.name} must be of type "
                                   f"{type(f.default).__name__}, got {getattr(config, f.name)!r}")
+    if repeated is not None:
+        raise CheckpointError(f"{path}: vocabulary lists '{repeated}' twice")
     if max_atom_count < 1:
         raise CheckpointError(f"{path}: max_atom_count must be >= 1, got {max_atom_count}")
     for name, rows, cols in manifest:

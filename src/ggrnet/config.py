@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .data import (DATASET_FORMATS, DEFAULT_ELEMENTS, CommentSchema, SplitSpec,
-                   sample_dataset_path)
+                   repeated_symbol, sample_dataset_path)
 from .errors import ConfigError, DataError
 from .model import ModelConfig
 from .training import TrainConfig
@@ -37,6 +37,9 @@ def _parse_elements(s: str) -> tuple[str, ...]:
     items = tuple(tok.strip() for tok in s.split(",") if tok.strip())
     if not items:
         raise ValueError("empty element list")
+    repeated = repeated_symbol(items)
+    if repeated is not None:
+        raise ValueError(f"element '{repeated}' is listed twice")
     return items
 
 

@@ -49,6 +49,18 @@ DEFAULT_DISTANCE_EPSILON = 1e-6
 DATASET_FORMATS = ("auto", "xyz", "tabular")
 
 
+def repeated_symbol(vocabulary: Iterable[str]) -> str | None:
+    """The first symbol that a vocabulary lists twice, or ``None``. A repeated
+    symbol would map to its last row, so its other embedding rows would never
+    be read."""
+    seen = set()
+    for sym in vocabulary:
+        if sym in seen:
+            return sym
+        seen.add(sym)
+    return None
+
+
 @dataclass(frozen=True)
 class Molecule:
     """One molecule: element symbols, 3-D coordinates in Angstrom, targets."""
@@ -88,6 +100,9 @@ class Dataset:
         self.property_names = list(property_names)
         self.element_vocabulary = list(element_vocabulary)
         self.units = dict(units or {})
+        repeated = repeated_symbol(self.element_vocabulary)
+        if repeated is not None:
+            raise VocabularyError(f"vocabulary {self.element_vocabulary} lists '{repeated}' twice")
         vocab = set(self.element_vocabulary)
         for mol in self.molecules:
             for sym in mol.symbols:

@@ -6,8 +6,11 @@ the unrecorded forward path over the whole batch, as training runs it. No
 live tensor is written: an entry's ``+`` and ``-`` perturbations are two
 replicas of a no-grad :func:`~ggrnet.model.forward_batch`, which runs the
 replicas of as many entries of a tensor as fit :data:`REPLICA_BYTES` (at
-least one) and gives every loss the bits of a whole forward pass with the
-entry written into the live tensor. The error metric is
+least one) through the recursion and one stacked readout, and returns one
+row of predictions per replica, with the bits of a whole forward pass with
+the entry written into the live tensor. The losses of all rows are formed
+in one vectorised expression with the bits of
+:func:`~ggrnet.training.mse_loss`. The error metric is
 ``|analytic - numeric| / max(|analytic|, |numeric|, 1)``, i.e. relative for
 large gradients and absolute near zero.
 """
@@ -65,18 +68,23 @@ def gradient_check(params: ModelParams, cfg: ModelConfig, molecules: Sequence[Mo
             analytic["gate_weight"] *= 1.01
         worst = (0.0, "", (0, 0))
         total = 0
+        targets_row = np.array(targets, dtype=np.float64)
         for name, tensor in named:
             grad = analytic[name]
             per_call = _entries_per_call(cfg, sizes, name, tensor.values.size)
-            for idx, hi, lo in _perturbed_predictions(params, cfg, encodings, name, fd_step,
-                                                      per_call):
-                total += 1
-                numeric = ((mse_loss(None, hi, targets).item()
-                            - mse_loss(None, lo, targets).item()) / (2.0 * fd_step))
-                a = grad[idx]
-                err = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
-                if err > worst[0]:
-                    worst = (err, name, idx)
+            for entries, preds in _perturbed_predictions(params, cfg, encodings, name, fd_step,
+                                                         per_call):
+                total += len(entries)
+                # every replica's batch MSE with the bits of mse_loss: one dot
+                # product of its residual row with itself, times 1/B
+                diff = preds - targets_row
+                loss = np.matmul(diff[:, None], diff[:, :, None])[:, 0, 0] * (1.0 / len(targets))
+                numeric = (loss[0::2] - loss[1::2]) / (2.0 * fd_step)
+                a = grad[tuple(zip(*entries))]
+                err = np.abs(a - numeric) / np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1.0)
+                j = int(err.argmax())
+                if err[j] > worst[0]:
+                    worst = (err[j], name, entries[j])
     finally:
         release_workspace()
     return GradCheckReport(max_error=worst[0], worst_tensor=worst[1],
@@ -98,10 +106,11 @@ def _entries_per_call(cfg: ModelConfig, sizes: Sequence[int], name: str, size: i
 def _perturbed_predictions(params: ModelParams, cfg: ModelConfig,
                            encodings: Sequence[MoleculeEncoding], name: str, fd_step: float,
                            per_call: int):
-    """``(idx, hi, lo)`` per entry of the tensor ``name`` in
-    :func:`np.ndindex` order: the batch's predictions with the entry at
-    ``orig + fd_step`` and at ``orig - fd_step``. The replicas of ``per_call``
-    entries run as one :func:`forward_batch`; the live tensor is never written."""
+    """``(entries, preds)`` per :func:`forward_batch` call over the tensor
+    ``name``: up to ``per_call`` of its entries, in :func:`np.ndindex` order,
+    and the ``[2 len(entries), B]`` predictions of the batch, rows ``2j`` and
+    ``2j + 1`` with entry j at ``orig + fd_step`` and at ``orig - fd_step``.
+    The live tensor is never written."""
     values = dict(params.named())[name].values
     entries = list(np.ndindex(values.shape))
     for start in range(0, len(entries), per_call):
@@ -110,9 +119,7 @@ def _perturbed_predictions(params: ModelParams, cfg: ModelConfig,
         for j, idx in enumerate(chunk):
             stack[(2 * j, *idx)] = values[idx] + fd_step
             stack[(2 * j + 1, *idx)] = values[idx] - fd_step
-        preds = forward_batch(None, encodings, params, cfg, replicas=(name, stack))
-        for j, idx in enumerate(chunk):
-            yield idx, preds[2 * j], preds[2 * j + 1]
+        yield chunk, forward_batch(None, encodings, params, cfg, replicas=(name, stack)).values
 
 
 def _random_params(cfg: ModelConfig, vocab_size: int, max_atom_count: int,

@@ -43,16 +43,23 @@ adjoints, and hands the workspace back at the end of its backward; a
 recursion without a graph activates in place and hands the workspace back
 when it returns. A no-grad recursion can also run replicas of the batch in
 lockstep over a leading axis, each with one tensor's values replaced, as
-the gradient check does. The readout averages each molecule's columns with
-one matmul and runs the MLP on the ``[mlp, B]`` block, one column per
-molecule. A single molecule is a batch of one (:func:`forward`). The constant
-per-molecule structure (element indices, inverse distances) is precomputed
-in :class:`MoleculeEncoding`, which every step and call can share.
+the gradient check does.
+
+The whole readout is one op too, :func:`readout`, with a hand-written
+backward: each molecule's mean is a segment sum of its columns, and the MLP
+runs one matrix-vector product per molecule and layer, stacked over a
+leading replica axis, so the replicas of a no-grad pass are read out in one
+call. No atom's terms and no molecule's readout come from a product whose
+kernel depends on the rest of the batch, so a molecule's prediction has
+the same bits in any batch. A single molecule is a batch of
+one (:func:`forward`). The constant per-molecule structure (element indices,
+inverse distances) is precomputed in :class:`MoleculeEncoding`, which every
+step and call can share.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -122,7 +129,7 @@ class ModelParams:
     mlp: list[tuple[Tensor, Tensor]] = field(default_factory=list)
 
     def named(self) -> list[tuple[str, Tensor]]:
-        pairs = [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "mlp"]
+        pairs = [(name, getattr(self, name)) for name in _RECURSION_TENSORS]
         for i, (w, b) in enumerate(self.mlp):
             pairs.append((f"readout_w{i}", w))
             pairs.append((f"readout_b{i}", b))
@@ -151,6 +158,10 @@ class ModelParams:
         layers = sum(name.startswith("readout_w") for name in tensors)
         return cls(**core, mlp=[(tensors[f"readout_w{i}"], tensors[f"readout_b{i}"])
                                   for i in range(layers)])
+
+
+# the tensors that the recursion reads, in ModelParams.named order
+_RECURSION_TENSORS = tuple(f.name for f in fields(ModelParams) if f.name != "mlp")
 
 
 def param_shapes(cfg: ModelConfig, vocab_size: int,
@@ -283,18 +294,45 @@ def _workspace_size(cfg: ModelConfig, sizes: Sequence[int], replicas: int = 1,
     return size
 
 
+def _replica_reader(params: ModelParams, replicas: tuple[str, np.ndarray] | None,
+                    stage: str):
+    """``value(name)``: the values of a tensor that ``stage`` (the recursion or
+    the readout) reads, with a leading replica axis: the replicas' ``[R, ...]``
+    if they replace it, else ``[1, ...]``. Replicas that name no tensor of the
+    stage, or whose values are not ``(R, *its shape)`` with R >= 1, raise a
+    :class:`ValueError` naming both."""
+    tensors = {name: t for name, t in params.named()
+               if name.startswith("readout_") == (stage == "readout")}
+    if replicas is not None:
+        name, values = replicas
+        shape = np.shape(values)
+        if name not in tensors:
+            raise ValueError(f"replicas of {name!r} (values of shape {shape}): the {stage} "
+                             f"reads no tensor of that name, only {', '.join(tensors)}")
+        if len(shape) != 3 or shape[0] < 1 or shape[1:] != tensors[name].shape:
+            raise ValueError(f"replicas of {name!r}: values of shape {shape}, expected "
+                             f"(R, {', '.join(map(str, tensors[name].shape))}) with R >= 1")
+
+    def value(name: str) -> np.ndarray:
+        if replicas is not None and replicas[0] == name:
+            return replicas[1]
+        return tensors[name].values[None]
+
+    return value
+
+
 def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
                  encodings: Sequence[MoleculeEncoding], state: np.ndarray | None = None,
-                 replicas: tuple[str, np.ndarray] | None = None) -> Tensor | list[Tensor]:
+                 replicas: tuple[str, np.ndarray] | None = None) -> Tensor | np.ndarray:
     """All ``cfg.steps`` recursion steps of a batch as one recorded op: the
     final state ``[hidden, ΣN]``.
 
     Molecule k of ``encodings`` owns its ``n`` atom columns after those of
-    molecules 0..k-1 and is named by its ``mol_id`` in errors. The op gathers
-    the step-invariant inputs itself: ``x`` ``[atom, ΣN]``, each atom's
-    embedding row; ``count`` ``[count, ΣN]``, the count-embedding row of its
-    molecule (the last row for molecules larger than the table); and each
-    molecule's ``[n, n]`` ``inv_dist``. A feature that ``cfg`` switches off
+    molecules 0..k-1 and is named by its ``mol_id`` in errors. The op reads
+    the step-invariant inputs itself: ``x``, each atom's embedding row;
+    ``count``, the count-embedding row of its molecule (the last row for
+    molecules larger than the table); and each molecule's ``[n, n]``
+    ``inv_dist``. A feature that ``cfg`` switches off
     has no input, and its weight block is skipped and gets a zero gradient.
     The recursion starts from ``state`` ``[hidden, ΣN]`` (zero if not
     given), which gets no gradient.
@@ -307,9 +345,12 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     without replicas, so each numpy call of the step loop covers all
     replicas: the terms are stacked products, each molecule's grids are
     ``[replicas, 2, n, n, hidden]``, and the bound below is checked per
-    replica and molecule. The call returns the list of the replicas' final
-    states, each with the bits and the layout of a call with its values
-    written into the live tensor. A recorded call takes no replicas.
+    replica and molecule. The call returns the replicas' final states as one
+    ``[R, hidden, ΣN]`` array, tested for finiteness once; each ``[hidden,
+    ΣN]`` slice has the bits and the layout of a call with its values written
+    into the live tensor. A name that is not a recursion tensor, or values of
+    a shape other than ``(R, *its shape)``, raise a :class:`ValueError`. A
+    recorded call takes no replicas.
 
     For gate and candidate alike, pair (v, w) of a molecule has the
     pre-activation ``R[v] + S[w] + w_d * inv_dist[v, w]``, with the receiver
@@ -317,7 +358,12 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     ``S = (W_s,x x + W_s,h h)ᵀ``. Only the ``h`` products change from step to
     step, so the rest of all four terms is one ``[ΣN, 4 hidden]`` block formed
     once per batch, and each step adds one product of the state with the four
-    hidden-state blocks stacked. The gate's columns are stored negated, so
+    hidden-state blocks stacked. The block's embedding and count parts are
+    products with the whole tables, gathered per atom, whose shapes no batch
+    changes; the state product takes C-contiguous operands (the hidden-state
+    blocks are stored transposed), with which BLAS computes every atom's row
+    the same way in any batch. So a molecule's final state has the same bits
+    whatever the rest of its batch. The gate's columns are stored negated, so
     the sigmoid's ``exp`` runs on the grid as built. Each molecule's
     ``[2, n, n, hidden]`` grid (gate and candidate, receiver, sender, hidden)
     gives the messages ``sigmoid(gate) * tanh(candidate)``, diagonal masked,
@@ -351,10 +397,10 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     blocks; a non-finite per-atom adjoint raises a :class:`NumericalError`
     naming the molecule and step. Each weight block's gradient is then one
     matmul over the columns of all steps, or over their sum for the
-    step-invariant blocks. The op adds the gradients of ``x`` and ``count``
-    to the tables' ``grad`` itself, so the tables are not inputs of its tape
-    entry: each atom's adjoint row is scatter-added (``np.add.at``), so atoms
-    that share a row accumulate, and a non-finite sum raises here.
+    step-invariant blocks. The op adds the gradients of the embedding and
+    count rows to the tables' ``grad`` itself, so the tables are not inputs of
+    its tape entry: each atom's adjoint row is scatter-added (``np.add.at``),
+    so atoms that share a row accumulate, and a non-finite sum raises here.
 
     Every batch-sized array the op uses is a view of one workspace checked
     out for this call alone (:func:`_workspace_size`). Once per replica, it
@@ -380,23 +426,15 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     cnt = slice(2 * half, 2 * half + cfg.count_dim)
     sizes, ids = [enc.n for enc in encodings], [enc.mol_id for enc in encodings]
     counts = np.array(sizes)
+    value = _replica_reader(params, replicas, "recursion")
     reps = 1 if replicas is None else len(replicas[1])
 
-    def value(name: str) -> np.ndarray:
-        """The named tensor's values with a leading replica axis: the
-        replicas' ``[reps, ...]`` if they replace it, else ``[1, ...]``."""
-        if replicas is not None and replicas[0] == name:
-            return replicas[1]
-        return getattr(params, name).values[None]
-
-    # the step-invariant inputs, gathered as C-contiguous [1 or reps, dim, ΣN] blocks
-    x = count = None
+    # each atom's embedding-table row, and its molecule's count-table row
+    elements = rows = None
     if cfg.use_atom_embedding:
         elements = np.concatenate([enc.elements for enc in encodings])
-        x = np.ascontiguousarray(value("atom_embedding").transpose(0, 2, 1)[:, :, elements])
     if cfg.use_count_feature:
         rows = np.repeat(np.minimum(counts, params.max_atom_count) - 1, counts)
-        count = np.ascontiguousarray(value("count_embedding").transpose(0, 2, 1)[:, :, rows])
     inv_dist = [enc.inv_dist for enc in encodings] if cfg.use_distance_feature else None
     bounds = np.cumsum([0, *sizes])
     edges, atoms = bounds.tolist(), int(bounds[-1])
@@ -420,22 +458,35 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
         return out.reshape(reps, -1, *width)
 
     # the four terms' columns: [R_gate, R_cand, S_gate, S_cand]
-    w_h, w_x = stacked(recv_h, send_h), stacked(recv_x, send_x)
-    w_cnt, w_d = stacked(cnt), stacked(-1)
+    w_x, w_cnt, w_d = stacked(recv_x, send_x), stacked(cnt), stacked(-1)
+    # the hidden-state blocks transposed, [reps, hidden, 4 hidden], so that each
+    # step's product with the [ΣN, hidden] state has C-contiguous operands, with
+    # which BLAS computes each atom's terms the same way in any batch (with a
+    # transposed operand it took another kernel for batches of 2-6 atoms)
+    w_h = carve((reps, hidden, 2, 2, hidden))
+    for i, c in enumerate((recv_h, send_h)):
+        np.negative(gate_w[:, :, c].transpose(0, 2, 1), out=w_h[:, :, i, 0])
+        w_h[:, :, i, 1] = cand_w[:, :, c].transpose(0, 2, 1)
+    w_h = w_h.reshape(reps, hidden, 4 * hidden)
     fixed = carve((reps, atoms, 4 * hidden))
     terms = carve((reps, atoms, 4 * hidden))     # every step's four terms, one buffer
-    if x is not None:
-        np.matmul(x.transpose(0, 2, 1), w_x.transpose(0, 2, 1), out=fixed)
+    # the embedding and count parts: one product per table row, of a shape that
+    # no batch changes, gathered per atom (mode="clip" writes without a
+    # temporary; every index is in range)
+    if elements is not None:
+        np.take(np.matmul(value("atom_embedding"), w_x.transpose(0, 2, 1)), elements, axis=1,
+                out=fixed, mode="clip")
     else:
         fixed.fill(0.0)
     # the gate's columns are negated, and x - b is x + (-b) to the bit
     fixed[..., :hidden] -= value("gate_bias")[:, None, :, 0]
     fixed[..., hidden:2 * hidden] += value("candidate_bias")[:, None, :, 0]
-    if count is not None:
+    if rows is not None:
         # terms is free until the first step
-        fixed[..., :2 * hidden] += np.matmul(
-            count.transpose(0, 2, 1), w_cnt.transpose(0, 2, 1),
-            out=terms.reshape(-1)[:reps * atoms * 2 * hidden].reshape(reps, atoms, 2 * hidden))
+        fixed[..., :2 * hidden] += np.take(
+            np.matmul(value("count_embedding"), w_cnt.transpose(0, 2, 1)), rows, axis=1,
+            out=terms.reshape(-1)[:reps * atoms * 2 * hidden].reshape(reps, atoms, 2 * hidden),
+            mode="clip")
 
     # per molecule, gate and candidate: fl(max|w_d| max(inv_dist)), added first as in the grid
     dist_bound = np.zeros((1, len(sizes), 2))
@@ -480,7 +531,7 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     # an overflow anywhere else makes the bound below raise
     with np.errstate(over="ignore"):
         for step in range(steps):
-            np.matmul(states[step % len(states)], w_h.transpose(0, 2, 1), out=terms)
+            np.matmul(states[step % len(states)], w_h, out=terms)
             terms += fixed
             # rhs is free until it is filled below
             peak = np.abs(terms.reshape(rhs.shape), out=rhs).max(axis=4)
@@ -572,7 +623,7 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
                     d_wd += dist @ grid.reshape(2, n * n, hidden)
             check(d, step)
             if step > 0:
-                g = d @ w_h[0]
+                g = d @ w_h[0].T
                 check(g, step)
         # the initial state is usually zero, so its step adds nothing to the
         # hidden-state blocks
@@ -582,12 +633,12 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
         d_w[:, recv_h], d_w[:, send_h] = d_w_h[:2 * hidden], d_w_h[2 * hidden:]
         d_fixed = d_terms.sum(axis=0)
         d_recv = d_fixed[:, :2 * hidden]
-        if x is not None:
-            d_w_x = d_fixed.T @ x[0].T
+        if elements is not None:
+            d_w_x = d_fixed.T @ params.atom_embedding.values[elements]
             d_w[:, recv_x], d_w[:, send_x] = d_w_x[:2 * hidden], d_w_x[2 * hidden:]
             add_rows(params.atom_embedding, elements, d_fixed @ w_x[0])
-        if count is not None:
-            d_w[:, cnt] = d_recv.T @ count[0].T
+        if rows is not None:
+            d_w[:, cnt] = d_recv.T @ params.count_embedding.values[rows]
             add_rows(params.count_embedding, rows, d_recv @ w_cnt[0])
         if inv_dist is not None:
             d_w[:, -1] = d_wd.ravel()
@@ -596,72 +647,120 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
         _give_workspace(work)                     # no view of it is read after this
         return grads
 
+    if replicas is not None:
+        if not np.isfinite(h).all():
+            raise NumericalError("non-finite values produced by op 'message_step'")
+        return h.transpose(0, 2, 1)
     inputs = (params.gate_weight, params.gate_bias, params.candidate_weight,
               params.candidate_bias)
-    finals = [ad._result(graph, "message_step", inputs, s.T, rule) for s in h]
-    return finals[0] if replicas is None else finals
+    return ad._result(graph, "message_step", inputs, h[0].T, rule)
 
 
-def readout(graph: Graph | None, state: Tensor, params: ModelParams,
-            sizes: Sequence[int]) -> Tensor:
-    """Per-molecule mean hidden vector through the three-layer ReLU MLP.
+def readout(graph: Graph | None, state: Tensor | np.ndarray, params: ModelParams,
+            sizes: Sequence[int], replicas: tuple[str, np.ndarray] | None = None) -> Tensor:
+    """The whole readout as one op: each molecule's mean hidden vector through
+    the three-layer ReLU MLP. Returns the ``[R, B]`` predictions, one row per
+    replica (``R = 1`` without replicas).
 
     ``state`` holds the atom columns of molecules of ``sizes`` atoms each, in
-    order; one matmul with the ``[ΣN, B]`` matrix of 1/n averages each
-    molecule's columns. Returns the ``[1, B]`` row of predictions.
+    order: a :class:`Tensor` ``[hidden, ΣN]``, or, in a no-grad call, an
+    array ``[S, hidden, ΣN]`` of ``S`` stacked states (a recursion tensor's
+    replicas). Each molecule's mean is the segment sum of its columns
+    (``np.add.reduceat``) times ``1/n``. The MLP runs one matrix-vector
+    product per molecule and layer, as one stacked ``np.matmul`` of ``[R, B,
+    rows, cols]`` with ``[R, B, cols, 1]``, so every molecule gets the same
+    calls on the same shapes whatever the batch holds, and its prediction has
+    the same bits in any batch.
+
+    ``replicas = (name, values)`` swaps readout tensor ``name`` for
+    ``values[r]`` in replica r, as :func:`message_step`'s replicas do: the
+    swapped tensor is a ``[R, ...]`` stack and the others ``[1, ...]``; a
+    recorded call takes no replicas. The means, every layer's pre-activations
+    and the predictions sit in one array, which is tested for finiteness once.
+    The hand-written backward runs batched, one product per weight over all
+    molecules, and spreads each mean's adjoint back over the molecule's
+    columns.
     """
+    if replicas is not None and graph is not None:
+        raise ValueError("a recorded readout takes no replicas")
+    value = _replica_reader(params, replicas, "readout")
+    layers = [(value(f"readout_w{i}"), value(f"readout_b{i}")) for i in range(len(params.mlp))]
+    states = state.values[None] if isinstance(state, Tensor) else state
     sizes = np.asarray(sizes)
-    molecule = np.repeat(np.arange(len(sizes)), sizes)
-    pool = np.zeros((state.cols, len(sizes)))
-    pool[np.arange(state.cols), molecule] = 1.0 / sizes[molecule]
-    mean = ad.matmul(graph, state, ad.constant(pool))
-    (w0, b0), (w1, b1), (w2, b2) = params.mlp
-    hidden1 = ad.relu(graph, ad.linear(graph, w0, b0, mean))
-    hidden2 = ad.relu(graph, ad.linear(graph, w1, b1, hidden1))
-    return ad.linear(graph, w2, b2, hidden2)
+    inv_n = (1.0 / sizes)[:, None]
+    batch, hidden = len(sizes), states.shape[1]
+    reps = max(len(states), 1 if replicas is None else len(replicas[1]))
+    widths = [w.shape[1] for w, _ in layers]
+    # the checked part first: the means, then each layer's pre-activations,
+    # the last of which are the predictions; then the activations
+    checked = len(states) * batch * hidden + reps * batch * sum(widths)
+    buf = np.empty(checked + reps * batch * sum(widths[:-1]))
+    carve = _carver(buf)
+    mean = carve((len(states), batch, hidden))
+    pres = [carve((reps, batch, rows, 1)) for rows in widths]
+    acts = [carve(pre.shape) for pre in pres[:-1]]
+    np.add.reduceat(states.transpose(0, 2, 1), np.cumsum(sizes) - sizes, axis=1, out=mean)
+    mean *= inv_n
+    x = mean[..., None]
+    for (w, b), pre, act in zip(layers, pres, [*acts, None]):
+        np.matmul(w[:, None], x, out=pre)
+        pre += b[:, None]
+        if act is not None:
+            x = np.maximum(pre, 0.0, out=act)
+
+    def rule(g):
+        # each layer's input, one row per molecule; an activation is positive
+        # exactly where its pre-activation is, which gives the ReLU's mask
+        ins = [mean[0], *(act[0, :, :, 0] for act in acts)]
+        d = g.T
+        grads: list[np.ndarray] = []
+        for k in reversed(range(len(layers))):
+            grads[:0] = [d.T @ ins[k], d.sum(axis=0)[:, None]]
+            d = d @ layers[k][0][0]
+            if k > 0:
+                d *= ins[k] > 0.0
+        d *= inv_n
+        return (np.repeat(d, sizes, axis=0).T, *grads)
+
+    inputs = (state, *(t for pair in params.mlp for t in pair))
+    return ad._result(graph, "readout", inputs, pres[-1].reshape(reps, batch), rule,
+                      checked=buf[:checked])
 
 
 def forward_batch(graph: Graph | None, encodings: Sequence[MoleculeEncoding],
                   params: ModelParams, cfg: ModelConfig,
-                  replicas: tuple[str, np.ndarray] | None = None) -> Tensor | list[Tensor]:
-    """Predictions ``[1, B]`` for a batch of encoded molecules, in normalized
-    target space: :func:`message_step`, then :func:`readout`.
+                  replicas: tuple[str, np.ndarray] | None = None) -> Tensor:
+    """Predictions ``[R, B]`` for a batch of encoded molecules, in normalized
+    target space: :func:`message_step`, then :func:`readout`. ``R`` is 1
+    without replicas.
 
     Hidden states start at zero. A :class:`NumericalError` names the
     molecule and the recursion step, or, where no single molecule is to
     blame, the batch and the readout.
 
     ``replicas = (name, values)`` runs ``len(values)`` replicas of the batch
-    in one no-grad call and returns the list of their predictions: replica r
-    reads ``values[r]`` in place of parameter tensor ``name``'s values, which
-    are never written, and its predictions have the bits of a call with
-    ``values[r]`` written there. A recursion tensor's replicas run as
-    :func:`message_step` does; a readout tensor's share one recursion, and
-    each reads it out with only that one tensor swapped.
+    in one no-grad call, one row of predictions each: replica r reads
+    ``values[r]`` in place of parameter tensor ``name``'s values, which are
+    never written, and its row has the bits of a call with ``values[r]``
+    written there. A recursion tensor's replicas run as :func:`message_step`
+    does, and their ``[R, hidden, ΣN]`` final states go to one
+    :func:`readout` as a stack; a readout tensor's replicas share one
+    recursion and run as the readout's own replicas. A name that names no
+    parameter tensor, or values of a shape other than ``(R, *its shape)``,
+    raise a :class:`ValueError`.
     """
-    sizes = [enc.n for enc in encodings]
+    if replicas is not None and graph is not None:
+        raise ValueError("a recorded forward_batch takes no replicas")
+    on_readout = replicas is not None and replicas[0].startswith("readout_")
     # the recursion names the molecule and step of its own errors
-    if replicas is None or not replicas[0].startswith("readout_"):
-        finals = message_step(graph, params, cfg, encodings, replicas=replicas)
-        runs = [(final, params) for final in (finals if replicas is not None else [finals])]
-    else:
-        if graph is not None:
-            raise ValueError("a recorded forward_batch takes no replicas")
-        name, stack = replicas
-        final = message_step(None, params, cfg, encodings)
-        flat = [t for pair in params.mlp for t in pair]
-        k = 2 * int(name[len("readout_w"):]) + name.startswith("readout_b")
-        runs = []
-        for values in stack:
-            flat[k] = ad.constant(values)
-            runs.append((final, replace(params, mlp=list(zip(flat[::2], flat[1::2])))))
+    state = message_step(graph, params, cfg, encodings, replicas=None if on_readout else replicas)
     try:
-        preds = [readout(graph, state, run_params, sizes) for state, run_params in runs]
+        return readout(graph, state, params, [enc.n for enc in encodings],
+                       replicas=replicas if on_readout else None)
     except NumericalError as err:
         names = (f"molecule {encodings[0].mol_id}" if len(encodings) == 1 else
                  f"molecules ({', '.join(enc.mol_id for enc in encodings)})")
         raise NumericalError(f"{names}, readout: {err}") from err
-    return preds if replicas is not None else preds[0]
 
 
 def forward(graph: Graph | None, molecule: Molecule, params: ModelParams, cfg: ModelConfig,

@@ -232,3 +232,19 @@ def test_malformed_header_value_is_one_line_exit_2(tmp_path, capsys, edit, match
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
     assert match in err
+
+
+def test_repeated_vocabulary_symbol_is_one_line_exit_2(tmp_path, capsys):
+    # a repeated symbol maps to its last row, so its first embedding row
+    # would never be read
+    path = tmp_path / "x.ckpt"
+    write_checkpoint(path)
+    rewrite_header(path, lambda header: header.update(vocabulary=["H", "H", "O"]))
+    with pytest.raises(CheckpointError, match="vocabulary lists 'H' twice"):
+        load_checkpoint(path)
+    molecules = tmp_path / "m.xyz"
+    molecules.write_text("2\nm\nH 0 0 0\nO 0 0 1.2\n")
+    assert main(["predict", str(path), str(molecules)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "vocabulary lists 'H' twice" in err

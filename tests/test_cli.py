@@ -442,7 +442,7 @@ def test_predict_equals_per_molecule_forward(trained_run, capsys):
     for line, mol in zip(lines, molecules):
         expected = ckpt.normalizer.invert(
             forward(None, mol, ckpt.params, ckpt.config, ckpt.vocabulary).item())
-        assert abs(float(line.split("\t")[1]) - expected) <= 1e-12 * max(1.0, abs(expected))
+        assert float(line.split("\t")[1]) == expected
 
 
 def test_predict_single_atom_is_offset_only(trained_run, tmp_path, capsys):

@@ -93,3 +93,10 @@ def test_unknown_override_names_it():
 def test_bad_value_names_the_key(key, value):
     with pytest.raises(ConfigError, match=f"config key '{key}'"):
         resolve_run_spec({key: value})
+
+
+def test_repeated_element_is_refused():
+    # the training vocabulary is dataset.elements, and a checkpoint keeps it
+    with pytest.raises(ConfigError, match="config key 'dataset.elements': element 'H' "
+                                          "is listed twice"):
+        resolve_run_spec({"dataset.elements": "H, C, H"})

@@ -58,6 +58,11 @@ def test_parse_unknown_element_named():
         parse_extended_xyz("1\nid0 0.5\nXx 0 0 0", schema=SCHEMA)
 
 
+def test_dataset_refuses_a_repeated_vocabulary_symbol():
+    with pytest.raises(VocabularyError, match="lists 'C' twice"):
+        Dataset([], [], ["H", "C", "C"])
+
+
 def test_parse_non_numeric_coordinate():
     with pytest.raises(ParseError, match="line 3"):
         parse_extended_xyz("1\nid0 0.5\nC 0.0 zero 0.0", schema=SCHEMA)

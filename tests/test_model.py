@@ -1,10 +1,14 @@
+import functools
 import itertools
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ggrnet.autodiff as ad
 import ggrnet.gradcheck as gradcheck
@@ -263,6 +267,84 @@ def test_readout_hand_case():
     assert readout(None, negative, params, [2]).item() == 0.0
 
 
+def tape_readout(graph, state, params, sizes):
+    """The readout as tape ops composed it before it was one op: a matmul with
+    the ``[ΣN, B]`` pooling matrix of 1/n, then ``linear`` and ``relu``."""
+    sizes = np.asarray(sizes)
+    molecule = np.repeat(np.arange(len(sizes)), sizes)
+    pool = np.zeros((state.cols, len(sizes)))
+    pool[np.arange(state.cols), molecule] = 1.0 / sizes[molecule]
+    x = ad.matmul(graph, state, ad.constant(pool))
+    for k, (w, b) in enumerate(params.mlp):
+        x = ad.linear(graph, w, b, x)
+        if k < len(params.mlp) - 1:
+            x = ad.relu(graph, x)
+    return x
+
+
+def test_readout_backward_matches_the_tape_composition():
+    # predictions and every gradient, the state's included, on mixed batches
+    # of 1-6-atom molecules
+    params = small_params(seed=60)
+    rng = np.random.default_rng(61)
+    for _, b in params.mlp:                     # keep ReLU pre-activations off the kink
+        b.values[:] = rng.uniform(-0.3, 0.3, size=b.shape)
+    mlp = [t for pair in params.mlp for t in pair]
+    for _ in range(12):
+        sizes = rng.integers(1, 7, size=rng.integers(1, 7)).tolist()
+        state = ad.parameter(rng.normal(size=(SMALL.hidden_dim, sum(sizes))))
+        targets = rng.normal(size=len(sizes)).tolist()
+        runs = []
+        for op in (readout, tape_readout):
+            ad.zero_grads([state, *mlp])
+            graph = ad.Graph()
+            preds = op(graph, state, params, sizes)
+            ad.backward(graph, mse_loss(graph, preds, targets))
+            runs.append((preds.values, [t.grad.copy() for t in (state, *mlp)]))
+        (got, got_grads), (want, want_grads) = runs
+        assert np.abs(got - want).max() <= 1e-12, sizes
+        for a, b in zip(got_grads, want_grads):
+            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max()), sizes
+
+
+def test_readout_replicas_equal_live_readouts_bitwise():
+    # a stack of states (a recursion tensor's replicas) and a stacked readout
+    # tensor each give one row per replica, with the bits of a live readout
+    params = small_params(seed=62)
+    rng = np.random.default_rng(63)
+    for _, b in params.mlp:
+        b.values[:] = rng.uniform(-0.3, 0.3, size=b.shape)
+    sizes = [1, 3, 2, 5]
+    states = rng.normal(size=(4, SMALL.hidden_dim, sum(sizes)))
+    rows = readout(None, states, params, sizes).values
+    assert rows.shape == (4, len(sizes))
+    for r, state in enumerate(states):
+        assert rows[r].tobytes() == readout(None, ad.constant(state), params,
+                                            sizes).values[0].tobytes()
+    state = ad.constant(states[0])
+    for name, tensor in params.named():
+        if not name.startswith("readout_"):
+            continue
+        stack = tensor.values[None] + rng.normal(scale=0.1, size=(3, *tensor.shape))
+        rows = readout(None, state, params, sizes, replicas=(name, stack)).values
+        orig = tensor.values.copy()
+        for r in range(3):
+            tensor.values[:] = stack[r]
+            assert rows[r].tobytes() == readout(None, state, params, sizes).values[0].tobytes()
+        tensor.values[:] = orig
+
+
+def test_readout_reports_a_non_finite_pre_activation():
+    # relu would turn a -inf pre-activation into 0 and hide it; the one check
+    # covers the means and every layer's pre-activations
+    params = small_params(seed=64)
+    params.mlp[0][0].values[:] = -1e308
+    state = ad.constant(np.full((SMALL.hidden_dim, 2), 1e3))
+    with np.errstate(over="ignore"), \
+            pytest.raises(NumericalError, match="non-finite values produced by op 'readout'"):
+        readout(None, state, params, [2])
+
+
 # ---------------------------------------------------------------------------
 # forward
 
@@ -511,24 +593,26 @@ def test_replicated_recursion_equals_the_live_tensor_per_replica(flag):
             stack[(2 * j + 1, *idx)] = values[idx] - 1e-5
         finals = (message_step(None, params, cfg, encodings, replicas=(name, stack))
                   if name in RECURSION_TENSORS
-                  else [message_step(None, params, cfg, encodings)] * len(stack))
+                  else [message_step(None, params, cfg, encodings).values] * len(stack))
         seen = []
-        for idx, hi, lo in gradcheck._perturbed_predictions(params, cfg, encodings, name,
-                                                            1e-5, 7):
-            j = len(seen)
-            seen.append(idx)
-            orig = values[idx]
-            for value, state, got in ((orig + 1e-5, finals[2 * j], hi),
-                                      (orig - 1e-5, finals[2 * j + 1], lo)):
-                # the lone atom's column stays +0.0
-                assert not state.values[:, 2].any() and not np.signbit(state.values[:, 2]).any()
-                values[idx] = value
-                want_state = message_step(None, params, cfg, encodings)
-                want = forward_batch(None, encodings, params, cfg)
-                values[idx] = orig
-                for a, b in ((state, want_state), (got, want)):
-                    assert a.values.strides == b.values.strides, (name, idx)
-                    assert a.values.tobytes() == b.values.tobytes(), (name, idx)
+        for chunk, preds in gradcheck._perturbed_predictions(params, cfg, encodings, name,
+                                                             1e-5, 7):
+            assert preds.shape == (2 * len(chunk), len(encodings))
+            for j, idx in enumerate(chunk):
+                k = len(seen)
+                seen.append(idx)
+                orig = values[idx]
+                for value, state, got in ((orig + 1e-5, finals[2 * k], preds[2 * j]),
+                                          (orig - 1e-5, finals[2 * k + 1], preds[2 * j + 1])):
+                    # the lone atom's column stays +0.0
+                    assert not state[:, 2].any() and not np.signbit(state[:, 2]).any()
+                    values[idx] = value
+                    want_state = message_step(None, params, cfg, encodings).values
+                    want = forward_batch(None, encodings, params, cfg).values[0]
+                    values[idx] = orig
+                    for a, b in ((state, want_state), (got, want)):
+                        assert a.strides == b.strides, (name, idx)
+                        assert a.tobytes() == b.tobytes(), (name, idx)
         assert seen == entries, name
     assert [t.values.tobytes() for t in params.tensors()] == before
 
@@ -577,10 +661,41 @@ def test_a_recorded_recursion_takes_no_replicas():
     stack = params.gate_bias.values[None].copy()
     with pytest.raises(ValueError, match="no replicas"):
         message_step(ad.Graph(), params, SMALL, encodings, replicas=("gate_bias", stack))
-    # nor does a recorded forward of a readout tensor's replicas
+    # nor does a recorded forward of a readout tensor's replicas, nor the readout
     stack = params.mlp[0][1].values[None].copy()
     with pytest.raises(ValueError, match="no replicas"):
         forward_batch(ad.Graph(), encodings, params, SMALL, replicas=("readout_b0", stack))
+    state = message_step(ad.Graph(), params, SMALL, encodings)
+    with pytest.raises(ValueError, match="no replicas"):
+        readout(ad.Graph(), state, params, [3], replicas=("readout_b0", stack))
+
+
+@pytest.mark.parametrize("name, shape", [("gate_wieght", (3, 8, 8)),
+                                         ("readout_bogus", (3, 8, 8)),
+                                         ("gate_weight", (3, 8, 28)),
+                                         ("readout_w1", (8, 8)),
+                                         ("candidate_bias", (0, 8, 1))])
+def test_replicas_naming_no_tensor_or_of_the_wrong_shape_are_refused(name, shape):
+    # the error names both the tensor and the values' shape
+    params = init_params(DEFAULT_CHECK_CONFIG, len(VOCAB), 6, seed=65)
+    encodings = encode(DEFAULT_CHECK_CONFIG, random_molecules(66, 2, sizes=(1, 3),
+                                                              elements=VOCAB))
+    with pytest.raises(ValueError, match=re.escape(f"'{name}'") + ".*" + re.escape(str(shape))):
+        forward_batch(None, encodings, params, DEFAULT_CHECK_CONFIG,
+                      replicas=(name, np.zeros(shape)))
+
+
+def test_each_stage_refuses_the_other_stages_replicas():
+    params = init_params(DEFAULT_CHECK_CONFIG, len(VOCAB), 6, seed=67)
+    encodings = encode(DEFAULT_CHECK_CONFIG, random_molecules(68, 2, sizes=(2, 3),
+                                                              elements=VOCAB))
+    stack = params.mlp[0][1].values[None].copy()
+    with pytest.raises(ValueError, match="the recursion reads no tensor of that name"):
+        message_step(None, params, DEFAULT_CHECK_CONFIG, encodings, replicas=("readout_b0", stack))
+    state = message_step(None, params, DEFAULT_CHECK_CONFIG, encodings)
+    stack = params.gate_bias.values[None].copy()
+    with pytest.raises(ValueError, match="the readout reads no tensor of that name"):
+        readout(None, state, params, [2, 3], replicas=("gate_bias", stack))
 
 
 @pytest.mark.parametrize("recorded", [False, True])
@@ -866,8 +981,50 @@ def test_batch_equals_per_molecule_forward(flag):
     batch = forward_batch(None, encodings, params, cfg)
     assert batch.shape == (1, len(molecules))
     for j, mol in enumerate(molecules):
-        alone = forward(None, mol, params, cfg, VOCAB).item()
-        assert abs(batch.values[0, j] - alone) <= 1e-12 * max(1.0, abs(alone)), (flag, j)
+        # the readout runs each molecule's MLP on its own, so a batch changes no bit
+        assert batch.values[0, j] == forward(None, mol, params, cfg, VOCAB).item(), (flag, j)
+
+
+BATCHINGS = settings(max_examples=15, deadline=None, derandomize=True, database=None,
+                     suppress_health_check=list(HealthCheck))
+# atom counts of the molecules that the batchings draw from: one-atom
+# molecules, small ones whose batches have 2-6 atoms, and counts past the
+# 6-row count table
+BATCHING_SIZES = (1, 2, 1, 3, 4, 6, 9, 14, 29)
+
+
+@functools.lru_cache(maxsize=None)
+def batching_case(flag):
+    """Default dims with ``flag`` off: params, the molecules' encodings and
+    each molecule's prediction as a batch of one."""
+    cfg = replace(ModelConfig(), **{flag: False}) if flag else ModelConfig()
+    params = init_params(cfg, len(VOCAB), 6, seed=69)
+    rng = np.random.default_rng(70)
+    for _, b in params.mlp:                     # every layer of the readout is live
+        b.values[:] = rng.uniform(-0.3, 0.3, size=b.shape)
+    encodings = encode(cfg, random_molecules(71, len(BATCHING_SIZES), sizes=BATCHING_SIZES,
+                                             elements=VOCAB))
+    alone = [forward_batch(None, [enc], params, cfg).values[0, 0] for enc in encodings]
+    return cfg, params, encodings, alone
+
+
+@pytest.mark.parametrize("flag", [None, "use_atom_embedding", "use_count_feature",
+                                  "use_distance_feature"])
+@BATCHINGS
+@given(data=st.data())
+def test_predictions_do_not_depend_on_the_batch(flag, data):
+    # any order, any cut into batches, recorded or not: every molecule's
+    # prediction has the bits of its batch of one
+    cfg, params, encodings, alone = batching_case(flag)
+    order = data.draw(st.permutations(range(len(encodings))), label="order")
+    recorded = data.draw(st.booleans(), label="recorded")
+    while order:
+        chunk = data.draw(st.integers(1, len(order)), label="chunk")
+        batch, order = order[:chunk], order[chunk:]
+        graph = ad.Graph() if recorded else None
+        preds = forward_batch(graph, [encodings[i] for i in batch], params, cfg).values[0]
+        for i, value in zip(batch, preds):
+            assert value.tobytes() == alone[i].tobytes(), (batch, i)
 
 
 @pytest.mark.parametrize("flag", [None, "use_atom_embedding", "use_count_feature",
