@@ -16,6 +16,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .config import RunSpec, load_run_spec, resolve_schema
 from .data import DATASET_FORMATS, Dataset, iter_extended_xyz_records, load_dataset, split
@@ -391,7 +393,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # every op raises a NumericalError on a non-finite result; numpy's warnings add noise
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ConfigError, CheckpointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -2,17 +2,17 @@
 
 For every parameter entry, the analytic gradient (one recorded forward plus
 backward over a small batch loss) is compared against central differences of
-the unrecorded forward path over the whole batch, as training runs it. No
-live tensor is written: an entry's ``+`` and ``-`` perturbations are two
-replicas of a no-grad :func:`~ggrnet.model.forward_batch`, which runs the
-replicas of as many entries of a tensor as fit :data:`REPLICA_BYTES` (at
-least one) through the recursion and one stacked readout, and returns one
-row of predictions per replica, with the bits of a whole forward pass with
-the entry written into the live tensor. The losses of all rows are formed
-in one vectorised expression with the bits of
-:func:`~ggrnet.training.mse_loss`. The error metric is
-``|analytic - numeric| / max(|analytic|, |numeric|, 1)``, i.e. relative for
-large gradients and absolute near zero.
+the batch loss, which the numeric side evaluates with the two functions
+training runs: :func:`~ggrnet.model.forward_batch`, then
+:func:`~ggrnet.training.mse_loss`. No live tensor is written: an entry's
+``+`` and ``-`` perturbations are two replicas of a no-grad
+``forward_batch``, which runs the replicas of as many entries of a tensor as
+fit :data:`REPLICA_BYTES` (at least one) through the recursion and one
+stacked readout, and returns one row of predictions per replica, with the
+bits of a whole forward pass with the entry written into the live tensor.
+One unrecorded ``mse_loss`` call turns those rows into one loss each. The
+error metric is ``|analytic - numeric| / max(|analytic|, |numeric|, 1)``,
+i.e. relative for large gradients and absolute near zero.
 """
 from __future__ import annotations
 
@@ -24,8 +24,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Graph
 from .data import Molecule
-from .model import (ModelConfig, ModelParams, MoleculeEncoding, _is_bias, _workspace_size,
-                    forward_batch, init_params, release_workspace)
+from .model import (_RECURSION_TENSORS, ModelConfig, ModelParams, MoleculeEncoding, _is_bias,
+                    _workspace_size, forward_batch, init_params, release_workspace)
 from .synth import random_molecules
 from .training import mse_loss
 
@@ -68,17 +68,13 @@ def gradient_check(params: ModelParams, cfg: ModelConfig, molecules: Sequence[Mo
             analytic["gate_weight"] *= 1.01
         worst = (0.0, "", (0, 0))
         total = 0
-        targets_row = np.array(targets, dtype=np.float64)
         for name, tensor in named:
             grad = analytic[name]
             per_call = _entries_per_call(cfg, sizes, name, tensor.values.size)
             for entries, preds in _perturbed_predictions(params, cfg, encodings, name, fd_step,
                                                          per_call):
                 total += len(entries)
-                # every replica's batch MSE with the bits of mse_loss: one dot
-                # product of its residual row with itself, times 1/B
-                diff = preds - targets_row
-                loss = np.matmul(diff[:, None], diff[:, :, None])[:, 0, 0] * (1.0 / len(targets))
+                loss = mse_loss(None, preds, targets).values[:, 0]
                 numeric = (loss[0::2] - loss[1::2]) / (2.0 * fd_step)
                 a = grad[tuple(zip(*entries))]
                 err = np.abs(a - numeric) / np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1.0)
@@ -95,7 +91,7 @@ def _entries_per_call(cfg: ModelConfig, sizes: Sequence[int], name: str, size: i
     """Entries of tensor ``name`` (``size`` entries) whose two replicas fit
     :data:`REPLICA_BYTES` in one call, at least one: the recursion's workspace
     for a recursion tensor, the stacked values for a readout one."""
-    if name.startswith("readout_"):
+    if name not in _RECURSION_TENSORS:
         shared, per_replica = 0, size
     else:
         shared = _workspace_size(cfg, sizes, replicas=0)
@@ -108,8 +104,8 @@ def _perturbed_predictions(params: ModelParams, cfg: ModelConfig,
                            per_call: int):
     """``(entries, preds)`` per :func:`forward_batch` call over the tensor
     ``name``: up to ``per_call`` of its entries, in :func:`np.ndindex` order,
-    and the ``[2 len(entries), B]`` predictions of the batch, rows ``2j`` and
-    ``2j + 1`` with entry j at ``orig + fd_step`` and at ``orig - fd_step``.
+    and the ``[2 len(entries), B]`` prediction tensor of the batch, rows ``2j``
+    and ``2j + 1`` with entry j at ``orig + fd_step`` and ``orig - fd_step``.
     The live tensor is never written."""
     values = dict(params.named())[name].values
     entries = list(np.ndindex(values.shape))
@@ -119,7 +115,7 @@ def _perturbed_predictions(params: ModelParams, cfg: ModelConfig,
         for j, idx in enumerate(chunk):
             stack[(2 * j, *idx)] = values[idx] + fd_step
             stack[(2 * j + 1, *idx)] = values[idx] - fd_step
-        yield chunk, forward_batch(None, encodings, params, cfg, replicas=(name, stack)).values
+        yield chunk, forward_batch(None, encodings, params, cfg, replicas=(name, stack))
 
 
 def _random_params(cfg: ModelConfig, vocab_size: int, max_atom_count: int,

@@ -43,7 +43,8 @@ adjoints, and hands the workspace back at the end of its backward; a
 recursion without a graph activates in place and hands the workspace back
 when it returns. A no-grad recursion can also run replicas of the batch in
 lockstep over a leading axis, each with one tensor's values replaced, as
-the gradient check does.
+the gradient check does; a stage that does not read the replaced tensor
+runs once for all replicas.
 
 The whole readout is one op too, :func:`readout`, with a hand-written
 backward: each molecule's mean is a segment sum of its columns, and the MLP
@@ -104,8 +105,9 @@ class ModelConfig:
         for name in ("atom_dim", "count_dim", "hidden_dim", "mlp_dim", "steps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"model.{name} must be >= 1, got {getattr(self, name)}")
-        if not self.distance_epsilon > 0:             # NaN fails too
-            raise ConfigError(f"model.distance_epsilon must be > 0, got {self.distance_epsilon}")
+        if not 0 < self.distance_epsilon < math.inf:  # NaN fails too
+            raise ConfigError(f"model.distance_epsilon must be finite and > 0, "
+                              f"got {self.distance_epsilon}")
 
     @property
     def concat_dim(self) -> int:
@@ -294,21 +296,22 @@ def _workspace_size(cfg: ModelConfig, sizes: Sequence[int], replicas: int = 1,
     return size
 
 
-def _replica_reader(params: ModelParams, replicas: tuple[str, np.ndarray] | None,
-                    stage: str):
-    """``value(name)``: the values of a tensor that ``stage`` (the recursion or
-    the readout) reads, with a leading replica axis: the replicas' ``[R, ...]``
-    if they replace it, else ``[1, ...]``. Replicas that name no tensor of the
-    stage, or whose values are not ``(R, *its shape)`` with R >= 1, raise a
-    :class:`ValueError` naming both."""
-    tensors = {name: t for name, t in params.named()
-               if name.startswith("readout_") == (stage == "readout")}
+def _replica_reader(graph: Graph | None, params: ModelParams,
+                    replicas: tuple[str, np.ndarray] | None):
+    """``value(name)``: the values of parameter tensor ``name`` with a leading
+    replica axis: the replicas' ``[R, ...]`` if they replace it, else
+    ``[1, ...]``. Replicas in a recorded call raise a :class:`ValueError`, and
+    so do replicas that name no parameter tensor or whose values are not
+    ``(R, *its shape)`` with R >= 1, naming both."""
+    tensors = dict(params.named())
     if replicas is not None:
+        if graph is not None:
+            raise ValueError("a recorded call takes no replicas")
         name, values = replicas
         shape = np.shape(values)
         if name not in tensors:
-            raise ValueError(f"replicas of {name!r} (values of shape {shape}): the {stage} "
-                             f"reads no tensor of that name, only {', '.join(tensors)}")
+            raise ValueError(f"replicas of {name!r} (values of shape {shape}): no parameter "
+                             f"tensor has that name, only {', '.join(tensors)}")
         if len(shape) != 3 or shape[0] < 1 or shape[1:] != tensors[name].shape:
             raise ValueError(f"replicas of {name!r}: values of shape {shape}, expected "
                              f"(R, {', '.join(map(str, tensors[name].shape))}) with R >= 1")
@@ -337,20 +340,20 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     The recursion starts from ``state`` ``[hidden, ΣN]`` (zero if not
     given), which gets no gradient.
 
-    ``replicas = (name, values)`` runs ``len(values)`` replicas of the batch
-    in one no-grad call: replica r reads ``values[r]`` in place of the values
-    of the recursion tensor ``name`` (an embedding table, or a gate or
-    candidate weight or bias) and shares every other tensor. Every array
-    that the parameters feed carries a leading replica axis, of length one
-    without replicas, so each numpy call of the step loop covers all
-    replicas: the terms are stacked products, each molecule's grids are
-    ``[replicas, 2, n, n, hidden]``, and the bound below is checked per
-    replica and molecule. The call returns the replicas' final states as one
-    ``[R, hidden, ΣN]`` array, tested for finiteness once; each ``[hidden,
-    ΣN]`` slice has the bits and the layout of a call with its values written
-    into the live tensor. A name that is not a recursion tensor, or values of
-    a shape other than ``(R, *its shape)``, raise a :class:`ValueError`. A
-    recorded call takes no replicas.
+    ``replicas = (name, values)`` runs the batch in one no-grad call, in
+    which replica r reads ``values[r]`` in place of parameter tensor
+    ``name``'s values and shares every other tensor (:func:`_replica_reader`
+    checks them). Every array that the parameters feed carries a leading
+    replica axis, of length R when the recursion reads ``name`` (an
+    embedding table, or a gate or candidate weight or bias), else of length
+    one, since all replicas then share one recursion. So each numpy call of
+    the step loop covers all replicas: the terms are stacked products, each
+    molecule's grids are ``[R, 2, n, n, hidden]``, and the bound below is
+    checked per replica and molecule. The call returns the final states as
+    one ``[R, hidden, ΣN]`` array (``[1, hidden, ΣN]`` for a readout
+    tensor), tested for finiteness once; each ``[hidden, ΣN]`` slice has the
+    bits and the layout of a call with its values written into the live
+    tensor.
 
     For gate and candidate alike, pair (v, w) of a molecule has the
     pre-activation ``R[v] + S[w] + w_d * inv_dist[v, w]``, with the receiver
@@ -417,8 +420,6 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     every step, and the workspace is handed back when the call returns. Only
     the returned states are a fresh array.
     """
-    if replicas is not None and graph is not None:
-        raise ValueError("a recorded message_step takes no replicas")
     hidden, steps = cfg.hidden_dim, cfg.steps
     half = cfg.atom_dim + hidden                  # receiver columns; sender ones follow
     recv_x, recv_h = slice(0, cfg.atom_dim), slice(cfg.atom_dim, half)
@@ -426,8 +427,9 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     cnt = slice(2 * half, 2 * half + cfg.count_dim)
     sizes, ids = [enc.n for enc in encodings], [enc.mol_id for enc in encodings]
     counts = np.array(sizes)
-    value = _replica_reader(params, replicas, "recursion")
-    reps = 1 if replicas is None else len(replicas[1])
+    value = _replica_reader(graph, params, replicas)
+    # 1 unless the replicas replace a tensor that the recursion reads
+    reps = max(len(value(name)) for name in _RECURSION_TENSORS)
 
     # each atom's embedding-table row, and its molecule's count-table row
     elements = rows = None
@@ -672,24 +674,22 @@ def readout(graph: Graph | None, state: Tensor | np.ndarray, params: ModelParams
     calls on the same shapes whatever the batch holds, and its prediction has
     the same bits in any batch.
 
-    ``replicas = (name, values)`` swaps readout tensor ``name`` for
-    ``values[r]`` in replica r, as :func:`message_step`'s replicas do: the
-    swapped tensor is a ``[R, ...]`` stack and the others ``[1, ...]``; a
-    recorded call takes no replicas. The means, every layer's pre-activations
-    and the predictions sit in one array, which is tested for finiteness once.
-    The hand-written backward runs batched, one product per weight over all
-    molecules, and spreads each mean's adjoint back over the molecule's
-    columns.
+    ``replicas = (name, values)`` are read as :func:`message_step` reads
+    them, a readout tensor they name as a ``[R, ...]`` stack and every other
+    one as ``[1, ...]``; the products broadcast, so there is one row per
+    state or per replica, whichever is more. The means, every layer's
+    pre-activations and the predictions sit in one array, which is tested
+    for finiteness once. The hand-written backward runs batched, one product
+    per weight over all molecules, and spreads each mean's adjoint back over
+    the molecule's columns.
     """
-    if replicas is not None and graph is not None:
-        raise ValueError("a recorded readout takes no replicas")
-    value = _replica_reader(params, replicas, "readout")
+    value = _replica_reader(graph, params, replicas)
     layers = [(value(f"readout_w{i}"), value(f"readout_b{i}")) for i in range(len(params.mlp))]
     states = state.values[None] if isinstance(state, Tensor) else state
     sizes = np.asarray(sizes)
     inv_n = (1.0 / sizes)[:, None]
     batch, hidden = len(sizes), states.shape[1]
-    reps = max(len(states), 1 if replicas is None else len(replicas[1]))
+    reps = max(len(states), *(len(a) for layer in layers for a in layer))
     widths = [w.shape[1] for w, _ in layers]
     # the checked part first: the means, then each layer's pre-activations,
     # the last of which are the predictions; then the activations
@@ -742,21 +742,16 @@ def forward_batch(graph: Graph | None, encodings: Sequence[MoleculeEncoding],
     in one no-grad call, one row of predictions each: replica r reads
     ``values[r]`` in place of parameter tensor ``name``'s values, which are
     never written, and its row has the bits of a call with ``values[r]``
-    written there. A recursion tensor's replicas run as :func:`message_step`
-    does, and their ``[R, hidden, ΣN]`` final states go to one
-    :func:`readout` as a stack; a readout tensor's replicas share one
-    recursion and run as the readout's own replicas. A name that names no
-    parameter tensor, or values of a shape other than ``(R, *its shape)``,
-    raise a :class:`ValueError`.
+    written there. Both stages get the replicas, and a stage that does not
+    read ``name`` runs once for all of them: one :func:`readout` reads out a
+    recursion tensor's ``[R, hidden, ΣN]`` final states as a stack, and a
+    readout tensor's replicas share one recursion. :func:`_replica_reader`
+    says which replicas raise a :class:`ValueError`.
     """
-    if replicas is not None and graph is not None:
-        raise ValueError("a recorded forward_batch takes no replicas")
-    on_readout = replicas is not None and replicas[0].startswith("readout_")
     # the recursion names the molecule and step of its own errors
-    state = message_step(graph, params, cfg, encodings, replicas=None if on_readout else replicas)
+    state = message_step(graph, params, cfg, encodings, replicas=replicas)
     try:
-        return readout(graph, state, params, [enc.n for enc in encodings],
-                       replicas=replicas if on_readout else None)
+        return readout(graph, state, params, [enc.n for enc in encodings], replicas=replicas)
     except NumericalError as err:
         names = (f"molecule {encodings[0].mol_id}" if len(encodings) == 1 else
                  f"molecules ({', '.join(enc.mol_id for enc in encodings)})")

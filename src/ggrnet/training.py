@@ -70,7 +70,7 @@ class TrainConfig:
             raise ConfigError("config key 'target' is required")
         # each check fails on NaN
         for name, ok, bound in (("lr0", 0 < self.lr0 < math.inf, "finite and > 0"),
-                                ("decay", self.decay >= 0, ">= 0"),
+                                ("decay", 0 <= self.decay < math.inf, "finite and >= 0"),
                                 ("epochs", self.epochs >= 1, ">= 1"),
                                 ("batch_size", self.batch_size >= 1, ">= 1"),
                                 ("clip_norm", self.clip_norm > 0, "> 0"),
@@ -124,12 +124,16 @@ def lr_at_epoch(lr0: float, decay: float, epoch: int) -> float:
 
 
 def mse_loss(graph: Graph | None, preds: Tensor, targets: Sequence[float]) -> Tensor:
-    """Differentiable mean squared error of a ``[1, B]`` prediction row."""
-    if len(targets) == 0 or preds.shape != (1, len(targets)):
-        raise ShapeError(f"mse_loss: {preds.cols} predictions vs {len(targets)} targets")
-    diff = ad.sub(graph, preds, ad.constant([[float(t) for t in targets]]))
-    return ad.scale(graph, ad.matmul(graph, diff, ad.transpose(graph, diff)),
-                    1.0 / len(targets))
+    """Mean squared error of each row of ``[R, B]`` predictions against the B
+    ``targets`` as one op, ``[R, 1]``: a row's residuals dotted with themselves,
+    times ``1/B``. A recorded call takes one row; its gradient is ``g (2/B) diff``."""
+    batch = len(targets)
+    if batch == 0 or preds.cols != batch or (graph is not None and preds.rows != 1):
+        raise ShapeError(f"mse_loss: predictions of shape {preds.shape} vs {batch} targets "
+                         f"(a recorded call takes one row)")
+    diff = preds.values - np.array(targets, dtype=np.float64)
+    loss = np.matmul(diff[:, None], diff[:, :, None])[:, 0] * (1.0 / batch)
+    return ad._result(graph, "mse_loss", (preds,), loss, lambda g: (g * (2.0 / batch) * diff,))
 
 
 def mae(pred: Sequence[float], target: Sequence[float]) -> float:

@@ -597,6 +597,7 @@ def test_replicated_recursion_equals_the_live_tensor_per_replica(flag):
         seen = []
         for chunk, preds in gradcheck._perturbed_predictions(params, cfg, encodings, name,
                                                              1e-5, 7):
+            preds = preds.values
             assert preds.shape == (2 * len(chunk), len(encodings))
             for j, idx in enumerate(chunk):
                 k = len(seen)
@@ -685,17 +686,23 @@ def test_replicas_naming_no_tensor_or_of_the_wrong_shape_are_refused(name, shape
                       replicas=(name, np.zeros(shape)))
 
 
-def test_each_stage_refuses_the_other_stages_replicas():
+def test_a_stage_runs_once_for_replicas_of_a_tensor_it_does_not_read():
+    # the recursion given a readout tensor's replicas, and the readout given a
+    # recursion tensor's, run one pass with the bits of the unreplicated call
     params = init_params(DEFAULT_CHECK_CONFIG, len(VOCAB), 6, seed=67)
     encodings = encode(DEFAULT_CHECK_CONFIG, random_molecules(68, 2, sizes=(2, 3),
                                                               elements=VOCAB))
-    stack = params.mlp[0][1].values[None].copy()
-    with pytest.raises(ValueError, match="the recursion reads no tensor of that name"):
-        message_step(None, params, DEFAULT_CHECK_CONFIG, encodings, replicas=("readout_b0", stack))
     state = message_step(None, params, DEFAULT_CHECK_CONFIG, encodings)
-    stack = params.gate_bias.values[None].copy()
-    with pytest.raises(ValueError, match="the readout reads no tensor of that name"):
-        readout(None, state, params, [2, 3], replicas=("gate_bias", stack))
+    stack = params.mlp[0][1].values[None] + np.arange(1.0, 4.0)[:, None, None]
+    states = message_step(None, params, DEFAULT_CHECK_CONFIG, encodings,
+                          replicas=("readout_b0", stack))
+    assert states.shape == (1, *state.shape)
+    assert states[0].strides == state.values.strides
+    assert states[0].tobytes() == state.values.tobytes()
+    stack = params.gate_bias.values[None] + np.arange(1.0, 4.0)[:, None, None]
+    rows = readout(None, state, params, [2, 3], replicas=("gate_bias", stack)).values
+    assert rows.shape == (1, 2)
+    assert rows.tobytes() == readout(None, state, params, [2, 3]).values.tobytes()
 
 
 @pytest.mark.parametrize("recorded", [False, True])

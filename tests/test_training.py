@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import ggrnet.autodiff as ad
 from ggrnet.data import Normalizer, SplitSpec, split
 from ggrnet.errors import ConfigError, DataError, NumericalError, ShapeError
-from ggrnet.model import ModelConfig, init_params
+from ggrnet.model import ModelConfig, MoleculeEncoding, forward_batch, init_params
 from ggrnet.synth import composition_dataset, geometric_dataset
 from ggrnet.training import (
     ABLATION_FLAGS,
@@ -82,6 +82,8 @@ def test_mse_length_mismatch():
         mse_loss(None, row([1.0]), [1.0, 2.0])
     with pytest.raises(ShapeError):
         mse_loss(None, ad.constant(np.zeros((1, 0))), [])
+    with pytest.raises(ShapeError, match="a recorded call takes one row"):
+        mse_loss(ad.Graph(), ad.constant(np.zeros((2, 3))), [0.0, 1.0, 2.0])
 
 
 def test_mse_gradient_matches_finite_differences():
@@ -104,6 +106,53 @@ def test_mse_gradient_matches_finite_differences():
         lo = build(None).item()
         preds.values[0, k] = orig
         assert preds.grad[0, k] == pytest.approx((hi - lo) / 2e-6, abs=1e-7)
+
+
+def tape_mse(graph, preds, targets):
+    # the reference: the loss composed of generic tape ops
+    diff = ad.sub(graph, preds, ad.constant([[float(t) for t in targets]]))
+    return ad.scale(graph, ad.matmul(graph, diff, ad.transpose(graph, diff)), 1.0 / len(targets))
+
+
+def test_mse_loss_equals_the_tape_composition_bitwise():
+    # the loss and its gradient with respect to the predictions
+    rng = np.random.default_rng(2)
+    for batch in range(1, 8):
+        for _ in range(20):
+            values = rng.normal(size=(1, batch)) * 10.0 ** rng.integers(-3, 4)
+            targets = rng.normal(size=batch).tolist()
+            runs = []
+            for loss_fn in (mse_loss, tape_mse):
+                preds = ad.parameter(values)
+                graph = ad.Graph()
+                loss = loss_fn(graph, preds, targets)
+                ad.backward(graph, loss)
+                runs.append((loss.values.tobytes(), preds.grad.tobytes()))
+            assert runs[0] == runs[1], batch
+
+
+def test_mse_loss_rows_equal_one_row_calls_bitwise():
+    rng = np.random.default_rng(3)
+    for batch in range(1, 8):
+        preds = rng.normal(size=(5, batch))
+        targets = rng.normal(size=batch).tolist()
+        losses = mse_loss(None, ad.constant(preds), targets).values
+        assert losses.shape == (5, 1)
+        for r in range(5):
+            assert (losses[r].tobytes()
+                    == mse_loss(None, ad.constant(preds[r:r + 1]), targets).values.tobytes())
+
+
+def test_a_training_batch_records_three_tape_entries():
+    # the recursion, the readout and the loss, each one op
+    ds = geometric_dataset(4, seed=3, n_atoms=(2, 5), property_name="e")
+    vocabulary = list(ds.element_vocabulary)
+    params = init_params(SMALL, len(vocabulary), ds.max_atom_count, seed=4)
+    graph = ad.Graph()
+    preds = forward_batch(graph, [MoleculeEncoding(m, vocabulary, SMALL) for m in ds], params,
+                          SMALL)
+    ad.backward(graph, mse_loss(graph, preds, [0.0] * len(ds)))
+    assert [entry.name for entry in graph._entries] == ["message_step", "readout", "mse_loss"]
 
 
 def test_mae_examples():
