@@ -103,15 +103,19 @@ def load_checkpoint(path) -> Checkpoint:
 
     try:
         config = ModelConfig(**header["config"])
-        vocabulary = list(header["vocabulary"])
+        vocabulary = [_typed(f"vocabulary[{i}]", sym, str)
+                      for i, sym in enumerate(_typed("vocabulary", header["vocabulary"], list))]
         repeated = repeated_symbol(vocabulary)
         target = header["target"]
-        normalizer = Normalizer(mean=float(target["mean"]), std=float(target["std"]))
-        target_property, unit = str(target["property"]), str(target.get("unit", ""))
-        manifest = [(str(entry["name"]), int(entry["rows"]), int(entry["cols"]))
-                    for entry in header["tensors"]]
-        max_atom_count = int(header["max_atom_count"])
-    except (KeyError, TypeError, ValueError) as err:
+        normalizer = Normalizer(mean=float(_typed("target.mean", target["mean"], float)),
+                                std=float(_typed("target.std", target["std"], float)))
+        target_property = _typed("target.property", target["property"], str)
+        unit = _typed("target.unit", target.get("unit", ""), str)
+        manifest = [tuple(_typed(f"tensors[{i}].{key}", entry[key], kind)
+                          for key, kind in (("name", str), ("rows", int), ("cols", int)))
+                    for i, entry in enumerate(header["tensors"])]
+        max_atom_count = _typed("max_atom_count", header["max_atom_count"], int)
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise CheckpointError(f"{path}: header has missing or malformed fields: {err}") from err
     for f in dataclasses.fields(config):
         if type(getattr(config, f.name)) is not type(f.default):
@@ -140,6 +144,14 @@ def load_checkpoint(path) -> Checkpoint:
     params = _assemble_params(tensors, config, len(vocabulary), max_atom_count, path)
     return Checkpoint(params=params, config=config, vocabulary=vocabulary,
                       normalizer=normalizer, target_property=target_property, unit=unit)
+
+
+def _typed(name: str, value, kind: type):
+    """``value`` if it is of type ``kind`` (a float may be an int; a bool is
+    neither), else a :class:`TypeError` naming header field ``name``."""
+    if type(value) not in ((int, float) if kind is float else (kind,)):
+        raise TypeError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    return value
 
 
 def _assemble_params(tensors: dict, config: ModelConfig, vocab_size: int,

@@ -107,11 +107,13 @@ def _flag_overrides(args) -> list[str]:
 
 
 def _training_spec(args) -> RunSpec:
-    """The run spec of train and ablate, its ``target``, ``train.*``, ``model.*``
-    and ``split.*`` values checked before any work starts."""
+    """The run spec of train and ablate, its ``target``, ``train.*``, ``model.*``,
+    ``split.*`` and ``dataset.*`` values checked before any work starts."""
     spec = load_run_spec(args.config, _flag_overrides(args))
     spec.train_config()
     spec.split_spec()
+    spec.dataset_path()
+    spec.schema()
     return spec
 
 

@@ -135,6 +135,9 @@ class RunSpec:
             raise ConfigError("dataset.path is required")
         if spec == "builtin:sample10":
             return sample_dataset_path()
+        if spec.startswith("builtin:"):
+            raise ConfigError(f"dataset.path '{spec}' names no builtin dataset; "
+                              f"the only one is builtin:sample10")
         return Path(spec)
 
     def manifest_text(self) -> str:

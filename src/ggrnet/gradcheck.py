@@ -91,12 +91,8 @@ def _entries_per_call(cfg: ModelConfig, sizes: Sequence[int], name: str, size: i
     """Entries of tensor ``name`` (``size`` entries) whose two replicas fit
     :data:`REPLICA_BYTES` in one call, at least one: the recursion's workspace
     for a recursion tensor, the stacked values for a readout one."""
-    if name not in _RECURSION_TENSORS:
-        shared, per_replica = 0, size
-    else:
-        shared = _workspace_size(cfg, sizes, replicas=0)
-        per_replica = _workspace_size(cfg, sizes, replicas=1) - shared
-    return max(1, (REPLICA_BYTES // 8 - shared) // (2 * per_replica))
+    per_replica = _workspace_size(cfg, sizes) if name in _RECURSION_TENSORS else size
+    return max(1, REPLICA_BYTES // 8 // (2 * per_replica))
 
 
 def _perturbed_predictions(params: ModelParams, cfg: ModelConfig,

@@ -54,8 +54,8 @@ call. No atom's terms and no molecule's readout come from a product whose
 kernel depends on the rest of the batch, so a molecule's prediction has
 the same bits in any batch. A single molecule is a batch of
 one (:func:`forward`). The constant per-molecule structure (element indices,
-inverse distances) is precomputed in :class:`MoleculeEncoding`, which every
-step and call can share.
+the read-only pair matrix) is built once in :class:`MoleculeEncoding`, which
+every step and call can share.
 """
 from __future__ import annotations
 
@@ -207,34 +207,30 @@ def init_params(cfg: ModelConfig, vocab_size: int, max_atom_count: int, seed: in
     return ModelParams.from_named(tensors)
 
 
-def element_indices(symbols: Sequence[str], vocabulary: Sequence[str]) -> list[int]:
-    index = {sym: i for i, sym in enumerate(vocabulary)}
-    out = []
-    for sym in symbols:
-        if sym not in index:
-            raise VocabularyError(f"element '{sym}' not in vocabulary {list(vocabulary)}")
-        out.append(index[sym])
-    return out
-
-
 class MoleculeEncoding:
     """Constant per-molecule structure shared by every step and every call.
 
     Atoms are in file order: ``elements`` holds each atom's vocabulary index,
-    and ``inv_dist`` is the ``[N, N]`` matrix of reciprocal pair distances,
-    receiver by sender, with a zero diagonal (``None`` when the distance
-    feature is off). The molecule's message grid, ``[N, N, hidden]``, is
-    indexed the same way and holds every ordered pair once; its diagonal is
-    not a pair and is masked. For a single-atom molecule there are no pairs
-    and the hidden state stays at zero.
+    and ``pairs`` is the read-only ``[N, N, 2]`` matrix ``[inv_dist | 1]``,
+    receiver by sender: reciprocal pair distances with a zero diagonal (all
+    +0.0 when the distance feature is off), beside ones. The molecule's
+    message grid, ``[N, N, hidden]``, is indexed the same way and holds every
+    ordered pair once; its diagonal is not a pair and is masked. For a
+    single-atom molecule there are no pairs and the hidden state stays at zero.
     """
 
     def __init__(self, molecule: Molecule, vocabulary: Sequence[str], cfg: ModelConfig):
         self.mol_id = molecule.mol_id
-        self.n = molecule.natoms
-        self.elements = np.array(element_indices(molecule.symbols, vocabulary), dtype=np.intp)
-        self.inv_dist = (inverse_distance_matrix(molecule.coords, cfg.distance_epsilon)
-                         if cfg.use_distance_feature else None)
+        self.n = n = molecule.natoms
+        index = {sym: i for i, sym in enumerate(vocabulary)}
+        for sym in molecule.symbols:
+            if sym not in index:
+                raise VocabularyError(f"element '{sym}' not in vocabulary {list(vocabulary)}")
+        self.elements = np.array([index[sym] for sym in molecule.symbols], dtype=np.intp)
+        self.pairs = np.ones((n, n, 2))
+        self.pairs[..., 0] = (inverse_distance_matrix(molecule.coords, cfg.distance_epsilon)
+                              if cfg.use_distance_feature else 0.0)
+        self.pairs.flags.writeable = False
 
 
 # The spare workspace of the recursion: at most one flat float64 buffer.
@@ -247,11 +243,13 @@ _spare: list[np.ndarray] = []
 
 def _take_workspace(size: int) -> np.ndarray:
     """A flat float64 buffer of at least ``size`` entries: the spare one if it
-    is large enough, else a new one (a smaller spare is freed first)."""
+    is large enough, else a new one (a smaller spare is freed first) on a
+    64-byte boundary, where the grid slot starts."""
     if _spare and _spare[-1].size >= size:
         return _spare.pop()
     _spare.clear()
-    return np.empty(size)
+    raw = np.empty(size + 7)
+    return raw[(-raw.ctypes.data % 64) // 8:][:size]
 
 
 def _give_workspace(buf: np.ndarray) -> None:
@@ -282,13 +280,12 @@ def _carver(buf: np.ndarray):
 def _workspace_size(cfg: ModelConfig, sizes: Sequence[int], replicas: int = 1,
                     recording: bool = False) -> int:
     """Entries of the workspace of a :func:`message_step` call on molecules of
-    ``sizes`` atoms: the pair matrices, which all replicas share; per replica,
-    the stacked weights, fixed and terms, the right-hand sides, the grid slot
-    and the states; and, when recording, every step's gate and candidate grids
-    and the per-step adjoints."""
+    ``sizes`` atoms: per replica, the stacked weights, fixed and terms, the
+    right-hand sides, the grid slot and the states; and, when recording, every
+    step's gate and candidate grids and the per-step adjoints."""
     hidden, steps, atoms = cfg.hidden_dim, cfg.steps, sum(sizes)
     grids = [n * n * hidden for n in sizes]
-    size = 2 * sum(n * n for n in sizes) + replicas * (
+    size = replicas * (
         2 * hidden * cfg.concat_dim + 12 * atoms * hidden + 2 * max(grids)
         + (steps if recording else 1) * atoms * hidden)
     if recording:
@@ -334,9 +331,9 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     molecules 0..k-1 and is named by its ``mol_id`` in errors. The op reads
     the step-invariant inputs itself: ``x``, each atom's embedding row;
     ``count``, the count-embedding row of its molecule (the last row for
-    molecules larger than the table); and each molecule's ``[n, n]``
-    ``inv_dist``. A feature that ``cfg`` switches off
-    has no input, and its weight block is skipped and gets a zero gradient.
+    molecules larger than the table); and each molecule's read-only pair
+    matrix ``enc.pairs``. A feature that ``cfg`` switches off has no input
+    (distances are +0.0), and its weight block gets a zero gradient.
     The recursion starts from ``state`` ``[hidden, ΣN]`` (zero if not
     given), which gets no gradient.
 
@@ -410,7 +407,7 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     holds the stacked weight blocks (the gate's negated straight into it,
     with no temporaries), the ``[ΣN, 4 hidden]`` terms, the right-hand sides
     and one grid slot sized for the largest molecule, into which each
-    molecule's grids are built in turn; the pair matrices are shared. When
+    molecule's grids are built in turn; it holds no pair matrix. When
     ``graph`` records, ``exp`` and ``tanh`` write each step's activations
     into grids of their own, and the workspace also holds each step's input
     state and the per-step adjoints; the backward uses the slot as scratch
@@ -437,7 +434,6 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
         elements = np.concatenate([enc.elements for enc in encodings])
     if cfg.use_count_feature:
         rows = np.repeat(np.minimum(counts, params.max_atom_count) - 1, counts)
-    inv_dist = [enc.inv_dist for enc in encodings] if cfg.use_distance_feature else None
     bounds = np.cumsum([0, *sizes])
     edges, atoms = bounds.tolist(), int(bounds[-1])
     inv_n = np.repeat(1.0 / counts, counts)[:, None]
@@ -445,9 +441,11 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     gate_w, cand_w = value("gate_weight"), value("candidate_weight")
 
     recording = graph is not None
-    grid_sizes = [n * n * hidden for n in sizes]
     work = _take_workspace(_workspace_size(cfg, sizes, reps, recording))
     carve = _carver(work)
+    # each molecule's pre-activations in turn, and the backward's scratch; carved first,
+    # on the workspace's 64-byte boundary (off it, the grid build ran about 10% slower)
+    slot = carve((reps * 2 * max(sizes) ** 2 * hidden,))
 
     def stacked(*blocks) -> np.ndarray:
         """Rows of each column block: the gate's negated, then the candidate's,
@@ -491,40 +489,25 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
             mode="clip")
 
     # per molecule, gate and candidate: fl(max|w_d| max(inv_dist)), added first as in the grid
-    dist_bound = np.zeros((1, len(sizes), 2))
-    if inv_dist is not None:
-        dist_bound = (np.array([m.max() for m in inv_dist])[:, None]
-                      * np.abs(w_d).reshape(reps, 1, 2, hidden).max(axis=3))
+    dist_bound = (np.array([enc.pairs[..., 0].max() for enc in encodings])[:, None]
+                  * np.abs(w_d).reshape(reps, 1, 2, hidden).max(axis=3))
     pairless = counts < 2
 
     blocks = terms.reshape(reps, atoms, 4, hidden)
-    # receiver v's right-hand sides [w_d; R[v]], gate's and candidate's, and
-    # each molecule's [n, n, 2] pair matrix [inv_dist | 1], so that one stacked
-    # product forms inv_dist[v, w] w_d + R[v] for all pairs; the distance comes
-    # first, so the product is rounded before R is added, as the bound assumes
-    # (an FMA-accumulating BLAS gives other bits with R first)
+    # receiver v's right-hand sides [w_d; R[v]], gate's and candidate's, so that
+    # one stacked product with the molecule's pair matrix [inv_dist | 1] forms
+    # inv_dist[v, w] w_d + R[v] for all pairs; the distance comes first, so the
+    # product is rounded before R is added, as the bound assumes (an
+    # FMA-accumulating BLAS gives other bits with R first)
     rhs = carve((reps, atoms, 2, 2, hidden))
-    pairs = []
-    for k, n in enumerate(sizes):
-        pair = carve((n, n, 2))
-        pair[..., 0] = 0.0 if inv_dist is None else inv_dist[k]
-        pair[..., 1] = 1.0
-        pairs.append(pair)
-    # each molecule's pre-activations in turn, and the backward's scratch
-    slot = carve((reps * 2 * max(grid_sizes),))
     # the step-invariant views of each molecule that has pairs: its atom rows,
     # pair matrix, right-hand sides, sender terms and grids in the slot. A
     # one-atom molecule has none, so its state rows (lone) are zero at every step
-    mols, lone = [], []
-    for k, n in enumerate(sizes):
-        a, b = edges[k], edges[k + 1]
-        if n > 1:
-            mols.append((k, n, a, b, pairs[k], rhs[:, a:b].transpose(0, 2, 1, 3, 4),
-                         blocks[:, a:b, 2:].transpose(0, 2, 1, 3)[:, :, None],
-                         slot[:reps * 2 * n * n * hidden].reshape(reps, 2, n, n, hidden)))
-        else:
-            lone.append(a)
-    lone = np.array(lone, dtype=np.intp)
+    mols = [(n, a, b, enc.pairs, rhs[:, a:b].transpose(0, 2, 1, 3, 4),
+             blocks[:, a:b, 2:].transpose(0, 2, 1, 3)[:, :, None],
+             slot[:reps * 2 * n * n * hidden].reshape(reps, 2, n, n, hidden))
+            for n, enc, a, b in zip(sizes, encodings, edges, edges[1:]) if n > 1]
+    lone = bounds[:-1][pairless]
     # each step's input state, or one buffer that a step reads before it writes
     states = carve((steps if recording else 1, reps, atoms, hidden))
     states[0] = 0.0 if state is None else state.T
@@ -551,7 +534,7 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
                  else states[(step + 1) % len(states)])
             h[:, lone] = 0.0
             step_grids = []
-            for _, n, a, b, pair, rhs_k, send, pre in mols:
+            for n, a, b, pair, rhs_k, send, pre in mols:
                 np.matmul(pair, rhs_k, out=pre)
                 pre += send
                 # a recorded step keeps its activations, so they go to its own grids
@@ -597,11 +580,11 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
         d_wd = np.zeros((2, hidden))
         ones = np.ones(max(sizes))
         # per molecule with pairs: its scratch, its [steps, 4, n, hidden] per-atom
-        # adjoints of the four terms, and its inverse distances
+        # adjoints of the four terms, and its distances, copied contiguous (same BLAS kernel)
         views = [(n, a, b, slot[:n * n * hidden].reshape(n, n, hidden), ones[:n],
                   d_terms[:, a:b].reshape(steps, n, 4, hidden).transpose(0, 2, 1, 3),
-                  None if inv_dist is None else inv_dist[k].ravel())
-                 for k, n, a, b, *_ in mols]
+                  pair[..., 0].ravel() if cfg.use_distance_feature else None)
+                 for n, a, b, pair, *_ in mols]
         for step in reversed(range(steps)):
             # the receiver's output gradient g[v] / n scales every pair (v, w)
             g_n = g * inv_n
@@ -642,7 +625,7 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
         if rows is not None:
             d_w[:, cnt] = d_recv.T @ params.count_embedding.values[rows]
             add_rows(params.count_embedding, rows, d_recv @ w_cnt[0])
-        if inv_dist is not None:
+        if cfg.use_distance_feature:
             d_w[:, -1] = d_wd.ravel()
         d_b = d_recv.sum(axis=0)[:, None]
         grads = (-d_w[:hidden], -d_b[:hidden], d_w[hidden:], d_b[hidden:])

@@ -26,12 +26,15 @@ def random_molecule(rng: np.random.Generator, n_atoms: int,
                     elements: Sequence[str] = ("H", "C", "N", "O"),
                     box: float = 4.0, min_separation: float = 0.7,
                     mol_id: str = "synth0") -> Molecule:
-    """Random atoms in a cube of side ``box`` with all pair distances >= ``min_separation``."""
+    """Random atoms in a cube with all pair distances >= ``min_separation``, of side ``box``
+    or, if larger, ``1.5 min_separation n_atoms^(1/3)``: rejection sampling finds no place
+    in a nearly full cube (past about 175 atoms in the default one)."""
+    side = max(box, 1.5 * min_separation * n_atoms ** (1 / 3))
     symbols = tuple(rng.choice(list(elements), size=n_atoms))
     coords = np.empty((n_atoms, 3))
     placed = 0
     while placed < n_atoms:
-        candidate = rng.uniform(0.0, box, size=3)
+        candidate = rng.uniform(0.0, side, size=3)
         if placed == 0 or np.linalg.norm(coords[:placed] - candidate, axis=1).min() >= min_separation:
             coords[placed] = candidate
             placed += 1

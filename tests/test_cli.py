@@ -185,6 +185,9 @@ def test_bad_run_or_thread_count_is_one_line_exit_2(tmp_path, capsys, source, ke
     (["--set", "target="], "config key 'target'"),
     (["--set", "train.decay=inf"], "train.decay"),
     (["--set", "model.distance_epsilon=inf"], "model.distance_epsilon"),
+    (["--set", "dataset.path=builtin:nosuch"], "dataset.path"),
+    (["--set", "dataset.path="], "dataset.path"),
+    (["--set", "dataset.schema=builtin:nosuch"], "schema 'builtin:nosuch':"),
 ])
 def test_out_of_range_setting_is_one_line_exit_2_naming_its_key(config_file, tmp_path, capsys,
                                                                 extra, key):
@@ -550,6 +553,30 @@ def test_gradcheck_negative_control(capsys):
 
 def test_gradcheck_bad_atom_list():
     assert main(["gradcheck", "--atoms", "0,2"]) == 2
+
+
+# generated molecules of these sizes keep every pair 0.7 apart, and a gradient
+# check over them returns (rejection sampling in the fixed 4 Å cube found no
+# place past about 175 atoms, so this runs in a process of its own)
+LARGE_MOLECULES = """
+import sys
+import numpy as np
+from ggrnet.cli import main
+from ggrnet.synth import random_molecule
+for n in (180, 400):
+    coords = random_molecule(np.random.default_rng(n), n).coords
+    dist = np.linalg.norm(coords[:, None] - coords[None], axis=2) + np.eye(n)
+    assert dist.min() >= 0.7, (n, dist.min())
+sys.exit(main(["gradcheck", "--seeds", "1", "--atoms", "180", "--atom-dim", "1",
+               "--count-dim", "1", "--hidden-dim", "1", "--mlp-dim", "1", "--steps", "1"]))
+"""
+
+
+def test_gradcheck_of_molecules_too_large_for_the_default_cube_returns():
+    proc = subprocess.run([sys.executable, "-c", LARGE_MOLECULES], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "max_error=" in proc.stdout
 
 
 # ---------------------------------------------------------------------------

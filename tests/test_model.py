@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import ggrnet.autodiff as ad
 import ggrnet.gradcheck as gradcheck
 import ggrnet.model as model
-from ggrnet.data import Molecule
+from ggrnet.data import Molecule, inverse_distance_matrix
 from ggrnet.errors import ConfigError, NumericalError, VocabularyError
 from ggrnet.gradcheck import DEFAULT_CHECK_CONFIG, gradient_check, run_gradcheck
 from ggrnet.model import (
@@ -130,6 +130,21 @@ def test_params_copy_is_a_snapshot_without_gradient_buffers():
 
 def encode(cfg, molecules):
     return [MoleculeEncoding(mol, VOCAB, cfg) for mol in molecules]
+
+
+def test_an_encoding_holds_its_read_only_pair_matrix():
+    mol = random_molecule(np.random.default_rng(70), 5, elements=VOCAB)
+    cfg = replace(SMALL, distance_epsilon=0.5)
+    pairs = MoleculeEncoding(mol, VOCAB, cfg).pairs
+    expected = np.stack([inverse_distance_matrix(mol.coords, 0.5), np.ones((5, 5))], axis=2)
+    assert pairs.shape == (5, 5, 2) and pairs.tobytes() == expected.tobytes()
+    off = MoleculeEncoding(mol, VOCAB, replace(SMALL, use_distance_feature=False)).pairs
+    assert (off[..., 0] == 0.0).all() and not np.signbit(off[..., 0]).any()
+    assert off[..., 1].tobytes() == np.ones((5, 5)).tobytes()
+    # every call of every step reads it, so a stray write raises
+    for matrix in (pairs, off):
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 1, 0] = 2.0
 
 
 def run_step(params, cfg, mol, state_values):
