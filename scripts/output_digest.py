@@ -17,10 +17,16 @@ deviation 0.25, on a dataset of 23 generated molecules (1 to 29 atoms), more
 than two of ``evaluate``'s chunks. The last lines give the ``repr`` of each
 report of ``run_gradcheck(seed=0, seeds=2)``, with all features on and with
 each feature switched off, and of the same check with ``corrupt=True`` (the
-negative control, all features on); the ``repr`` of a float names its bits. Two source trees whose outputs are bitwise
-equal print identical lines, so ``diff`` of two runs compares them. BLAS runs
-on one thread, as for a bit-reproducible run; nothing is downloaded or
-written.
+negative control, all features on); the ``repr`` of a float names its bits.
+Then, for each of a fixed set of parameter edits that overflow, or come
+close to it (dims 4/4/8/8, all features on, one batch of 1, 4, 2 and 6
+atoms), three lines give the outcome of a no-grad forward, of a recorded
+forward with the loss's backward, and of a no-grad forward of the replicas
+``[unedited, edited]`` of the first tensor edited: the ``NumericalError``
+message, or ``ok`` and the sha256 of the outputs. Two source trees whose
+outputs are bitwise equal, and whose overflow checks decide alike, print
+identical lines, so ``diff`` of two runs compares them. BLAS runs on one
+thread, as for a bit-reproducible run; nothing is downloaded or written.
 """
 import hashlib
 import os
@@ -34,6 +40,33 @@ FEATURES = ("all", "use_atom_embedding", "use_count_feature", "use_distance_feat
 EVAL_SIZES = (1, 3, 9, 29, 2, 14, 7, 5, 21, 11, 6, 28, 4, 17, 1, 8, 25, 12, 2, 19, 10, 23, 3)
 # (dims, feature switched off or "all", count-table rows)
 CONFIGS = [(d, f, 29) for d in DIMS for f in FEATURES] + [("small", "all", 6)]
+# atom counts of the batch that the overflow cases run
+OVERFLOW_SIZES = (1, 4, 2, 6)
+
+
+def overflow_cases(cfg, big):
+    """(name, edits): each edit writes ``value`` at ``index`` of a tensor."""
+    half = cfg.atom_dim + cfg.hidden_dim
+    hid = list(range(cfg.atom_dim, half)) + list(range(half + cfg.atom_dim, 2 * half))
+    cnt = slice(2 * half, 2 * half + cfg.count_dim)
+    return [
+        # every molecule with pairs overflows in step 0
+        ("gate", [("gate_weight", slice(None), 1e308), ("atom_embedding", slice(None), 1.0)]),
+        # the state starts at zero, so only step 1 overflows
+        ("late-step", [("gate_weight", (slice(None), hid), 1e308),
+                       ("gate_bias", slice(None), 3.0), ("candidate_bias", slice(None), 3.0)]),
+        # only molecules with a pair closer than 1 overflow: the 6-atom one
+        ("distance", [("gate_weight", (slice(None), -1), big)]),
+        # the one-atom molecule's terms are inf or NaN, and it has no pairs
+        ("lone-inf", [("count_embedding", 0, 1e308), ("gate_weight", (slice(None), cnt), 1.0)]),
+        ("lone-nan", [("count_embedding", 0, float("nan"))]),
+        # the 4-atom molecule's receiver terms are 0.6x the float maximum
+        ("receiver", [("count_embedding", 3, 0.0), ("count_embedding", (3, 0), 0.6 * big),
+                      ("gate_weight", (slice(None), cnt), 0.0),
+                      ("gate_weight", (slice(None), cnt.start), 1.0)]),
+        ("bias-nan", [("candidate_bias", 0, float("nan"))]),
+        ("readout", [("readout_w0", 0, 1e308)]),
+    ]
 
 
 def main(argv) -> int:
@@ -46,6 +79,7 @@ def main(argv) -> int:
     import numpy as np
     from ggrnet import Graph, ModelConfig, backward, init_params, mse_loss, zero_grads
     from ggrnet.data import Dataset, Molecule, Normalizer
+    from ggrnet.errors import NumericalError
     from ggrnet.gradcheck import DEFAULT_CHECK_CONFIG, run_gradcheck
     from ggrnet.model import MoleculeEncoding, forward_batch
     from ggrnet.synth import random_molecule
@@ -88,6 +122,47 @@ def main(argv) -> int:
             print(f"gradcheck\t{feature}\t{report!r}")
     for report in run_gradcheck(seed=0, seeds=2, corrupt=True):
         print(f"gradcheck\tall\tcorrupt\t{report!r}")
+
+    cfg = ModelConfig(**DIMS["small"])
+    overflow_rng = np.random.default_rng(1919)
+    encodings = [MoleculeEncoding(random_molecule(overflow_rng, n, vocab, mol_id=f"o{k}"),
+                                  vocab, cfg) for k, n in enumerate(OVERFLOW_SIZES)]
+    batch_targets = overflow_rng.normal(size=len(OVERFLOW_SIZES)).tolist()
+
+    def outcome(run):
+        try:
+            arrays = run()
+        except NumericalError as err:
+            return str(err)
+        digest = hashlib.sha256()
+        for array in arrays:
+            digest.update(np.ascontiguousarray(array).tobytes())
+        return f"ok {digest.hexdigest()}"
+
+    def recorded(params):
+        tensors = params.tensors()
+        zero_grads(tensors)
+        graph = Graph()
+        preds = forward_batch(graph, encodings, params, cfg)
+        loss = mse_loss(graph, preds, batch_targets)
+        backward(graph, loss)
+        return [preds.values, loss.values, *(t.grad for t in tensors)]
+
+    with np.errstate(all="ignore"):
+        for name, edits in overflow_cases(cfg, np.finfo(float).max):
+            params = init_params(cfg, len(vocab), 29, seed=7)
+            tensors = dict(params.named())
+            first = edits[0][0]
+            unedited = tensors[first].values.copy()
+            for tensor, index, value in edits:
+                tensors[tensor].values[index] = value
+            stack = np.stack([unedited, tensors[first].values])
+            runs = {"nograd": lambda: [forward_batch(None, encodings, params, cfg).values],
+                    "recorded": lambda: recorded(params),
+                    "replicated": lambda: [forward_batch(None, encodings, params, cfg,
+                                                         replicas=(first, stack)).values]}
+            for mode, run in runs.items():
+                print(f"overflow\t{name}\t{mode}\t{outcome(run)}")
     return 0
 
 

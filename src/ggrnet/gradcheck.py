@@ -24,6 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Graph
 from .data import Molecule
+from .errors import NumericalError
 from .model import (_RECURSION_TENSORS, ModelConfig, ModelParams, MoleculeEncoding, _is_bias,
                     _workspace_size, forward_batch, init_params, release_workspace)
 from .synth import random_molecules
@@ -52,7 +53,8 @@ def gradient_check(params: ModelParams, cfg: ModelConfig, molecules: Sequence[Mo
 
     ``corrupt`` deliberately scales one analytic gradient to verify the check
     itself can fail (negative control). Every entry is perturbed in replicas
-    only, so the check writes no parameter value. The spare recursion
+    only, so the check writes no parameter value. A :class:`NumericalError`
+    of a perturbed pass names the tensor perturbed. The spare recursion
     workspace is freed when the check returns or raises.
     """
     encodings = [MoleculeEncoding(m, vocabulary, cfg) for m in molecules]
@@ -71,16 +73,20 @@ def gradient_check(params: ModelParams, cfg: ModelConfig, molecules: Sequence[Mo
         for name, tensor in named:
             grad = analytic[name]
             per_call = _entries_per_call(cfg, sizes, name, tensor.values.size)
-            for entries, preds in _perturbed_predictions(params, cfg, encodings, name, fd_step,
-                                                         per_call):
-                total += len(entries)
-                loss = mse_loss(None, preds, targets).values[:, 0]
-                numeric = (loss[0::2] - loss[1::2]) / (2.0 * fd_step)
-                a = grad[tuple(zip(*entries))]
-                err = np.abs(a - numeric) / np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1.0)
-                j = int(err.argmax())
-                if err[j] > worst[0]:
-                    worst = (err[j], name, entries[j])
+            try:
+                for entries, preds in _perturbed_predictions(params, cfg, encodings, name,
+                                                             fd_step, per_call):
+                    total += len(entries)
+                    loss = mse_loss(None, preds, targets).values[:, 0]
+                    numeric = (loss[0::2] - loss[1::2]) / (2.0 * fd_step)
+                    a = grad[tuple(zip(*entries))]
+                    err = (np.abs(a - numeric)
+                           / np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1.0))
+                    j = int(err.argmax())
+                    if err[j] > worst[0]:
+                        worst = (err[j], name, entries[j])
+            except NumericalError as exc:
+                raise NumericalError(f"perturbations of '{name}': {exc}") from exc
     finally:
         release_workspace()
     return GradCheckReport(max_error=worst[0], worst_tensor=worst[1],
@@ -136,7 +142,8 @@ def run_gradcheck(seed: int = 0, seeds: int = 5, atom_counts: Sequence[int] = (1
                   cfg: ModelConfig = DEFAULT_CHECK_CONFIG,
                   vocabulary: Sequence[str] = ("H", "C", "N", "O"),
                   fd_step: float = 1e-5, corrupt: bool = False) -> list[GradCheckReport]:
-    """One gradient check per seed, each over fresh random params and molecules."""
+    """One gradient check per seed, each over fresh random params and
+    molecules; a :class:`NumericalError` names the seed of its check."""
     reports = []
     for k in range(seeds):
         s = seed + k
@@ -144,6 +151,9 @@ def run_gradcheck(seed: int = 0, seeds: int = 5, atom_counts: Sequence[int] = (1
                                      elements=vocabulary)
         targets = np.random.default_rng(s + 10_000).normal(size=len(molecules)).tolist()
         params = _random_params(cfg, len(vocabulary), max(atom_counts), s)
-        reports.append(gradient_check(params, cfg, molecules, targets, vocabulary,
-                                      fd_step=fd_step, corrupt=corrupt))
+        try:
+            reports.append(gradient_check(params, cfg, molecules, targets, vocabulary,
+                                          fd_step=fd_step, corrupt=corrupt))
+        except NumericalError as exc:
+            raise NumericalError(f"seed {s}, {exc}") from exc
     return reports

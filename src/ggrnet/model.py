@@ -28,8 +28,9 @@ the hidden-state product. Each grid is built by one stacked BLAS product of
 the molecule's constant ``[N, N, 2]`` pair matrix ``[inv_dist | 1]`` with
 per-kind, per-receiver ``[2, hidden]`` right-hand sides ``[w_d; R[v]]``,
 which forms distance and receiver terms together, and one in-place addition
-of both sender terms. Overflow is checked on a per-molecule bound of the
-terms rather than on every grid entry. The op's hand-written backward runs
+of both sender terms. Overflow is checked on one batch-wide bound of the
+terms per step, and on per-molecule bounds only when that one is not
+finite, rather than on every grid entry. The op's hand-written backward runs
 back-propagation through time: it walks the steps in reverse, reduces each
 molecule's grids to per-atom adjoints, and forms each weight gradient once
 per batch from the adjoints of all steps; the embedding gradients are
@@ -213,10 +214,13 @@ class MoleculeEncoding:
     Atoms are in file order: ``elements`` holds each atom's vocabulary index,
     and ``pairs`` is the read-only ``[N, N, 2]`` matrix ``[inv_dist | 1]``,
     receiver by sender: reciprocal pair distances with a zero diagonal (all
-    +0.0 when the distance feature is off), beside ones. The molecule's
-    message grid, ``[N, N, hidden]``, is indexed the same way and holds every
-    ordered pair once; its diagonal is not a pair and is masked. For a
-    single-atom molecule there are no pairs and the hidden state stays at zero.
+    +0.0 when the distance feature is off), beside ones. ``max_inv_dist`` is
+    the largest of them, ``pairs[..., 0].max()``, kept for the recursion's
+    overflow bound; it is +0.0 without distances and for a single atom. The
+    molecule's message grid, ``[N, N, hidden]``, is indexed the same way and
+    holds every ordered pair once; its diagonal is not a pair and is masked.
+    For a single-atom molecule there are no pairs and the hidden state stays
+    at zero.
     """
 
     def __init__(self, molecule: Molecule, vocabulary: Sequence[str], cfg: ModelConfig):
@@ -231,6 +235,7 @@ class MoleculeEncoding:
         self.pairs[..., 0] = (inverse_distance_matrix(molecule.coords, cfg.distance_epsilon)
                               if cfg.use_distance_feature else 0.0)
         self.pairs.flags.writeable = False
+        self.max_inv_dist = float(self.pairs[..., 0].max())
 
 
 # The spare workspace of the recursion: at most one flat float64 buffer.
@@ -345,8 +350,8 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     embedding table, or a gate or candidate weight or bias), else of length
     one, since all replicas then share one recursion. So each numpy call of
     the step loop covers all replicas: the terms are stacked products, each
-    molecule's grids are ``[R, 2, n, n, hidden]``, and the bound below is
-    checked per replica and molecule. The call returns the final states as
+    molecule's grids are ``[R, 2, n, n, hidden]``, and the bound below
+    covers all replicas. The call returns the final states as
     one ``[R, hidden, ΣN]`` array (``[1, hidden, ΣN]`` for a readout
     tensor), tested for finiteness once; each ``[hidden, ΣN]`` slice has the
     bits and the layout of a call with its values written into the live
@@ -377,19 +382,29 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     adds both ``S[w]``.
 
     Instead of testing every grid entry, each step bounds each molecule's
-    pre-activations by ``max|R| + max|S| + max|w_d| max(inv_dist)``, summed
+    pre-activations by ``(max|w_d| max(inv_dist) + max|R|) + max|S|``, summed
     in the grid's order: float addition and multiplication are monotone, so
     if the bound is finite so is every entry. A molecule whose bound is not
-    raises a :class:`NumericalError` naming it and the step, since the
-    saturating gates would hide it; that rejects a finite grid only when one
-    of the three terms exceeds about a third of the float maximum, and any
-    NaN makes the bound NaN. A one-atom molecule has no pairs: it never
-    raises, no grid is built for it, its state columns are +0.0 at every step
-    and its per-atom adjoints are 0.
+    raises a :class:`NumericalError` naming it and the step (the first such
+    molecule of the first replica that has one), since the saturating gates
+    would hide it; that rejects a finite grid only when one of the three
+    terms exceeds about a third of the float maximum, and any NaN makes the
+    bound NaN. A one-atom molecule has no pairs: it never raises, no grid is
+    built for it, its state columns are +0.0 at every step and its per-atom
+    adjoints are 0. The step first tests one batch-wide bound, the same sum
+    with the largest distance term of the batch and ``top = max|terms|``
+    (one ``max`` and one ``min`` over all replicas and atoms) for both ``R``
+    and ``S``. It is no smaller than any molecule's, again by monotone
+    rounding, so when it is finite no molecule's bound is computed. Only
+    when it is not (an overflow or a NaN anywhere, a one-atom molecule's
+    included) is every molecule's bound computed, per replica, and those
+    alone decide whether to raise and whom to name.
 
     The per-step loops repeat no step-invariant work: each molecule's views
     of its pair matrix, right-hand sides, sender terms and grid slot are made
-    once per call, and one ``np.errstate`` covers all steps.
+    once per call, the right-hand sides' ``w_d`` rows are written once per
+    call, and one ``np.errstate`` covers all steps. No pair matrix is scanned
+    per call: each encoding keeps its ``max_inv_dist``.
 
     The backward walks the steps in reverse. It overwrites each molecule's
     grids with their adjoints, reduces them to the per-atom adjoints of the
@@ -489,8 +504,9 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
             mode="clip")
 
     # per molecule, gate and candidate: fl(max|w_d| max(inv_dist)), added first as in the grid
-    dist_bound = (np.array([enc.pairs[..., 0].max() for enc in encodings])[:, None]
+    dist_bound = (np.array([enc.max_inv_dist for enc in encodings])[:, None]
                   * np.abs(w_d).reshape(reps, 1, 2, hidden).max(axis=3))
+    dist_top = float(dist_bound.max())
     pairless = counts < 2
 
     blocks = terms.reshape(reps, atoms, 4, hidden)
@@ -500,6 +516,7 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     # product is rounded before R is added, as the bound assumes (an
     # FMA-accumulating BLAS gives other bits with R first)
     rhs = carve((reps, atoms, 2, 2, hidden))
+    rhs[:, :, :, 0] = w_d.reshape(reps, 1, 2, hidden)
     # the step-invariant views of each molecule that has pairs: its atom rows,
     # pair matrix, right-hand sides, sender terms and grids in the slot. A
     # one-atom molecule has none, so its state rows (lone) are zero at every step
@@ -518,16 +535,18 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
         for step in range(steps):
             np.matmul(states[step % len(states)], w_h, out=terms)
             terms += fixed
-            # rhs is free until it is filled below
-            peak = np.abs(terms.reshape(rhs.shape), out=rhs).max(axis=4)
-            peak = np.maximum.reduceat(peak, bounds[:-1], axis=1)
-            bound = (dist_bound + peak[:, :, 0]) + peak[:, :, 1]
-            bound[:, pairless] = 0.0
-            if not np.isfinite(bound).all():
-                k = int(np.nonzero(~np.isfinite(bound).all(axis=2))[1][0])
-                raise NumericalError(f"molecule {ids[k]}, step {step}: "
-                                     f"non-finite values produced by op 'message_step'")
-            rhs[:, :, :, 0] = w_d.reshape(reps, 1, 2, hidden)
+            # the batch's bound, with max|terms| for both R and S, is no smaller
+            # than any molecule's; only if it is not finite do those decide
+            top = max(float(terms.max()), -float(terms.min()))
+            if not math.isfinite((dist_top + top) + top):
+                peak = np.abs(terms.reshape(reps, atoms, 2, 2, hidden)).max(axis=4)
+                peak = np.maximum.reduceat(peak, bounds[:-1], axis=1)
+                bound = (dist_bound + peak[:, :, 0]) + peak[:, :, 1]
+                bound[:, pairless] = 0.0
+                if not np.isfinite(bound).all():
+                    k = int(np.nonzero(~np.isfinite(bound).all(axis=2))[1][0])
+                    raise NumericalError(f"molecule {ids[k]}, step {step}: "
+                                         f"non-finite values produced by op 'message_step'")
             rhs[:, :, :, 1] = blocks[:, :, :2]
             # the returned states are the one array that outlives the workspace
             h = (np.empty((reps, atoms, hidden)) if step == steps - 1

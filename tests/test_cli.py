@@ -555,6 +555,21 @@ def test_gradcheck_bad_atom_list():
     assert main(["gradcheck", "--atoms", "0,2"]) == 2
 
 
+def test_gradcheck_numerical_abort_names_the_seed_and_tensor(capsys):
+    # a step of 1e200 in a readout weight makes the loss overflow: one line
+    # names the check's seed and the tensor perturbed, and numpy warns of nothing
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["gradcheck", "--seed", "3", "--seeds", "2", "--fd-step", "1e200"])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: seed 3, perturbations of 'readout_w0': "
+        "non-finite values produced by op 'mse_loss'"]
+    assert [str(w.message) for w in caught] == []
+
+
 # generated molecules of these sizes keep every pair 0.7 apart, and a gradient
 # check over them returns (rejection sampling in the fixed 4 Å cube found no
 # place past about 175 atoms, so this runs in a process of its own)

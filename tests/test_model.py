@@ -147,6 +147,20 @@ def test_an_encoding_holds_its_read_only_pair_matrix():
             matrix[0, 1, 0] = 2.0
 
 
+@pytest.mark.parametrize("distances", [True, False])
+def test_an_encoding_keeps_its_largest_inverse_distance(distances):
+    cfg = replace(SMALL, use_distance_feature=distances)
+    rng = np.random.default_rng(74)
+    for n in (1, 2, 5, 9):
+        enc = MoleculeEncoding(random_molecule(rng, n, elements=VOCAB), VOCAB, cfg)
+        assert np.float64(enc.max_inv_dist).tobytes() == enc.pairs[..., 0].max().tobytes()
+        if n == 1 or not distances:
+            # +0.0, so the bound's distance term is +0.0 as well
+            assert np.float64(enc.max_inv_dist).tobytes() == np.float64(0.0).tobytes()
+        else:
+            assert enc.max_inv_dist > 0.0
+
+
 def run_step(params, cfg, mol, state_values):
     """One recursion step of :func:`message_step` (``steps=1``) on ``mol`` as a
     batch of one."""
@@ -783,6 +797,62 @@ def test_overflow_in_a_later_step_names_that_step():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalError, match=r"^molecule late, step 1: .*'message_step'"):
         forward(None, mol, params, SMALL, VOCAB)
+
+
+def _count_columns(cfg):
+    return slice(2 * (cfg.atom_dim + cfg.hidden_dim), cfg.concat_dim - 1)
+
+
+def test_a_lone_atom_with_non_finite_terms_does_not_raise():
+    # a one-atom molecule has no pairs, so no bound covers its terms: its count
+    # row (row 0) read twice by the gate sums to inf, and the step must not
+    # raise; the other molecule keeps the bits it has alone
+    params = small_params(seed=75)
+    params.count_embedding.values[0] = 1e308
+    params.gate_weight.values[:, _count_columns(SMALL)] = 1.0
+    lone = Molecule("lone", ("C",), np.zeros((1, 3)), {})
+    other = random_molecule(np.random.default_rng(76), 4, elements=VOCAB, mol_id="m4")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for graph in (None, ad.Graph()):
+            got = forward_batch(graph, encode(SMALL, [lone, other]), params, SMALL).values
+            want = forward_batch(graph, encode(SMALL, [other]), params, SMALL).values
+            assert got[0, 1].tobytes() == want[0, 0].tobytes()
+
+
+def test_a_receiver_term_past_half_the_float_maximum_does_not_raise():
+    # 0.6x the float maximum in one molecule's gate receiver terms (its count
+    # row) and small sender terms: the molecule's bound is finite, though
+    # twice 0.6x the maximum is not, so the step must not raise
+    params = small_params(seed=77)
+    params.count_embedding.values[3] = [0.6 * np.finfo(float).max, 0.0]
+    params.gate_weight.values[:, _count_columns(SMALL)] = [1.0, 0.0]
+    rng = np.random.default_rng(78)
+    big = random_molecule(rng, 4, elements=VOCAB, mol_id="big")
+    other = random_molecule(rng, 3, elements=VOCAB, mol_id="m3")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for graph in (None, ad.Graph()):
+            got = forward_batch(graph, encode(SMALL, [big, other]), params, SMALL).values
+            want = forward_batch(graph, encode(SMALL, [other]), params, SMALL).values
+            assert np.isfinite(got).all()
+            assert got[0, 1].tobytes() == want[0, 0].tobytes()
+
+
+def test_receiver_and_sender_terms_that_sum_past_the_float_maximum_raise():
+    # each term is 0.6x the float maximum, and finite, but their sum in the
+    # grid is not: the step must raise, naming the molecule
+    params = small_params(seed=79)
+    big = 0.6 * np.finfo(float).max
+    params.count_embedding.values[3] = [big, 0.0]
+    params.gate_weight.values[:, _count_columns(SMALL)] = [1.0, 0.0]
+    send_x = SMALL.atom_dim + SMALL.hidden_dim
+    params.atom_embedding.values[:, 0] = 1.0
+    params.gate_weight.values[:, send_x:send_x + SMALL.atom_dim] = [big, 0.0, 0.0]
+    rng = np.random.default_rng(80)
+    molecules = [random_molecule(rng, 3, elements=VOCAB, mol_id="m3"),
+                 random_molecule(rng, 4, elements=VOCAB, mol_id="sum")]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match=r"^molecule sum, step 0: .*'message_step'"):
+        forward_batch(None, encode(SMALL, molecules), params, SMALL)
 
 
 def test_non_finite_gradient_names_the_molecule_and_step():
