@@ -23,7 +23,10 @@ close to it (dims 4/4/8/8, all features on, one batch of 1, 4, 2 and 6
 atoms), three lines give the outcome of a no-grad forward, of a recorded
 forward with the loss's backward, and of a no-grad forward of the replicas
 ``[unedited, edited]`` of the first tensor edited: the ``NumericalError``
-message, or ``ok`` and the sha256 of the outputs. Two source trees whose
+message, or ``ok`` and the sha256 of the outputs. The last case, after
+eight that overflow or come close to it, sets one molecule's receiver terms
+to 0.6x the float maximum and every sender term to -0.6x it, so every term
+and every pre-activation is finite. Two source trees whose
 outputs are bitwise equal, and whose overflow checks decide alike, print
 identical lines, so ``diff`` of two runs compares them. BLAS runs on one
 thread, as for a bit-reproducible run; nothing is downloaded or written.
@@ -66,6 +69,13 @@ def overflow_cases(cfg, big):
                       ("gate_weight", (slice(None), cnt.start), 1.0)]),
         ("bias-nan", [("candidate_bias", 0, float("nan"))]),
         ("readout", [("readout_w0", 0, 1e308)]),
+        # the 4-atom molecule's receiver terms are 0.6x the float maximum, and
+        # every sender term is -0.6x it: each term is finite, and so is their sum
+        ("cancel", [("count_embedding", 3, 0.0), ("count_embedding", (3, 0), 0.6 * big),
+                    ("gate_weight", (slice(None), cnt), 0.0),
+                    ("gate_weight", (slice(None), cnt.start), 1.0),
+                    ("atom_embedding", (slice(None), 0), 1.0),
+                    ("gate_weight", (slice(None), half), -0.6 * big)]),
     ]
 
 

@@ -29,8 +29,8 @@ the molecule's constant ``[N, N, 2]`` pair matrix ``[inv_dist | 1]`` with
 per-kind, per-receiver ``[2, hidden]`` right-hand sides ``[w_d; R[v]]``,
 which forms distance and receiver terms together, and one in-place addition
 of both sender terms. Overflow is checked on one batch-wide bound of the
-terms per step, and on per-molecule bounds only when that one is not
-finite, rather than on every grid entry. The op's hand-written backward runs
+terms per step, and on the grid entries only in a step where that bound is
+not finite. The op's hand-written backward runs
 back-propagation through time: it walks the steps in reverse, reduces each
 molecule's grids to per-atom adjoints, and forms each weight gradient once
 per batch from the adjoints of all steps; the embedding gradients are
@@ -284,17 +284,18 @@ def _carver(buf: np.ndarray):
 
 def _workspace_size(cfg: ModelConfig, sizes: Sequence[int], replicas: int = 1,
                     recording: bool = False) -> int:
-    """Entries of the workspace of a :func:`message_step` call on molecules of
-    ``sizes`` atoms: per replica, the stacked weights, fixed and terms, the
-    right-hand sides, the grid slot and the states; and, when recording, every
-    step's gate and candidate grids and the per-step adjoints."""
+    """Entries that a :func:`message_step` call on molecules of ``sizes``
+    atoms carves from its workspace, exactly: per replica, the stacked
+    weights, fixed and terms, the right-hand sides, the grid slot and the
+    states; and, when recording, the gate and candidate grids of every step
+    and every molecule with pairs (one-atom molecules have none), and the
+    per-step adjoints."""
     hidden, steps, atoms = cfg.hidden_dim, cfg.steps, sum(sizes)
-    grids = [n * n * hidden for n in sizes]
     size = replicas * (
-        2 * hidden * cfg.concat_dim + 12 * atoms * hidden + 2 * max(grids)
+        2 * hidden * cfg.concat_dim + 12 * atoms * hidden + 2 * max(sizes) ** 2 * hidden
         + (steps if recording else 1) * atoms * hidden)
     if recording:
-        size += steps * atoms * 4 * hidden + 2 * steps * sum(grids)
+        size += steps * hidden * (4 * atoms + 2 * sum(n * n for n in sizes if n > 1))
     return size
 
 
@@ -350,8 +351,8 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     embedding table, or a gate or candidate weight or bias), else of length
     one, since all replicas then share one recursion. So each numpy call of
     the step loop covers all replicas: the terms are stacked products, each
-    molecule's grids are ``[R, 2, n, n, hidden]``, and the bound below
-    covers all replicas. The call returns the final states as
+    molecule's grids are ``[R, 2, n, n, hidden]``, and the overflow check
+    below covers all replicas. The call returns the final states as
     one ``[R, hidden, ΣN]`` array (``[1, hidden, ΣN]`` for a readout
     tensor), tested for finiteness once; each ``[hidden, ΣN]`` slice has the
     bits and the layout of a call with its values written into the live
@@ -381,24 +382,21 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     for every kind and receiver in one BLAS call, and one in-place addition
     adds both ``S[w]``.
 
-    Instead of testing every grid entry, each step bounds each molecule's
-    pre-activations by ``(max|w_d| max(inv_dist) + max|R|) + max|S|``, summed
-    in the grid's order: float addition and multiplication are monotone, so
-    if the bound is finite so is every entry. A molecule whose bound is not
-    raises a :class:`NumericalError` naming it and the step (the first such
-    molecule of the first replica that has one), since the saturating gates
-    would hide it; that rejects a finite grid only when one of the three
-    terms exceeds about a third of the float maximum, and any NaN makes the
-    bound NaN. A one-atom molecule has no pairs: it never raises, no grid is
-    built for it, its state columns are +0.0 at every step and its per-atom
-    adjoints are 0. The step first tests one batch-wide bound, the same sum
+    A step raises a :class:`NumericalError` naming the molecule and the step
+    if and only if a pre-activation of a molecule with pairs (its masked
+    diagonal included) is not finite, since the saturating gates would hide
+    it; of several such molecules, in any replicas, it names the first in
+    batch order. Each step first bounds all pre-activations by
+    ``(max|w_d| max(inv_dist) + top) + top``, summed in the grid's order,
     with the largest distance term of the batch and ``top = max|terms|``
     (one ``max`` and one ``min`` over all replicas and atoms) for both ``R``
-    and ``S``. It is no smaller than any molecule's, again by monotone
-    rounding, so when it is finite no molecule's bound is computed. Only
-    when it is not (an overflow or a NaN anywhere, a one-atom molecule's
-    included) is every molecule's bound computed, per replica, and those
-    alone decide whether to raise and whom to name.
+    and ``S``: float addition and multiplication are monotone, so if the
+    bound is finite so is every grid entry, and nothing more is checked.
+    Only in a step where it is not (an overflow or a NaN anywhere, a
+    one-atom molecule's included) is each molecule's grid tested entry by
+    entry, as soon as it is built and before it is activated. A one-atom
+    molecule has no pairs: it never raises, no grid is built for it, its
+    state columns are +0.0 at every step and its per-atom adjoints are 0.
 
     The per-step loops repeat no step-invariant work: each molecule's views
     of its pair matrix, right-hand sides, sender terms and grid slot are made
@@ -416,6 +414,8 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     count rows to the tables' ``grad`` itself, so the tables are not inputs of
     its tape entry: each atom's adjoint row is scatter-added (``np.add.at``),
     so atoms that share a row accumulate, and a non-finite sum raises here.
+    The weight products read the gathered rows with the one-atom molecules'
+    zeroed, so a non-finite row that only they read gives no gradient.
 
     Every batch-sized array the op uses is a view of one workspace checked
     out for this call alone (:func:`_workspace_size`). Once per replica, it
@@ -503,12 +503,8 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
             out=terms.reshape(-1)[:reps * atoms * 2 * hidden].reshape(reps, atoms, 2 * hidden),
             mode="clip")
 
-    # per molecule, gate and candidate: fl(max|w_d| max(inv_dist)), added first as in the grid
-    dist_bound = (np.array([enc.max_inv_dist for enc in encodings])[:, None]
-                  * np.abs(w_d).reshape(reps, 1, 2, hidden).max(axis=3))
-    dist_top = float(dist_bound.max())
-    pairless = counts < 2
-
+    # the batch's largest distance term, as the grids round it, for the bound below
+    dist_top = max(enc.max_inv_dist for enc in encodings) * float(np.abs(w_d).max())
     blocks = terms.reshape(reps, atoms, 4, hidden)
     # receiver v's right-hand sides [w_d; R[v]], gate's and candidate's, so that
     # one stacked product with the molecule's pair matrix [inv_dist | 1] forms
@@ -520,42 +516,37 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     # the step-invariant views of each molecule that has pairs: its atom rows,
     # pair matrix, right-hand sides, sender terms and grids in the slot. A
     # one-atom molecule has none, so its state rows (lone) are zero at every step
-    mols = [(n, a, b, enc.pairs, rhs[:, a:b].transpose(0, 2, 1, 3, 4),
+    mols = [(enc.mol_id, n, a, b, enc.pairs, rhs[:, a:b].transpose(0, 2, 1, 3, 4),
              blocks[:, a:b, 2:].transpose(0, 2, 1, 3)[:, :, None],
              slot[:reps * 2 * n * n * hidden].reshape(reps, 2, n, n, hidden))
             for n, enc, a, b in zip(sizes, encodings, edges, edges[1:]) if n > 1]
-    lone = bounds[:-1][pairless]
+    lone = bounds[:-1][counts < 2]
     # each step's input state, or one buffer that a step reads before it writes
     states = carve((steps if recording else 1, reps, atoms, hidden))
     states[0] = 0.0 if state is None else state.T
     grids: list[list[np.ndarray]] = []
     # exp of the negated gate overflows to inf above 709, giving a gate of exactly 0;
-    # an overflow anywhere else makes the bound below raise
-    with np.errstate(over="ignore"):
+    # an overflow or NaN anywhere else raises once its grid is built
+    with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
             np.matmul(states[step % len(states)], w_h, out=terms)
             terms += fixed
-            # the batch's bound, with max|terms| for both R and S, is no smaller
-            # than any molecule's; only if it is not finite do those decide
+            # the batch's bound, with max|terms| for both R and S: if it is
+            # finite, so is every grid entry, and no grid is checked
             top = max(float(terms.max()), -float(terms.min()))
-            if not math.isfinite((dist_top + top) + top):
-                peak = np.abs(terms.reshape(reps, atoms, 2, 2, hidden)).max(axis=4)
-                peak = np.maximum.reduceat(peak, bounds[:-1], axis=1)
-                bound = (dist_bound + peak[:, :, 0]) + peak[:, :, 1]
-                bound[:, pairless] = 0.0
-                if not np.isfinite(bound).all():
-                    k = int(np.nonzero(~np.isfinite(bound).all(axis=2))[1][0])
-                    raise NumericalError(f"molecule {ids[k]}, step {step}: "
-                                         f"non-finite values produced by op 'message_step'")
+            unbounded = not math.isfinite((dist_top + top) + top)
             rhs[:, :, :, 1] = blocks[:, :, :2]
             # the returned states are the one array that outlives the workspace
             h = (np.empty((reps, atoms, hidden)) if step == steps - 1
                  else states[(step + 1) % len(states)])
             h[:, lone] = 0.0
             step_grids = []
-            for n, a, b, pair, rhs_k, send, pre in mols:
+            for mol_id, n, a, b, pair, rhs_k, send, pre in mols:
                 np.matmul(pair, rhs_k, out=pre)
                 pre += send
+                if unbounded and not np.isfinite(pre).all():
+                    raise NumericalError(f"molecule {mol_id}, step {step}: "
+                                         f"non-finite values produced by op 'message_step'")
                 # a recorded step keeps its activations, so they go to its own grids
                 out = carve(pre.shape) if recording else pre
                 gate, cand = out[:, 0], out[:, 1]
@@ -603,7 +594,7 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
         views = [(n, a, b, slot[:n * n * hidden].reshape(n, n, hidden), ones[:n],
                   d_terms[:, a:b].reshape(steps, n, 4, hidden).transpose(0, 2, 1, 3),
                   pair[..., 0].ravel() if cfg.use_distance_feature else None)
-                 for n, a, b, pair, *_ in mols]
+                 for _, n, a, b, pair, *_ in mols]
         for step in reversed(range(steps)):
             # the receiver's output gradient g[v] / n scales every pair (v, w)
             g_n = g * inv_n
@@ -637,12 +628,18 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
         d_w[:, recv_h], d_w[:, send_h] = d_w_h[:2 * hidden], d_w_h[2 * hidden:]
         d_fixed = d_terms.sum(axis=0)
         d_recv = d_fixed[:, :2 * hidden]
+        # the gathered rows, with the lone atoms' zeroed: their adjoints are 0,
+        # and 0 times a non-finite row they alone read would reach d_w
         if elements is not None:
-            d_w_x = d_fixed.T @ params.atom_embedding.values[elements]
+            x = params.atom_embedding.values[elements]
+            x[lone] = 0.0
+            d_w_x = d_fixed.T @ x
             d_w[:, recv_x], d_w[:, send_x] = d_w_x[:2 * hidden], d_w_x[2 * hidden:]
             add_rows(params.atom_embedding, elements, d_fixed @ w_x[0])
         if rows is not None:
-            d_w[:, cnt] = d_recv.T @ params.count_embedding.values[rows]
+            count = params.count_embedding.values[rows]
+            count[lone] = 0.0
+            d_w[:, cnt] = d_recv.T @ count
             add_rows(params.count_embedding, rows, d_recv @ w_cnt[0])
         if cfg.use_distance_feature:
             d_w[:, -1] = d_wd.ravel()

@@ -855,6 +855,104 @@ def test_receiver_and_sender_terms_that_sum_past_the_float_maximum_raise():
         forward_batch(None, encode(SMALL, molecules), params, SMALL)
 
 
+def test_receiver_and_sender_terms_that_cancel_do_not_raise():
+    # +0.6x the float maximum in every gate receiver term of one molecule and
+    # -0.6x it in every gate sender term: the batch-wide bound is not finite,
+    # but every grid entry is, so no call may raise
+    params = small_params(seed=79)
+    big = 0.6 * np.finfo(float).max
+    params.count_embedding.values[3] = [big, 0.0]
+    params.gate_weight.values[:, _count_columns(SMALL)] = [1.0, 0.0]
+    send_x = SMALL.atom_dim + SMALL.hidden_dim
+    params.atom_embedding.values[:, 0] = 1.0
+    params.gate_weight.values[:, send_x:send_x + SMALL.atom_dim] = [-big, 0.0, 0.0]
+    rng = np.random.default_rng(80)
+    encodings = encode(SMALL, [random_molecule(rng, 3, elements=VOCAB, mol_id="m3"),
+                               random_molecule(rng, 4, elements=VOCAB, mol_id="m4")])
+    stack = np.repeat(params.gate_weight.values[None], 2, axis=0)
+    stack[0, :, send_x] = 0.0                    # replica 0 without the -0.6x sender terms
+    with np.errstate(over="ignore", invalid="ignore"):
+        nograd = forward_batch(None, encodings, params, SMALL).values
+        grads = batch_gradients(params, SMALL, encodings, [0.5, -0.5])
+        replicated = forward_batch(None, encodings, params, SMALL,
+                                   replicas=("gate_weight", stack)).values
+    assert np.isfinite(nograd).all() and np.isfinite(replicated).all()
+    assert replicated[1].tobytes() == nograd[0].tobytes()
+    for (name, _), grad in zip(params.named(), grads):
+        assert np.isfinite(grad).all(), name
+
+
+def test_of_two_overflowing_molecules_the_first_in_the_batch_is_named():
+    # an overflowing count row makes every receiver term of the molecules
+    # that read it infinite: the 2-atom one (row 1) and the 4-atom one (row 3)
+    params = small_params(seed=81)
+    params.gate_weight.values[:, _count_columns(SMALL)] = 1.0
+    rng = np.random.default_rng(82)
+    encodings = encode(SMALL, [random_molecule(rng, n, elements=VOCAB, mol_id=f"m{n}")
+                               for n in (3, 2, 4)])
+    stack = np.repeat(params.count_embedding.values[None], 2, axis=0)
+    stack[0, 3] = 1e308                          # replica 0: only the later molecule
+    stack[1, 1] = 1e308                          # replica 1: only the earlier one
+    params.count_embedding.values[[1, 3]] = 1e308
+    first = r"^molecule m2, step 0: .*'message_step'"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for graph in (None, ad.Graph()):
+            with pytest.raises(NumericalError, match=first):
+                message_step(graph, params, SMALL, encodings)
+        with pytest.raises(NumericalError, match=first):
+            message_step(None, params, SMALL, encodings, replicas=("count_embedding", stack))
+
+
+def test_non_finite_rows_that_only_a_lone_atom_reads_leave_every_gradient_alone():
+    # a one-atom molecule's adjoints are zero, so its count row and an
+    # embedding row that only it reads reach no gradient, NaN or not
+    lone = Molecule("lone", ("O",), np.zeros((1, 3)), {})
+    other = random_molecule(np.random.default_rng(84), 4, elements=("H", "C"), mol_id="m4")
+    grads = []
+    for value in (0.5, float("nan")):
+        params = small_params(seed=83)
+        params.count_embedding.values[0] = value
+        params.atom_embedding.values[VOCAB.index("O")] = value
+        grads.append(batch_gradients(params, SMALL, encode(SMALL, [lone, other]), [0.3, -0.2]))
+    for (name, _), finite, nan in zip(params.named(), *grads):
+        assert finite.tobytes() == nan.tobytes(), name
+
+
+@pytest.mark.parametrize("sizes", [(4, 6, 2), (1, 4, 6), (1,)])
+def test_the_recursion_carves_exactly_its_workspace_size(monkeypatch, sizes):
+    # no-grad, recorded (through its backward) and replicated calls, with and
+    # without one-atom molecules; the recursion makes the first carver of each
+    cfg = ModelConfig(atom_dim=4, count_dim=4, hidden_dim=8, mlp_dim=8, steps=3)
+    carved = []
+    carver = model._carver
+
+    def counting(buf):
+        carve, index = carver(buf), len(carved)
+        carved.append(0)
+
+        def counted(shape):
+            carved[index] += math.prod(shape)
+            return carve(shape)
+
+        return counted
+
+    monkeypatch.setattr(model, "_carver", counting)
+    params = init_params(cfg, len(VOCAB), 8, seed=85)
+    encodings = encode(cfg, random_molecules(86, len(sizes), sizes=sizes, elements=VOCAB))
+    stack = np.repeat(params.gate_bias.values[None], 3, axis=0)
+
+    message_step(None, params, cfg, encodings)
+    assert carved[0] == model._workspace_size(cfg, sizes)
+    carved.clear()
+    graph = ad.Graph()
+    state = message_step(graph, params, cfg, encodings)
+    ad.backward(graph, mse_loss(graph, readout(graph, state, params, sizes), [0.1] * len(sizes)))
+    assert carved[0] == model._workspace_size(cfg, sizes, recording=True)
+    carved.clear()
+    message_step(None, params, cfg, encodings, replicas=("gate_bias", stack))
+    assert carved[0] == model._workspace_size(cfg, sizes, 3)
+
+
 def test_non_finite_gradient_names_the_molecule_and_step():
     # the candidate reads only the hidden state, which therefore stays zero
     # and keeps every candidate at tanh(0) = 0; a huge upstream gradient then
