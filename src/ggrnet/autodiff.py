@@ -1,6 +1,7 @@
-"""Minimal dense-matrix reverse-mode automatic differentiation.
+"""Minimal dense-array reverse-mode automatic differentiation.
 
-Everything is a 2-D float64 matrix. Operations take the recording
+Leaves (parameters and constants) are 2-D float64 matrices; an op's output
+may take any shape (``[R, ΣN, hidden]`` states). Operations take the recording
 :class:`Graph` as their first argument and append a tape entry holding the
 inputs, the output, and a local backward rule; :func:`backward` replays the
 tape in reverse insertion order, which makes gradient evaluation fully
@@ -43,7 +44,7 @@ __all__ = [
 
 
 class Tensor:
-    """Dense 2-D float64 matrix node.
+    """Dense float64 array node, a 2-D matrix when made here (a leaf).
 
     ``grad`` is a same-shape accumulation buffer and exists only when
     ``requires_grad`` is set (i.e. for trainable leaves). Gradients of
@@ -69,7 +70,7 @@ class Tensor:
         self.name = name
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
     @property
@@ -284,6 +285,7 @@ def backward(graph: Graph, loss: Tensor) -> None:
     Walks the tape in reverse insertion order. A tensor used several times
     receives the sum of all contributions; leaf gradients accumulate into
     the existing ``grad`` buffer (call :func:`zero_grads` between steps).
+    A non-finite contribution raises, naming the op and a named input.
     """
     if loss.shape != (1, 1):
         raise ShapeError(f"backward: loss must be a 1x1 scalar, got {loss.shape}")
@@ -300,7 +302,9 @@ def backward(graph: Graph, loss: Tensor) -> None:
             if contrib is None:
                 continue
             if not np.isfinite(contrib).all():
-                raise NumericalError(f"non-finite gradient in backward rule of op '{entry.name}'")
+                of = f" of '{inp.name}'" if inp.name else ""
+                raise NumericalError(f"non-finite gradient{of} in backward rule of op "
+                                     f"'{entry.name}'")
             if inp.requires_grad:
                 inp.grad += contrib
             elif id(inp) in graph._produced:

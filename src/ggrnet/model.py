@@ -9,22 +9,22 @@ the message at every step. The readout averages the final hidden vectors and
 applies a three-layer ReLU MLP down to a scalar.
 
 A batch of molecules runs as one disjoint union: the atoms of all molecules
-are the columns of one ``[hidden, ΣN]`` state, molecule after molecule, and
+are the rows of one ``[ΣN, hidden]`` state, molecule after molecule, and
 every recorded op of a forward pass covers the whole batch. Gate and
 candidate are affine in the concatenated pair input, so each splits by block
 into a receiver term and a sender term, each a ``[ΣN, hidden]`` product with
-the atom columns of the batch, plus the count term (each atom carries its
+the atom rows of the batch, plus the count term (each atom carries its
 molecule's count embedding, a row gathered from the table) and the distance
 weight times the molecule's ``[N, N]`` inverse-distance matrix. Pairs exist
 only within a molecule, so each molecule gets its own ``[2, N, N, hidden]``
 pre-activation grid (gate and candidate, receiver, sender, hidden
 innermost), whose diagonal is masked out.
 
-The whole recursion is one recorded op, :func:`message_step`, which reads
-its inputs from the batch's encodings and the embedding tables itself. The
-embedding, count and bias parts of the terms are the same at every step (the
-skip connections), so they are formed once per batch, and a step adds only
-the hidden-state product. Each grid is built by one stacked BLAS product of
+The whole recursion is one recorded op, :func:`message_step`, whose tape
+inputs are the tensors it reads, tables included. The embedding, count and
+bias parts of the terms are the same at every step (the skip connections),
+so they are formed once per batch, and a step adds only the hidden-state
+product. Each grid is built by one stacked BLAS product of
 the molecule's constant ``[N, N, 2]`` pair matrix ``[inv_dist | 1]`` with
 per-kind, per-receiver ``[2, hidden]`` right-hand sides ``[w_d; R[v]]``,
 which forms distance and receiver terms together, and one in-place addition
@@ -34,9 +34,9 @@ not finite. The op's hand-written backward runs
 back-propagation through time: it walks the steps in reverse, reduces each
 molecule's grids to per-atom adjoints, and forms each weight gradient once
 per batch from the adjoints of all steps; the embedding gradients are
-scatter-added into the tables' gradients. The op carves its batch-sized
-arrays out of one flat workspace that outlives the batch, so the next batch
-reuses memory that is already mapped instead of faulting it in afresh. Both
+scatter-added per table row. The op carves its batch-sized arrays out of one
+flat workspace that outlives the batch, so the next batch reuses memory that
+is already mapped instead of faulting it in afresh. Both
 modes build each molecule's grid in turn into one slot sized for the
 largest molecule. A recorded recursion activates into grids of its own,
 which it keeps there with every step's input state and the per-step
@@ -48,7 +48,7 @@ the gradient check does; a stage that does not read the replaced tensor
 runs once for all replicas.
 
 The whole readout is one op too, :func:`readout`, with a hand-written
-backward: each molecule's mean is a segment sum of its columns, and the MLP
+backward: each molecule's mean is a segment sum of its rows, and the MLP
 runs one matrix-vector product per molecule and layer, stacked over a
 leading replica axis, so the replicas of a no-grad pass are read out in one
 call. No atom's terms and no molecule's readout come from a product whose
@@ -199,11 +199,15 @@ def init_params(cfg: ModelConfig, vocab_size: int, max_atom_count: int, seed: in
     rng = np.random.default_rng(seed)
     tensors = {}
     for name, (rows, cols) in param_shapes(cfg, vocab_size, max_atom_count):
-        if _is_bias(name):
-            values = np.zeros((rows, cols))
-        else:
-            bound = math.sqrt(6.0 / (rows + cols))
-            values = rng.uniform(-bound, bound, size=(rows, cols))
+        try:
+            if _is_bias(name):
+                values = np.zeros((rows, cols))
+            else:
+                bound = math.sqrt(6.0 / (rows + cols))
+                values = rng.uniform(-bound, bound, size=(rows, cols))
+        except (MemoryError, ValueError) as err:   # numpy refuses a size it cannot hold
+            raise ConfigError(f"cannot allocate parameter tensor '{name}' of shape "
+                              f"({rows}, {cols}): {err}") from err
         tensors[name] = ad.parameter(values, name)
     return ModelParams.from_named(tensors)
 
@@ -253,7 +257,11 @@ def _take_workspace(size: int) -> np.ndarray:
     if _spare and _spare[-1].size >= size:
         return _spare.pop()
     _spare.clear()
-    raw = np.empty(size + 7)
+    try:
+        raw = np.empty(size + 7)
+    except (MemoryError, ValueError) as err:   # numpy refuses a size it cannot hold
+        raise ConfigError(f"cannot allocate the recursion's workspace of {size} "
+                          f"float64 entries: {err}") from err
     return raw[(-raw.ctypes.data % 64) // 8:][:size]
 
 
@@ -328,20 +336,20 @@ def _replica_reader(graph: Graph | None, params: ModelParams,
 
 
 def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
-                 encodings: Sequence[MoleculeEncoding], state: np.ndarray | None = None,
-                 replicas: tuple[str, np.ndarray] | None = None) -> Tensor | np.ndarray:
-    """All ``cfg.steps`` recursion steps of a batch as one recorded op: the
-    final state ``[hidden, ΣN]``.
+                 encodings: Sequence[MoleculeEncoding],
+                 replicas: tuple[str, np.ndarray] | None = None) -> Tensor:
+    """All ``cfg.steps`` recursion steps of a batch as one recorded op, from
+    zero hidden states: the final states ``[R, ΣN, hidden]``, one per replica
+    (``R = 1`` without replicas).
 
-    Molecule k of ``encodings`` owns its ``n`` atom columns after those of
-    molecules 0..k-1 and is named by its ``mol_id`` in errors. The op reads
-    the step-invariant inputs itself: ``x``, each atom's embedding row;
+    Molecule k of ``encodings`` owns its ``n`` atom rows after those of
+    molecules 0..k-1 and is named by its ``mol_id`` in errors. The op's tape
+    inputs are the tensors it reads, ``_RECURSION_TENSORS``; it gathers the
+    step-invariant inputs itself: ``x``, each atom's embedding row;
     ``count``, the count-embedding row of its molecule (the last row for
     molecules larger than the table); and each molecule's read-only pair
     matrix ``enc.pairs``. A feature that ``cfg`` switches off has no input
-    (distances are +0.0), and its weight block gets a zero gradient.
-    The recursion starts from ``state`` ``[hidden, ΣN]`` (zero if not
-    given), which gets no gradient.
+    (distances are +0.0): its weight block gets a zero gradient, its table none.
 
     ``replicas = (name, values)`` runs the batch in one no-grad call, in
     which replica r reads ``values[r]`` in place of parameter tensor
@@ -352,11 +360,10 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     one, since all replicas then share one recursion. So each numpy call of
     the step loop covers all replicas: the terms are stacked products, each
     molecule's grids are ``[R, 2, n, n, hidden]``, and the overflow check
-    below covers all replicas. The call returns the final states as
-    one ``[R, hidden, ΣN]`` array (``[1, hidden, ΣN]`` for a readout
-    tensor), tested for finiteness once; each ``[hidden, ΣN]`` slice has the
-    bits and the layout of a call with its values written into the live
-    tensor.
+    below covers all replicas. The final states are ``[R, ΣN, hidden]``
+    (``[1, ΣN, hidden]`` for a readout tensor), tested for finiteness once;
+    each ``[ΣN, hidden]`` slice has the bits and the layout of a call with
+    its values written into the live tensor.
 
     For gate and candidate alike, pair (v, w) of a molecule has the
     pre-activation ``R[v] + S[w] + w_d * inv_dist[v, w]``, with the receiver
@@ -396,7 +403,7 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     one-atom molecule's included) is each molecule's grid tested entry by
     entry, as soon as it is built and before it is activated. A one-atom
     molecule has no pairs: it never raises, no grid is built for it, its
-    state columns are +0.0 at every step and its per-atom adjoints are 0.
+    state rows are +0.0 at every step and its per-atom adjoints are 0.
 
     The per-step loops repeat no step-invariant work: each molecule's views
     of its pair matrix, right-hand sides, sender terms and grid slot are made
@@ -409,13 +416,13 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     four terms and carries the state adjoint back through the hidden-state
     blocks; a non-finite per-atom adjoint raises a :class:`NumericalError`
     naming the molecule and step. Each weight block's gradient is then one
-    matmul over the columns of all steps, or over their sum for the
-    step-invariant blocks. The op adds the gradients of the embedding and
-    count rows to the tables' ``grad`` itself, so the tables are not inputs of
-    its tape entry: each atom's adjoint row is scatter-added (``np.add.at``),
-    so atoms that share a row accumulate, and a non-finite sum raises here.
-    The weight products read the gathered rows with the one-atom molecules'
-    zeroed, so a non-finite row that only they read gives no gradient.
+    matmul over the atom rows of all steps (from step 1 for the hidden-state
+    blocks, as step 0 reads zeros), or over their sum for the step-invariant
+    blocks. Each table's gradient is its atoms' adjoint rows scatter-added
+    (``np.add.at``), so atoms that share a row accumulate; the tape raises on
+    a non-finite one, naming the table. The weight products read the gathered
+    rows with the one-atom molecules' zeroed, so a non-finite row that only
+    they read gives no gradient.
 
     Every batch-sized array the op uses is a view of one workspace checked
     out for this call alone (:func:`_workspace_size`). Once per replica, it
@@ -430,7 +437,7 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     Without a graph the activations stay in the slot, so inference holds one
     molecule's grid at a time, one state buffer is read and rewritten by
     every step, and the workspace is handed back when the call returns. Only
-    the returned states are a fresh array.
+    the final states are a fresh array.
     """
     hidden, steps = cfg.hidden_dim, cfg.steps
     half = cfg.atom_dim + hidden                  # receiver columns; sender ones follow
@@ -523,7 +530,7 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     lone = bounds[:-1][counts < 2]
     # each step's input state, or one buffer that a step reads before it writes
     states = carve((steps if recording else 1, reps, atoms, hidden))
-    states[0] = 0.0 if state is None else state.T
+    states[0] = 0.0
     grids: list[list[np.ndarray]] = []
     # exp of the negated gate overflows to inf above 709, giving a gate of exactly 0;
     # an overflow or NaN anywhere else raises once its grid is built
@@ -570,21 +577,13 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
             raise NumericalError(f"molecule {ids[k]}, step {step}: "
                                  f"non-finite gradient in backward rule of op 'message_step'")
 
-    def add_rows(table: Tensor, rows: np.ndarray, adjoint: np.ndarray) -> None:
-        grad = np.zeros_like(table.values)
-        np.add.at(grad, rows, adjoint)
-        if not np.isfinite(grad).all():
-            raise NumericalError(f"non-finite gradient of '{table.name}' "
-                                 f"in backward rule of op 'message_step'")
-        table.grad += grad
-
     def rule(g):
         if not grids:
             raise RuntimeError("op 'message_step' overwrites its grids in the backward, "
                                "so its graph can be back-propagated only once")
         pending = grids[:]
         grids.clear()
-        g = g.T
+        g = g[0]
         d_terms = carve((steps, atoms, 4 * hidden))
         d_terms[:, lone] = 0.0                    # no pairs, so no adjoints
         d_wd = np.zeros((2, hidden))
@@ -620,14 +619,13 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
             if step > 0:
                 g = d @ w_h[0].T
                 check(g, step)
-        # the initial state is usually zero, so its step adds nothing to the
-        # hidden-state blocks
-        first = 0 if states[0].any() else 1
+        # the initial state is zero, so its step adds nothing to the hidden-state blocks
         d_w = np.zeros((2 * hidden, cfg.concat_dim))   # rows: negated gate, candidate
-        d_w_h = d_terms[first:].reshape(-1, 4 * hidden).T @ states[first:].reshape(-1, hidden)
+        d_w_h = d_terms[1:].reshape(-1, 4 * hidden).T @ states[1:].reshape(-1, hidden)
         d_w[:, recv_h], d_w[:, send_h] = d_w_h[:2 * hidden], d_w_h[2 * hidden:]
         d_fixed = d_terms.sum(axis=0)
         d_recv = d_fixed[:, :2 * hidden]
+        d_x = d_count = None                      # the tables' gradients
         # the gathered rows, with the lone atoms' zeroed: their adjoints are 0,
         # and 0 times a non-finite row they alone read would reach d_w
         if elements is not None:
@@ -635,43 +633,40 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
             x[lone] = 0.0
             d_w_x = d_fixed.T @ x
             d_w[:, recv_x], d_w[:, send_x] = d_w_x[:2 * hidden], d_w_x[2 * hidden:]
-            add_rows(params.atom_embedding, elements, d_fixed @ w_x[0])
+            d_x = np.zeros_like(params.atom_embedding.values)
+            np.add.at(d_x, elements, d_fixed @ w_x[0])
         if rows is not None:
             count = params.count_embedding.values[rows]
             count[lone] = 0.0
             d_w[:, cnt] = d_recv.T @ count
-            add_rows(params.count_embedding, rows, d_recv @ w_cnt[0])
+            d_count = np.zeros_like(params.count_embedding.values)
+            np.add.at(d_count, rows, d_recv @ w_cnt[0])
         if cfg.use_distance_feature:
             d_w[:, -1] = d_wd.ravel()
         d_b = d_recv.sum(axis=0)[:, None]
-        grads = (-d_w[:hidden], -d_b[:hidden], d_w[hidden:], d_b[hidden:])
+        grads = (d_x, d_count, -d_w[:hidden], -d_b[:hidden], d_w[hidden:], d_b[hidden:])
         _give_workspace(work)                     # no view of it is read after this
         return grads
 
-    if replicas is not None:
-        if not np.isfinite(h).all():
-            raise NumericalError("non-finite values produced by op 'message_step'")
-        return h.transpose(0, 2, 1)
-    inputs = (params.gate_weight, params.gate_bias, params.candidate_weight,
-              params.candidate_bias)
-    return ad._result(graph, "message_step", inputs, h[0].T, rule)
+    inputs = tuple(getattr(params, name) for name in _RECURSION_TENSORS)
+    return ad._result(graph, "message_step", inputs, h, rule)
 
 
-def readout(graph: Graph | None, state: Tensor | np.ndarray, params: ModelParams,
+def readout(graph: Graph | None, state: Tensor, params: ModelParams,
             sizes: Sequence[int], replicas: tuple[str, np.ndarray] | None = None) -> Tensor:
     """The whole readout as one op: each molecule's mean hidden vector through
     the three-layer ReLU MLP. Returns the ``[R, B]`` predictions, one row per
     replica (``R = 1`` without replicas).
 
-    ``state`` holds the atom columns of molecules of ``sizes`` atoms each, in
-    order: a :class:`Tensor` ``[hidden, ΣN]``, or, in a no-grad call, an
-    array ``[S, hidden, ΣN]`` of ``S`` stacked states (a recursion tensor's
-    replicas). Each molecule's mean is the segment sum of its columns
-    (``np.add.reduceat``) times ``1/n``. The MLP runs one matrix-vector
-    product per molecule and layer, as one stacked ``np.matmul`` of ``[R, B,
-    rows, cols]`` with ``[R, B, cols, 1]``, so every molecule gets the same
-    calls on the same shapes whatever the batch holds, and its prediction has
-    the same bits in any batch.
+    ``state`` is :func:`message_step`'s output, ``[S, ΣN, hidden]``: the atom
+    rows of molecules of ``sizes`` atoms each, in order, for ``S`` stacked
+    states (``S = 1`` but for a recursion tensor's replicas). Each
+    molecule's mean is the segment sum of its rows (``np.add.reduceat``)
+    times ``1/n``. The MLP runs one matrix-vector product per molecule and
+    layer, as one stacked ``np.matmul`` of ``[R, B, rows, cols]`` with ``[R,
+    B, cols, 1]``, so every molecule gets the same calls on the same shapes
+    whatever the batch holds, and its prediction has the same bits in any
+    batch.
 
     ``replicas = (name, values)`` are read as :func:`message_step` reads
     them, a readout tensor they name as a ``[R, ...]`` stack and every other
@@ -680,14 +675,14 @@ def readout(graph: Graph | None, state: Tensor | np.ndarray, params: ModelParams
     pre-activations and the predictions sit in one array, which is tested
     for finiteness once. The hand-written backward runs batched, one product
     per weight over all molecules, and spreads each mean's adjoint back over
-    the molecule's columns.
+    the molecule's rows.
     """
     value = _replica_reader(graph, params, replicas)
     layers = [(value(f"readout_w{i}"), value(f"readout_b{i}")) for i in range(len(params.mlp))]
-    states = state.values[None] if isinstance(state, Tensor) else state
+    states = state.values
     sizes = np.asarray(sizes)
     inv_n = (1.0 / sizes)[:, None]
-    batch, hidden = len(sizes), states.shape[1]
+    batch, hidden = len(sizes), states.shape[2]
     reps = max(len(states), *(len(a) for layer in layers for a in layer))
     widths = [w.shape[1] for w, _ in layers]
     # the checked part first: the means, then each layer's pre-activations,
@@ -698,7 +693,7 @@ def readout(graph: Graph | None, state: Tensor | np.ndarray, params: ModelParams
     mean = carve((len(states), batch, hidden))
     pres = [carve((reps, batch, rows, 1)) for rows in widths]
     acts = [carve(pre.shape) for pre in pres[:-1]]
-    np.add.reduceat(states.transpose(0, 2, 1), np.cumsum(sizes) - sizes, axis=1, out=mean)
+    np.add.reduceat(states, np.cumsum(sizes) - sizes, axis=1, out=mean)
     mean *= inv_n
     x = mean[..., None]
     for (w, b), pre, act in zip(layers, pres, [*acts, None]):
@@ -719,7 +714,7 @@ def readout(graph: Graph | None, state: Tensor | np.ndarray, params: ModelParams
             if k > 0:
                 d *= ins[k] > 0.0
         d *= inv_n
-        return (np.repeat(d, sizes, axis=0).T, *grads)
+        return (np.repeat(d, sizes, axis=0)[None], *grads)
 
     inputs = (state, *(t for pair in params.mlp for t in pair))
     return ad._result(graph, "readout", inputs, pres[-1].reshape(reps, batch), rule,
@@ -743,7 +738,7 @@ def forward_batch(graph: Graph | None, encodings: Sequence[MoleculeEncoding],
     never written, and its row has the bits of a call with ``values[r]``
     written there. Both stages get the replicas, and a stage that does not
     read ``name`` runs once for all of them: one :func:`readout` reads out a
-    recursion tensor's ``[R, hidden, ΣN]`` final states as a stack, and a
+    recursion tensor's ``[R, ΣN, hidden]`` final states as a stack, and a
     readout tensor's replicas share one recursion. :func:`_replica_reader`
     says which replicas raise a :class:`ValueError`.
     """

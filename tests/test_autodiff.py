@@ -247,6 +247,20 @@ def test_backward_half_square_norm_gives_x():
     assert np.allclose(x.grad, x.values, atol=1e-15)
 
 
+@pytest.mark.parametrize("name, message", [
+    ("w", r"^non-finite gradient of 'w' in backward rule of op 'matmul'$"),
+    ("", r"^non-finite gradient in backward rule of op 'matmul'$"),
+])
+def test_a_non_finite_gradient_names_its_op_and_a_named_input(name, message):
+    # w x is 1, and the scale gives it an adjoint of 1e300, so w's gradient,
+    # 1e300 x, overflows
+    w = ad.parameter([[1e-300]], name)
+    g = Graph()
+    loss = ad.scale(g, ad.matmul(g, w, ad.constant([[1e300]])), 1e300)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match=message):
+        ad.backward(g, loss)
+
+
 def test_backward_requires_scalar_loss():
     x = ad.parameter(np.ones((2, 2)), "x")
     g = Graph()

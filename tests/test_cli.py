@@ -198,6 +198,21 @@ def test_out_of_range_setting_is_one_line_exit_2_naming_its_key(config_file, tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["train", "--set", "model.steps=1000000000000"], "the recursion's workspace"),
+    (["train", "--set", "model.hidden_dim=1000000000000"], "parameter tensor 'gate_weight'"),
+    (["gradcheck", "--steps", "1000000000000"], "the recursion's workspace"),
+    (["gradcheck", "--hidden-dim", "1000000000000"], "parameter tensor 'gate_weight'"),
+])
+def test_an_impossible_allocation_is_one_line_exit_2(config_file, tmp_path, capsys, argv, what):
+    # numpy refuses each size at once, so nothing is allocated
+    if argv[0] == "train":
+        argv = [*argv, "--config", str(config_file), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot allocate {what} ") and err.count("\n") == 1, err
+
+
 def test_train_resplit_steps_the_split_seed(config_file, tmp_path):
     runs = {}
     for name, extra in (("same", []), ("resplit", ["--resplit"])):

@@ -161,16 +161,19 @@ def test_an_encoding_keeps_its_largest_inverse_distance(distances):
             assert enc.max_inv_dist > 0.0
 
 
-def run_step(params, cfg, mol, state_values):
-    """One recursion step of :func:`message_step` (``steps=1``) on ``mol`` as a
-    batch of one."""
-    return message_step(None, params, replace(cfg, steps=1), encode(cfg, [mol]),
-                        state_values).values
+def run_steps(params, cfg, mol, steps):
+    """The ``[n, hidden]`` final state of :func:`message_step` with ``steps``
+    steps from zero on ``mol`` as a batch of one."""
+    return message_step(None, params, replace(cfg, steps=steps), encode(cfg, [mol])).values[0]
 
 
-def oracle_step(params, cfg, mol, state_values):
-    """:func:`straightline_step` on a ``[hidden, n]`` state array."""
-    return np.array(straightline_step(mol, params, cfg, VOCAB, state_values.T.tolist())).T
+def oracle_steps(params, cfg, mol, steps):
+    """:func:`straightline_step` applied ``steps`` times from zero, as an
+    ``[n, hidden]`` array."""
+    state = [[0.0] * cfg.hidden_dim for _ in range(mol.natoms)]
+    for _ in range(steps):
+        state = straightline_step(mol, params, cfg, VOCAB, state)
+    return np.array(state)
 
 
 def test_message_zero_params_gives_zeros():
@@ -179,8 +182,9 @@ def test_message_zero_params_gives_zeros():
         t.values[:] = 0.0
     rng = np.random.default_rng(0)
     mol = random_molecule(rng, 3, elements=VOCAB)
-    out = run_step(params, SMALL, mol, rng.normal(size=(SMALL.hidden_dim, 3)))
-    assert np.array_equal(out, np.zeros((SMALL.hidden_dim, 3)))
+    for steps in (1, 3):
+        out = run_steps(params, SMALL, mol, steps)
+        assert np.array_equal(out, np.zeros((3, SMALL.hidden_dim)))
 
 
 def test_message_zero_candidate_annihilates():
@@ -189,8 +193,9 @@ def test_message_zero_candidate_annihilates():
     params.candidate_bias.values[:] = 0.0
     rng = np.random.default_rng(0)
     mol = random_molecule(rng, 4, elements=VOCAB)
-    out = run_step(params, SMALL, mol, rng.normal(size=(SMALL.hidden_dim, 4)))
-    assert np.array_equal(out, np.zeros((SMALL.hidden_dim, 4)))
+    for steps in (1, 3):
+        out = run_steps(params, SMALL, mol, steps)
+        assert np.array_equal(out, np.zeros((4, SMALL.hidden_dim)))
 
 
 def test_message_scalar_hand_case():
@@ -206,8 +211,8 @@ def test_message_scalar_hand_case():
     mol = Molecule("m", ("H", "C"), np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]), {})
     out = message_step(None, params, cfg, encode(cfg, [mol]))
     expected = (1.0 / (1.0 + math.exp(-3.5))) * math.tanh(3.5) / 2
-    assert out.values[0, 0] == pytest.approx(expected, abs=1e-15)
-    assert out.values[0, 1] == pytest.approx(expected, abs=1e-15)
+    assert out.values[0, 0, 0] == pytest.approx(expected, abs=1e-15)
+    assert out.values[0, 1, 0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_message_is_directed():
@@ -216,17 +221,17 @@ def test_message_is_directed():
     params = small_params(seed=7)
     rng = np.random.default_rng(1)
     mol = random_molecule(rng, 2, elements=("C", "O"))
-    out = run_step(params, SMALL, mol, rng.normal(size=(SMALL.hidden_dim, 2)))
-    assert not np.allclose(out[:, 0], out[:, 1])
+    for steps in (1, 3):
+        out = run_steps(params, SMALL, mol, steps)
+        assert not np.allclose(out[0], out[1])
 
 
 def test_step_single_atom_stays_zero():
     params = small_params()
     mol = Molecule("m", ("C",), np.zeros((1, 3)), {})
-    state = np.zeros((SMALL.hidden_dim, 1))
-    for _ in range(4):
-        state = run_step(params, SMALL, mol, state)
-        assert np.array_equal(state, np.zeros((SMALL.hidden_dim, 1)))
+    for steps in range(1, 5):
+        assert np.array_equal(run_steps(params, SMALL, mol, steps),
+                              np.zeros((1, SMALL.hidden_dim)))
 
 
 def test_step_two_atoms_structure():
@@ -234,18 +239,18 @@ def test_step_two_atoms_structure():
     # other, over 2
     params = small_params(seed=2)
     mol = random_molecule(np.random.default_rng(3), 2, elements=VOCAB)
-    zero = np.zeros((SMALL.hidden_dim, 2))
-    out = run_step(params, SMALL, mol, zero)
-    assert np.allclose(out, oracle_step(params, SMALL, mol, zero), atol=1e-14)
+    for steps in (1, 2):
+        out = run_steps(params, SMALL, mol, steps)
+        assert np.allclose(out, oracle_steps(params, SMALL, mol, steps), atol=1e-14)
 
 
 def test_step_matches_nested_loop_oracle():
     params = small_params(seed=9)
     rng = np.random.default_rng(4)
     mol = random_molecule(rng, 3, elements=VOCAB)
-    state_values = rng.normal(size=(SMALL.hidden_dim, 3))
-    out = run_step(params, SMALL, mol, state_values)
-    assert np.allclose(out, oracle_step(params, SMALL, mol, state_values), atol=1e-12)
+    for steps in (1, 2, 3):
+        out = run_steps(params, SMALL, mol, steps)
+        assert np.allclose(out, oracle_steps(params, SMALL, mol, steps), atol=1e-12)
 
 
 def test_batched_step_matches_pairwise_definition():
@@ -257,30 +262,42 @@ def test_batched_step_matches_pairwise_definition():
         cfg = replace(SMALL, **{flag: False}) if flag else SMALL
         for n in (2, 4, 6):
             mol = random_molecule(rng, n, elements=VOCAB)
-            state_values = rng.normal(size=(cfg.hidden_dim, n))
-            out = run_step(params, cfg, mol, state_values)
-            assert np.abs(out - oracle_step(params, cfg, mol, state_values)).max() < 1e-12, \
-                (flag, n)
+            for steps in (1, 3):
+                out = run_steps(params, cfg, mol, steps)
+                assert np.abs(out - oracle_steps(params, cfg, mol, steps)).max() < 1e-12, \
+                    (flag, n, steps)
 
 
 # ---------------------------------------------------------------------------
 # readout
 
 
+def state_tensor(values, requires_grad=False):
+    """``values``, ``[ΣN, hidden]`` atom rows or ``[S, ΣN, hidden]`` stacked
+    ones, as the ``[S, ΣN, hidden]`` tensor that :func:`message_step` returns
+    (``S = 1`` for a single state)."""
+    values = np.asarray(values, dtype=np.float64)
+    tensor = ad.Tensor(values.reshape(-1, values.shape[-1]), requires_grad)
+    tensor.values = tensor.values.reshape(-1, *values.shape[-2:])
+    if requires_grad:
+        tensor.grad = tensor.grad.reshape(tensor.values.shape)
+    return tensor
+
+
 def test_readout_zero_state_zero_biases():
     params = small_params()
-    out = readout(None, ad.constant(np.zeros((SMALL.hidden_dim, 3))), params, [3])
+    out = readout(None, state_tensor(np.zeros((3, SMALL.hidden_dim))), params, [3])
     assert out.item() == 0.0
 
 
 def test_readout_permutation_of_columns():
     params = small_params(seed=4)
     rng = np.random.default_rng(6)
-    state = rng.normal(size=(SMALL.hidden_dim, 5))
-    base = readout(None, ad.constant(state), params, [5]).item()
+    state = rng.normal(size=(5, SMALL.hidden_dim))
+    base = readout(None, state_tensor(state), params, [5]).item()
     for _ in range(5):
         perm = rng.permutation(5)
-        shuffled = readout(None, ad.constant(state[:, perm]), params, [5]).item()
+        shuffled = readout(None, state_tensor(state[perm]), params, [5]).item()
         assert abs(shuffled - base) < 1e-10
 
 
@@ -290,20 +307,21 @@ def test_readout_hand_case():
     params = init_params(cfg, 2, 4, seed=0)
     for w, _ in params.mlp:
         w.values[:] = 1.0
-    state = ad.constant([[0.6, 1.0]])
+    state = state_tensor([[0.6], [1.0]])
     assert readout(None, state, params, [2]).item() == pytest.approx(0.8, abs=1e-15)
-    negative = ad.constant([[-0.6, -1.0]])  # ReLU zeroes the pooled mean
+    negative = state_tensor([[-0.6], [-1.0]])  # ReLU zeroes the pooled mean
     assert readout(None, negative, params, [2]).item() == 0.0
 
 
 def tape_readout(graph, state, params, sizes):
-    """The readout as tape ops composed it before it was one op: a matmul with
-    the ``[ΣN, B]`` pooling matrix of 1/n, then ``linear`` and ``relu``."""
+    """The readout as tape ops composed it before it was one op, on ``[ΣN,
+    hidden]`` atom rows: a matmul of their transpose with the ``[ΣN, B]``
+    pooling matrix of 1/n, then ``linear`` and ``relu``."""
     sizes = np.asarray(sizes)
     molecule = np.repeat(np.arange(len(sizes)), sizes)
-    pool = np.zeros((state.cols, len(sizes)))
-    pool[np.arange(state.cols), molecule] = 1.0 / sizes[molecule]
-    x = ad.matmul(graph, state, ad.constant(pool))
+    pool = np.zeros((state.rows, len(sizes)))
+    pool[np.arange(state.rows), molecule] = 1.0 / sizes[molecule]
+    x = ad.matmul(graph, ad.transpose(graph, state), ad.constant(pool))
     for k, (w, b) in enumerate(params.mlp):
         x = ad.linear(graph, w, b, x)
         if k < len(params.mlp) - 1:
@@ -321,15 +339,17 @@ def test_readout_backward_matches_the_tape_composition():
     mlp = [t for pair in params.mlp for t in pair]
     for _ in range(12):
         sizes = rng.integers(1, 7, size=rng.integers(1, 7)).tolist()
-        state = ad.parameter(rng.normal(size=(SMALL.hidden_dim, sum(sizes))))
+        rows = rng.normal(size=(sum(sizes), SMALL.hidden_dim))
         targets = rng.normal(size=len(sizes)).tolist()
         runs = []
-        for op in (readout, tape_readout):
-            ad.zero_grads([state, *mlp])
+        for op, state in ((readout, state_tensor(rows, True)),
+                          (tape_readout, ad.parameter(rows))):
+            ad.zero_grads(mlp)
             graph = ad.Graph()
             preds = op(graph, state, params, sizes)
             ad.backward(graph, mse_loss(graph, preds, targets))
-            runs.append((preds.values, [t.grad.copy() for t in (state, *mlp)]))
+            grads = [state.grad.reshape(rows.shape), *(t.grad.copy() for t in mlp)]
+            runs.append((preds.values, grads))
         (got, got_grads), (want, want_grads) = runs
         assert np.abs(got - want).max() <= 1e-12, sizes
         for a, b in zip(got_grads, want_grads):
@@ -344,13 +364,13 @@ def test_readout_replicas_equal_live_readouts_bitwise():
     for _, b in params.mlp:
         b.values[:] = rng.uniform(-0.3, 0.3, size=b.shape)
     sizes = [1, 3, 2, 5]
-    states = rng.normal(size=(4, SMALL.hidden_dim, sum(sizes)))
-    rows = readout(None, states, params, sizes).values
+    states = rng.normal(size=(4, sum(sizes), SMALL.hidden_dim))
+    rows = readout(None, state_tensor(states), params, sizes).values
     assert rows.shape == (4, len(sizes))
     for r, state in enumerate(states):
-        assert rows[r].tobytes() == readout(None, ad.constant(state), params,
+        assert rows[r].tobytes() == readout(None, state_tensor(state), params,
                                             sizes).values[0].tobytes()
-    state = ad.constant(states[0])
+    state = state_tensor(states[0])
     for name, tensor in params.named():
         if not name.startswith("readout_"):
             continue
@@ -368,7 +388,7 @@ def test_readout_reports_a_non_finite_pre_activation():
     # covers the means and every layer's pre-activations
     params = small_params(seed=64)
     params.mlp[0][0].values[:] = -1e308
-    state = ad.constant(np.full((SMALL.hidden_dim, 2), 1e3))
+    state = state_tensor(np.full((2, SMALL.hidden_dim), 1e3))
     with np.errstate(over="ignore"), \
             pytest.raises(NumericalError, match="non-finite values produced by op 'readout'"):
         readout(None, state, params, [2])
@@ -382,7 +402,7 @@ def test_forward_single_atom_is_input_independent():
     params = small_params(seed=8)
     base = forward(None, Molecule("a", ("C",), np.zeros((1, 3)), {}), params, SMALL, VOCAB)
     moved = forward(None, Molecule("b", ("O",), np.full((1, 3), 7.5), {}), params, SMALL, VOCAB)
-    zero_state = readout(None, ad.constant(np.zeros((SMALL.hidden_dim, 1))), params, [1])
+    zero_state = readout(None, state_tensor(np.zeros((1, SMALL.hidden_dim))), params, [1])
     assert base.item() == moved.item() == zero_state.item()
 
 
@@ -443,7 +463,8 @@ def test_forward_zero_candidate_collapses_to_zero_state_readout():
     params.candidate_weight.values[:] = 0.0
     params.candidate_bias.values[:] = 0.0
     rng = np.random.default_rng(11)
-    expected = readout(None, ad.constant(np.zeros((SMALL.hidden_dim, 1))), params, [1]).item()
+    expected = readout(None, state_tensor(np.zeros((1, SMALL.hidden_dim))), params,
+                       [1]).item()
     for n in (2, 5):
         mol = random_molecule(rng, n, elements=VOCAB)
         assert forward(None, mol, params, SMALL, VOCAB).item() == expected
@@ -620,9 +641,9 @@ def test_replicated_recursion_equals_the_live_tensor_per_replica(flag):
         for j, idx in enumerate(entries):
             stack[(2 * j, *idx)] = values[idx] + 1e-5
             stack[(2 * j + 1, *idx)] = values[idx] - 1e-5
-        finals = (message_step(None, params, cfg, encodings, replicas=(name, stack))
+        finals = (message_step(None, params, cfg, encodings, replicas=(name, stack)).values
                   if name in RECURSION_TENSORS
-                  else [message_step(None, params, cfg, encodings).values] * len(stack))
+                  else [message_step(None, params, cfg, encodings).values[0]] * len(stack))
         seen = []
         for chunk, preds in gradcheck._perturbed_predictions(params, cfg, encodings, name,
                                                              1e-5, 7):
@@ -634,10 +655,10 @@ def test_replicated_recursion_equals_the_live_tensor_per_replica(flag):
                 orig = values[idx]
                 for value, state, got in ((orig + 1e-5, finals[2 * k], preds[2 * j]),
                                           (orig - 1e-5, finals[2 * k + 1], preds[2 * j + 1])):
-                    # the lone atom's column stays +0.0
-                    assert not state[:, 2].any() and not np.signbit(state[:, 2]).any()
+                    # the lone atom's row stays +0.0
+                    assert not state[2].any() and not np.signbit(state[2]).any()
                     values[idx] = value
-                    want_state = message_step(None, params, cfg, encodings).values
+                    want_state = message_step(None, params, cfg, encodings).values[0]
                     want = forward_batch(None, encodings, params, cfg).values[0]
                     values[idx] = orig
                     for a, b in ((state, want_state), (got, want)):
@@ -724,10 +745,10 @@ def test_a_stage_runs_once_for_replicas_of_a_tensor_it_does_not_read():
     state = message_step(None, params, DEFAULT_CHECK_CONFIG, encodings)
     stack = params.mlp[0][1].values[None] + np.arange(1.0, 4.0)[:, None, None]
     states = message_step(None, params, DEFAULT_CHECK_CONFIG, encodings,
-                          replicas=("readout_b0", stack))
-    assert states.shape == (1, *state.shape)
-    assert states[0].strides == state.values.strides
-    assert states[0].tobytes() == state.values.tobytes()
+                          replicas=("readout_b0", stack)).values
+    assert states.shape == state.shape == (1, 5, DEFAULT_CHECK_CONFIG.hidden_dim)
+    assert states.strides == state.values.strides
+    assert states.tobytes() == state.values.tobytes()
     stack = params.gate_bias.values[None] + np.arange(1.0, 4.0)[:, None, None]
     rows = readout(None, state, params, [2, 3], replicas=("gate_bias", stack)).values
     assert rows.shape == (1, 2)
@@ -736,21 +757,20 @@ def test_a_stage_runs_once_for_replicas_of_a_tensor_it_does_not_read():
 
 @pytest.mark.parametrize("recorded", [False, True])
 def test_one_atom_molecules_keep_a_positive_zero_state(recorded):
-    # a one-atom molecule has no pairs: its columns are +0.0 at every step,
-    # from a zero or a random initial state, and in a workspace that an
-    # earlier batch left full of other values
+    # a one-atom molecule has no pairs: its rows are +0.0 at every step, also
+    # in a workspace that an earlier batch left full of other values
     params = small_params(seed=33)
-    rng = np.random.default_rng(34)
     sizes = (1, 3, 1, 2)
     encodings = encode(SMALL, random_molecules(35, 4, sizes=sizes, elements=VOCAB))
     lone = [0, 4]
-    for state in (None, rng.normal(size=(SMALL.hidden_dim, 7)), None):
+    for _ in range(3):
         graph = ad.Graph() if recorded else None
-        out = message_step(graph, params, SMALL, encodings, state)
-        assert (out.values[:, lone] == 0.0).all() and not np.signbit(out.values[:, lone]).any()
-        assert np.delete(out.values, lone, axis=1).all()
+        state = message_step(graph, params, SMALL, encodings)
+        out = state.values[0]
+        assert (out[lone] == 0.0).all() and not np.signbit(out[lone]).any()
+        assert np.delete(out, lone, axis=0).all()
         if recorded:
-            ad.backward(graph, mse_loss(graph, readout(graph, out, params, sizes),
+            ad.backward(graph, mse_loss(graph, readout(graph, state, params, sizes),
                                         [0.1, 0.2, 0.3, 0.4]))
 
 
@@ -821,8 +841,8 @@ def test_a_lone_atom_with_non_finite_terms_does_not_raise():
 
 def test_a_receiver_term_past_half_the_float_maximum_does_not_raise():
     # 0.6x the float maximum in one molecule's gate receiver terms (its count
-    # row) and small sender terms: the molecule's bound is finite, though
-    # twice 0.6x the maximum is not, so the step must not raise
+    # row) and small sender terms: every grid entry is finite, though the
+    # batch-wide bound, twice 0.6x the maximum, is not, so the step must not raise
     params = small_params(seed=77)
     params.count_embedding.values[3] = [0.6 * np.finfo(float).max, 0.0]
     params.gate_weight.values[:, _count_columns(SMALL)] = [1.0, 0.0]
@@ -968,8 +988,9 @@ def test_non_finite_gradient_names_the_molecule_and_step():
                  random_molecule(np.random.default_rng(26), 2, elements=VOCAB, mol_id="pair")]
     graph = ad.Graph()
     out = message_step(graph, params, cfg, encode(cfg, molecules))
-    huge = ad.constant(np.full((1, cfg.hidden_dim), 1e308))
-    loss = ad.matmul(graph, ad.matmul(graph, huge, out), ad.constant(np.ones((3, 1))))
+    # a loss of 1e308 times the sum of the [1, 3, hidden] atom rows
+    loss = ad._result(graph, "sum", (out,), np.array([[1e308 * out.values.sum()]]),
+                      lambda g: (np.full(out.shape, 1e308 * g[0, 0]),))
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalError, match=r"^molecule pair, step 1: non-finite gradient "
                                                 r"in backward rule of op 'message_step'$"):
@@ -990,6 +1011,38 @@ def test_non_finite_embedding_gradient_names_the_table():
             pytest.raises(NumericalError, match=r"^non-finite gradient of 'count_embedding' "
                                                 r"in backward rule of op 'message_step'$"):
         ad.backward(graph, loss)
+
+
+def test_non_finite_readout_weight_gradient_names_the_weight():
+    # activations of 1e300 into the output layer, whose weights of 1e-300 keep
+    # the predictions small, and targets of 1e150: the loss is finite, but the
+    # output weight's gradient, residuals of 1e150 times the activations, is not
+    params = small_params(seed=87)
+    last = len(params.mlp) - 1
+    params.mlp[last - 1][1].values[:] = 1e300
+    params.mlp[last][0].values[:] = 1e-300
+    _, encodings = mixed_batch(SMALL, seed=88)
+    graph = ad.Graph()
+    loss = mse_loss(graph, forward_batch(graph, encodings, params, SMALL), [1e150] * 4)
+    assert np.isfinite(loss.item())
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match=rf"^non-finite gradient of 'readout_w{last}' "
+                                                r"in backward rule of op 'readout'$"):
+        ad.backward(graph, loss)
+
+
+def test_a_recorded_batch_over_constant_params_gives_no_tensor_a_gradient():
+    # a snapshot (ModelParams.copy(), as TrainResult.best_params keeps) holds
+    # constants, the embedding tables among them, which the tape skips
+    live = small_params(seed=89, max_atoms=9)
+    params = live.copy()
+    _, encodings = mixed_batch(SMALL, seed=90)
+    graph = ad.Graph()
+    preds = forward_batch(graph, encodings, params, SMALL)
+    loss = mse_loss(graph, preds, [0.1, 0.2, 0.3, 0.4])
+    ad.backward(graph, loss)
+    assert all(t.grad is None for t in (*params.tensors(), preds, loss))
+    assert preds.values.tobytes() == forward_batch(None, encodings, live, SMALL).values.tobytes()
 
 
 def test_second_backward_through_the_recursion_raises():
@@ -1116,38 +1169,6 @@ def test_inference_after_an_overflowing_inference_is_clean(flag):
         forward_batch(None, encodings, broken, cfg)
     after = forward_batch(None, encodings, params, cfg).values
     assert np.array_equal(after, clean)
-
-
-def test_step_gradients_from_a_non_zero_state():
-    # the model starts from zero, which leaves the first step out of the
-    # hidden-state weight gradients; from any other state it counts
-    cfg = replace(SMALL, steps=2)
-    params = small_params(seed=27)
-    rng = np.random.default_rng(28)
-    molecules = random_molecules(29, 2, sizes=(3, 4), elements=VOCAB)
-    encodings = encode(cfg, molecules)
-    state = rng.normal(size=(cfg.hidden_dim, 7))
-    left = ad.constant(rng.normal(size=(1, cfg.hidden_dim)))
-    right = ad.constant(rng.normal(size=(7, 1)))
-
-    def loss(graph):
-        out = message_step(graph, params, cfg, encodings, state)
-        return ad.matmul(graph, ad.matmul(graph, left, out), right)
-
-    tensors = [params.atom_embedding, params.count_embedding, params.gate_weight,
-               params.gate_bias, params.candidate_weight, params.candidate_bias]
-    ad.zero_grads(tensors)
-    graph = ad.Graph()
-    ad.backward(graph, loss(graph))
-    for t in tensors:
-        for idx in np.ndindex(t.shape):
-            orig = t.values[idx]
-            t.values[idx] = orig + 1e-6
-            hi = loss(None).item()
-            t.values[idx] = orig - 1e-6
-            lo = loss(None).item()
-            t.values[idx] = orig
-            assert abs(t.grad[idx] - (hi - lo) / 2e-6) < 1e-8, (t.name, idx)
 
 
 # ---------------------------------------------------------------------------
