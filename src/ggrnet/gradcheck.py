@@ -35,7 +35,7 @@ __all__ = ["GradCheckReport", "gradient_check", "run_gradcheck", "DEFAULT_CHECK_
 DEFAULT_CHECK_CONFIG = ModelConfig(atom_dim=4, count_dim=4, hidden_dim=8, mlp_dim=8, steps=3)
 
 # the bytes that the replicas of one forward_batch call may fill
-REPLICA_BYTES = 1 << 18
+REPLICA_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)

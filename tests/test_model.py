@@ -689,7 +689,8 @@ def test_replicas_per_call_fit_the_byte_budget():
     # values, fit the budget
     big = replace(DEFAULT_CHECK_CONFIG, hidden_dim=100, mlp_dim=100)
     assert gradcheck._entries_per_call(big, [29], "gate_weight", 100 * 225) == 1
-    assert gradcheck._entries_per_call(big, [29], "readout_w1", 100 * 100) == 1
+    overflowing = gradcheck.REPLICA_BYTES // 16 + 1   # two replicas of this many exceed it
+    assert gradcheck._entries_per_call(big, [29], "readout_w1", overflowing) == 1
     sizes = [1, 2, 4, 6]
     per_call = gradcheck._entries_per_call(DEFAULT_CHECK_CONFIG, sizes, "gate_weight", 8 * 29)
     assert per_call > 1
@@ -704,6 +705,36 @@ def test_replicas_per_call_fit_the_byte_budget():
             assert per_call >= size and 16 * per_call * size <= gradcheck.REPLICA_BYTES
     per_call = gradcheck._entries_per_call(big, [29], "readout_b1", 100)
     assert 16 * per_call * 100 <= gradcheck.REPLICA_BYTES < 16 * (per_call + 1) * 100
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_the_replica_budget_changes_no_report(monkeypatch, corrupt):
+    # one entry per call, the default budget and 1 MiB chunk every tensor
+    # differently; every report keeps its bits
+    reports = []
+    for budget in (1, gradcheck.REPLICA_BYTES, 1 << 20):
+        monkeypatch.setattr(gradcheck, "REPLICA_BYTES", budget)
+        reports.append(repr(run_gradcheck(seed=0, seeds=2, corrupt=corrupt)))
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_a_default_check_makes_one_recorded_and_48_no_grad_calls(monkeypatch):
+    real = gradcheck.forward_batch
+    graphs = []
+
+    def counting(graph, *args, **kwargs):
+        graphs.append(graph)
+        return real(graph, *args, **kwargs)
+
+    monkeypatch.setattr(gradcheck, "forward_batch", counting)
+    run_gradcheck(seed=0, seeds=1)
+    recorded = sum(graph is not None for graph in graphs)
+    assert (recorded, len(graphs) - recorded) == (1, 48)
+    sizes = [1, 2, 4, 6]
+    assert 48 == sum(
+        math.ceil(math.prod(shape) / gradcheck._entries_per_call(DEFAULT_CHECK_CONFIG, sizes,
+                                                                 name, math.prod(shape)))
+        for name, shape in model.param_shapes(DEFAULT_CHECK_CONFIG, len(VOCAB), max(sizes)))
 
 
 def test_a_recorded_recursion_takes_no_replicas():
