@@ -154,8 +154,8 @@ def pair(args, spec: dict) -> int:
                   "skip compiling, which lowers setup_s and moves peak_rss_mb", file=sys.stderr)
     out = ROOT / f"BENCH_{args.label}.json"
     for i in range(args.pairs):
+        order = ("change", "base") if i % 2 == 0 else ("base", "change")
         for workload in args.workload:
-            order = ("change", "base") if i % 2 == 0 else ("base", "change")
             for side in order:
                 env, run = run_once(trees[side], workload, args.seed0 + i, spec["run_seconds"])
                 if env and "environment" not in record["trees"][side]:
