@@ -4,29 +4,37 @@
 Usage::
 
     python scripts/bench.py pair --against DIR --label L [--pairs 10] [--seed0 0]
-                                 [--workload NAME ...]
 
 Run from any directory; this checkout is the one the script sits in (the
 change), ``DIR`` another full checkout (the base, for example the parent
 commit). For pair i and each workload, both trees run their own
 ``perfbench/run.py --trace 0`` on their own ``src/``, with seed ``seed0 + i``
 and the ``run_seconds`` of ``BENCHMARK.json``, one after the other; the tree
-that goes first swaps in every other pair.
+that goes first swaps in every other pair. Every workload of
+``BENCHMARK.json`` runs in every pair, since a claim has to hold on all of
+them.
 
-For every workload and end-to-end metric of ``BENCHMARK.json`` the script
-prints both trees' medians and quartiles, the pairs each tree won by the
-metric's ``better`` direction (ties count for neither), whether the change
-meets the gain rule (it wins at least nine tenths of the pairs, and its
-median is better than the base's by more than the base's interquartile
-range) and whether its median is worse than the base's by more than the
-metric's bound. A run that is not correct, has failed checks or gave no
-result is flagged. The "won" column reads change:base/pairs.
+A run that is not correct, has failed checks or gave no result is flagged.
+For every workload and end-to-end metric the script prints both trees'
+medians and quartiles, the pairs each tree won by the metric's ``better``
+direction (ties, and pairs with a run that gave no result, count for
+neither; the "won" column reads change:base/pairs run) and one verdict:
+
+- ``gain``: at least ten pairs ran, the change won at least nine tenths of
+  them, its median is better than the base's by more than the base's
+  interquartile range, and none of its runs of the workload is flagged;
+- ``WORSE beyond bound``: its median is worse than the base's by more than
+  the metric's bound;
+- ``unresolved``: the base's interquartile range is wider than the bound,
+  and not every run of the change reads better than every run of the base;
+- ``no claim``: none of these.
 
 Both checkouts should be clean and hold no bytecode under ``src/``: workers
 write none, and one that finds it skips compiling, which lowers ``setup_s``
 and moves ``peak_rss_mb``. ``BENCH_<label>.json`` in this checkout receives
-both trees' git SHA, dirty flag and whether they held bytecode, their Python,
-numpy and BLAS versions and core count, every run's metrics in run order and
+both trees' dirty flag and whether they held bytecode, their git SHA,
+Python, numpy and BLAS versions and core count (from the runs'
+``environment`` line), every run's metrics in run order and
 the summary; it is rewritten after each pair, so an interrupted session
 keeps the pairs done.
 """
@@ -40,7 +48,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-ENV_KEYS = ("python", "numpy", "blas", "blas_version", "nproc", "cpus_allowed")
+ENV_KEYS = ("git_sha", "python", "numpy", "blas", "blas_version", "nproc", "cpus_allowed")
 RUN_TIMEOUT_S = 900
 
 
@@ -72,11 +80,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
 
 
 def tree_info(tree: Path) -> dict:
-    def git(*args):
-        return subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True,
-                              check=True).stdout.strip()
-    return {"git_sha": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain")),
-            "bytecode_cache": any((tree / "src").rglob("*.pyc"))}
+    status = subprocess.run(["git", "-C", str(tree), "status", "--porcelain"],
+                            capture_output=True, text=True, check=True).stdout.strip()
+    return {"dirty": bool(status), "bytecode_cache": any((tree / "src").rglob("*.pyc"))}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -86,16 +92,24 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+MIN_PAIRS_FOR_GAIN = 10
+
+
+def flagged(run: dict) -> bool:
+    return not run["correct"] or run["failed"] != 0
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per workload: its pairs, its flagged runs and, per end-to-end metric,
-    both trees' quartiles, the pairs each won, ``gain`` (the rule above) and
-    ``beyond_bound``. A pair counts for a metric when both its runs gave it."""
+    """Per workload: its pairs run, its flagged runs and, per end-to-end
+    metric, both trees' quartiles, the pairs each won, ``gain``,
+    ``beyond_bound`` and ``unresolved`` (the rules above)."""
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         mine = [run for run in runs if run["workload"] == workload]
         pairs = {}
         for run in mine:
             pairs.setdefault(run["pair"], {})[run["tree"]] = run["metrics"]
+        change_clean = not any(flagged(run) for run in mine if run["tree"] == "change")
         metrics = {}
         for spec in end_to_end:
             name, sign = spec["name"], 1.0 if spec["better"] == "higher" else -1.0
@@ -103,22 +117,28 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                     if name in p.get("base", {}) and name in p.get("change", {})]
             if not both:
                 continue
-            base = quartiles([run["metrics"][name] for run in mine
-                              if run["tree"] == "base" and name in run["metrics"]])
-            change = quartiles([run["metrics"][name] for run in mine
-                                if run["tree"] == "change" and name in run["metrics"]])
+            values = {side: [run["metrics"][name] for run in mine
+                             if run["tree"] == side and name in run["metrics"]]
+                      for side in ("base", "change")}
+            base, change = quartiles(values["base"]), quartiles(values["change"])
             change_won = sum(sign * (c - b) > 0 for b, c in both)
             base_won = sum(sign * (b - c) > 0 for b, c in both)
             gap = sign * (change["median"] - base["median"])    # > 0: the change is better
-            metrics[name] = {"base": base, "change": change, "pairs": len(both),
+            spread = base["q3"] - base["q1"]
+            separated = min(sign * v for v in values["change"]) > \
+                max(sign * v for v in values["base"])
+            metrics[name] = {"base": base, "change": change, "pairs": len(pairs),
                              "change_won": change_won, "base_won": base_won,
-                             "gain": change_won >= 0.9 * len(both)
-                             and gap > base["q3"] - base["q1"],
-                             "beyond_bound": -gap > spec["bound"] * abs(base["median"])}
+                             "gain": len(pairs) >= MIN_PAIRS_FOR_GAIN
+                             and change_won >= 0.9 * len(pairs) and gap > spread
+                             and change_clean,
+                             "beyond_bound": -gap > spec["bound"] * abs(base["median"]),
+                             "unresolved": spread > spec["bound"] * abs(base["median"])
+                             and not separated}
         summary[workload] = {
             "pairs": len(pairs), "metrics": metrics,
             "flagged": [{key: run[key] for key in ("pair", "tree", "seed", "correct", "failed")}
-                        for run in mine if not run["correct"] or run["failed"] != 0]}
+                        for run in mine if flagged(run)]}
     return summary
 
 
@@ -130,7 +150,7 @@ def format_summary(summary: dict) -> list[str]:
             sides = [f"{s['median']:.5g} [{s['q1']:.5g}, {s['q3']:.5g}]"
                      for s in (m["base"], m["change"])]
             verdict = ("gain" if m["gain"] else "WORSE beyond bound" if m["beyond_bound"]
-                       else "no claim")
+                       else "unresolved" if m["unresolved"] else "no claim")
             lines.append(f"{workload:<15} {name:<12} {sides[0]:>30} {sides[1]:>30} "
                          f"{m['change_won']:>3}:{m['base_won']}/{m['pairs']:<3}  {verdict}")
         for run in entry["flagged"]:
@@ -155,7 +175,7 @@ def pair(args, spec: dict) -> int:
     out = ROOT / f"BENCH_{args.label}.json"
     for i in range(args.pairs):
         order = ("change", "base") if i % 2 == 0 else ("base", "change")
-        for workload in args.workload:
+        for workload in [w["name"] for w in spec["workloads"]]:
             for side in order:
                 env, run = run_once(trees[side], workload, args.seed0 + i, spec["run_seconds"])
                 if env and "environment" not in record["trees"][side]:
@@ -172,7 +192,6 @@ def pair(args, spec: dict) -> int:
 
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    names = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     commands = parser.add_subparsers(dest="command", required=True)
     p = commands.add_parser("pair", help="alternate runs of this checkout and --against")
@@ -180,12 +199,9 @@ def main(argv=None) -> int:
     p.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed0", type=int, default=0, help="pair i runs seed seed0 + i")
-    p.add_argument("--workload", action="append", choices=names,
-                   help="repeatable; every workload of BENCHMARK.json by default")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seed0 < 0:
         parser.error("--pairs must be >= 1 and --seed0 >= 0")
-    args.workload = args.workload or names
     return pair(args, spec)
 
 
