@@ -1,13 +1,20 @@
 #!/usr/bin/env python3
-"""Paired benchmark runs of this checkout against another one.
+"""Benchmark runs of this checkout, alone or paired with another one.
 
 Usage::
 
+    python scripts/bench.py record --label L [--runs 5] [--seed0 0]
     python scripts/bench.py pair --against DIR --label L [--pairs 10] [--seed0 0]
 
-Run from any directory; this checkout is the one the script sits in (the
-change), ``DIR`` another full checkout (the base, for example the parent
-commit). For pair i and each workload, both trees run their own
+Run from any directory; this checkout is the one the script sits in.
+
+``record`` runs every workload of ``BENCHMARK.json`` untraced in this
+checkout, with seeds ``seed0`` to ``seed0 + runs - 1`` and its
+``run_seconds``, and gives per workload and end-to-end metric the median and
+quartiles of the runs, and the runs that are flagged (below).
+
+``pair`` compares this checkout (the change) with ``DIR``, another full
+checkout (the base, for example the parent commit). For pair i and each workload, both trees run their own
 ``perfbench/run.py --trace 0`` on their own ``src/``, with seed ``seed0 + i``
 and the ``run_seconds`` of ``BENCHMARK.json``, one after the other; the tree
 that goes first swaps in every other pair. Every workload of
@@ -29,19 +36,27 @@ neither; the "won" column reads change:base/pairs run) and one verdict:
   and not every run of the change reads better than every run of the base;
 - ``no claim``: none of these.
 
-Both checkouts should be clean and hold no bytecode under ``src/``: workers
-write none, and one that finds it skips compiling, which lowers ``setup_s``
-and moves ``peak_rss_mb``. ``BENCH_<label>.json`` in this checkout receives
-both trees' dirty flag and whether they held bytecode, their git SHA,
-Python, numpy and BLAS versions and core count (from the runs'
-``environment`` line), every run's metrics in run order and
-the summary; it is rewritten after each pair, so an interrupted session
-keeps the pairs done.
+Both checkouts should be clean, hold no bytecode under ``src/`` and sit at
+paths of equal length: workers write no bytecode, and one that finds it
+skips compiling, which lowers ``setup_s`` and moves ``peak_rss_mb``; and
+``peak_rss_mb`` moves with the length of the checkout's path (by 0.18 MB
+between two paths of different lengths). The script warns of either.
+
+Both commands write ``BENCH_<label>.json`` in this checkout: each tree's
+dirty flag, whether it held bytecode, the length of its absolute path, its
+git SHA, Python, numpy and BLAS versions and core count (from the runs'
+``environment`` line), every run's metrics in run order and the summary.
+The file is replaced after each pair or seed, never written in part, so a
+stopped session keeps what it finished. Each run starts in a session of its
+own; SIGTERM or SIGINT kills the process group of the run in progress, and
+the script exits with 128 plus the signal's number.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -50,6 +65,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ENV_KEYS = ("git_sha", "python", "numpy", "blas", "blas_version", "nproc", "cpus_allowed")
 RUN_TIMEOUT_S = 900
+
+# the run in progress and the signal that stops the session, if any
+_current: dict = {"run": None, "signal": None}
+
+
+def _kill_group(proc: subprocess.Popen) -> None:
+    """Kill the run and every process it started: they share its session's group."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
+def _on_signal(signum, frame) -> None:
+    _current["signal"] = signum
+    if _current["run"] is not None:
+        _kill_group(_current["run"])
 
 
 def parse_output(stdout: str) -> tuple[dict, dict]:
@@ -66,12 +98,22 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     run that exits non-zero, or gives no result line, has no metrics."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.Popen(cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    _current["run"] = proc
     try:
-        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
-                              timeout=RUN_TIMEOUT_S)
-        env, result = parse_output(proc.stdout) if proc.returncode == 0 else ({}, None)
-    except (subprocess.TimeoutExpired, StopIteration, json.JSONDecodeError):
+        if _current["signal"] is not None:      # it came before the run was known
+            _kill_group(proc)
+        stdout, _ = proc.communicate(timeout=RUN_TIMEOUT_S)
+        env, result = parse_output(stdout) if proc.returncode == 0 else ({}, None)
+    except subprocess.TimeoutExpired:
+        _kill_group(proc)
+        proc.communicate()
         env, result = {}, None
+    except (StopIteration, json.JSONDecodeError):
+        env, result = {}, None
+    finally:
+        _current["run"] = None
     if result is None:
         return env, {"correct": False, "attempted": None, "failed": None, "metrics": {}}
     return env, {"correct": result["correct"], "attempted": result["attempted"],
@@ -80,9 +122,45 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
 
 
 def tree_info(tree: Path) -> dict:
+    """Whether ``tree`` is dirty (None outside git), holds bytecode under
+    ``src/``, and the length of its absolute path."""
     status = subprocess.run(["git", "-C", str(tree), "status", "--porcelain"],
-                            capture_output=True, text=True, check=True).stdout.strip()
-    return {"dirty": bool(status), "bytecode_cache": any((tree / "src").rglob("*.pyc"))}
+                            capture_output=True, text=True)
+    return {"dirty": bool(status.stdout.strip()) if status.returncode == 0 else None,
+            "bytecode_cache": any((tree / "src").rglob("*.pyc")),
+            "path_length": len(str(tree.resolve()))}
+
+
+def tree_warnings(trees: dict) -> list[str]:
+    """A warning per tree (of ``tree_info``) with bytecode, and one if the
+    trees' paths differ in length."""
+    lines = [f"bench.py: warning: the {side} tree has bytecode under src/; its workers "
+             "skip compiling, which lowers setup_s and moves peak_rss_mb"
+             for side, info in trees.items() if info["bytecode_cache"]]
+    lengths = {side: info["path_length"] for side, info in trees.items()}
+    if len(set(lengths.values())) > 1:
+        lines.append("bench.py: warning: the trees' paths differ in length ("
+                     + ", ".join(f"{side} {n}" for side, n in lengths.items())
+                     + "), which moves peak_rss_mb")
+    return lines
+
+
+def write_record(record: dict) -> Path:
+    """Replace ``BENCH_<label>.json`` with ``record`` whole."""
+    out = ROOT / f"BENCH_{record['label']}.json"
+    tmp = out.with_name(out.name + ".tmp")
+    tmp.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    os.replace(tmp, out)
+    return out
+
+
+def stopped() -> int | None:
+    """The exit status of a session that a signal stopped, else None."""
+    signum = _current["signal"]
+    if signum is None:
+        return None
+    print(f"bench.py: stopped by signal {signum}", file=sys.stderr)
+    return 128 + signum
 
 
 def quartiles(values: list[float]) -> dict:
@@ -159,6 +237,70 @@ def format_summary(summary: dict) -> list[str]:
     return lines
 
 
+def summarize_runs(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per workload of a ``record`` session: its runs, each end-to-end
+    metric's quartiles over the runs that gave it, and its flagged runs."""
+    summary = {}
+    for workload in dict.fromkeys(run["workload"] for run in runs):
+        mine = [run for run in runs if run["workload"] == workload]
+        metrics = {}
+        for spec in end_to_end:
+            values = [run["metrics"][spec["name"]] for run in mine
+                      if spec["name"] in run["metrics"]]
+            if values:
+                metrics[spec["name"]] = {**quartiles(values), "runs": len(values)}
+        summary[workload] = {
+            "runs": len(mine), "metrics": metrics,
+            "flagged": [{key: run[key] for key in ("seed", "correct", "failed")}
+                        for run in mine if flagged(run)]}
+    return summary
+
+
+def format_runs(summary: dict) -> list[str]:
+    lines = [f"{'workload':<15} {'metric':<12} {'median [q1, q3]':>30} {'runs':>5}"]
+    for workload, entry in summary.items():
+        for name, m in entry["metrics"].items():
+            quarts = f"{m['median']:.5g} [{m['q1']:.5g}, {m['q3']:.5g}]"
+            lines.append(f"{workload:<15} {name:<12} {quarts:>30} {m['runs']:>5}")
+        for run in entry["flagged"]:
+            lines.append(f"{workload:<15} FLAGGED seed {run['seed']}: correct {run['correct']}, "
+                         f"failed {run['failed']}")
+    return lines
+
+
+def collect(record: dict, info: dict, path: Path, workload: str, seed: int,
+            **tags) -> dict | None:
+    """One run of the tree at ``path`` (whose ``tree_info`` is ``info``),
+    appended to ``record``'s runs with ``tags``; None if a signal stopped
+    the session."""
+    env, run = run_once(path, workload, seed, record["seconds"])
+    if _current["signal"] is not None:
+        return None
+    if env and "environment" not in info:
+        info["environment"] = {k: env.get(k) for k in ENV_KEYS}
+    run = {**tags, "workload": workload, "seed": seed, **run}
+    record["runs"].append(run)
+    return run
+
+
+def record_runs(args, spec: dict) -> int:
+    record = {"label": args.label, "seconds": spec["run_seconds"], "seed0": args.seed0,
+              "tree": tree_info(ROOT), "runs": [], "summary": {}}
+    for line in tree_warnings({"this": record["tree"]}):
+        print(line, file=sys.stderr)
+    for seed in range(args.seed0, args.seed0 + args.runs):
+        for workload in [w["name"] for w in spec["workloads"]]:
+            run = collect(record, record["tree"], ROOT, workload, seed)
+            if run is None:
+                return stopped()
+            print(f"seed {seed} {workload}: " + json.dumps(run["metrics"]), flush=True)
+        record["summary"] = summarize_runs(record["runs"], spec["end_to_end"])
+        out = write_record(record)
+    print("\n".join(format_runs(record["summary"])))
+    print(f"wrote {out.name}")
+    return 0
+
+
 def pair(args, spec: dict) -> int:
     against = Path(args.against).resolve()
     if not (against / "perfbench" / "run.py").is_file():
@@ -168,23 +310,19 @@ def pair(args, spec: dict) -> int:
     record = {"label": args.label, "seconds": spec["run_seconds"], "seed0": args.seed0,
               "trees": {side: tree_info(path) for side, path in trees.items()},
               "runs": [], "summary": {}}
-    for side, info in record["trees"].items():
-        if info["bytecode_cache"]:
-            print(f"bench.py: warning: the {side} tree has bytecode under src/; its workers "
-                  "skip compiling, which lowers setup_s and moves peak_rss_mb", file=sys.stderr)
-    out = ROOT / f"BENCH_{args.label}.json"
+    for line in tree_warnings(record["trees"]):
+        print(line, file=sys.stderr)
     for i in range(args.pairs):
         order = ("change", "base") if i % 2 == 0 else ("base", "change")
         for workload in [w["name"] for w in spec["workloads"]]:
             for side in order:
-                env, run = run_once(trees[side], workload, args.seed0 + i, spec["run_seconds"])
-                if env and "environment" not in record["trees"][side]:
-                    record["trees"][side]["environment"] = {k: env.get(k) for k in ENV_KEYS}
-                record["runs"].append({"pair": i, "workload": workload, "seed": args.seed0 + i,
-                                       "tree": side, **run})
+                run = collect(record, record["trees"][side], trees[side], workload,
+                              args.seed0 + i, pair=i, tree=side)
+                if run is None:
+                    return stopped()
                 print(f"pair {i} {workload} {side}: " + json.dumps(run["metrics"]), flush=True)
         record["summary"] = summarize(record["runs"], spec["end_to_end"])
-        out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+        out = write_record(record)
     print("\n".join(format_summary(record["summary"])))
     print(f"wrote {out.name}")
     return 0
@@ -194,15 +332,21 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     commands = parser.add_subparsers(dest="command", required=True)
+    r = commands.add_parser("record", help="runs of this checkout alone")
+    r.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    r.add_argument("--runs", type=int, default=5, help="seeds per workload")
+    r.add_argument("--seed0", type=int, default=0, help="run i runs seed seed0 + i")
     p = commands.add_parser("pair", help="alternate runs of this checkout and --against")
     p.add_argument("--against", required=True, help="the base checkout")
     p.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed0", type=int, default=0, help="pair i runs seed seed0 + i")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seed0 < 0:
-        parser.error("--pairs must be >= 1 and --seed0 >= 0")
-    return pair(args, spec)
+    if getattr(args, "runs", 1) < 1 or getattr(args, "pairs", 1) < 1 or args.seed0 < 0:
+        parser.error("--runs and --pairs must be >= 1 and --seed0 >= 0")
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, _on_signal)
+    return record_runs(args, spec) if args.command == "record" else pair(args, spec)
 
 
 if __name__ == "__main__":

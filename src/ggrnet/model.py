@@ -517,16 +517,24 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     # one stacked product with the molecule's pair matrix [inv_dist | 1] forms
     # inv_dist[v, w] w_d + R[v] for all pairs; the distance comes first, so the
     # product is rounded before R is added, as the bound assumes (an
-    # FMA-accumulating BLAS gives other bits with R first)
-    rhs = carve((reps, atoms, 2, 2, hidden))
-    rhs[:, :, :, 0] = w_d.reshape(reps, 1, 2, hidden)
+    # FMA-accumulating BLAS gives other bits with R first). The replica axis is
+    # innermost, beside hidden, so R replicas run as one recursion of width
+    # hidden R (for R = 1, the layout of an ordinary call)
+    rhs = carve((atoms, 2, 2, hidden, reps))
+    rhs[:, :, 0] = w_d.reshape(reps, 2, hidden).transpose(1, 2, 0)
     # the step-invariant views of each molecule that has pairs: its atom rows,
-    # pair matrix, right-hand sides, sender terms and grids in the slot. A
-    # one-atom molecule has none, so its state rows (lone) are zero at every step
-    mols = [(enc.mol_id, n, a, b, enc.pairs, rhs[:, a:b].transpose(0, 2, 1, 3, 4),
-             blocks[:, a:b, 2:].transpose(0, 2, 1, 3)[:, :, None],
-             slot[:reps * 2 * n * n * hidden].reshape(reps, 2, n, n, hidden))
-            for n, enc, a, b in zip(sizes, encodings, edges, edges[1:]) if n > 1]
+    # pair matrix, [2, n, 2, hidden R] right-hand sides, [2, 1, n, hidden, R]
+    # sender terms and [2, n, n, hidden, R] grids in the slot, also seen as
+    # [2, n, n, hidden R] by the product. A one-atom molecule has none, so its
+    # state rows (lone) are zero at every step
+    mols = []
+    for n, enc, a, b in zip(sizes, encodings, edges, edges[1:]):
+        if n > 1:
+            pre = slot[:2 * n * n * hidden * reps].reshape(2, n, n, hidden, reps)
+            mols.append((enc.mol_id, n, a, b, enc.pairs,
+                         rhs.reshape(atoms, 2, 2, -1)[a:b].transpose(1, 0, 2, 3),
+                         blocks[:, a:b, 2:].transpose(2, 1, 3, 0)[:, None],
+                         pre, pre.reshape(2, n, n, -1)))
     lone = bounds[:-1][counts < 2]
     # each step's input state, or one buffer that a step reads before it writes
     states = carve((steps if recording else 1, reps, atoms, hidden))
@@ -542,29 +550,32 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
             # finite, so is every grid entry, and no grid is checked
             top = max(float(terms.max()), -float(terms.min()))
             unbounded = not math.isfinite((dist_top + top) + top)
-            rhs[:, :, :, 1] = blocks[:, :, :2]
+            rhs[:, :, 1] = blocks[:, :, :2].transpose(1, 2, 3, 0)
             # the returned states are the one array that outlives the workspace
             h = (np.empty((reps, atoms, hidden)) if step == steps - 1
                  else states[(step + 1) % len(states)])
             h[:, lone] = 0.0
+            # h as [ΣN, hidden, R], the layout of the grids' sums
+            h_t = h.transpose(1, 2, 0)
             step_grids = []
-            for mol_id, n, a, b, pair, rhs_k, send, pre in mols:
-                np.matmul(pair, rhs_k, out=pre)
+            for mol_id, n, a, b, pair, rhs_k, send, pre, wide in mols:
+                np.matmul(pair, rhs_k, out=wide)
                 pre += send
                 if unbounded and not np.isfinite(pre).all():
                     raise NumericalError(f"molecule {mol_id}, step {step}: "
                                          f"non-finite values produced by op 'message_step'")
                 # a recorded step keeps its activations, so they go to its own grids
                 out = carve(pre.shape) if recording else pre
-                gate, cand = out[:, 0], out[:, 1]
-                np.exp(pre[:, 0], out=gate)
+                gate, cand = out
+                np.exp(pre[0], out=gate)
                 gate += 1.0
                 np.reciprocal(gate, out=gate)
                 # a zero gate masks the diagonal's messages and both adjoints
-                gate.reshape(reps, n * n, -1)[:, ::n + 1] = 0.0
-                np.tanh(pre[:, 1], out=cand)
-                np.einsum("rvwi,rvwi->rvi", gate, cand, out=h[:, a:b])
-                step_grids.append(out[0])
+                gate.reshape(n * n, -1)[::n + 1] = 0.0
+                np.tanh(pre[1], out=cand)
+                np.einsum("vwir,vwir->vir", gate, cand, out=h_t[a:b])
+                if recording:                     # one replica, as the backward reads it
+                    step_grids.append(out[..., 0])
             h *= inv_n
             grids.append(step_grids)
     if not recording:

@@ -1,6 +1,13 @@
-"""``scripts/bench.py``'s parsing and summary, on recorded output: no benchmark runs."""
+"""``scripts/bench.py``'s parsing and summaries, on recorded output, and its
+handling of a stopped session, on a fake checkout: no benchmark runs."""
 import importlib.util
 import json
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -129,3 +136,108 @@ def test_a_base_spread_wider_than_the_bound_leaves_the_metric_unresolved(change_
     setup = summary["gradcheck-tiny"]["metrics"]["setup_s"]
     assert (setup["unresolved"], setup["beyond_bound"]) == (verdict == "unresolved", False)
     assert bench.format_summary(summary)[1].endswith("  " + verdict)
+
+
+def test_a_record_summary_gives_each_workloads_quartiles_and_flagged_runs():
+    runs = [run for run in FIXTURE["runs"] if run["tree"] == "change"]
+    summary = bench.summarize_runs(runs, END_TO_END)
+    assert list(summary) == ["gradcheck-tiny", "train-small"]
+    tiny = summary["gradcheck-tiny"]
+    assert (tiny["runs"], tiny["flagged"]) == (10, [])
+    # 140 + 2i in runs 0-8 and 90 in run 9
+    assert tiny["metrics"]["work_per_s"] == {"q1": 142.5, "median": 147.0, "q3": 151.5,
+                                             "runs": 10}
+    small = summary["train-small"]
+    assert small["runs"] == 3
+    assert small["flagged"] == [{"seed": 42, "correct": False, "failed": 2}]
+    lines = bench.format_runs(summary)
+    assert lines[2].split() == ["gradcheck-tiny", "work_per_s", "147", "[142.5,", "151.5]", "10"]
+    assert lines[-1].endswith("FLAGGED seed 42: correct False, failed 2")
+
+
+def test_tree_info_records_the_path_length_and_unequal_lengths_warn(tmp_path):
+    short, long = tmp_path / "a", tmp_path / "bbb"
+    for tree in (short, long):
+        (tree / "src").mkdir(parents=True)
+    (long / "src" / "m.pyc").write_bytes(b"")
+    trees = {"change": bench.tree_info(short), "base": bench.tree_info(long)}
+    assert trees["change"]["path_length"] == len(str(short.resolve()))
+    assert trees["base"]["path_length"] == trees["change"]["path_length"] + 2
+    assert (trees["change"]["bytecode_cache"], trees["base"]["bytecode_cache"]) == (False, True)
+    assert trees["change"]["dirty"] is None                # not under git
+    warnings = bench.tree_warnings(trees)
+    assert len(warnings) == 2
+    assert "the base tree has bytecode" in warnings[0]
+    assert "paths differ in length" in warnings[1] and "peak_rss_mb" in warnings[1]
+    trees["base"].update(bytecode_cache=False, path_length=trees["change"]["path_length"])
+    assert bench.tree_warnings(trees) == []
+
+
+# perfbench/run.py of a fake checkout: its first two calls (pair 0) give a
+# result; every later one starts a worker, writes both pids and sleeps
+FAKE_RUN = """\
+import json, os, subprocess, sys, time
+from pathlib import Path
+calls = Path("calls")
+n = len(calls.read_text()) if calls.exists() else 0
+calls.write_text("x" * (n + 1))
+if n < 2:
+    print("environment " + json.dumps({"python": "3"}))
+    print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                      "metrics": {"work_per_s": {"value": 1.0, "unit": "1/s"}}}))
+    sys.exit()
+worker = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+Path("pids.tmp").write_text(f"{os.getpid()} {worker.pid}")
+os.replace("pids.tmp", "pids")
+time.sleep(60)
+"""
+
+
+def alive(pid: int) -> bool:
+    """Whether ``pid`` runs: it exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states in /proc")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
+def test_a_stopped_session_kills_its_run_and_keeps_the_pairs_done(tmp_path, signum):
+    tree = tmp_path / "tree"
+    (tree / "scripts").mkdir(parents=True)
+    (tree / "perfbench").mkdir()
+    shutil.copy(ROOT / "scripts" / "bench.py", tree / "scripts")
+    (tree / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (tree / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": END_TO_END}))
+    proc = subprocess.Popen([sys.executable, str(tree / "scripts" / "bench.py"), "pair",
+                             "--against", str(tree), "--label", "t", "--pairs", "3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    pids = []
+    try:
+        deadline = time.monotonic() + 30
+        while not (tree / "pids").exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        pids = [int(pid) for pid in (tree / "pids").read_text().split()]
+        proc.send_signal(signum)
+        _, err = proc.communicate(timeout=30)
+        assert proc.returncode == 128 + signum
+        assert f"stopped by signal {int(signum)}" in err
+        deadline = time.monotonic() + 10
+        while any(alive(pid) for pid in pids):         # the run and its worker
+            assert time.monotonic() < deadline, [pid for pid in pids if alive(pid)]
+            time.sleep(0.02)
+        record = json.loads((tree / "BENCH_t.json").read_text())
+        assert [(run["pair"], run["tree"]) for run in record["runs"]] == \
+            [(0, "change"), (0, "base")]
+        assert not (tree / "BENCH_t.json.tmp").exists()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in pids:
+            if alive(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -668,6 +668,43 @@ def test_replicated_recursion_equals_the_live_tensor_per_replica(flag):
     assert [t.values.tobytes() for t in params.tensors()] == before
 
 
+@pytest.mark.parametrize("flag", [None, "use_atom_embedding", "use_count_feature",
+                                  "use_distance_feature"])
+@pytest.mark.parametrize("cfg, sizes, reps", [
+    (DEFAULT_CHECK_CONFIG, (1, 2, 4, 6), None),
+    (replace(SMALL, hidden_dim=5), (3, 1, 2, 5), 7),
+], ids=["check-shape", "odd-width"])
+def test_each_replica_keeps_its_bits_with_the_replicas_innermost(cfg, sizes, reps, flag):
+    # the replicas sit innermost, beside hidden, so each pass over a grid runs
+    # hidden R wide: the check's own batch and replica count (None: as many as
+    # it runs per call), and a width of 5 x 7 that ends off every SIMD
+    # boundary. Every entry of every replica differs; each replica's final
+    # state and predictions have the bits and the strides of a call with its
+    # values written into the live tensor
+    cfg = replace(cfg, **{flag: False}) if flag else cfg
+    params = init_params(cfg, len(VOCAB), 6, seed=71)
+    encodings = encode(cfg, random_molecules(72, len(sizes), sizes=sizes, elements=VOCAB))
+    rng = np.random.default_rng(73)
+    before = [t.values.tobytes() for t in params.tensors()]
+    for name in RECURSION_TENSORS:
+        values = getattr(params, name).values
+        count = reps or 2 * gradcheck._entries_per_call(cfg, sizes, name, values.size)
+        stack = values + rng.uniform(-0.01, 0.01, size=(count, *values.shape))
+        finals = message_step(None, params, cfg, encodings, replicas=(name, stack)).values
+        preds = forward_batch(None, encodings, params, cfg, replicas=(name, stack)).values
+        assert finals.shape == (count, sum(sizes), cfg.hidden_dim)
+        for r in range(count):
+            orig = values.copy()
+            values[:] = stack[r]
+            want_state = message_step(None, params, cfg, encodings)
+            want = readout(None, want_state, params, sizes).values[0]
+            values[:] = orig
+            for got, expected in ((finals[r], want_state.values[0]), (preds[r], want)):
+                assert got.strides == expected.strides, (name, r)
+                assert got.tobytes() == expected.tobytes(), (name, r)
+    assert [t.values.tobytes() for t in params.tensors()] == before
+
+
 def test_an_overflowing_replica_names_the_molecule_and_step():
     params = small_params(seed=56)
     params.atom_embedding.values[:] = 1.0
