@@ -66,22 +66,12 @@ ROOT = Path(__file__).resolve().parent.parent
 ENV_KEYS = ("git_sha", "python", "numpy", "blas", "blas_version", "nproc", "cpus_allowed")
 RUN_TIMEOUT_S = 900
 
-# the run in progress and the signal that stops the session, if any
-_current: dict = {"run": None, "signal": None}
-
-
 def _kill_group(proc: subprocess.Popen) -> None:
     """Kill the run and every process it started: they share its session's group."""
     try:
         os.killpg(proc.pid, signal.SIGKILL)
     except ProcessLookupError:
         pass
-
-
-def _on_signal(signum, frame) -> None:
-    _current["signal"] = signum
-    if _current["run"] is not None:
-        _kill_group(_current["run"])
 
 
 def parse_output(stdout: str) -> tuple[dict, dict]:
@@ -93,32 +83,48 @@ def parse_output(stdout: str) -> tuple[dict, dict]:
     return env, json.loads(lines[-1])
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """(environment, run record) of one untraced benchmark run in ``tree``; a
-    run that exits non-zero, or gives no result line, has no metrics."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.Popen(cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True, start_new_session=True)
-    _current["run"] = proc
-    try:
-        if _current["signal"] is not None:      # it came before the run was known
+class Runner:
+    """Benchmark runs, one at a time, each in a session of its own, so that
+    :meth:`stop` (the SIGTERM and SIGINT handler) kills the run in progress
+    with every process it started; ``signal`` then holds the signal."""
+
+    def __init__(self):
+        self.proc: subprocess.Popen | None = None
+        self.signal: int | None = None
+
+    def stop(self, signum: int, frame=None) -> None:
+        self.signal = signum
+        if self.proc is not None:
+            _kill_group(self.proc)
+
+    def run_once(self, tree: Path, workload: str, seed: int,
+                 seconds: float) -> tuple[dict, dict]:
+        """(environment, run record) of one untraced benchmark run in
+        ``tree``; a run that exits non-zero, or gives no result line, has no
+        metrics."""
+        cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", "0"]
+        self.proc = proc = subprocess.Popen(cmd, cwd=tree, stdout=subprocess.PIPE,
+                                            stderr=subprocess.PIPE, text=True,
+                                            start_new_session=True)
+        try:
+            if self.signal is not None:         # it came before the run was known
+                _kill_group(proc)
+            stdout, _ = proc.communicate(timeout=RUN_TIMEOUT_S)
+            env, result = parse_output(stdout) if proc.returncode == 0 else ({}, None)
+        except subprocess.TimeoutExpired:
             _kill_group(proc)
-        stdout, _ = proc.communicate(timeout=RUN_TIMEOUT_S)
-        env, result = parse_output(stdout) if proc.returncode == 0 else ({}, None)
-    except subprocess.TimeoutExpired:
-        _kill_group(proc)
-        proc.communicate()
-        env, result = {}, None
-    except (StopIteration, json.JSONDecodeError):
-        env, result = {}, None
-    finally:
-        _current["run"] = None
-    if result is None:
-        return env, {"correct": False, "attempted": None, "failed": None, "metrics": {}}
-    return env, {"correct": result["correct"], "attempted": result["attempted"],
-                 "failed": result["failed"],
-                 "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+            proc.communicate()
+            env, result = {}, None
+        except (StopIteration, json.JSONDecodeError):
+            env, result = {}, None
+        finally:
+            self.proc = None
+        if result is None:
+            return env, {"correct": False, "attempted": None, "failed": None, "metrics": {}}
+        return env, {"correct": result["correct"], "attempted": result["attempted"],
+                     "failed": result["failed"],
+                     "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
 def tree_info(tree: Path) -> dict:
@@ -154,11 +160,8 @@ def write_record(record: dict) -> Path:
     return out
 
 
-def stopped() -> int | None:
-    """The exit status of a session that a signal stopped, else None."""
-    signum = _current["signal"]
-    if signum is None:
-        return None
+def stopped(signum: int) -> int:
+    """The exit status of a session that signal ``signum`` stopped."""
     print(f"bench.py: stopped by signal {signum}", file=sys.stderr)
     return 128 + signum
 
@@ -268,13 +271,13 @@ def format_runs(summary: dict) -> list[str]:
     return lines
 
 
-def collect(record: dict, info: dict, path: Path, workload: str, seed: int,
+def collect(runner: Runner, record: dict, info: dict, path: Path, workload: str, seed: int,
             **tags) -> dict | None:
     """One run of the tree at ``path`` (whose ``tree_info`` is ``info``),
     appended to ``record``'s runs with ``tags``; None if a signal stopped
     the session."""
-    env, run = run_once(path, workload, seed, record["seconds"])
-    if _current["signal"] is not None:
+    env, run = runner.run_once(path, workload, seed, record["seconds"])
+    if runner.signal is not None:
         return None
     if env and "environment" not in info:
         info["environment"] = {k: env.get(k) for k in ENV_KEYS}
@@ -283,16 +286,16 @@ def collect(record: dict, info: dict, path: Path, workload: str, seed: int,
     return run
 
 
-def record_runs(args, spec: dict) -> int:
+def record_runs(args, spec: dict, runner: Runner) -> int:
     record = {"label": args.label, "seconds": spec["run_seconds"], "seed0": args.seed0,
               "tree": tree_info(ROOT), "runs": [], "summary": {}}
     for line in tree_warnings({"this": record["tree"]}):
         print(line, file=sys.stderr)
     for seed in range(args.seed0, args.seed0 + args.runs):
         for workload in [w["name"] for w in spec["workloads"]]:
-            run = collect(record, record["tree"], ROOT, workload, seed)
+            run = collect(runner, record, record["tree"], ROOT, workload, seed)
             if run is None:
-                return stopped()
+                return stopped(runner.signal)
             print(f"seed {seed} {workload}: " + json.dumps(run["metrics"]), flush=True)
         record["summary"] = summarize_runs(record["runs"], spec["end_to_end"])
         out = write_record(record)
@@ -301,7 +304,7 @@ def record_runs(args, spec: dict) -> int:
     return 0
 
 
-def pair(args, spec: dict) -> int:
+def pair(args, spec: dict, runner: Runner) -> int:
     against = Path(args.against).resolve()
     if not (against / "perfbench" / "run.py").is_file():
         print(f"bench.py: no perfbench/run.py under --against {args.against}", file=sys.stderr)
@@ -316,10 +319,10 @@ def pair(args, spec: dict) -> int:
         order = ("change", "base") if i % 2 == 0 else ("base", "change")
         for workload in [w["name"] for w in spec["workloads"]]:
             for side in order:
-                run = collect(record, record["trees"][side], trees[side], workload,
+                run = collect(runner, record, record["trees"][side], trees[side], workload,
                               args.seed0 + i, pair=i, tree=side)
                 if run is None:
-                    return stopped()
+                    return stopped(runner.signal)
                 print(f"pair {i} {workload} {side}: " + json.dumps(run["metrics"]), flush=True)
         record["summary"] = summarize(record["runs"], spec["end_to_end"])
         out = write_record(record)
@@ -344,9 +347,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "runs", 1) < 1 or getattr(args, "pairs", 1) < 1 or args.seed0 < 0:
         parser.error("--runs and --pairs must be >= 1 and --seed0 >= 0")
+    runner = Runner()
     for signum in (signal.SIGTERM, signal.SIGINT):
-        signal.signal(signum, _on_signal)
-    return record_runs(args, spec) if args.command == "record" else pair(args, spec)
+        signal.signal(signum, runner.stop)
+    return (record_runs if args.command == "record" else pair)(args, spec, runner)
 
 
 if __name__ == "__main__":

@@ -42,10 +42,14 @@ largest molecule. A recorded recursion activates into grids of its own,
 which it keeps there with every step's input state and the per-step
 adjoints, and hands the workspace back at the end of its backward; a
 recursion without a graph activates in place and hands the workspace back
-when it returns. A no-grad recursion can also run replicas of the batch in
-lockstep over a leading axis, each with one tensor's values replaced, as
-the gradient check does; a stage that does not read the replaced tensor
-runs once for all replicas.
+when it returns. A no-grad recursion can also run R replicas of the batch,
+each with one tensor's values replaced, as the gradient check does. Their
+grids put the replica axis innermost, beside hidden, so they run as one
+recursion of hidden width ``hidden R``: each grid product and elementwise
+pass covers all replicas at once. Each grid entry still gets the operations
+of a call with one replica, in the same order, so each replica keeps its
+bits. A stage that does not read the replaced tensor runs once for all
+replicas.
 
 The whole readout is one op too, :func:`readout`, with a hand-written
 backward: each molecule's mean is a segment sum of its rows, and the MLP
@@ -358,9 +362,18 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     replica axis, of length R when the recursion reads ``name`` (an
     embedding table, or a gate or candidate weight or bias), else of length
     one, since all replicas then share one recursion. So each numpy call of
-    the step loop covers all replicas: the terms are stacked products, each
-    molecule's grids are ``[R, 2, n, n, hidden]``, and the overflow check
-    below covers all replicas. The final states are ``[R, ΣN, hidden]``
+    the step loop covers all replicas. The terms are stacked products,
+    ``[R, ΣN, 4 hidden]``. Each molecule's grids are ``[2, n, n, hidden,
+    R]``, the replica axis innermost, so the replicas run as one recursion
+    of width ``hidden R``: one ``[n, 2] @ [2, hidden R]`` product per kind
+    and receiver builds every replica's grids, each activation runs over one
+    contiguous grid per kind, and the sum over senders writes the states
+    through a ``[ΣN, hidden, R]`` view. A grid entry is a two-term product
+    plus a sender term, then elementwise activations, and each state entry
+    a sum over senders in sender order, as in a call with one replica, so
+    each replica keeps its bits; for ``R = 1`` the memory order is that of
+    an ordinary call. The overflow check below covers all replicas. The
+    final states are ``[R, ΣN, hidden]``
     (``[1, ΣN, hidden]`` for a readout tensor), tested for finiteness once;
     each ``[ΣN, hidden]`` slice has the bits and the layout of a call with
     its values written into the live tensor.
@@ -384,7 +397,7 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
 
     Each grid is built in the order ``(dist + R) + S``: one stacked product
     of the molecule's ``[n, n, 2]`` pair matrix ``[inv_dist | 1]`` (first
-    column zero without distances) with the ``[2, n, 2, hidden]`` right-hand
+    column zero without distances) with the ``[2, n, 2, hidden R]`` right-hand
     sides ``[w_d; R[v]]`` of both kinds writes ``inv_dist[v, w] w_d + R[v]``
     for every kind and receiver in one BLAS call, and one in-place addition
     adds both ``S[w]``.
@@ -518,8 +531,7 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     # inv_dist[v, w] w_d + R[v] for all pairs; the distance comes first, so the
     # product is rounded before R is added, as the bound assumes (an
     # FMA-accumulating BLAS gives other bits with R first). The replica axis is
-    # innermost, beside hidden, so R replicas run as one recursion of width
-    # hidden R (for R = 1, the layout of an ordinary call)
+    # innermost, as in the grids
     rhs = carve((atoms, 2, 2, hidden, reps))
     rhs[:, :, 0] = w_d.reshape(reps, 2, hidden).transpose(1, 2, 0)
     # the step-invariant views of each molecule that has pairs: its atom rows,
