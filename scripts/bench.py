@@ -66,6 +66,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ENV_KEYS = ("git_sha", "python", "numpy", "blas", "blas_version", "nproc", "cpus_allowed")
 RUN_TIMEOUT_S = 900
 
+
 def _kill_group(proc: subprocess.Popen) -> None:
     """Kill the run and every process it started: they share its session's group."""
     try:
