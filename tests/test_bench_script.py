@@ -238,6 +238,8 @@ def test_a_stopped_session_kills_its_run_and_keeps_the_pairs_done(tmp_path, sign
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+        if not pids and (tree / "pids").exists():
+            pids = [int(pid) for pid in (tree / "pids").read_text().split()]
         for pid in pids:
             if alive(pid):
                 os.kill(pid, signal.SIGKILL)
