@@ -3,29 +3,22 @@
 
 Usage::
 
-    python scripts/bench.py record --label L [--runs 5] [--seed0 0]
-    python scripts/bench.py pair --against DIR --label L [--pairs 10] [--seed0 0]
+    python scripts/bench.py --label L [--against DIR] [--runs 10] [--seed0 0]
 
-Run from any directory; this checkout is the one the script sits in.
-
-``record`` runs every workload of ``BENCHMARK.json`` untraced in this
-checkout, with seeds ``seed0`` to ``seed0 + runs - 1`` and its
-``run_seconds``, and gives per workload and end-to-end metric the median and
-quartiles of the runs, and the runs that are flagged (below).
-
-``pair`` compares this checkout (the change) with ``DIR``, another full
-checkout (the base, for example the parent commit). For pair i and each workload, both trees run their own
-``perfbench/run.py --trace 0`` on their own ``src/``, with seed ``seed0 + i``
-and the ``run_seconds`` of ``BENCHMARK.json``, one after the other; the tree
-that goes first swaps in every other pair. Every workload of
-``BENCHMARK.json`` runs in every pair, since a claim has to hold on all of
-them.
+Run from any directory; this checkout, the one the script sits in, is the
+``change`` tree, and ``--against DIR`` adds ``DIR``, another full checkout
+(say, the parent commit), as the ``base`` tree. In run i, for each workload
+of ``BENCHMARK.json`` (a claim has to hold on all of them), each tree runs
+its own ``perfbench/run.py --trace 0`` on its own ``src/`` with seed
+``seed0 + i`` and the ``run_seconds`` of ``BENCHMARK.json``; with a base,
+run i is pair i, and the tree that goes first swaps in every other pair.
 
 A run that is not correct, has failed checks or gave no result is flagged.
-For every workload and end-to-end metric the script prints both trees'
-medians and quartiles, the pairs each tree won by the metric's ``better``
-direction (ties, and pairs with a run that gave no result, count for
-neither; the "won" column reads change:base/pairs run) and one verdict:
+For every workload and end-to-end metric the script prints each tree's
+median and quartiles. With a base it also prints the pairs each tree won by
+the metric's ``better`` direction (ties, and pairs with a run that gave no
+result, count for neither; the "won" column reads change:base/pairs run)
+and one verdict:
 
 - ``gain``: at least ten pairs ran, the change won at least nine tenths of
   them, its median is better than the base's by more than the base's
@@ -36,20 +29,20 @@ neither; the "won" column reads change:base/pairs run) and one verdict:
   and not every run of the change reads better than every run of the base;
 - ``no claim``: none of these.
 
-Both checkouts should be clean, hold no bytecode under ``src/`` and sit at
-paths of equal length: workers write no bytecode, and one that finds it
-skips compiling, which lowers ``setup_s`` and moves ``peak_rss_mb``; and
-``peak_rss_mb`` moves with the length of the checkout's path (by 0.18 MB
-between two paths of different lengths). The script warns of either.
+Every checkout should be clean, hold no bytecode under ``src/`` and sit at
+a path as long as the other's: workers write no bytecode, and one that
+finds it skips compiling, which lowers ``setup_s`` and moves
+``peak_rss_mb``; and ``peak_rss_mb`` moves with the length of the path (by
+0.18 MB between two paths of different lengths). The script warns of either.
 
-Both commands write ``BENCH_<label>.json`` in this checkout: each tree's
+The session writes ``BENCH_<label>.json`` in this checkout: each tree's
 dirty flag, whether it held bytecode, the length of its absolute path, its
 git SHA, Python, numpy and BLAS versions and core count (from the runs'
 ``environment`` line), every run's metrics in run order and the summary.
-The file is replaced after each pair or seed, never written in part, so a
-stopped session keeps what it finished. Each run starts in a session of its
-own; SIGTERM or SIGINT kills the process group of the run in progress, and
-the script exits with 128 plus the signal's number.
+The file is replaced after each run i, never written in part, so a stopped
+session keeps what it finished. Each run starts in a session of its own;
+SIGTERM or SIGINT kills the process group of the run in progress, and the
+script exits with 128 plus the signal's number.
 """
 from __future__ import annotations
 
@@ -161,12 +154,6 @@ def write_record(record: dict) -> Path:
     return out
 
 
-def stopped(signum: int) -> int:
-    """The exit status of a session that signal ``signum`` stopped."""
-    print(f"bench.py: stopped by signal {signum}", file=sys.stderr)
-    return 128 + signum
-
-
 def quartiles(values: list[float]) -> dict:
     if len(values) == 1:
         return {"q1": values[0], "median": values[0], "q3": values[0]}
@@ -182,9 +169,11 @@ def flagged(run: dict) -> bool:
 
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per workload: its pairs run, its flagged runs and, per end-to-end
-    metric, both trees' quartiles, the pairs each won, ``gain``,
-    ``beyond_bound`` and ``unresolved`` (the rules above)."""
+    """Per workload: its pairs (runs i) run, its flagged runs and, per
+    end-to-end metric, each tree's quartiles; when a base ran, also the
+    pairs each tree won, ``gain``, ``beyond_bound`` and ``unresolved`` (the
+    rules above)."""
+    sides = ("base", "change") if any(run["tree"] == "base" for run in runs) else ("change",)
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         mine = [run for run in runs if run["workload"] == workload]
@@ -197,26 +186,26 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             name, sign = spec["name"], 1.0 if spec["better"] == "higher" else -1.0
             both = [(p["base"][name], p["change"][name]) for p in pairs.values()
                     if name in p.get("base", {}) and name in p.get("change", {})]
-            if not both:
-                continue
             values = {side: [run["metrics"][name] for run in mine
                              if run["tree"] == side and name in run["metrics"]]
-                      for side in ("base", "change")}
-            base, change = quartiles(values["base"]), quartiles(values["change"])
+                      for side in sides}
+            if not (both if "base" in sides else values["change"]):
+                continue
+            m = metrics[name] = {side: quartiles(values[side]) for side in sides}
+            m["pairs"] = len(pairs)
+            if "base" not in sides:
+                continue
+            base, change = m["base"], m["change"]
             change_won = sum(sign * (c - b) > 0 for b, c in both)
-            base_won = sum(sign * (b - c) > 0 for b, c in both)
             gap = sign * (change["median"] - base["median"])    # > 0: the change is better
             spread = base["q3"] - base["q1"]
             separated = min(sign * v for v in values["change"]) > \
                 max(sign * v for v in values["base"])
-            metrics[name] = {"base": base, "change": change, "pairs": len(pairs),
-                             "change_won": change_won, "base_won": base_won,
-                             "gain": len(pairs) >= MIN_PAIRS_FOR_GAIN
-                             and change_won >= 0.9 * len(pairs) and gap > spread
-                             and change_clean,
-                             "beyond_bound": -gap > spec["bound"] * abs(base["median"]),
-                             "unresolved": spread > spec["bound"] * abs(base["median"])
-                             and not separated}
+            m.update(change_won=change_won, base_won=sum(sign * (b - c) > 0 for b, c in both),
+                     gain=len(pairs) >= MIN_PAIRS_FOR_GAIN and change_won >= 0.9 * len(pairs)
+                     and gap > spread and change_clean,
+                     beyond_bound=-gap > spec["bound"] * abs(base["median"]),
+                     unresolved=spread > spec["bound"] * abs(base["median"]) and not separated)
         summary[workload] = {
             "pairs": len(pairs), "metrics": metrics,
             "flagged": [{key: run[key] for key in ("pair", "tree", "seed", "correct", "failed")}
@@ -225,105 +214,61 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
 
 
 def format_summary(summary: dict) -> list[str]:
-    lines = [f"{'workload':<15} {'metric':<12} {'base median [q1, q3]':>30} "
-             f"{'change median [q1, q3]':>30} {'won c:b/n':>9}  verdict"]
+    """The table of :func:`summarize`'s summary: a column per tree and, with
+    a base, the pairs won and the verdict; without one, the runs."""
+    paired = any("gain" in m for entry in summary.values() for m in entry["metrics"].values())
+    sides = ("base", "change") if paired else ("change",)
+    lines = [f"{'workload':<15} {'metric':<12} "
+             + " ".join(f"{side + ' median [q1, q3]':>30}" for side in sides)
+             + (f" {'won c:b/n':>9}  verdict" if paired else f" {'runs':>5}")]
     for workload, entry in summary.items():
         for name, m in entry["metrics"].items():
-            sides = [f"{s['median']:.5g} [{s['q1']:.5g}, {s['q3']:.5g}]"
-                     for s in (m["base"], m["change"])]
+            line = f"{workload:<15} {name:<12} " + " ".join(
+                f"{m[side]['median']:.5g} [{m[side]['q1']:.5g}, {m[side]['q3']:.5g}]".rjust(30)
+                for side in sides)
+            if not paired:
+                lines.append(f"{line} {m['pairs']:>5}")
+                continue
             verdict = ("gain" if m["gain"] else "WORSE beyond bound" if m["beyond_bound"]
                        else "unresolved" if m["unresolved"] else "no claim")
-            lines.append(f"{workload:<15} {name:<12} {sides[0]:>30} {sides[1]:>30} "
-                         f"{m['change_won']:>3}:{m['base_won']}/{m['pairs']:<3}  {verdict}")
+            lines.append(f"{line} {m['change_won']:>3}:{m['base_won']}/{m['pairs']:<3}  {verdict}")
         for run in entry["flagged"]:
             lines.append(f"{workload:<15} FLAGGED pair {run['pair']} {run['tree']} seed "
                          f"{run['seed']}: correct {run['correct']}, failed {run['failed']}")
     return lines
 
 
-def summarize_runs(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per workload of a ``record`` session: its runs, each end-to-end
-    metric's quartiles over the runs that gave it, and its flagged runs."""
-    summary = {}
-    for workload in dict.fromkeys(run["workload"] for run in runs):
-        mine = [run for run in runs if run["workload"] == workload]
-        metrics = {}
-        for spec in end_to_end:
-            values = [run["metrics"][spec["name"]] for run in mine
-                      if spec["name"] in run["metrics"]]
-            if values:
-                metrics[spec["name"]] = {**quartiles(values), "runs": len(values)}
-        summary[workload] = {
-            "runs": len(mine), "metrics": metrics,
-            "flagged": [{key: run[key] for key in ("seed", "correct", "failed")}
-                        for run in mine if flagged(run)]}
-    return summary
-
-
-def format_runs(summary: dict) -> list[str]:
-    lines = [f"{'workload':<15} {'metric':<12} {'median [q1, q3]':>30} {'runs':>5}"]
-    for workload, entry in summary.items():
-        for name, m in entry["metrics"].items():
-            quarts = f"{m['median']:.5g} [{m['q1']:.5g}, {m['q3']:.5g}]"
-            lines.append(f"{workload:<15} {name:<12} {quarts:>30} {m['runs']:>5}")
-        for run in entry["flagged"]:
-            lines.append(f"{workload:<15} FLAGGED seed {run['seed']}: correct {run['correct']}, "
-                         f"failed {run['failed']}")
-    return lines
-
-
-def collect(runner: Runner, record: dict, info: dict, path: Path, workload: str, seed: int,
-            **tags) -> dict | None:
-    """One run of the tree at ``path`` (whose ``tree_info`` is ``info``),
-    appended to ``record``'s runs with ``tags``; None if a signal stopped
-    the session."""
-    env, run = runner.run_once(path, workload, seed, record["seconds"])
-    if runner.signal is not None:
-        return None
-    if env and "environment" not in info:
-        info["environment"] = {k: env.get(k) for k in ENV_KEYS}
-    run = {**tags, "workload": workload, "seed": seed, **run}
-    record["runs"].append(run)
-    return run
-
-
-def record_runs(args, spec: dict, runner: Runner) -> int:
-    record = {"label": args.label, "seconds": spec["run_seconds"], "seed0": args.seed0,
-              "tree": tree_info(ROOT), "runs": [], "summary": {}}
-    for line in tree_warnings({"this": record["tree"]}):
-        print(line, file=sys.stderr)
-    for seed in range(args.seed0, args.seed0 + args.runs):
-        for workload in [w["name"] for w in spec["workloads"]]:
-            run = collect(runner, record, record["tree"], ROOT, workload, seed)
-            if run is None:
-                return stopped(runner.signal)
-            print(f"seed {seed} {workload}: " + json.dumps(run["metrics"]), flush=True)
-        record["summary"] = summarize_runs(record["runs"], spec["end_to_end"])
-        out = write_record(record)
-    print("\n".join(format_runs(record["summary"])))
-    print(f"wrote {out.name}")
-    return 0
-
-
-def pair(args, spec: dict, runner: Runner) -> int:
-    against = Path(args.against).resolve()
-    if not (against / "perfbench" / "run.py").is_file():
-        print(f"bench.py: no perfbench/run.py under --against {args.against}", file=sys.stderr)
-        return 2
-    trees = {"change": ROOT, "base": against}
+def session(args, spec: dict, runner: Runner) -> int:
+    """Runs 0 to ``args.runs - 1`` of this checkout, alternating with the
+    base's when ``args.against`` names one; ``BENCH_<label>.json`` is
+    replaced after each."""
+    trees = {"change": ROOT}
+    if args.against is not None:
+        trees["base"] = Path(args.against).resolve()
+        if not (trees["base"] / "perfbench" / "run.py").is_file():
+            print(f"bench.py: no perfbench/run.py under --against {args.against}",
+                  file=sys.stderr)
+            return 2
     record = {"label": args.label, "seconds": spec["run_seconds"], "seed0": args.seed0,
               "trees": {side: tree_info(path) for side, path in trees.items()},
               "runs": [], "summary": {}}
     for line in tree_warnings(record["trees"]):
         print(line, file=sys.stderr)
-    for i in range(args.pairs):
-        order = ("change", "base") if i % 2 == 0 else ("base", "change")
+    for i in range(args.runs):
+        order = list(trees) if i % 2 == 0 else list(reversed(trees))
         for workload in [w["name"] for w in spec["workloads"]]:
             for side in order:
-                run = collect(runner, record, record["trees"][side], trees[side], workload,
-                              args.seed0 + i, pair=i, tree=side)
-                if run is None:
-                    return stopped(runner.signal)
+                env, run = runner.run_once(trees[side], workload, args.seed0 + i,
+                                           record["seconds"])
+                if runner.signal is not None:
+                    print(f"bench.py: stopped by signal {runner.signal}", file=sys.stderr)
+                    return 128 + runner.signal
+                info = record["trees"][side]
+                if env and "environment" not in info:
+                    info["environment"] = {k: env.get(k) for k in ENV_KEYS}
+                run = {"pair": i, "tree": side, "workload": workload, "seed": args.seed0 + i,
+                       **run}
+                record["runs"].append(run)
                 print(f"pair {i} {workload} {side}: " + json.dumps(run["metrics"]), flush=True)
         record["summary"] = summarize(record["runs"], spec["end_to_end"])
         out = write_record(record)
@@ -335,23 +280,17 @@ def pair(args, spec: dict, runner: Runner) -> int:
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    commands = parser.add_subparsers(dest="command", required=True)
-    r = commands.add_parser("record", help="runs of this checkout alone")
-    r.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    r.add_argument("--runs", type=int, default=5, help="seeds per workload")
-    r.add_argument("--seed0", type=int, default=0, help="run i runs seed seed0 + i")
-    p = commands.add_parser("pair", help="alternate runs of this checkout and --against")
-    p.add_argument("--against", required=True, help="the base checkout")
-    p.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seed0", type=int, default=0, help="pair i runs seed seed0 + i")
+    parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    parser.add_argument("--against", help="the base checkout; without it, this one runs alone")
+    parser.add_argument("--runs", type=int, default=10, help="pairs, or runs without --against")
+    parser.add_argument("--seed0", type=int, default=0, help="run i runs seed seed0 + i")
     args = parser.parse_args(argv)
-    if getattr(args, "runs", 1) < 1 or getattr(args, "pairs", 1) < 1 or args.seed0 < 0:
-        parser.error("--runs and --pairs must be >= 1 and --seed0 >= 0")
+    if args.runs < 1 or args.seed0 < 0:
+        parser.error("--runs must be >= 1 and --seed0 >= 0")
     runner = Runner()
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, runner.stop)
-    return (record_runs if args.command == "record" else pair)(args, spec, runner)
+    return session(args, spec, runner)
 
 
 if __name__ == "__main__":

@@ -378,14 +378,20 @@ def _parse_xyz_record(lines: Iterator[str], start: int, count_line: str,
 
 
 def parse_extended_xyz(text, schema: CommentSchema | None = None,
-                       vocabulary: Sequence[str] = DEFAULT_ELEMENTS) -> Molecule:
+                       vocabulary: Sequence[str] = DEFAULT_ELEMENTS,
+                       fallback_id: str = "mol0") -> Molecule:
     """Parse the first record of an extended-XYZ text, as
-    :func:`iter_extended_xyz_records` does.
+    :func:`iter_extended_xyz_records` does; the record's id is
+    ``fallback_id`` if the record names none.
 
     Content after its declared atom lines (vibrational data, string
     identifiers, and similar trailers) is ignored.
     """
-    return next(iter_extended_xyz_records([text], schema, vocabulary))
+    lines = _text_lines([text])
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            return _parse_xyz_record(lines, lineno, line, schema, vocabulary, fallback_id)
+    raise ParseError("line 1: no records")
 
 
 def iter_extended_xyz_records(chunks: Iterable[str | bytes], schema: CommentSchema | None = None,
@@ -416,14 +422,14 @@ def parse_extended_xyz_records(text, schema: CommentSchema | None = None,
     return list(iter_extended_xyz_records([text], schema, vocabulary))
 
 
-def format_extended_xyz(mol: Molecule, property_order: Sequence[str] | None = None,
-                        precision: int = 8) -> str:
-    """Render one molecule as an extended-XYZ record (id + targets on line 2)."""
+def format_extended_xyz(mol: Molecule, property_order: Sequence[str] | None = None) -> str:
+    """Render one molecule as an extended-XYZ record (id + targets on line 2,
+    coordinates to 8 decimals)."""
     names = list(property_order) if property_order is not None else sorted(mol.targets)
     comment = " ".join([mol.mol_id] + [repr(float(mol.targets[name])) for name in names])
     lines = [str(mol.natoms), comment]
     for sym, (x, y, z) in zip(mol.symbols, mol.coords):
-        lines.append(f"{sym} {x:.{precision}f} {y:.{precision}f} {z:.{precision}f}")
+        lines.append(f"{sym} {x:.8f} {y:.8f} {z:.8f}")
     return "\n".join(lines) + "\n"
 
 
@@ -452,6 +458,11 @@ def parse_tabular(text, vocabulary: Sequence[str] = DEFAULT_ELEMENTS,
     if tuple(header[:3]) != _TABULAR_FIXED:
         raise ParseError(f"header must start with {_TABULAR_FIXED}, got {header[:3]}")
     target_names = header[3:]
+    for k, name in enumerate(target_names):
+        if not name:
+            raise ParseError(f"header: column {4 + k} has no target name")
+        if name in target_names[:k]:
+            raise ParseError(f"header: column {4 + k} repeats target name '{name}'")
     if len(rows) == 1:
         raise DataError("no records")
 
@@ -493,20 +504,26 @@ def load_dataset(path, fmt: str = "auto", schema: CommentSchema | None = None,
     """Load a dataset from a file or a directory of per-molecule XYZ files.
 
     ``fmt`` is ``xyz``, ``tabular``, or ``auto`` (tabular for ``.csv``,
-    XYZ otherwise). Directory entries are read in sorted name order so the
-    dataset order never depends on filesystem iteration.
+    XYZ otherwise); a directory is read as XYZ only. Directory entries are
+    read in sorted name order so the dataset order never depends on
+    filesystem iteration, and a file whose record names no id gives it the
+    file's stem.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset path does not exist: {path}")
     if path.is_dir():
+        if fmt not in ("auto", "xyz"):
+            raise DataError(f"format '{fmt}' cannot read directory {path}; "
+                            "a directory holds .xyz files")
         files = sorted(p for p in path.iterdir() if p.suffix.lower() == ".xyz")
         if not files:
             raise DataError(f"no .xyz files under directory {path}")
         molecules = []
         for p in files:
             try:
-                molecules.append(parse_extended_xyz(p.read_bytes(), schema, vocabulary))
+                molecules.append(parse_extended_xyz(p.read_bytes(), schema, vocabulary,
+                                                    fallback_id=p.stem))
             except OSError as err:
                 raise DataError(f"{p.name}: cannot read: {err.strerror}") from err
             except (ParseError, VocabularyError, DataError) as err:

@@ -33,6 +33,7 @@ from .training import mse_loss
 __all__ = ["GradCheckReport", "gradient_check", "run_gradcheck", "DEFAULT_CHECK_CONFIG"]
 
 DEFAULT_CHECK_CONFIG = ModelConfig(atom_dim=4, count_dim=4, hidden_dim=8, mlp_dim=8, steps=3)
+CHECK_VOCABULARY = ("H", "C", "N", "O")
 
 # the bytes that the replicas of one forward_batch call may fill
 REPLICA_BYTES = 1 << 19
@@ -140,19 +141,19 @@ def _random_params(cfg: ModelConfig, vocab_size: int, max_atom_count: int,
 
 def run_gradcheck(seed: int = 0, seeds: int = 5, atom_counts: Sequence[int] = (1, 2, 4, 6),
                   cfg: ModelConfig = DEFAULT_CHECK_CONFIG,
-                  vocabulary: Sequence[str] = ("H", "C", "N", "O"),
                   fd_step: float = 1e-5, corrupt: bool = False) -> list[GradCheckReport]:
     """One gradient check per seed, each over fresh random params and
-    molecules; a :class:`NumericalError` names the seed of its check."""
+    molecules of :data:`CHECK_VOCABULARY`; a :class:`NumericalError` names
+    the seed of its check."""
     reports = []
     for k in range(seeds):
         s = seed + k
         molecules = random_molecules(s, len(atom_counts), sizes=tuple(atom_counts),
-                                     elements=vocabulary)
+                                     elements=CHECK_VOCABULARY)
         targets = np.random.default_rng(s + 10_000).normal(size=len(molecules)).tolist()
-        params = _random_params(cfg, len(vocabulary), max(atom_counts), s)
+        params = _random_params(cfg, len(CHECK_VOCABULARY), max(atom_counts), s)
         try:
-            reports.append(gradient_check(params, cfg, molecules, targets, vocabulary,
+            reports.append(gradient_check(params, cfg, molecules, targets, CHECK_VOCABULARY,
                                           fd_step=fd_step, corrupt=corrupt))
         except NumericalError as exc:
             raise NumericalError(f"seed {s}, {exc}") from exc

@@ -22,20 +22,25 @@ __all__ = [
 ]
 
 
+# the side of the cube random molecules are drawn in, and the least distance
+# between two of their atoms
+BOX = 4.0
+MIN_SEPARATION = 0.7
+
+
 def random_molecule(rng: np.random.Generator, n_atoms: int,
                     elements: Sequence[str] = ("H", "C", "N", "O"),
-                    box: float = 4.0, min_separation: float = 0.7,
                     mol_id: str = "synth0") -> Molecule:
-    """Random atoms in a cube with all pair distances >= ``min_separation``, of side ``box``
-    or, if larger, ``1.5 min_separation n_atoms^(1/3)``: rejection sampling finds no place
-    in a nearly full cube (past about 175 atoms in the default one)."""
-    side = max(box, 1.5 * min_separation * n_atoms ** (1 / 3))
+    """Random atoms in a cube with all pair distances >= :data:`MIN_SEPARATION`, of side
+    :data:`BOX` or, if larger, ``1.5 MIN_SEPARATION n_atoms^(1/3)``: rejection sampling
+    finds no place in a nearly full cube (past about 175 atoms in a cube of side BOX)."""
+    side = max(BOX, 1.5 * MIN_SEPARATION * n_atoms ** (1 / 3))
     symbols = tuple(rng.choice(list(elements), size=n_atoms))
     coords = np.empty((n_atoms, 3))
     placed = 0
     while placed < n_atoms:
         candidate = rng.uniform(0.0, side, size=3)
-        if placed == 0 or np.linalg.norm(coords[:placed] - candidate, axis=1).min() >= min_separation:
+        if placed == 0 or np.linalg.norm(coords[:placed] - candidate, axis=1).min() >= MIN_SEPARATION:
             coords[placed] = candidate
             placed += 1
     return Molecule(mol_id=mol_id, symbols=symbols, coords=coords)
@@ -43,8 +48,7 @@ def random_molecule(rng: np.random.Generator, n_atoms: int,
 
 def random_molecules(seed: int, count: int, size_range: tuple[int, int] = (3, 8),
                      sizes: Sequence[int] | None = None,
-                     elements: Sequence[str] = ("H", "C", "N", "O"),
-                     box: float = 4.0) -> list[Molecule]:
+                     elements: Sequence[str] = ("H", "C", "N", "O")) -> list[Molecule]:
     """Deterministic batch of random molecules.
 
     Atom counts are sampled from the inclusive ``size_range`` unless
@@ -55,7 +59,7 @@ def random_molecules(seed: int, count: int, size_range: tuple[int, int] = (3, 8)
         picked = [int(sizes[i % len(sizes)]) for i in range(count)]
     else:
         picked = [int(rng.integers(size_range[0], size_range[1] + 1)) for _ in range(count)]
-    return [random_molecule(rng, picked[i], elements, box, mol_id=f"synth{i}")
+    return [random_molecule(rng, picked[i], elements, mol_id=f"synth{i}")
             for i in range(count)]
 
 

@@ -139,20 +139,30 @@ def test_a_base_spread_wider_than_the_bound_leaves_the_metric_unresolved(change_
 
 
 def test_a_record_summary_gives_each_workloads_quartiles_and_flagged_runs():
+    # a session without --against: the change's runs alone, and no verdicts
     runs = [run for run in FIXTURE["runs"] if run["tree"] == "change"]
-    summary = bench.summarize_runs(runs, END_TO_END)
+    summary = bench.summarize(runs, END_TO_END)
     assert list(summary) == ["gradcheck-tiny", "train-small"]
     tiny = summary["gradcheck-tiny"]
-    assert (tiny["runs"], tiny["flagged"]) == (10, [])
+    assert (tiny["pairs"], tiny["flagged"]) == (10, [])
     # 140 + 2i in runs 0-8 and 90 in run 9
-    assert tiny["metrics"]["work_per_s"] == {"q1": 142.5, "median": 147.0, "q3": 151.5,
-                                             "runs": 10}
+    assert tiny["metrics"]["work_per_s"] == {
+        "change": {"q1": 142.5, "median": 147.0, "q3": 151.5}, "pairs": 10}
     small = summary["train-small"]
-    assert small["runs"] == 3
-    assert small["flagged"] == [{"seed": 42, "correct": False, "failed": 2}]
-    lines = bench.format_runs(summary)
+    assert small["pairs"] == 3
+    assert small["flagged"] == [
+        {"pair": 2, "tree": "change", "seed": 42, "correct": False, "failed": 2}]
+    lines = bench.format_summary(summary)
+    assert lines[0].split()[-1] == "runs"
     assert lines[2].split() == ["gradcheck-tiny", "work_per_s", "147", "[142.5,", "151.5]", "10"]
-    assert lines[-1].endswith("FLAGGED seed 42: correct False, failed 2")
+    assert lines[-1].endswith("FLAGGED pair 2 change seed 42: correct False, failed 2")
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda path: path.name)
+def test_every_committed_record_holds_the_summary_of_its_runs(path):
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert set(record["trees"]) <= {"change", "base"}
+    assert record["summary"] == bench.summarize(record["runs"], END_TO_END)
 
 
 def test_tree_info_records_the_path_length_and_unequal_lengths_warn(tmp_path):
@@ -173,8 +183,9 @@ def test_tree_info_records_the_path_length_and_unequal_lengths_warn(tmp_path):
     assert bench.tree_warnings(trees) == []
 
 
-# perfbench/run.py of a fake checkout: its first two calls (pair 0) give a
-# result; every later one starts a worker, writes both pids and sleeps
+# perfbench/run.py of a fake checkout: its first two calls (pair 0, or runs 0
+# and 1 without a base) give a result; every later one starts a worker,
+# writes both pids and sleeps
 FAKE_RUN = """\
 import json, os, subprocess, sys, time
 from pathlib import Path
@@ -202,9 +213,8 @@ def alive(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
 
 
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states in /proc")
-@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
-def test_a_stopped_session_kills_its_run_and_keeps_the_pairs_done(tmp_path, signum):
+def fake_checkout(tmp_path) -> Path:
+    """A checkout with this bench.py, FAKE_RUN as its perfbench/run.py and one workload."""
     tree = tmp_path / "tree"
     (tree / "scripts").mkdir(parents=True)
     (tree / "perfbench").mkdir()
@@ -212,8 +222,30 @@ def test_a_stopped_session_kills_its_run_and_keeps_the_pairs_done(tmp_path, sign
     (tree / "perfbench" / "run.py").write_text(FAKE_RUN)
     (tree / "BENCHMARK.json").write_text(json.dumps(
         {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": END_TO_END}))
-    proc = subprocess.Popen([sys.executable, str(tree / "scripts" / "bench.py"), "pair",
-                             "--against", str(tree), "--label", "t", "--pairs", "3"],
+    return tree
+
+
+def test_a_session_without_a_base_runs_this_checkout_alone(tmp_path):
+    tree = fake_checkout(tmp_path)
+    proc = subprocess.run([sys.executable, str(tree / "scripts" / "bench.py"), "--label", "t",
+                           "--runs", "2", "--seed0", "5"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads((tree / "BENCH_t.json").read_text())
+    assert list(record["trees"]) == ["change"]
+    assert [(run["pair"], run["tree"], run["seed"]) for run in record["runs"]] == \
+        [(0, "change", 5), (1, "change", 6)]
+    assert record["summary"]["w"]["metrics"]["work_per_s"] == \
+        {"change": {"q1": 1.0, "median": 1.0, "q3": 1.0}, "pairs": 2}
+    assert proc.stdout.splitlines()[-2].split() == ["w", "work_per_s", "1", "[1,", "1]", "2"]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states in /proc")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
+def test_a_stopped_session_kills_its_run_and_keeps_the_pairs_done(tmp_path, signum):
+    tree = fake_checkout(tmp_path)
+    proc = subprocess.Popen([sys.executable, str(tree / "scripts" / "bench.py"),
+                             "--against", str(tree), "--label", "t", "--runs", "3"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     pids = []
     try:

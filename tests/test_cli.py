@@ -657,8 +657,11 @@ def test_ablate_invalid_name(config_file, capsys):
     (["ablate", "--config", "{cfg}", "--which", "all", "--out", "{file}"], 2, "--out '{file}'"),
     (["eval", "{ckpt}", "--data", "{dir}"], 3, "empty.xyz: line 1: "),
     (["eval", "{ckpt}", "--data", "{nested}"], 3, "sub.xyz: cannot read: "),
+    (["eval", "{ckpt}", "--data", "{dir}", "--format", "tabular"], 3,
+     "format 'tabular' cannot read directory {dir}"),
 ], ids=["seeds", "fd-step", "fd-step-nan", "atoms", "seed", "threshold-nan", "train-out",
-        "train-out-below", "train-run-dir", "ablate-out", "eval-dir", "eval-dir-entry"])
+        "train-out-below", "train-run-dir", "ablate-out", "eval-dir", "eval-dir-entry",
+        "eval-dir-tabular"])
 def test_bad_input_is_one_line_with_its_exit_code(trained_run, config_file, tmp_path, capsys,
                                                  argv, code, start):
     places = {"cfg": config_file, "file": tmp_path / "taken", "ckpt": trained_run / "best.ckpt",

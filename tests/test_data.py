@@ -186,6 +186,17 @@ def test_tabular_unknown_element():
         parse_tabular("id,atoms,coords,y\nm0,Zz,0 0 0,1.0\n")
 
 
+@pytest.mark.parametrize("header, row, message", [
+    ("id,atoms,coords,e,e", "m0,C,0 0 0,1.0,2.0", "header: column 5 repeats target name 'e'"),
+    ("id,atoms,coords,e,", "m0,C,0 0 0,1.0,2.0", "header: column 5 has no target name"),
+    ("id,atoms,coords, ,e", "m0,C,0 0 0,1.0,2.0", "header: column 4 has no target name"),
+], ids=["repeated", "trailing-comma", "blank"])
+def test_tabular_header_needs_distinct_named_targets(header, row, message):
+    with pytest.raises(ParseError) as err:
+        parse_tabular(f"{header}\n{row}\n")
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # molecule / dataset validation
 
@@ -363,6 +374,25 @@ def test_load_directory_sorted_order(tmp_path):
         (tmp_path / name).write_text(f"1\n{name} 1.0\n{sym} 0 0 0\n")
     ds = load_dataset(tmp_path, schema=SCHEMA)
     assert [m.mol_id for m in ds] == ["a.xyz", "b.xyz"]
+
+
+def test_load_directory_names_a_record_without_an_id_after_its_file(tmp_path):
+    for name, comment in (("b.xyz", ""), ("a.xyz", ""), ("c.xyz", "named 1.0")):
+        (tmp_path / name).write_text(f"1\n{comment}\nC 0 0 0\n")
+    assert [m.mol_id for m in load_dataset(tmp_path)] == ["a", "b", "named"]
+    by_target = CommentSchema(target_columns={"y": 1})            # no id columns
+    assert [m.mol_id for m in load_dataset(tmp_path / "c.xyz", schema=by_target)] == ["mol0"]
+    (tmp_path / "a.xyz").write_text("1\nx 2.0\nC 0 0 0\n")
+    (tmp_path / "b.xyz").write_text("1\nx 3.0\nC 0 0 0\n")
+    assert [m.mol_id for m in load_dataset(tmp_path, schema=by_target)] == ["a", "b", "c"]
+
+
+@pytest.mark.parametrize("fmt", ["tabular", "nope"])
+def test_load_directory_refuses_a_format_other_than_xyz(tmp_path, fmt):
+    (tmp_path / "a.xyz").write_text("1\na 1.0\nC 0 0 0\n")
+    with pytest.raises(DataError, match=f"format '{fmt}' cannot read directory"):
+        load_dataset(tmp_path, fmt)
+    assert len(load_dataset(tmp_path, "xyz")) == len(load_dataset(tmp_path, "auto")) == 1
 
 
 def test_builtin_sample_dataset():
