@@ -105,21 +105,26 @@ def main(argv) -> int:
     evaluated = Dataset([Molecule(f"e{k}", mol.symbols, mol.coords, {"y": y})
                          for k, (mol, y) in enumerate(zip(shapes, labels))], ["y"], vocab)
     normalizer = Normalizer(mean=1.5, std=0.25)
+
+    def recorded(params, cfg, encodings, batch_targets):
+        """The recorded predictions, the loss and every parameter gradient of the loss."""
+        tensors = params.tensors()
+        zero_grads(tensors)
+        graph = Graph()
+        preds = forward_batch(graph, encodings, params, cfg)
+        loss = mse_loss(graph, preds, batch_targets)
+        backward(graph, loss)
+        return [preds.values, loss.values, *(t.grad for t in tensors)]
+
     for dims_name, feature, rows in CONFIGS:
         switches = {} if feature == "all" else {feature: False}
         cfg = ModelConfig(**DIMS[dims_name], **switches)
         params = init_params(cfg, len(vocab), rows, seed=7)
-        tensors = params.tensors()
         for molecules, batch_targets in zip(batches, targets):
             encodings = [MoleculeEncoding(m, vocab, cfg) for m in molecules]
             digest = hashlib.sha256()
             digest.update(forward_batch(None, encodings, params, cfg).values.tobytes())
-            zero_grads(tensors)
-            graph = Graph()
-            preds = forward_batch(graph, encodings, params, cfg)
-            loss = mse_loss(graph, preds, batch_targets)
-            backward(graph, loss)
-            for array in (preds.values, loss.values, *(t.grad for t in tensors)):
+            for array in recorded(params, cfg, encodings, batch_targets):
                 digest.update(np.ascontiguousarray(array).tobytes())
             sizes = ",".join(str(m.natoms) for m in molecules)
             print(f"{dims_name}\t{feature}\t{rows}\t{sizes}\t{digest.hexdigest()}")
@@ -149,15 +154,6 @@ def main(argv) -> int:
             digest.update(np.ascontiguousarray(array).tobytes())
         return f"ok {digest.hexdigest()}"
 
-    def recorded(params):
-        tensors = params.tensors()
-        zero_grads(tensors)
-        graph = Graph()
-        preds = forward_batch(graph, encodings, params, cfg)
-        loss = mse_loss(graph, preds, batch_targets)
-        backward(graph, loss)
-        return [preds.values, loss.values, *(t.grad for t in tensors)]
-
     with np.errstate(all="ignore"):
         for name, edits in overflow_cases(cfg, np.finfo(float).max):
             params = init_params(cfg, len(vocab), 29, seed=7)
@@ -168,7 +164,7 @@ def main(argv) -> int:
                 tensors[tensor].values[index] = value
             stack = np.stack([unedited, tensors[first].values])
             runs = {"nograd": lambda: [forward_batch(None, encodings, params, cfg).values],
-                    "recorded": lambda: recorded(params),
+                    "recorded": lambda: recorded(params, cfg, encodings, batch_targets),
                     "replicated": lambda: [forward_batch(None, encodings, params, cfg,
                                                          replicas=(first, stack)).values]}
             for mode, run in runs.items():

@@ -83,13 +83,6 @@ def _load_spec_dataset(spec: RunSpec) -> Dataset:
                         spec["dataset.elements"])
 
 
-def _checked_target(spec: RunSpec, ds: Dataset) -> str:
-    target = spec["target"]
-    if target not in ds.property_names:
-        raise DataError(f"target '{target}' not among dataset properties {ds.property_names}")
-    return target
-
-
 # shorthand flags of train and ablate -> the config keys they override
 _FLAG_KEYS = {"epochs": "train.epochs", "seed": "train.seed", "runs": "run.runs",
               "threads": "run.threads"}
@@ -106,15 +99,22 @@ def _flag_overrides(args) -> list[str]:
     return overrides
 
 
-def _training_spec(args) -> RunSpec:
-    """The run spec of train and ablate, its ``target``, ``train.*``, ``model.*``,
-    ``split.*`` and ``dataset.*`` values checked before any work starts."""
+def _training_inputs(args) -> tuple[RunSpec, str, str, list[tuple[Dataset, Dataset, Dataset]]]:
+    """The inputs of train and ablate: the run spec, its ``target`` and the
+    target's unit, and the ``(train, val, test)`` split of each of ``run.runs``
+    runs. The spec's ``train.*``, ``model.*``, ``split.*`` and ``dataset.*``
+    values are checked, then the dataset is read, its target found and every
+    split made, so an input that fails does so before any output is made."""
     spec = load_run_spec(args.config, _flag_overrides(args))
     spec.train_config()
     spec.split_spec()
-    spec.dataset_path()
-    spec.schema()
-    return spec
+    ds = _load_spec_dataset(spec)
+    target = spec["target"]
+    if target not in ds.property_names:
+        raise DataError(f"target '{target}' not among dataset properties {ds.property_names}")
+    splits = [split(ds, spec.split_spec(r if spec["run.resplit"] else 0))
+              for r in range(spec["run.runs"])]
+    return spec, target, ds.units.get(target, ""), splits
 
 
 def _out_dir(path) -> Path:
@@ -134,59 +134,47 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _cmd_train(args) -> int:
-    spec = _training_spec(args)
+    spec, target, unit, splits = _training_inputs(args)
     out = _out_dir(args.out)
-    runs = spec["run.runs"]
-    run_dirs = [out] if runs == 1 else [_out_dir(out / f"run{r}") for r in range(runs)]
-    with _thread_cap(spec["run.threads"]) as blas_threads:
-        return _run_training(spec, out, run_dirs, blas_threads)
-
-
-def _run_training(spec: RunSpec, out: Path, run_dirs: list[Path],
-                  blas_threads: int | None) -> int:
-    ds = _load_spec_dataset(spec)
-    target = _checked_target(spec, ds)
-    unit = ds.units.get(target, "")
+    run_dirs = [out] if len(splits) == 1 else [_out_dir(out / f"run{r}")
+                                               for r in range(len(splits))]
     _write_text(out / "manifest.cfg", spec.manifest_text())
-
     run_infos = []
-    for r, run_dir in enumerate(run_dirs):
-        split_offset = r if spec["run.resplit"] else 0
-        train_ds, val_ds, test_ds = split(ds, spec.split_spec(split_offset))
-        cfg = spec.train_config(seed_offset=r)
+    with _thread_cap(spec["run.threads"]) as blas_threads:
+        for r, (run_dir, (train_ds, val_ds, test_ds)) in enumerate(zip(run_dirs, splits)):
+            cfg = spec.train_config(seed_offset=r)
+            with open(run_dir / "metrics.jsonl", "w", encoding="utf-8") as metrics_fh, \
+                    open(run_dir / "timing.jsonl", "w", encoding="utf-8") as timing_fh:
 
-        with open(run_dir / "metrics.jsonl", "w", encoding="utf-8") as metrics_fh, \
-                open(run_dir / "timing.jsonl", "w", encoding="utf-8") as timing_fh:
+                def on_epoch(rep, _metrics=metrics_fh, _timing=timing_fh, _run=r):
+                    _metrics.write(json.dumps(
+                        {"epoch": rep.epoch, "lr": rep.lr, "train_mse": rep.train_mse,
+                         "val_mae": rep.val_mae, "grad_norm": rep.grad_norm},
+                        sort_keys=True) + "\n")
+                    _timing.write(json.dumps(
+                        {"epoch": rep.epoch, "seconds": rep.seconds, "forward_s": rep.forward_s,
+                         "backward_s": rep.backward_s, "update_s": rep.update_s,
+                         "eval_s": rep.eval_s, "minor_faults": rep.minor_faults}) + "\n")
+                    print(f"run {_run} epoch {rep.epoch}: lr={rep.lr:.6g} "
+                          f"train_mse={rep.train_mse:.6g} val_mae={rep.val_mae:.6g} "
+                          f"({rep.seconds:.2f}s)", file=sys.stderr)
 
-            def on_epoch(rep, _metrics=metrics_fh, _timing=timing_fh, _run=r):
-                _metrics.write(json.dumps(
-                    {"epoch": rep.epoch, "lr": rep.lr, "train_mse": rep.train_mse,
-                     "val_mae": rep.val_mae, "grad_norm": rep.grad_norm},
-                    sort_keys=True) + "\n")
-                _timing.write(json.dumps(
-                    {"epoch": rep.epoch, "seconds": rep.seconds, "forward_s": rep.forward_s,
-                     "backward_s": rep.backward_s, "update_s": rep.update_s,
-                     "eval_s": rep.eval_s, "minor_faults": rep.minor_faults}) + "\n")
-                print(f"run {_run} epoch {rep.epoch}: lr={rep.lr:.6g} "
-                      f"train_mse={rep.train_mse:.6g} val_mae={rep.val_mae:.6g} "
-                      f"({rep.seconds:.2f}s)", file=sys.stderr)
+                result = train(train_ds, val_ds, cfg, epoch_callback=on_epoch)
 
-            result = train(train_ds, val_ds, cfg, epoch_callback=on_epoch)
-
-        save_checkpoint(run_dir / "best.ckpt", result.best_params, cfg.model,
-                        result.vocabulary, result.normalizer, target, unit)
-        save_checkpoint(run_dir / "final.ckpt", result.final_params, cfg.model,
-                        result.vocabulary, result.normalizer, target, unit)
-        test_best = evaluate(result.best_params, test_ds, result.normalizer, cfg.model,
-                             result.vocabulary, target)
-        test_final = evaluate(result.final_params, test_ds, result.normalizer, cfg.model,
-                              result.vocabulary, target)
-        run_infos.append({"run": r, "seed": cfg.seed,
-                          "split_seed": spec.split_spec(split_offset).seed,
-                          "best_epoch": result.best_epoch,
-                          "best_val_mae": result.best_val_mae,
-                          "test_mae_best": test_best.mae,
-                          "test_mae_final": test_final.mae})
+            save_checkpoint(run_dir / "best.ckpt", result.best_params, cfg.model,
+                            result.vocabulary, result.normalizer, target, unit)
+            save_checkpoint(run_dir / "final.ckpt", result.final_params, cfg.model,
+                            result.vocabulary, result.normalizer, target, unit)
+            test_best = evaluate(result.best_params, test_ds, result.normalizer, cfg.model,
+                                 result.vocabulary, target)
+            test_final = evaluate(result.final_params, test_ds, result.normalizer, cfg.model,
+                                  result.vocabulary, target)
+            run_infos.append({"run": r, "seed": cfg.seed,
+                              "split_seed": spec.split_spec(r if spec["run.resplit"] else 0).seed,
+                              "best_epoch": result.best_epoch,
+                              "best_val_mae": result.best_val_mae,
+                              "test_mae_best": test_best.mae,
+                              "test_mae_final": test_final.mae})
 
     def agg(key):
         values = [info[key] for info in run_infos]
@@ -295,21 +283,16 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    spec = _training_spec(args)
+    spec, _, _, splits = _training_inputs(args)
     out = _out_dir(args.out) if args.out else None
     which = list(ABLATION_FLAGS) if args.which == "all" else [args.which]
 
+    def progress(name, rep):
+        print(f"{name} epoch {rep.epoch}: train_mse={rep.train_mse:.6g} "
+              f"val_mae={rep.val_mae:.6g}", file=sys.stderr)
+
     with _thread_cap(spec["run.threads"]):
-        ds = _load_spec_dataset(spec)
-        target = _checked_target(spec, ds)
-        train_ds, val_ds, test_ds = split(ds, spec.split_spec())
-
-        def progress(name, rep):
-            print(f"{name} epoch {rep.epoch}: train_mse={rep.train_mse:.6g} "
-                  f"val_mae={rep.val_mae:.6g}", file=sys.stderr)
-
-        rows = run_ablation(spec.train_config(), train_ds, val_ds, test_ds, which,
-                            epoch_callback=progress)
+        rows = run_ablation(spec.train_config(), *splits[0], which, epoch_callback=progress)
 
     print("variant\tval_mae\ttest_mae")
     for row in rows:
@@ -328,17 +311,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gated graph recursive network for molecular property regression.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="split, normalize, train, and evaluate per config")
-    p.add_argument("--config", required=True, help="run config file (flat key = value)")
+    # the flags of train and ablate that set up a training run
+    setup = argparse.ArgumentParser(add_help=False)
+    setup.add_argument("--config", required=True, help="run config file (flat key = value)")
+    setup.add_argument("--set", dest="overrides", action="append", default=[],
+                       metavar="KEY=VALUE", help="override a config key")
+    setup.add_argument("--epochs", type=int, help="override train.epochs")
+    setup.add_argument("--seed", type=int, help="override train.seed")
+    setup.add_argument("--threads", type=int, help="cap BLAS threads (1 = bit-reproducible)")
+
+    p = sub.add_parser("train", parents=[setup],
+                       help="split, normalize, train, and evaluate per config")
     p.add_argument("--out", default="ggrnet_run", help="output directory")
-    p.add_argument("--set", dest="overrides", action="append", default=[],
-                   metavar="KEY=VALUE", help="override a config key")
-    p.add_argument("--epochs", type=int, help="override train.epochs")
-    p.add_argument("--seed", type=int, help="override train.seed")
     p.add_argument("--runs", type=int, help="independent runs with stepped seeds")
     p.add_argument("--resplit", action="store_true",
                    help="also step the split seed across runs")
-    p.add_argument("--threads", type=int, help="cap BLAS threads (1 = bit-reproducible)")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="MAE of a checkpoint on a dataset")
@@ -373,16 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int)
     p.set_defaults(func=_cmd_gradcheck)
 
-    p = sub.add_parser("ablate", help="train full model plus feature ablations")
-    p.add_argument("--config", required=True)
-    p.add_argument("--which", required=True,
-                   choices=(*ABLATION_FLAGS, "all"))
+    p = sub.add_parser("ablate", parents=[setup],
+                       help="train full model plus feature ablations")
+    p.add_argument("--which", required=True, choices=(*ABLATION_FLAGS, "all"))
     p.add_argument("--out", help="optional output directory for ablation.json")
-    p.add_argument("--set", dest="overrides", action="append", default=[],
-                   metavar="KEY=VALUE")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=_cmd_ablate)
 
     return parser

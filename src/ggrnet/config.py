@@ -180,7 +180,13 @@ def load_run_spec(path, overrides: Sequence[str] = ()) -> RunSpec:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return resolve_run_spec(parse_config_text(path.read_text(encoding="utf-8")), overrides)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as err:
+        raise ConfigError(f"config file {path}: cannot read: {err.strerror}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config file {path}: not UTF-8 text: {err}") from err
+    return resolve_run_spec(parse_config_text(text), overrides)
 
 
 def resolve_schema(spec: str | None) -> CommentSchema | None:

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, Molecule, inverse_distance
+from .data import DEFAULT_DISTANCE_EPSILON, Dataset, Molecule, inverse_distance
 
 __all__ = [
     "random_molecule",
@@ -22,14 +22,15 @@ __all__ = [
 ]
 
 
-# the side of the cube random molecules are drawn in, and the least distance
-# between two of their atoms
+# the side of the cube random molecules are drawn in, the least distance
+# between two of their atoms, and the elements their atoms are drawn from
 BOX = 4.0
 MIN_SEPARATION = 0.7
+ELEMENTS = ("H", "C", "N", "O")
 
 
 def random_molecule(rng: np.random.Generator, n_atoms: int,
-                    elements: Sequence[str] = ("H", "C", "N", "O"),
+                    elements: Sequence[str] = ELEMENTS,
                     mol_id: str = "synth0") -> Molecule:
     """Random atoms in a cube with all pair distances >= :data:`MIN_SEPARATION`, of side
     :data:`BOX` or, if larger, ``1.5 MIN_SEPARATION n_atoms^(1/3)``: rejection sampling
@@ -48,7 +49,7 @@ def random_molecule(rng: np.random.Generator, n_atoms: int,
 
 def random_molecules(seed: int, count: int, size_range: tuple[int, int] = (3, 8),
                      sizes: Sequence[int] | None = None,
-                     elements: Sequence[str] = ("H", "C", "N", "O")) -> list[Molecule]:
+                     elements: Sequence[str] = ELEMENTS) -> list[Molecule]:
     """Deterministic batch of random molecules.
 
     Atom counts are sampled from the inclusive ``size_range`` unless
@@ -63,12 +64,12 @@ def random_molecules(seed: int, count: int, size_range: tuple[int, int] = (3, 8)
             for i in range(count)]
 
 
-def pairwise_inverse_distance_sum(mol: Molecule, epsilon: float = 1e-6) -> float:
+def pairwise_inverse_distance_sum(mol: Molecule) -> float:
     """Sum of reciprocal distances over unordered atom pairs."""
     total = 0.0
     for i in range(mol.natoms):
         for j in range(i + 1, mol.natoms):
-            total += inverse_distance(mol.coords[i], mol.coords[j], epsilon)
+            total += inverse_distance(mol.coords[i], mol.coords[j], DEFAULT_DISTANCE_EPSILON)
     return total
 
 
@@ -83,7 +84,6 @@ def _with_target(mol: Molecule, name: str, value: float) -> Molecule:
 
 
 def geometric_dataset(count: int, seed: int, n_atoms=(3, 8),
-                      elements: Sequence[str] = ("H", "C", "N", "O"),
                       property_name: str = "energy") -> Dataset:
     """Molecules whose target is the sum of pairwise reciprocal distances.
 
@@ -92,18 +92,16 @@ def geometric_dataset(count: int, seed: int, n_atoms=(3, 8),
     better than predicting the mean.
     """
     mols = [(_with_target(m, property_name, pairwise_inverse_distance_sum(m)))
-            for m in random_molecules(seed, count, size_range=n_atoms, elements=elements)]
+            for m in random_molecules(seed, count, size_range=n_atoms)]
     return Dataset(mols, [property_name], units={property_name: "arb"})
 
 
-def composition_dataset(count: int, seed: int, n_atoms: int = 5,
-                        elements: Sequence[str] = ("H", "C", "N", "O"),
-                        property_name: str = "ncarbon") -> Dataset:
-    """Fixed-size molecules whose target is the number of carbon atoms.
+def composition_dataset(count: int, seed: int, n_atoms: int = 5) -> Dataset:
+    """Fixed-size molecules whose target ``ncarbon`` is the number of carbon atoms.
 
     All molecules share the same atom count, so the count feature carries no
     information about this target.
     """
-    mols = [(_with_target(m, property_name, carbon_count(m)))
-            for m in random_molecules(seed, count, sizes=(n_atoms,), elements=elements)]
-    return Dataset(mols, [property_name], units={property_name: "count"})
+    mols = [(_with_target(m, "ncarbon", carbon_count(m)))
+            for m in random_molecules(seed, count, sizes=(n_atoms,))]
+    return Dataset(mols, ["ncarbon"], units={"ncarbon": "count"})

@@ -198,6 +198,30 @@ def test_out_of_range_setting_is_one_line_exit_2_naming_its_key(config_file, tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["train"], ["train", "--runs", "2"],
+                                     ["ablate", "--which", "no_count"]],
+                         ids=["train", "train-runs", "ablate"])
+@pytest.mark.parametrize("settings, start", [
+    (["dataset.path={dir}", "dataset.format=tabular"],
+     "format 'tabular' cannot read directory {dir}"),
+    (["dataset.path={dir}"], "no .xyz files under directory {dir}"),
+    (["split.train=0.9", "split.val=0.05", "split.test=0.05"],
+     "split of 10 molecules gives sizes (10, 0, 0)"),
+    (["target=nosuch"], "target 'nosuch' not among dataset properties"),
+], ids=["tabular-dir", "dir-without-xyz", "empty-partition", "unknown-target"])
+def test_an_input_that_fails_is_one_line_exit_3_and_makes_no_out(config_file, tmp_path, capsys,
+                                                                 command, settings, start):
+    # the data is read, its target found and every run's split made before --out
+    places = {"dir": tmp_path / "molecules"}
+    places["dir"].mkdir()
+    out = tmp_path / "o"
+    sets = [arg for setting in settings for arg in ("--set", setting.format(**places))]
+    assert main([*command, "--config", str(config_file), "--out", str(out), *sets]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + start.format(**places)) and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, what", [
     (["train", "--set", "model.steps=1000000000000"], "the recursion's workspace"),
     (["train", "--set", "model.hidden_dim=1000000000000"], "parameter tensor 'gate_weight'"),
@@ -659,14 +683,43 @@ def test_ablate_invalid_name(config_file, capsys):
     (["eval", "{ckpt}", "--data", "{nested}"], 3, "sub.xyz: cannot read: "),
     (["eval", "{ckpt}", "--data", "{dir}", "--format", "tabular"], 3,
      "format 'tabular' cannot read directory {dir}"),
+    (["train", "--config", "{latin}", "--out", "{empty}/o"], 2,
+     "config file {latin}: not UTF-8 text: "),
+    (["ablate", "--config", "{latin}", "--which", "all"], 2,
+     "config file {latin}: not UTF-8 text: "),
+    (["eval", "{ckpt}", "--config", "{latin}"], 2, "config file {latin}: not UTF-8 text: "),
+    (["train", "--config", "{noeq}", "--out", "{empty}/o"], 2,
+     "config line 1: expected 'key = value'"),
+    (["train", "--config", "{cfg}", "--out", "{empty}/o", "--set", "noequals"], 2,
+     "override 'noequals' is not of the form key=value"),
+    (["train", "--config", "{cfg}", "--out", "{empty}/o", "--set", "dataset.elements=,"], 2,
+     "config key 'dataset.elements': empty element list"),
+    (["train", "--config", "{cfg}", "--out", "{empty}/o", "--set", "dataset.format=nope"], 2,
+     "dataset.format must be one of"),
+    (["eval", "{ckpt}", "--data", "{nocol}", "--schema", "builtin:sample"], 3,
+     "line 2: property record has only 0 fields"),
+    (["eval", "{ckpt}", "--data", "{short}"], 3, "line 3: atom line needs 'symbol x y z'"),
+    (["predict", "{ckpt}", "{short}"], 3, "line 3: atom line needs 'symbol x y z'"),
+    (["eval", "{ckpt}", "--data", "{empty}"], 3, "no .xyz files under directory {empty}"),
 ], ids=["seeds", "fd-step", "fd-step-nan", "atoms", "seed", "threshold-nan", "train-out",
         "train-out-below", "train-run-dir", "ablate-out", "eval-dir", "eval-dir-entry",
-        "eval-dir-tabular"])
+        "eval-dir-tabular", "train-config-not-utf8", "ablate-config-not-utf8",
+        "eval-config-not-utf8", "config-line-without-equals", "set-without-equals",
+        "empty-element-list", "unknown-format", "comment-without-id", "eval-short-atom-line",
+        "predict-short-atom-line", "eval-dir-without-xyz"])
 def test_bad_input_is_one_line_with_its_exit_code(trained_run, config_file, tmp_path, capsys,
                                                  argv, code, start):
     places = {"cfg": config_file, "file": tmp_path / "taken", "ckpt": trained_run / "best.ckpt",
-              "dir": tmp_path / "molecules", "nested": tmp_path / "nested"}
+              "dir": tmp_path / "molecules", "nested": tmp_path / "nested",
+              "empty": tmp_path / "empty", "latin": tmp_path / "latin.cfg",
+              "noeq": tmp_path / "noeq.cfg", "nocol": tmp_path / "nocol.xyz",
+              "short": tmp_path / "short.xyz"}
     places["file"].write_text("")
+    places["empty"].mkdir()
+    places["latin"].write_bytes(b"\xff\xfe")
+    places["noeq"].write_text("dataset.path\n")
+    places["nocol"].write_text("1\n\nC 0 0 0\n")          # the schema's id column 0 is missing
+    places["short"].write_text("1\nm\nC 0 0\n")
     places["dir"].mkdir()
     (places["dir"] / "a.xyz").write_text("1\na 0.5 1\nC 0 0 0\n")
     (places["dir"] / "empty.xyz").write_text("")
