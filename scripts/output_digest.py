@@ -6,8 +6,10 @@ the ``ggrnet`` package to test (``src`` of a checkout).
 
 For every configuration (dims 50/50/100/100 and 4/4/8/8, each with all
 features on and with each feature switched off, with a 29-row count table;
-and dims 4/4/8/8 with all features on and a 6-row count table, whose last
-row every molecule of more than 6 atoms uses) and every fixed batch of
+dims 4/4/8/8 with all features on and a 6-row count table, whose last row
+every molecule of more than 6 atoms uses; and dims 4/4/8/8 with all
+features on, a 29-row count table and 1 or 2 recursion steps, fewer than
+the recursion's three forward-only blocks) and every fixed batch of
 generated molecules (1 to 29 atoms), one line gives the configuration, the
 batch's atom counts and the sha256 of the no-grad predictions, the recorded
 predictions, the loss and every parameter gradient of the mean squared error.
@@ -37,12 +39,15 @@ import sys
 from dataclasses import replace
 
 BATCHES = ((1,), (2, 3), (1, 4, 5, 6, 7, 8), (9, 12, 15), (17, 21, 25), (29,), (29, 28, 1, 13))
-DIMS = {"default": {}, "small": {"atom_dim": 4, "count_dim": 4, "hidden_dim": 8, "mlp_dim": 8}}
+SMALL = {"atom_dim": 4, "count_dim": 4, "hidden_dim": 8, "mlp_dim": 8}
+DIMS = {"default": {}, "small": SMALL,
+        "small-1-step": {**SMALL, "steps": 1}, "small-2-steps": {**SMALL, "steps": 2}}
 FEATURES = ("all", "use_atom_embedding", "use_count_feature", "use_distance_feature")
 # atom counts of the dataset that evaluate runs on: three chunks, the last partial
 EVAL_SIZES = (1, 3, 9, 29, 2, 14, 7, 5, 21, 11, 6, 28, 4, 17, 1, 8, 25, 12, 2, 19, 10, 23, 3)
 # (dims, feature switched off or "all", count-table rows)
-CONFIGS = [(d, f, 29) for d in DIMS for f in FEATURES] + [("small", "all", 6)]
+CONFIGS = ([(d, f, 29) for d in ("default", "small") for f in FEATURES]
+           + [("small", "all", 6), ("small-1-step", "all", 29), ("small-2-steps", "all", 29)])
 # atom counts of the batch that the overflow cases run
 OVERFLOW_SIZES = (1, 4, 2, 6)
 

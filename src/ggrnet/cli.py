@@ -20,7 +20,8 @@ import numpy as np
 
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .config import RunSpec, load_run_spec, resolve_schema
-from .data import DATASET_FORMATS, Dataset, iter_extended_xyz_records, load_dataset, split
+from .data import (DATASET_FORMATS, Dataset, fit_normalizer, iter_extended_xyz_records,
+                   load_dataset, split)
 from .errors import (CheckpointError, ConfigError, DataError, NumericalError, ParseError,
                      VocabularyError)
 from .gradcheck import DEFAULT_CHECK_CONFIG, run_gradcheck
@@ -103,8 +104,10 @@ def _training_inputs(args) -> tuple[RunSpec, str, str, list[tuple[Dataset, Datas
     """The inputs of train and ablate: the run spec, its ``target`` and the
     target's unit, and the ``(train, val, test)`` split of each of ``run.runs``
     runs. The spec's ``train.*``, ``model.*``, ``split.*`` and ``dataset.*``
-    values are checked, then the dataset is read, its target found and every
-    split made, so an input that fails does so before any output is made."""
+    values are checked, then the dataset is read, its target found, every
+    split made and a normalizer fitted on every training partition (which
+    :func:`train` fits again), so an input that fails does so before any
+    output is made."""
     spec = load_run_spec(args.config, _flag_overrides(args))
     spec.train_config()
     spec.split_spec()
@@ -114,6 +117,8 @@ def _training_inputs(args) -> tuple[RunSpec, str, str, list[tuple[Dataset, Datas
         raise DataError(f"target '{target}' not among dataset properties {ds.property_names}")
     splits = [split(ds, spec.split_spec(r if spec["run.resplit"] else 0))
               for r in range(spec["run.runs"])]
+    for train_ds, _, _ in splits:
+        fit_normalizer(train_ds, target)
     return spec, target, ds.units.get(target, ""), splits
 
 

@@ -24,23 +24,24 @@ The whole recursion is one recorded op, :func:`message_step`, whose tape
 inputs are the tensors it reads, tables included. The embedding, count and
 bias parts of the terms are the same at every step (the skip connections),
 so they are formed once per batch, and a step adds only the hidden-state
-product. Each grid is built by one stacked BLAS product of
-the molecule's constant ``[N, N, 2]`` pair matrix ``[inv_dist | 1]`` with
-per-kind, per-receiver ``[2, hidden]`` right-hand sides ``[w_d; R[v]]``,
-which forms distance and receiver terms together, and one in-place addition
-of both sender terms. Overflow is checked on one batch-wide bound of the
-terms per step, and on the grid entries only in a step where that bound is
-not finite. The op's hand-written backward runs
-back-propagation through time: it walks the steps in reverse, reduces each
-molecule's grids to per-atom adjoints, and forms each weight gradient once
-per batch from the adjoints of all steps; the embedding gradients are
-scatter-added per table row. The op carves its batch-sized arrays out of one
-flat workspace that outlives the batch, so the next batch reuses memory that
-is already mapped instead of faulting it in afresh. Both
-modes build each molecule's grid in turn into one slot sized for the
-largest molecule. A recorded recursion activates into grids of its own,
-which it keeps there with every step's input state and the per-step
-adjoints, and hands the workspace back at the end of its backward; a
+product (step 0, whose state is zero, not even that). Each grid is built by
+one stacked BLAS product of the molecule's constant ``[N, N, 2]`` pair
+matrix ``[inv_dist | 1]`` with per-kind, per-receiver ``[2, hidden]``
+right-hand sides ``[w_d; R[v]]``, which forms distance and receiver terms
+together, and one in-place addition of both sender terms. Overflow is
+checked on one batch-wide bound of the terms per step, and on the grid
+entries only in a step where that bound is not finite. The op's hand-written
+backward runs back-propagation through time: it walks the steps in reverse,
+reduces each molecule's grids to per-atom adjoints, and forms each weight
+gradient once per batch from the adjoints of all steps; the embedding
+gradients are scatter-added per table row. The op carves its batch-sized
+arrays out of one flat workspace that outlives the batch, so the next batch
+reuses memory that is already mapped instead of faulting it in afresh. Both
+modes build each molecule's grid in turn into one slot sized for the largest
+molecule. A recorded recursion activates into grids of its own, which it
+keeps there with the input state of every step after the first. Its backward
+lays the per-step adjoints over the blocks that only the forward reads, sums
+them over steps in place, and hands the workspace back at its end; a
 recursion without a graph activates in place and hands the workspace back
 when it returns. A no-grad recursion can also run R replicas of the batch,
 each with one tensor's values replaced, as the gradient check does. Their
@@ -299,15 +300,18 @@ def _workspace_size(cfg: ModelConfig, sizes: Sequence[int], replicas: int = 1,
     """Entries that a :func:`message_step` call on molecules of ``sizes``
     atoms carves from its workspace, exactly: per replica, the stacked
     weights, fixed and terms, the right-hand sides, the grid slot and the
-    states; and, when recording, the gate and candidate grids of every step
-    and every molecule with pairs (one-atom molecules have none), and the
-    per-step adjoints."""
+    states (one buffer, or, when recording, the input state of every step
+    after the first); and, when recording, the gate and candidate grids of
+    every step and every molecule with pairs (one-atom molecules have none),
+    and the per-step adjoints beyond the three ``[ΣN, 4 hidden]`` blocks of
+    fixed, terms and the right-hand sides, which they overlay."""
     hidden, steps, atoms = cfg.hidden_dim, cfg.steps, sum(sizes)
     size = replicas * (
         2 * hidden * cfg.concat_dim + 12 * atoms * hidden + 2 * max(sizes) ** 2 * hidden
-        + (steps if recording else 1) * atoms * hidden)
+        + (steps - 1 if recording else 1) * atoms * hidden)
     if recording:
-        size += steps * hidden * (4 * atoms + 2 * sum(n * n for n in sizes if n > 1))
+        size += hidden * ((max(steps, 3) - 3) * 4 * atoms
+                          + steps * 2 * sum(n * n for n in sizes if n > 1))
     return size
 
 
@@ -384,9 +388,10 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     ``S = (W_s,x x + W_s,h h)ᵀ``. Only the ``h`` products change from step to
     step, so the rest of all four terms is one ``[ΣN, 4 hidden]`` block formed
     once per batch, and each step adds one product of the state with the four
-    hidden-state blocks stacked. The block's embedding and count parts are
-    products with the whole tables, gathered per atom, whose shapes no batch
-    changes; the state product takes C-contiguous operands (the hidden-state
+    hidden-state blocks stacked. Step 0 reads the zero initial state, so its
+    terms are ``0 + block``, which rounds -0.0 to +0.0, with no product. The
+    block's embedding and count parts are products with the whole tables,
+    gathered per atom, whose shapes no batch changes; the state product takes C-contiguous operands (the hidden-state
     blocks are stored transposed), with which BLAS computes every atom's row
     the same way in any batch. So a molecule's final state has the same bits
     whatever the rest of its batch. The gate's columns are stored negated, so
@@ -431,26 +436,30 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     naming the molecule and step. Each weight block's gradient is then one
     matmul over the atom rows of all steps (from step 1 for the hidden-state
     blocks, as step 0 reads zeros), or over their sum for the step-invariant
-    blocks. Each table's gradient is its atoms' adjoint rows scatter-added
-    (``np.add.at``), so atoms that share a row accumulate; the tape raises on
-    a non-finite one, naming the table. The weight products read the gathered
-    rows with the one-atom molecules' zeroed, so a non-finite row that only
-    they read gives no gradient.
+    blocks, formed in place in step order from +0.0. Each table's gradient is
+    its atoms' adjoint rows scatter-added (``np.add.at``), so atoms that share
+    a row accumulate; the tape raises on a non-finite one, naming the table.
+    The weight products read the gathered rows with the one-atom molecules'
+    zeroed, so a non-finite row that only they read gives no gradient.
 
-    Every batch-sized array the op uses is a view of one workspace checked
-    out for this call alone (:func:`_workspace_size`). Once per replica, it
-    holds the stacked weight blocks (the gate's negated straight into it,
-    with no temporaries), the ``[ΣN, 4 hidden]`` terms, the right-hand sides
-    and one grid slot sized for the largest molecule, into which each
-    molecule's grids are built in turn; it holds no pair matrix. When
-    ``graph`` records, ``exp`` and ``tanh`` write each step's activations
-    into grids of their own, and the workspace also holds each step's input
-    state and the per-step adjoints; the backward uses the slot as scratch
-    and hands the workspace back when it ends.
-    Without a graph the activations stay in the slot, so inference holds one
-    molecule's grid at a time, one state buffer is read and rewritten by
-    every step, and the workspace is handed back when the call returns. Only
-    the final states are a fresh array.
+    Every batch-sized array the op uses is a view of one workspace checked out
+    for this call alone (:func:`_workspace_size`). Once per replica, it holds
+    the stacked weight blocks (the gate's negated straight into it, with no
+    temporaries), the ``[ΣN, 4 hidden]`` terms, the right-hand sides and one
+    grid slot sized for the largest molecule, into which each molecule's grids
+    are built in turn; it holds no pair matrix. When ``graph`` records, ``exp``
+    and ``tanh`` write each step's activations into grids of their own, and the
+    workspace also holds the input state of each step after the first, the only
+    ones that the backward reads. The step-invariant block, the terms and the
+    right-hand sides, three ``[ΣN, 4 hidden]`` blocks that only the forward
+    reads, then start one block of ``max(steps, 3)`` such blocks, which the
+    backward views as its ``[steps, ΣN, 4 hidden]`` per-step adjoints, and
+    whose first block then takes their sum over steps. The backward uses the
+    slot as scratch and hands the workspace back when it ends. Without a graph
+    the activations stay in the slot, so inference holds one molecule's grid at
+    a time, one state buffer is read and rewritten by every step, and the
+    workspace is handed back when the call returns. Only the final states are a
+    fresh array.
     """
     hidden, steps = cfg.hidden_dim, cfg.steps
     half = cfg.atom_dim + hidden                  # receiver columns; sender ones follow
@@ -503,8 +512,11 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
         np.negative(gate_w[:, :, c].transpose(0, 2, 1), out=w_h[:, :, i, 0])
         w_h[:, :, i, 1] = cand_w[:, :, c].transpose(0, 2, 1)
     w_h = w_h.reshape(reps, hidden, 4 * hidden)
-    fixed = carve((reps, atoms, 4 * hidden))
-    terms = carve((reps, atoms, 4 * hidden))     # every step's four terms, one buffer
+    # the forward-only fixed, terms and rhs, then, recorded, room for the
+    # backward's per-step adjoints, which it lays over all of them
+    block = carve((max(steps, 3) if recording else 3, reps * atoms * 4 * hidden))
+    fixed = block[0].reshape(reps, atoms, 4 * hidden)
+    terms = block[1].reshape(reps, atoms, 4 * hidden)  # every step's four terms, one buffer
     # the embedding and count parts: one product per table row, of a shape that
     # no batch changes, gathered per atom (mode="clip" writes without a
     # temporary; every index is in range)
@@ -532,7 +544,7 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     # product is rounded before R is added, as the bound assumes (an
     # FMA-accumulating BLAS gives other bits with R first). The replica axis is
     # innermost, as in the grids
-    rhs = carve((atoms, 2, 2, hidden, reps))
+    rhs = block[2].reshape(atoms, 2, 2, hidden, reps)
     rhs[:, :, 0] = w_d.reshape(reps, 2, hidden).transpose(1, 2, 0)
     # the step-invariant views of each molecule that has pairs: its atom rows,
     # pair matrix, [2, n, 2, hidden R] right-hand sides, [2, 1, n, hidden, R]
@@ -548,16 +560,19 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
                          blocks[:, a:b, 2:].transpose(2, 1, 3, 0)[:, None],
                          pre, pre.reshape(2, n, n, -1)))
     lone = bounds[:-1][counts < 2]
-    # each step's input state, or one buffer that a step reads before it writes
-    states = carve((steps if recording else 1, reps, atoms, hidden))
-    states[0] = 0.0
+    # the input state of each step after the first (step 0 reads zeros and
+    # skips its product), or one buffer that a step reads before it writes
+    states = carve((steps - 1 if recording else 1, reps, atoms, hidden))
     grids: list[list[np.ndarray]] = []
     # exp of the negated gate overflows to inf above 709, giving a gate of exactly 0;
     # an overflow or NaN anywhere else raises once its grid is built
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
-            np.matmul(states[step % len(states)], w_h, out=terms)
-            terms += fixed
+            if step == 0:                         # a zero state: 0 + fixed, -0.0 included
+                np.add(fixed, 0.0, out=terms)
+            else:
+                np.matmul(states[(step - 1) % len(states)], w_h, out=terms)
+                terms += fixed
             # the batch's bound, with max|terms| for both R and S: if it is
             # finite, so is every grid entry, and no grid is checked
             top = max(float(terms.max()), -float(terms.min()))
@@ -565,7 +580,7 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
             rhs[:, :, 1] = blocks[:, :, :2].transpose(1, 2, 3, 0)
             # the returned states are the one array that outlives the workspace
             h = (np.empty((reps, atoms, hidden)) if step == steps - 1
-                 else states[(step + 1) % len(states)])
+                 else states[step % len(states)])
             h[:, lone] = 0.0
             # h as [ΣN, hidden, R], the layout of the grids' sums
             h_t = h.transpose(1, 2, 0)
@@ -607,7 +622,8 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
         pending = grids[:]
         grids.clear()
         g = g[0]
-        d_terms = carve((steps, atoms, 4 * hidden))
+        # the per-step adjoints, over the forward-only blocks, which are dead now
+        d_terms = block.reshape(-1, atoms, 4 * hidden)[:steps]
         d_terms[:, lone] = 0.0                    # no pairs, so no adjoints
         d_wd = np.zeros((2, hidden))
         ones = np.ones(max(sizes))
@@ -644,9 +660,14 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
                 check(g, step)
         # the initial state is zero, so its step adds nothing to the hidden-state blocks
         d_w = np.zeros((2 * hidden, cfg.concat_dim))   # rows: negated gate, candidate
-        d_w_h = d_terms[1:].reshape(-1, 4 * hidden).T @ states[1:].reshape(-1, hidden)
+        d_w_h = d_terms[1:].reshape(-1, 4 * hidden).T @ states.reshape(-1, hidden)
         d_w[:, recv_h], d_w[:, send_h] = d_w_h[:2 * hidden], d_w_h[2 * hidden:]
-        d_fixed = d_terms.sum(axis=0)
+        # the sum over steps, in place, in the order of d_terms.sum(axis=0),
+        # which starts from +0.0
+        d_fixed = d_terms[0]
+        d_fixed += 0.0
+        for adjoint in d_terms[1:]:
+            d_fixed += adjoint
         d_recv = d_fixed[:, :2 * hidden]
         d_x = d_count = None                      # the tables' gradients
         # the gathered rows, with the lone atoms' zeroed: their adjoints are 0,

@@ -15,7 +15,7 @@ import pytest
 from ggrnet.cli import main
 from ggrnet.data import Molecule, SplitSpec, fit_normalizer, split
 from ggrnet.gradcheck import run_gradcheck
-from ggrnet.model import ModelConfig, init_params, forward
+from ggrnet.model import ModelConfig, MoleculeEncoding, forward, forward_batch, init_params
 from ggrnet.synth import geometric_dataset, random_molecule, random_molecules
 from ggrnet.training import TrainConfig, lr_at_epoch, run_ablation, train
 import ggrnet.autodiff as ad
@@ -58,28 +58,42 @@ def test_criterion_2_symmetry_suite(capsys):
     rng = np.random.default_rng(2024)
     molecules = random_molecules(777, 100, size_range=(1, 6), elements=VOCAB)
 
+    def predictions(mols, model_cfg):
+        # a molecule's prediction has the same bits in any batch, so the
+        # molecules run through forward_batch in chunks
+        encodings = [MoleculeEncoding(m, VOCAB, model_cfg) for m in mols]
+        return np.concatenate([forward_batch(None, encodings[i:i + 120], params,
+                                             model_cfg).values[0]
+                               for i in range(0, len(encodings), 120)])
+
     worst_perm = 0.0
     worst_rigid = 0.0
     for mol in molecules:
-        base = forward(None, mol, params, cfg, VOCAB).item()
-        for perm in itertools.permutations(range(mol.natoms)):
-            shuffled = Molecule(mol.mol_id, tuple(mol.symbols[i] for i in perm),
-                                mol.coords[list(perm)], {})
-            delta = abs(forward(None, shuffled, params, cfg, VOCAB).item() - base)
-            worst_perm = max(worst_perm, delta)
+        shuffled = [Molecule(mol.mol_id, tuple(mol.symbols[i] for i in perm),
+                             mol.coords[list(perm)], {})
+                    for perm in itertools.permutations(range(mol.natoms))]
+        moved = []
         for _ in range(20):
             q, r = np.linalg.qr(rng.normal(size=(3, 3)))
             q *= np.sign(np.diag(r))
             if np.linalg.det(q) < 0:
                 q[:, 0] *= -1
-            moved = Molecule(mol.mol_id, mol.symbols,
-                             mol.coords @ q.T + rng.uniform(-10, 10, 3), {})
-            delta = abs(forward(None, moved, params, cfg, VOCAB).item() - base)
-            worst_rigid = max(worst_rigid, delta)
-        base_nd = forward(None, mol, params, nodist, VOCAB).item()
+            moved.append(Molecule(mol.mol_id, mol.symbols,
+                                  mol.coords @ q.T + rng.uniform(-10, 10, 3), {}))
         scrambled = Molecule(mol.mol_id, mol.symbols,
                              rng.uniform(-50, 50, mol.coords.shape), {})
-        assert forward(None, scrambled, params, nodist, VOCAB).item() == base_nd
+        preds = predictions([mol, *shuffled, *moved], cfg)
+        base, perm_preds, rigid_preds = preds[0], preds[1:-20], preds[-20:]
+        worst_perm = max(worst_perm, float(np.abs(perm_preds - base).max()))
+        worst_rigid = max(worst_rigid, float(np.abs(rigid_preds - base).max()))
+        base_nd, scrambled_nd = predictions([mol, scrambled], nodist)
+        assert scrambled_nd == base_nd
+        # a fixed sample of the batched predictions has the bits of one-by-one calls
+        for got, one, model_cfg in ((base, mol, cfg), (perm_preds[-1], shuffled[-1], cfg),
+                                    (rigid_preds[0], moved[0], cfg),
+                                    (scrambled_nd, scrambled, nodist)):
+            alone = forward(None, one, params, model_cfg, VOCAB).values[0, 0]
+            assert got.tobytes() == alone.tobytes()
 
     assert worst_perm < 1e-9, worst_perm
     assert worst_rigid < 1e-9, worst_rigid

@@ -208,12 +208,18 @@ def test_out_of_range_setting_is_one_line_exit_2_naming_its_key(config_file, tmp
     (["split.train=0.9", "split.val=0.05", "split.test=0.05"],
      "split of 10 molecules gives sizes (10, 0, 0)"),
     (["target=nosuch"], "target 'nosuch' not among dataset properties"),
-], ids=["tabular-dir", "dir-without-xyz", "empty-partition", "unknown-target"])
+    (["dataset.path={constant}"], "target 'energy' is constant over the training set"),
+], ids=["tabular-dir", "dir-without-xyz", "empty-partition", "unknown-target",
+        "constant-target"])
 def test_an_input_that_fails_is_one_line_exit_3_and_makes_no_out(config_file, tmp_path, capsys,
                                                                  command, settings, start):
-    # the data is read, its target found and every run's split made before --out
-    places = {"dir": tmp_path / "molecules"}
+    # the data is read, its target found, every run's split made and its
+    # normalizer fitted before --out
+    places = {"dir": tmp_path / "molecules", "constant": tmp_path / "constant.xyz"}
     places["dir"].mkdir()
+    # ten two-atom molecules that all have energy 1.0
+    places["constant"].write_text("".join(f"2\nc{k} 1.0 0.0\nH 0 0 0\nH 0 0 {1 + k / 10}\n"
+                                          for k in range(10)))
     out = tmp_path / "o"
     sets = [arg for setting in settings for arg in ("--set", setting.format(**places))]
     assert main([*command, "--config", str(config_file), "--out", str(out), *sets]) == 3

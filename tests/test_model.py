@@ -1006,11 +1006,12 @@ def test_non_finite_rows_that_only_a_lone_atom_reads_leave_every_gradient_alone(
         assert finite.tobytes() == nan.tobytes(), name
 
 
-@pytest.mark.parametrize("sizes", [(4, 6, 2), (1, 4, 6), (1,)])
+@pytest.mark.parametrize("sizes", [(4, 6, 2), (1, 4, 6), (1,), (1, 1)])
 def test_the_recursion_carves_exactly_its_workspace_size(monkeypatch, sizes):
     # no-grad, recorded (through its backward) and replicated calls, with and
-    # without one-atom molecules; the recursion makes the first carver of each
-    cfg = ModelConfig(atom_dim=4, count_dim=4, hidden_dim=8, mlp_dim=8, steps=3)
+    # without one-atom molecules, and with 1 and 2 steps, fewer than the three
+    # forward-only blocks that a recorded call lays its per-step adjoints
+    # over; the recursion makes the first carver of each
     carved = []
     carver = model._carver
 
@@ -1025,20 +1026,31 @@ def test_the_recursion_carves_exactly_its_workspace_size(monkeypatch, sizes):
         return counted
 
     monkeypatch.setattr(model, "_carver", counting)
-    params = init_params(cfg, len(VOCAB), 8, seed=85)
-    encodings = encode(cfg, random_molecules(86, len(sizes), sizes=sizes, elements=VOCAB))
-    stack = np.repeat(params.gate_bias.values[None], 3, axis=0)
+    molecules = random_molecules(86, len(sizes), sizes=sizes, elements=VOCAB)
+    targets = [0.3, -0.2, 0.9][:len(sizes)]
+    for steps in (1, 2, 3):
+        cfg = ModelConfig(atom_dim=4, count_dim=4, hidden_dim=8, mlp_dim=8, steps=steps)
+        params = init_params(cfg, len(VOCAB), 8, seed=85)
+        # MLP biases off zero, so that no ReLU pre-activation sits on the kink
+        for _, b in params.mlp:
+            b.values[:] = np.random.default_rng(87).uniform(-0.3, 0.3, size=b.shape)
+        encodings = encode(cfg, molecules)
+        stack = np.repeat(params.gate_bias.values[None], 3, axis=0)
 
-    message_step(None, params, cfg, encodings)
-    assert carved[0] == model._workspace_size(cfg, sizes)
-    carved.clear()
-    graph = ad.Graph()
-    state = message_step(graph, params, cfg, encodings)
-    ad.backward(graph, mse_loss(graph, readout(graph, state, params, sizes), [0.1] * len(sizes)))
-    assert carved[0] == model._workspace_size(cfg, sizes, recording=True)
-    carved.clear()
-    message_step(None, params, cfg, encodings, replicas=("gate_bias", stack))
-    assert carved[0] == model._workspace_size(cfg, sizes, 3)
+        carved.clear()
+        message_step(None, params, cfg, encodings)
+        assert carved[0] == model._workspace_size(cfg, sizes)
+        carved.clear()
+        graph = ad.Graph()
+        state = message_step(graph, params, cfg, encodings)
+        ad.backward(graph, mse_loss(graph, readout(graph, state, params, sizes), targets))
+        assert carved[0] == model._workspace_size(cfg, sizes, recording=True)
+        carved.clear()
+        message_step(None, params, cfg, encodings, replicas=("gate_bias", stack))
+        assert carved[0] == model._workspace_size(cfg, sizes, 3)
+        # and the recorded gradients of this layout are right
+        report = gradient_check(params, cfg, molecules, targets, VOCAB)
+        assert report.max_error < 1e-5, (steps, report)
 
 
 def test_non_finite_gradient_names_the_molecule_and_step():
@@ -1150,6 +1162,36 @@ def test_training_batches_reuse_the_recursion_workspace():
         tracemalloc.stop()
     grid_bytes = 2 * sum(m.natoms ** 2 for m in molecules) * cfg.hidden_dim * 8 * cfg.steps
     assert peak < grid_bytes / 2, (peak, grid_bytes)
+
+
+def test_a_warm_backward_allocates_no_per_atom_terms_block(monkeypatch):
+    # the backward lays its per-step adjoints, and their sum over steps, over
+    # the forward-only blocks of its workspace, so it allocates no [ΣN, 4 hidden]
+    # array of its own; the workspace is handed back as the backward's last act,
+    # when every array it allocated is still alive
+    cfg = ModelConfig()
+    molecules = [random_molecule(np.random.default_rng(60 + n), n, elements=VOCAB)
+                 for n in (12, 20, 29)]
+    params = init_params(cfg, len(VOCAB), 29, seed=61)
+    encodings = [MoleculeEncoding(m, VOCAB, cfg) for m in molecules]
+    batch_gradients(params, cfg, encodings, [0.0] * 3)
+    alive = []
+    give = model._give_workspace
+
+    def give_after_a_snapshot(buf):
+        alive.extend(trace.size for trace in tracemalloc.take_snapshot().traces)
+        give(buf)
+
+    monkeypatch.setattr(model, "_give_workspace", give_after_a_snapshot)
+    graph = ad.Graph()
+    loss = mse_loss(graph, forward_batch(graph, encodings, params, cfg), [0.0] * 3)
+    tracemalloc.start()
+    try:
+        ad.backward(graph, loss)
+    finally:
+        tracemalloc.stop()
+    block = sum(m.natoms for m in molecules) * 4 * cfg.hidden_dim * 8
+    assert alive and block not in alive, sorted(alive)[-5:]
 
 
 def test_interleaved_graphs_keep_their_own_grids():
