@@ -391,14 +391,15 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     hidden-state blocks stacked. Step 0 reads the zero initial state, so its
     terms are ``0 + block``, which rounds -0.0 to +0.0, with no product. The
     block's embedding and count parts are products with the whole tables,
-    gathered per atom, whose shapes no batch changes; the state product takes C-contiguous operands (the hidden-state
-    blocks are stored transposed), with which BLAS computes every atom's row
-    the same way in any batch. So a molecule's final state has the same bits
-    whatever the rest of its batch. The gate's columns are stored negated, so
-    the sigmoid's ``exp`` runs on the grid as built. Each molecule's
-    ``[2, n, n, hidden]`` grid (gate and candidate, receiver, sender, hidden)
-    gives the messages ``sigmoid(gate) * tanh(candidate)``, diagonal masked,
-    summed over senders and divided by n.
+    gathered per atom, whose shapes no batch changes; the state product takes
+    C-contiguous operands (the hidden-state blocks are stored transposed), with
+    which BLAS computes every atom's row the same way in any batch. So a
+    molecule's final state has the same bits whatever the rest of its batch.
+    The gate's columns are stored negated, so the sigmoid's ``exp`` runs on the
+    grid as built. Each molecule's ``[2, n, n, hidden]`` grid (gate and
+    candidate, receiver, sender, hidden) gives the messages
+    ``sigmoid(gate) * tanh(candidate)``, diagonal masked, summed over senders
+    and divided by n.
 
     Each grid is built in the order ``(dist + R) + S``: one stacked product
     of the molecule's ``[n, n, 2]`` pair matrix ``[inv_dist | 1]`` (first

@@ -1032,8 +1032,9 @@ def test_the_recursion_carves_exactly_its_workspace_size(monkeypatch, sizes):
         cfg = ModelConfig(atom_dim=4, count_dim=4, hidden_dim=8, mlp_dim=8, steps=steps)
         params = init_params(cfg, len(VOCAB), 8, seed=85)
         # MLP biases off zero, so that no ReLU pre-activation sits on the kink
+        rng = np.random.default_rng(87)
         for _, b in params.mlp:
-            b.values[:] = np.random.default_rng(87).uniform(-0.3, 0.3, size=b.shape)
+            b.values[:] = rng.uniform(-0.3, 0.3, size=b.shape)
         encodings = encode(cfg, molecules)
         stack = np.repeat(params.gate_bias.values[None], 3, axis=0)
 
@@ -1167,8 +1168,8 @@ def test_training_batches_reuse_the_recursion_workspace():
 def test_a_warm_backward_allocates_no_per_atom_terms_block(monkeypatch):
     # the backward lays its per-step adjoints, and their sum over steps, over
     # the forward-only blocks of its workspace, so it allocates no [ΣN, 4 hidden]
-    # array of its own; the workspace is handed back as the backward's last act,
-    # when every array it allocated is still alive
+    # array of its own; the snapshot is taken as it hands the workspace back,
+    # its last act, while the sum over steps is still in use
     cfg = ModelConfig()
     molecules = [random_molecule(np.random.default_rng(60 + n), n, elements=VOCAB)
                  for n in (12, 20, 29)]
