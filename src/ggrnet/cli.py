@@ -100,14 +100,17 @@ def _flag_overrides(args) -> list[str]:
     return overrides
 
 
-def _training_inputs(args) -> tuple[RunSpec, str, str, list[tuple[Dataset, Dataset, Dataset]]]:
+def _training_inputs(args, every_run: bool) -> tuple[
+        RunSpec, str, str, list[tuple[int, tuple[Dataset, Dataset, Dataset]]]]:
     """The inputs of train and ablate: the run spec, its ``target`` and the
-    target's unit, and the ``(train, val, test)`` split of each of ``run.runs``
-    runs. The spec's ``train.*``, ``model.*``, ``split.*`` and ``dataset.*``
-    values are checked, then the dataset is read, its target found, every
-    split made and a normalizer fitted on every training partition (which
-    :func:`train` fits again), so an input that fails does so before any
-    output is made."""
+    target's unit, and the split seed and ``(train, val, test)`` split of
+    each run the command trains: all ``run.runs`` when ``every_run``, else
+    the first. Run r's split seed is ``split.seed`` plus r with
+    ``run.resplit``, else ``split.seed``. The spec's ``train.*``,
+    ``model.*``, ``split.*`` and ``dataset.*`` values are checked, then the
+    dataset is read, its target found, the splits made and a normalizer
+    fitted on each training partition (which :func:`train` fits again), so
+    an input that fails does so before any output is made."""
     spec = load_run_spec(args.config, _flag_overrides(args))
     spec.train_config()
     spec.split_spec()
@@ -115,11 +118,13 @@ def _training_inputs(args) -> tuple[RunSpec, str, str, list[tuple[Dataset, Datas
     target = spec["target"]
     if target not in ds.property_names:
         raise DataError(f"target '{target}' not among dataset properties {ds.property_names}")
-    splits = [split(ds, spec.split_spec(r if spec["run.resplit"] else 0))
-              for r in range(spec["run.runs"])]
-    for train_ds, _, _ in splits:
-        fit_normalizer(train_ds, target)
-    return spec, target, ds.units.get(target, ""), splits
+    runs = []
+    for r in range(spec["run.runs"] if every_run else 1):
+        split_spec = spec.split_spec(r if spec["run.resplit"] else 0)
+        partitions = split(ds, split_spec)
+        fit_normalizer(partitions[0], target)
+        runs.append((split_spec.seed, partitions))
+    return spec, target, ds.units.get(target, ""), runs
 
 
 def _out_dir(path) -> Path:
@@ -139,14 +144,15 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _cmd_train(args) -> int:
-    spec, target, unit, splits = _training_inputs(args)
+    spec, target, unit, runs = _training_inputs(args, every_run=True)
     out = _out_dir(args.out)
-    run_dirs = [out] if len(splits) == 1 else [_out_dir(out / f"run{r}")
-                                               for r in range(len(splits))]
+    run_dirs = [out] if len(runs) == 1 else [_out_dir(out / f"run{r}")
+                                             for r in range(len(runs))]
     _write_text(out / "manifest.cfg", spec.manifest_text())
     run_infos = []
     with _thread_cap(spec["run.threads"]) as blas_threads:
-        for r, (run_dir, (train_ds, val_ds, test_ds)) in enumerate(zip(run_dirs, splits)):
+        for r, (run_dir, (split_seed, (train_ds, val_ds, test_ds))) in enumerate(
+                zip(run_dirs, runs)):
             cfg = spec.train_config(seed_offset=r)
             with open(run_dir / "metrics.jsonl", "w", encoding="utf-8") as metrics_fh, \
                     open(run_dir / "timing.jsonl", "w", encoding="utf-8") as timing_fh:
@@ -174,8 +180,7 @@ def _cmd_train(args) -> int:
                                  result.vocabulary, target)
             test_final = evaluate(result.final_params, test_ds, result.normalizer, cfg.model,
                                   result.vocabulary, target)
-            run_infos.append({"run": r, "seed": cfg.seed,
-                              "split_seed": spec.split_spec(r if spec["run.resplit"] else 0).seed,
+            run_infos.append({"run": r, "seed": cfg.seed, "split_seed": split_seed,
                               "best_epoch": result.best_epoch,
                               "best_val_mae": result.best_val_mae,
                               "test_mae_best": test_best.mae,
@@ -288,7 +293,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    spec, _, _, splits = _training_inputs(args)
+    spec, _, _, [(_, partitions)] = _training_inputs(args, every_run=False)
     out = _out_dir(args.out) if args.out else None
     which = list(ABLATION_FLAGS) if args.which == "all" else [args.which]
 
@@ -297,7 +302,7 @@ def _cmd_ablate(args) -> int:
               f"val_mae={rep.val_mae:.6g}", file=sys.stderr)
 
     with _thread_cap(spec["run.threads"]):
-        rows = run_ablation(spec.train_config(), *splits[0], which, epoch_callback=progress)
+        rows = run_ablation(spec.train_config(), *partitions, which, epoch_callback=progress)
 
     print("variant\tval_mae\ttest_mae")
     for row in rows:

@@ -181,7 +181,7 @@ def load_run_spec(path, overrides: Sequence[str] = ()) -> RunSpec:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as err:
         raise ConfigError(f"config file {path}: cannot read: {err.strerror}") from err
     except UnicodeDecodeError as err:

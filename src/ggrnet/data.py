@@ -261,7 +261,7 @@ class CommentSchema:
     def from_file(path) -> "CommentSchema":
         """Read a JSON schema; a structure other than the documented one raises
         :class:`DataError`."""
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise DataError("schema is not a JSON object")
@@ -288,12 +288,13 @@ def _is_column(value) -> bool:
 
 
 def _as_text(text, first_line: int = 1) -> str:
-    """``text`` as str, bytes decoded as UTF-8; undecodable bytes raise a
-    :class:`ParseError` naming their line, counted from ``first_line``."""
+    """``text`` as str, bytes decoded as UTF-8, without the byte-order mark
+    that may start line 1; undecodable bytes raise a :class:`ParseError`
+    naming their line, counted from ``first_line``."""
     if not isinstance(text, bytes):
         return text
     try:
-        return text.decode("utf-8")
+        return text.decode("utf-8-sig" if first_line == 1 else "utf-8")
     except UnicodeDecodeError as err:
         # the lines before the bad byte, the one it is on included
         before = text[:err.start].decode("utf-8") + "."

@@ -1,67 +1,23 @@
 """Gated graph recursive network over complete directed molecular graphs.
 
-Per recursion step, every ordered atom pair (receiver, sender) contributes a
-gated message built from the pair's input embeddings, current hidden
-vectors, the molecule-size embedding, and the reciprocal pair distance; the
-receiver's next hidden vector is the message sum divided by the atom count.
-One weight set is shared across all steps, and the input embeddings re-enter
-the message at every step. The readout averages the final hidden vectors and
-applies a three-layer ReLU MLP down to a scalar.
+The model is one gated recursion over every ordered atom pair of a
+molecule, whose messages read the input embeddings again at every step,
+then a mean over atoms and a three-layer ReLU MLP down to a scalar. A batch
+runs as one disjoint union of its molecules' atom rows, and a molecule's
+prediction has the same bits in any batch. In this module:
 
-A batch of molecules runs as one disjoint union: the atoms of all molecules
-are the rows of one ``[ΣN, hidden]`` state, molecule after molecule, and
-every recorded op of a forward pass covers the whole batch. Gate and
-candidate are affine in the concatenated pair input, so each splits by block
-into a receiver term and a sender term, each a ``[ΣN, hidden]`` product with
-the atom rows of the batch, plus the count term (each atom carries its
-molecule's count embedding, a row gathered from the table) and the distance
-weight times the molecule's ``[N, N]`` inverse-distance matrix. Pairs exist
-only within a molecule, so each molecule gets its own ``[2, N, N, hidden]``
-pre-activation grid (gate and candidate, receiver, sender, hidden
-innermost), whose diagonal is masked out.
-
-The whole recursion is one recorded op, :func:`message_step`, whose tape
-inputs are the tensors it reads, tables included. The embedding, count and
-bias parts of the terms are the same at every step (the skip connections),
-so they are formed once per batch, and a step adds only the hidden-state
-product (step 0, whose state is zero, not even that). Each grid is built by
-one stacked BLAS product of the molecule's constant ``[N, N, 2]`` pair
-matrix ``[inv_dist | 1]`` with per-kind, per-receiver ``[2, hidden]``
-right-hand sides ``[w_d; R[v]]``, which forms distance and receiver terms
-together, and one in-place addition of both sender terms. Overflow is
-checked on one batch-wide bound of the terms per step, and on the grid
-entries only in a step where that bound is not finite. The op's hand-written
-backward runs back-propagation through time: it walks the steps in reverse,
-reduces each molecule's grids to per-atom adjoints, and forms each weight
-gradient once per batch from the adjoints of all steps; the embedding
-gradients are scatter-added per table row. The op carves its batch-sized
-arrays out of one flat workspace that outlives the batch, so the next batch
-reuses memory that is already mapped instead of faulting it in afresh. Both
-modes build each molecule's grid in turn into one slot sized for the largest
-molecule. A recorded recursion activates into grids of its own, which it
-keeps there with the input state of every step after the first. Its backward
-lays the per-step adjoints over the blocks that only the forward reads, sums
-them over steps in place, and hands the workspace back at its end; a
-recursion without a graph activates in place and hands the workspace back
-when it returns. A no-grad recursion can also run R replicas of the batch,
-each with one tensor's values replaced, as the gradient check does. Their
-grids put the replica axis innermost, beside hidden, so they run as one
-recursion of hidden width ``hidden R``: each grid product and elementwise
-pass covers all replicas at once. Each grid entry still gets the operations
-of a call with one replica, in the same order, so each replica keeps its
-bits. A stage that does not read the replaced tensor runs once for all
-replicas.
-
-The whole readout is one op too, :func:`readout`, with a hand-written
-backward: each molecule's mean is a segment sum of its rows, and the MLP
-runs one matrix-vector product per molecule and layer, stacked over a
-leading replica axis, so the replicas of a no-grad pass are read out in one
-call. No atom's terms and no molecule's readout come from a product whose
-kernel depends on the rest of the batch, so a molecule's prediction has
-the same bits in any batch. A single molecule is a batch of
-one (:func:`forward`). The constant per-molecule structure (element indices,
-the read-only pair matrix) is built once in :class:`MoleculeEncoding`, which
-every step and call can share.
+- :class:`ModelConfig`, :class:`ModelParams`, :func:`param_shapes` and
+  :func:`init_params`: the sizes, the trainable tensors and their seeded
+  initial values;
+- :class:`MoleculeEncoding`: a molecule's constant structure (element
+  indices and pair matrix), built once and shared by every call;
+- :func:`message_step`: the whole recursion of a batch as one recorded op
+  with a hand-written backward, whose docstring states its derivation;
+  :func:`_layout` lays out the workspace it carves, which the spare-workspace
+  functions keep from call to call;
+- :func:`readout`: the mean and the MLP as one op;
+- :func:`forward_batch` and :func:`forward`: both, for a batch or for one
+  molecule.
 """
 from __future__ import annotations
 
@@ -295,24 +251,34 @@ def _carver(buf: np.ndarray):
     return carve
 
 
+def _layout(cfg: ModelConfig, sizes: Sequence[int], replicas: int = 1,
+            recording: bool = False) -> list[tuple[int, ...]]:
+    """The shapes of the views that a :func:`message_step` call on molecules
+    of ``sizes`` atoms carves from its workspace, in carve order: the grid
+    slot, sized for the largest molecule and first, on the workspace's
+    64-byte boundary (off it, the grid build ran about 10% slower); the
+    stacked embedding, count and distance weights; the transposed
+    hidden-state blocks; the ``[R, ΣN, 4 hidden]`` slabs ``fixed``, terms and
+    right-hand sides, and, recorded, the slabs that the per-step adjoints need
+    beyond them; the states; and, recorded, one region for the grids of every
+    step and every molecule with pairs. Recorded calls have ``R = 1``."""
+    hidden, steps, atoms = cfg.hidden_dim, cfg.steps, sum(sizes)
+    layout = [(replicas * 2 * max(sizes) ** 2 * hidden,),
+              (replicas, 2, 2, hidden, cfg.atom_dim),
+              (replicas, 1, 2, hidden, cfg.count_dim),
+              (replicas, 1, 2, hidden),
+              (replicas, hidden, 2, 2, hidden),
+              (3 * replicas + (max(steps, 3) - 3 if recording else 0), atoms, 4 * hidden),
+              (steps - 1 if recording else 1, replicas, atoms, hidden)]
+    if recording:
+        layout.append((steps * 2 * hidden * sum(n * n for n in sizes if n > 1),))
+    return layout
+
+
 def _workspace_size(cfg: ModelConfig, sizes: Sequence[int], replicas: int = 1,
                     recording: bool = False) -> int:
-    """Entries that a :func:`message_step` call on molecules of ``sizes``
-    atoms carves from its workspace, exactly: per replica, the stacked
-    weights, fixed and terms, the right-hand sides, the grid slot and the
-    states (one buffer, or, when recording, the input state of every step
-    after the first); and, when recording, the gate and candidate grids of
-    every step and every molecule with pairs (one-atom molecules have none),
-    and the per-step adjoints beyond the three ``[ΣN, 4 hidden]`` blocks of
-    fixed, terms and the right-hand sides, which they overlay."""
-    hidden, steps, atoms = cfg.hidden_dim, cfg.steps, sum(sizes)
-    size = replicas * (
-        2 * hidden * cfg.concat_dim + 12 * atoms * hidden + 2 * max(sizes) ** 2 * hidden
-        + (steps - 1 if recording else 1) * atoms * hidden)
-    if recording:
-        size += hidden * ((max(steps, 3) - 3) * 4 * atoms
-                          + steps * 2 * sum(n * n for n in sizes if n > 1))
-    return size
+    """Entries of the workspace that :func:`_layout` lays out."""
+    return sum(map(math.prod, _layout(cfg, sizes, replicas, recording)))
 
 
 def _replica_reader(graph: Graph | None, params: ModelParams,
@@ -359,107 +325,76 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     matrix ``enc.pairs``. A feature that ``cfg`` switches off has no input
     (distances are +0.0): its weight block gets a zero gradient, its table none.
 
-    ``replicas = (name, values)`` runs the batch in one no-grad call, in
-    which replica r reads ``values[r]`` in place of parameter tensor
-    ``name``'s values and shares every other tensor (:func:`_replica_reader`
-    checks them). Every array that the parameters feed carries a leading
-    replica axis, of length R when the recursion reads ``name`` (an
-    embedding table, or a gate or candidate weight or bias), else of length
-    one, since all replicas then share one recursion. So each numpy call of
-    the step loop covers all replicas. The terms are stacked products,
-    ``[R, ΣN, 4 hidden]``. Each molecule's grids are ``[2, n, n, hidden,
-    R]``, the replica axis innermost, so the replicas run as one recursion
-    of width ``hidden R``: one ``[n, 2] @ [2, hidden R]`` product per kind
-    and receiver builds every replica's grids, each activation runs over one
-    contiguous grid per kind, and the sum over senders writes the states
-    through a ``[ΣN, hidden, R]`` view. A grid entry is a two-term product
-    plus a sender term, then elementwise activations, and each state entry
-    a sum over senders in sender order, as in a call with one replica, so
-    each replica keeps its bits; for ``R = 1`` the memory order is that of
-    an ordinary call. The overflow check below covers all replicas. The
-    final states are ``[R, ΣN, hidden]``
-    (``[1, ΣN, hidden]`` for a readout tensor), tested for finiteness once;
-    each ``[ΣN, hidden]`` slice has the bits and the layout of a call with
-    its values written into the live tensor.
-
-    For gate and candidate alike, pair (v, w) of a molecule has the
-    pre-activation ``R[v] + S[w] + w_d * inv_dist[v, w]``, with the receiver
-    term ``R = (W_r,x x + W_cnt count + b + W_r,h h)ᵀ`` and the sender term
-    ``S = (W_s,x x + W_s,h h)ᵀ``. Only the ``h`` products change from step to
-    step, so the rest of all four terms is one ``[ΣN, 4 hidden]`` block formed
-    once per batch, and each step adds one product of the state with the four
-    hidden-state blocks stacked. Step 0 reads the zero initial state, so its
-    terms are ``0 + block``, which rounds -0.0 to +0.0, with no product. The
-    block's embedding and count parts are products with the whole tables,
-    gathered per atom, whose shapes no batch changes; the state product takes
-    C-contiguous operands (the hidden-state blocks are stored transposed), with
-    which BLAS computes every atom's row the same way in any batch. So a
-    molecule's final state has the same bits whatever the rest of its batch.
-    The gate's columns are stored negated, so the sigmoid's ``exp`` runs on the
-    grid as built. Each molecule's ``[2, n, n, hidden]`` grid (gate and
-    candidate, receiver, sender, hidden) gives the messages
-    ``sigmoid(gate) * tanh(candidate)``, diagonal masked, summed over senders
-    and divided by n.
-
-    Each grid is built in the order ``(dist + R) + S``: one stacked product
-    of the molecule's ``[n, n, 2]`` pair matrix ``[inv_dist | 1]`` (first
-    column zero without distances) with the ``[2, n, 2, hidden R]`` right-hand
-    sides ``[w_d; R[v]]`` of both kinds writes ``inv_dist[v, w] w_d + R[v]``
-    for every kind and receiver in one BLAS call, and one in-place addition
-    adds both ``S[w]``.
+    The forward. For gate and candidate alike, pair (v, w) of a molecule
+    has the pre-activation ``R[v] + S[w] + w_d * inv_dist[v, w]``, with the
+    receiver term ``R = (W_r,x x + W_cnt count + b + W_r,h h)ᵀ`` and the
+    sender term ``S = (W_s,x x + W_s,h h)ᵀ``; the messages ``sigmoid(gate) *
+    tanh(candidate)``, diagonal masked, summed over senders and divided by n
+    give the receiver's next state. Only the ``h`` products change from step
+    to step, so the rest of all four terms is one ``[ΣN, 4 hidden]`` block,
+    ``fixed``, formed once per batch from products with the whole tables
+    gathered per atom, and each step adds one product of the state with the
+    four hidden-state blocks, stored transposed so that both operands are
+    C-contiguous. Step 0 reads the zero state, so its terms are ``0 +
+    fixed``, which rounds -0.0 to +0.0, with no product. No product's BLAS
+    kernel depends on the batch, so a molecule's final state has the same
+    bits whatever the rest of its batch. The gate's columns are stored
+    negated, so the sigmoid's ``exp`` runs on the grid as built. Each
+    molecule's ``[2, n, n, hidden]`` grid (gate and candidate, receiver,
+    sender, hidden) is built in the order ``(dist + R) + S``: one stacked
+    product of its ``[n, n, 2]`` pair matrix ``[inv_dist | 1]`` with the
+    right-hand sides ``[w_d; R[v]]`` of both kinds and every receiver, then
+    one in-place addition of both ``S[w]``.
 
     A step raises a :class:`NumericalError` naming the molecule and the step
     if and only if a pre-activation of a molecule with pairs (its masked
     diagonal included) is not finite, since the saturating gates would hide
     it; of several such molecules, in any replicas, it names the first in
-    batch order. Each step first bounds all pre-activations by
-    ``(max|w_d| max(inv_dist) + top) + top``, summed in the grid's order,
-    with the largest distance term of the batch and ``top = max|terms|``
-    (one ``max`` and one ``min`` over all replicas and atoms) for both ``R``
-    and ``S``: float addition and multiplication are monotone, so if the
-    bound is finite so is every grid entry, and nothing more is checked.
-    Only in a step where it is not (an overflow or a NaN anywhere, a
-    one-atom molecule's included) is each molecule's grid tested entry by
-    entry, as soon as it is built and before it is activated. A one-atom
-    molecule has no pairs: it never raises, no grid is built for it, its
-    state rows are +0.0 at every step and its per-atom adjoints are 0.
+    batch order. Each step bounds all pre-activations by ``(max|w_d|
+    max(inv_dist) + top) + top``, summed in the grid's order, with
+    ``top = max|terms|`` over all replicas and atoms: float addition and
+    multiplication are monotone, so if the bound is finite so is every grid
+    entry. Only in a step where it is not is each grid tested, as soon as it
+    is built and before it is activated. A one-atom molecule has no pairs:
+    it never raises, no grid is built for it, its state rows are +0.0 at
+    every step and its per-atom adjoints are 0.
 
-    The per-step loops repeat no step-invariant work: each molecule's views
-    of its pair matrix, right-hand sides, sender terms and grid slot are made
-    once per call, the right-hand sides' ``w_d`` rows are written once per
-    call, and one ``np.errstate`` covers all steps. No pair matrix is scanned
-    per call: each encoding keeps its ``max_inv_dist``.
+    The backward runs back-propagation through time. It walks the steps in
+    reverse, overwrites each molecule's grids with their adjoints, reduces
+    them to the per-atom adjoints of the four terms and carries the state
+    adjoint back through the hidden-state blocks; a non-finite per-atom
+    adjoint raises a :class:`NumericalError` naming the molecule and step.
+    Each weight block's gradient is then one matmul over the atom rows of
+    all steps (from step 1 for the hidden-state blocks, as step 0 reads
+    zeros), or over their sum for the step-invariant blocks, formed in place
+    in step order from +0.0. Each table's gradient is its atoms' adjoint rows
+    scatter-added, so atoms that share a row accumulate; the tape raises on a
+    non-finite one, naming the table. The weight products read the gathered
+    rows with the one-atom molecules' zeroed, so a non-finite row that only
+    they read gives no gradient. The graph can be back-propagated once.
 
-    The backward walks the steps in reverse. It overwrites each molecule's
-    grids with their adjoints, reduces them to the per-atom adjoints of the
-    four terms and carries the state adjoint back through the hidden-state
-    blocks; a non-finite per-atom adjoint raises a :class:`NumericalError`
-    naming the molecule and step. Each weight block's gradient is then one
-    matmul over the atom rows of all steps (from step 1 for the hidden-state
-    blocks, as step 0 reads zeros), or over their sum for the step-invariant
-    blocks, formed in place in step order from +0.0. Each table's gradient is
-    its atoms' adjoint rows scatter-added (``np.add.at``), so atoms that share
-    a row accumulate; the tape raises on a non-finite one, naming the table.
-    The weight products read the gathered rows with the one-atom molecules'
-    zeroed, so a non-finite row that only they read gives no gradient.
+    ``replicas = (name, values)`` runs the batch in one no-grad call, in
+    which replica r reads ``values[r]`` in place of parameter tensor
+    ``name``'s values and shares every other tensor (:func:`_replica_reader`
+    checks them). Every array that the parameters feed carries a leading
+    replica axis, of length R when the recursion reads ``name``, else of
+    length one. The grids put the replica axis innermost, ``[2, n, n,
+    hidden, R]``, so the replicas run as one recursion of width ``hidden
+    R``, while each grid and state entry gets the operations of a call with
+    one replica, in the same order: each ``[ΣN, hidden]`` slice of the
+    result has the bits and the layout of a call with its values written
+    into the live tensor.
 
-    Every batch-sized array the op uses is a view of one workspace checked out
-    for this call alone (:func:`_workspace_size`). Once per replica, it holds
-    the stacked weight blocks (the gate's negated straight into it, with no
-    temporaries), the ``[ΣN, 4 hidden]`` terms, the right-hand sides and one
-    grid slot sized for the largest molecule, into which each molecule's grids
-    are built in turn; it holds no pair matrix. When ``graph`` records, ``exp``
-    and ``tanh`` write each step's activations into grids of their own, and the
-    workspace also holds the input state of each step after the first, the only
-    ones that the backward reads. The step-invariant block, the terms and the
-    right-hand sides, three ``[ΣN, 4 hidden]`` blocks that only the forward
-    reads, then start one block of ``max(steps, 3)`` such blocks, which the
-    backward views as its ``[steps, ΣN, 4 hidden]`` per-step adjoints, and
-    whose first block then takes their sum over steps. The backward uses the
-    slot as scratch and hands the workspace back when it ends. Without a graph
-    the activations stay in the slot, so inference holds one molecule's grid at
-    a time, one state buffer is read and rewritten by every step, and the
-    workspace is handed back when the call returns. Only the final states are a
+    Every batch-sized array is a view of one flat workspace, laid out by
+    :func:`_layout` and checked out for this call alone; each molecule's
+    grids are built in turn into one slot sized for the largest molecule.
+    Without a graph the activations stay in the slot, one state buffer is
+    read and rewritten by every step, and the workspace is handed back when
+    the call returns. A recorded call activates into grids of its own and
+    keeps the input state of each step after the first, the only ones that
+    the backward reads. The backward lays its per-step adjoints over the
+    forward-only slabs, sums them over steps in place into the first, and
+    hands the workspace back when it ends. Only the final states are a
     fresh array.
     """
     hidden, steps = cfg.hidden_dim, cfg.steps
@@ -473,7 +408,6 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     # 1 unless the replicas replace a tensor that the recursion reads
     reps = max(len(value(name)) for name in _RECURSION_TENSORS)
 
-    # each atom's embedding-table row, and its molecule's count-table row
     elements = rows = None
     if cfg.use_atom_embedding:
         elements = np.concatenate([enc.elements for enc in encodings])
@@ -487,40 +421,29 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
 
     recording = graph is not None
     work = _take_workspace(_workspace_size(cfg, sizes, reps, recording))
-    carve = _carver(work)
-    # each molecule's pre-activations in turn, and the backward's scratch; carved first,
-    # on the workspace's 64-byte boundary (off it, the grid build ran about 10% slower)
-    slot = carve((reps * 2 * max(sizes) ** 2 * hidden,))
+    slot, w_x, w_cnt, w_d, w_h, block, states, *grid_region = map(
+        _carver(work), _layout(cfg, sizes, reps, recording))
 
-    def stacked(*blocks) -> np.ndarray:
-        """Rows of each column block: the gate's negated, then the candidate's,
-        written straight into the workspace, per replica."""
-        width = gate_w[:, :, blocks[0]].shape[2:]
-        out = carve((reps, len(blocks), 2, hidden, *width))
+    def stacked(out: np.ndarray, *blocks) -> np.ndarray:
+        """``out`` filled with the rows of each column block, the gate's
+        negated, then the candidate's, per replica."""
         for i, c in enumerate(blocks):
             np.negative(gate_w[:, :, c], out=out[:, i, 0])
             out[:, i, 1] = cand_w[:, :, c]
-        return out.reshape(reps, -1, *width)
+        return out.reshape(reps, -1, *out.shape[4:])
 
     # the four terms' columns: [R_gate, R_cand, S_gate, S_cand]
-    w_x, w_cnt, w_d = stacked(recv_x, send_x), stacked(cnt), stacked(-1)
-    # the hidden-state blocks transposed, [reps, hidden, 4 hidden], so that each
-    # step's product with the [ΣN, hidden] state has C-contiguous operands, with
-    # which BLAS computes each atom's terms the same way in any batch (with a
-    # transposed operand it took another kernel for batches of 2-6 atoms)
-    w_h = carve((reps, hidden, 2, 2, hidden))
+    w_x, w_cnt, w_d = stacked(w_x, recv_x, send_x), stacked(w_cnt, cnt), stacked(w_d, -1)
+    # transposed, [reps, hidden, 4 hidden], with which BLAS computes each atom's
+    # terms the same way in any batch (with a transposed operand it took
+    # another kernel for batches of 2-6 atoms)
     for i, c in enumerate((recv_h, send_h)):
         np.negative(gate_w[:, :, c].transpose(0, 2, 1), out=w_h[:, :, i, 0])
         w_h[:, :, i, 1] = cand_w[:, :, c].transpose(0, 2, 1)
     w_h = w_h.reshape(reps, hidden, 4 * hidden)
-    # the forward-only fixed, terms and rhs, then, recorded, room for the
-    # backward's per-step adjoints, which it lays over all of them
-    block = carve((max(steps, 3) if recording else 3, reps * atoms * 4 * hidden))
-    fixed = block[0].reshape(reps, atoms, 4 * hidden)
-    terms = block[1].reshape(reps, atoms, 4 * hidden)  # every step's four terms, one buffer
-    # the embedding and count parts: one product per table row, of a shape that
-    # no batch changes, gathered per atom (mode="clip" writes without a
-    # temporary; every index is in range)
+    fixed, terms = block[:reps], block[reps:2 * reps]
+    # one product per table row, of a shape that no batch changes, gathered per
+    # atom (mode="clip" writes without a temporary; every index is in range)
     if elements is not None:
         np.take(np.matmul(value("atom_embedding"), w_x.transpose(0, 2, 1)), elements, axis=1,
                 out=fixed, mode="clip")
@@ -536,22 +459,17 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
             out=terms.reshape(-1)[:reps * atoms * 2 * hidden].reshape(reps, atoms, 2 * hidden),
             mode="clip")
 
-    # the batch's largest distance term, as the grids round it, for the bound below
+    # the batch's largest distance term, as the grids round it, for the bound
     dist_top = max(enc.max_inv_dist for enc in encodings) * float(np.abs(w_d).max())
     blocks = terms.reshape(reps, atoms, 4, hidden)
-    # receiver v's right-hand sides [w_d; R[v]], gate's and candidate's, so that
-    # one stacked product with the molecule's pair matrix [inv_dist | 1] forms
-    # inv_dist[v, w] w_d + R[v] for all pairs; the distance comes first, so the
-    # product is rounded before R is added, as the bound assumes (an
-    # FMA-accumulating BLAS gives other bits with R first). The replica axis is
-    # innermost, as in the grids
-    rhs = block[2].reshape(atoms, 2, 2, hidden, reps)
+    # the distance comes first in the product, so it is rounded before R is
+    # added, as the bound assumes (an FMA-accumulating BLAS gives other bits
+    # with R first)
+    rhs = block[2 * reps:3 * reps].reshape(atoms, 2, 2, hidden, reps)
     rhs[:, :, 0] = w_d.reshape(reps, 2, hidden).transpose(1, 2, 0)
-    # the step-invariant views of each molecule that has pairs: its atom rows,
-    # pair matrix, [2, n, 2, hidden R] right-hand sides, [2, 1, n, hidden, R]
-    # sender terms and [2, n, n, hidden, R] grids in the slot, also seen as
-    # [2, n, n, hidden R] by the product. A one-atom molecule has none, so its
-    # state rows (lone) are zero at every step
+    # per molecule with pairs: its atom rows, pair matrix, [2, n, 2, hidden R]
+    # right-hand sides, [2, 1, n, hidden, R] sender terms and grids in the
+    # slot, also seen as [2, n, n, hidden R] by the product
     mols = []
     for n, enc, a, b in zip(sizes, encodings, edges, edges[1:]):
         if n > 1:
@@ -561,9 +479,7 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
                          blocks[:, a:b, 2:].transpose(2, 1, 3, 0)[:, None],
                          pre, pre.reshape(2, n, n, -1)))
     lone = bounds[:-1][counts < 2]
-    # the input state of each step after the first (step 0 reads zeros and
-    # skips its product), or one buffer that a step reads before it writes
-    states = carve((steps - 1 if recording else 1, reps, atoms, hidden))
+    grid_views = _carver(grid_region[0]) if recording else None
     grids: list[list[np.ndarray]] = []
     # exp of the negated gate overflows to inf above 709, giving a gate of exactly 0;
     # an overflow or NaN anywhere else raises once its grid is built
@@ -574,8 +490,6 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
             else:
                 np.matmul(states[(step - 1) % len(states)], w_h, out=terms)
                 terms += fixed
-            # the batch's bound, with max|terms| for both R and S: if it is
-            # finite, so is every grid entry, and no grid is checked
             top = max(float(terms.max()), -float(terms.min()))
             unbounded = not math.isfinite((dist_top + top) + top)
             rhs[:, :, 1] = blocks[:, :, :2].transpose(1, 2, 3, 0)
@@ -583,8 +497,7 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
             h = (np.empty((reps, atoms, hidden)) if step == steps - 1
                  else states[step % len(states)])
             h[:, lone] = 0.0
-            # h as [ΣN, hidden, R], the layout of the grids' sums
-            h_t = h.transpose(1, 2, 0)
+            h_t = h.transpose(1, 2, 0)            # the layout of the grids' sums
             step_grids = []
             for mol_id, n, a, b, pair, rhs_k, send, pre, wide in mols:
                 np.matmul(pair, rhs_k, out=wide)
@@ -592,8 +505,7 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
                 if unbounded and not np.isfinite(pre).all():
                     raise NumericalError(f"molecule {mol_id}, step {step}: "
                                          f"non-finite values produced by op 'message_step'")
-                # a recorded step keeps its activations, so they go to its own grids
-                out = carve(pre.shape) if recording else pre
+                out = grid_views(pre.shape) if recording else pre
                 gate, cand = out
                 np.exp(pre[0], out=gate)
                 gate += 1.0
@@ -623,8 +535,8 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
         pending = grids[:]
         grids.clear()
         g = g[0]
-        # the per-step adjoints, over the forward-only blocks, which are dead now
-        d_terms = block.reshape(-1, atoms, 4 * hidden)[:steps]
+        # the per-step adjoints, over the forward-only slabs, which are dead now
+        d_terms = block[:steps]
         d_terms[:, lone] = 0.0                    # no pairs, so no adjoints
         d_wd = np.zeros((2, hidden))
         ones = np.ones(max(sizes))
@@ -659,7 +571,6 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
             if step > 0:
                 g = d @ w_h[0].T
                 check(g, step)
-        # the initial state is zero, so its step adds nothing to the hidden-state blocks
         d_w = np.zeros((2 * hidden, cfg.concat_dim))   # rows: negated gate, candidate
         d_w_h = d_terms[1:].reshape(-1, 4 * hidden).T @ states.reshape(-1, hidden)
         d_w[:, recv_h], d_w[:, send_h] = d_w_h[:2 * hidden], d_w_h[2 * hidden:]

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DEFAULT_DISTANCE_EPSILON, Dataset, Molecule, inverse_distance
+from .data import Dataset, Molecule, inverse_distance_matrix
 
 __all__ = [
     "random_molecule",
@@ -65,11 +65,12 @@ def random_molecules(seed: int, count: int, size_range: tuple[int, int] = (3, 8)
 
 
 def pairwise_inverse_distance_sum(mol: Molecule) -> float:
-    """Sum of reciprocal distances over unordered atom pairs."""
+    """Sum of reciprocal distances over unordered atom pairs, in row-major
+    order of the upper triangle, one addition at a time (``sum`` and
+    ``np.sum`` would round otherwise)."""
     total = 0.0
-    for i in range(mol.natoms):
-        for j in range(i + 1, mol.natoms):
-            total += inverse_distance(mol.coords[i], mol.coords[j], DEFAULT_DISTANCE_EPSILON)
+    for value in inverse_distance_matrix(mol.coords)[np.triu_indices(mol.natoms, 1)].tolist():
+        total += value
     return total
 
 

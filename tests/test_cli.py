@@ -670,6 +670,31 @@ def test_ablate_invalid_name(config_file, capsys):
     assert "no_count" in capsys.readouterr().err  # usage text lists valid choices
 
 
+def test_ablate_makes_and_checks_only_the_split_it_trains(config_file, tmp_path, capsys):
+    # ten two-atom molecules of energy 1.0 but c0's 2.0; split seeds 9, 10 and
+    # 11 leave c0 out of the training partition, whose target is then
+    # constant, but ablate trains on the first run's split (seed 7) only
+    data = tmp_path / "one_differs.xyz"
+    data.write_text("".join(f"2\nc{k} {2.0 if k == 0 else 1.0} 0.0\nH 0 0 0\nH 0 0 {1 + k / 10}\n"
+                            for k in range(10)))
+    sets = ["--set", f"dataset.path={data}", "--epochs", "1"]
+    runs = ["--set", "run.resplit=true", "--set", "run.runs=10"]
+    tables = []
+    for extra in ([], runs):
+        out = tmp_path / f"abl{len(tables)}"
+        assert main(["ablate", "--config", str(config_file), "--which", "no_count",
+                     "--out", str(out), *sets, *extra]) == 0
+        tables.append((out / "ablation.json").read_text())
+    assert tables[0] == tables[1]
+    capsys.readouterr()
+    # train trains every run, so it checks every split
+    out = tmp_path / "train"
+    assert main(["train", "--config", str(config_file), "--out", str(out), *sets, *runs]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: target 'energy' is constant over the training set"), err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # bad command-line inputs
 

@@ -73,6 +73,13 @@ def test_overrides_beat_file_values(tmp_path):
     assert load_run_spec(path)["model.steps"] == 4  # later file lines win
 
 
+def test_a_byte_order_mark_starts_no_key(tmp_path):
+    # as Windows editors write UTF-8
+    path = tmp_path / "run.cfg"
+    path.write_bytes("\ufeffmodel.steps = 3\n".encode())
+    assert load_run_spec(path)["model.steps"] == 3
+
+
 @pytest.mark.parametrize("text", ["model.nonsense = 3\n", "steps = 3\n"])
 def test_unknown_key_in_file_names_it(text):
     key = text.split("=")[0].strip()

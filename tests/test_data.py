@@ -22,7 +22,7 @@ from ggrnet.data import (
     split,
 )
 from ggrnet.errors import ConfigError, DataError, ParseError, VocabularyError
-from ggrnet.synth import random_molecules
+from ggrnet.synth import pairwise_inverse_distance_sum, random_molecules
 
 SCHEMA = CommentSchema(id_columns=(0,), target_columns={"target_y": 1})
 
@@ -129,6 +129,28 @@ def test_records_stream_from_file_lines_as_from_the_whole_text(tmp_path):
                          ([b"1\n", b"a 1.0\n", b"\xff\n"], 3)):
         with pytest.raises(ParseError, match=f"^line {line}: not UTF-8 text$"):
             list(iter_extended_xyz_records(chunks, SCHEMA))
+
+
+@pytest.mark.parametrize("source", ["xyz", "xyz-lines", "csv", "schema"])
+def test_a_byte_order_mark_is_not_part_of_the_text(tmp_path, source):
+    # as Windows editors write UTF-8: an XYZ file read whole or line by line,
+    # a CSV file and a schema file
+    bom = "\ufeff".encode()
+    path = tmp_path / "file"
+    if source == "schema":
+        path.write_bytes(bom + b'{"id_columns": [0], "targets": {"target_y": 1}}')
+        assert CommentSchema.from_file(path) == SCHEMA
+        return
+    if source == "csv":
+        path.write_bytes(bom + b"id,atoms,coords,target_y\nm0,C H,0 0 0 1 0 0,1.5\n")
+        molecules = load_dataset(path, "tabular")
+    else:
+        path.write_bytes(bom + b"2\nm0 1.5\nC 0 0 0\nH 1 0 0\n")
+        with open(path, "rb") as fh:
+            molecules = (load_dataset(path, "xyz", SCHEMA) if source == "xyz"
+                         else list(iter_extended_xyz_records(fh, SCHEMA)))
+    assert [(m.mol_id, m.symbols, m.targets) for m in molecules] == \
+        [("m0", ("C", "H"), {"target_y": 1.5})]
 
 
 def test_xyz_round_trip_preserves_geometry():
@@ -358,6 +380,13 @@ def test_inverse_distance_matrix_matches_pairwise():
             if i != j:
                 assert mat[i, j] == pytest.approx(inverse_distance(coords[i], coords[j]))
     assert np.allclose(mat, mat.T)
+    # the synthetic targets' sum over the matrix has the bits of the scalar loop
+    for mol in random_molecules(13, 40, size_range=(1, 40)):
+        total = 0.0
+        for i in range(mol.natoms):
+            for j in range(i + 1, mol.natoms):
+                total += inverse_distance(mol.coords[i], mol.coords[j])
+        assert pairwise_inverse_distance_sum(mol).hex() == total.hex()
 
 
 # ---------------------------------------------------------------------------

@@ -1006,12 +1006,39 @@ def test_non_finite_rows_that_only_a_lone_atom_reads_leave_every_gradient_alone(
         assert finite.tobytes() == nan.tobytes(), name
 
 
+def closed_form_workspace_size(cfg, sizes, replicas=1, recording=False):
+    """The recursion's workspace entries, counted independently of its
+    layout: per replica, the stacked weights, three [ΣN, 4 hidden] slabs,
+    the grid slot and the states; recorded, the per-step adjoints beyond the
+    three slabs and the grids of every step and molecule with pairs."""
+    hidden, steps, atoms = cfg.hidden_dim, cfg.steps, sum(sizes)
+    size = replicas * (
+        2 * hidden * cfg.concat_dim + 12 * atoms * hidden + 2 * max(sizes) ** 2 * hidden
+        + (steps - 1 if recording else 1) * atoms * hidden)
+    if recording:
+        size += hidden * ((max(steps, 3) - 3) * 4 * atoms
+                          + steps * 2 * sum(n * n for n in sizes if n > 1))
+    return size
+
+
 @pytest.mark.parametrize("sizes", [(4, 6, 2), (1, 4, 6), (1,), (1, 1)])
 def test_the_recursion_carves_exactly_its_workspace_size(monkeypatch, sizes):
     # no-grad, recorded (through its backward) and replicated calls, with and
     # without one-atom molecules, and with 1 and 2 steps, fewer than the three
-    # forward-only blocks that a recorded call lays its per-step adjoints
-    # over; the recursion makes the first carver of each
+    # forward-only slabs that a recorded call lays its per-step adjoints
+    # over; the recursion makes the first carver of each, and a recorded one
+    # a second over its grid region
+    for steps, replicas, recording in itertools.product((1, 2, 3, 5, 8), (1, 3),
+                                                        (False, True)):
+        cfg = ModelConfig(atom_dim=4, count_dim=4, hidden_dim=8, mlp_dim=8, steps=steps)
+        assert (model._workspace_size(cfg, sizes, replicas, recording)
+                == closed_form_workspace_size(cfg, sizes, replicas, recording))
+        assert len(model._layout(cfg, sizes, replicas, recording)) == 7 + recording
+    # gradcheck's replica budget reads the no-grad size of one replica
+    for steps in (1, 2, 3, 5, 8):
+        cfg = replace(DEFAULT_CHECK_CONFIG, steps=steps)
+        budget = gradcheck.REPLICA_BYTES // 8 // (2 * closed_form_workspace_size(cfg, sizes))
+        assert gradcheck._entries_per_call(cfg, sizes, "gate_weight", 232) == max(1, budget)
     carved = []
     carver = model._carver
 
@@ -1040,15 +1067,16 @@ def test_the_recursion_carves_exactly_its_workspace_size(monkeypatch, sizes):
 
         carved.clear()
         message_step(None, params, cfg, encodings)
-        assert carved[0] == model._workspace_size(cfg, sizes)
+        assert carved[0] == closed_form_workspace_size(cfg, sizes)
         carved.clear()
         graph = ad.Graph()
         state = message_step(graph, params, cfg, encodings)
         ad.backward(graph, mse_loss(graph, readout(graph, state, params, sizes), targets))
-        assert carved[0] == model._workspace_size(cfg, sizes, recording=True)
+        assert carved[0] == closed_form_workspace_size(cfg, sizes, recording=True)
+        assert carved[1] == model._layout(cfg, sizes, recording=True)[-1][0]
         carved.clear()
         message_step(None, params, cfg, encodings, replicas=("gate_bias", stack))
-        assert carved[0] == model._workspace_size(cfg, sizes, 3)
+        assert carved[0] == closed_form_workspace_size(cfg, sizes, 3)
         # and the recorded gradients of this layout are right
         report = gradient_check(params, cfg, molecules, targets, VOCAB)
         assert report.max_error < 1e-5, (steps, report)
