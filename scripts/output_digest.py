@@ -28,15 +28,26 @@ forward with the loss's backward, and of a no-grad forward of the replicas
 message, or ``ok`` and the sha256 of the outputs. The last case, after
 eight that overflow or come close to it, sets one molecule's receiver terms
 to 0.6x the float maximum and every sender term to -0.6x it, so every term
-and every pre-activation is finite. Two source trees whose
-outputs are bitwise equal, and whose overflow checks decide alike, print
+and every pre-activation is finite. Last, one line per extended-XYZ input
+gives the sha256 of what ``load_dataset`` returns (ids, symbols, coordinate
+bytes, targets, property names and units): the bundled ``sample10.xyz``; a
+generated file of concatenated records (1 to 29 atoms) that starts with a
+byte-order mark and has blank lines between records; and two directories of
+per-molecule files, one read with the ``qm9`` schema, whose files end in
+QM9-style frequency, SMILES and InChI lines, and one read without a schema,
+whose files name no id. One line per malformed input gives the error
+``load_dataset`` raises. Two source trees whose outputs are bitwise equal,
+whose overflow checks decide alike and whose readers read alike print
 identical lines, so ``diff`` of two runs compares them. BLAS runs on one
-thread, as for a bit-reproducible run; nothing is downloaded or written.
+thread, as for a bit-reproducible run; nothing is downloaded, and the
+ingest inputs are written to a temporary directory that is removed.
 """
 import hashlib
 import os
 import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 BATCHES = ((1,), (2, 3), (1, 4, 5, 6, 7, 8), (9, 12, 15), (17, 21, 25), (29,), (29, 28, 1, 13))
 SMALL = {"atom_dim": 4, "count_dim": 4, "hidden_dim": 8, "mlp_dim": 8}
@@ -50,6 +61,69 @@ CONFIGS = ([(d, f, 29) for d in ("default", "small") for f in FEATURES]
            + [("small", "all", 6), ("small-1-step", "all", 29), ("small-2-steps", "all", 29)])
 # atom counts of the batch that the overflow cases run
 OVERFLOW_SIZES = (1, 4, 2, 6)
+# atom counts of the generated extended-XYZ records
+INGEST_SIZES = (1, 9, 2, 29, 14, 3, 21, 5)
+
+
+def xyz_record(mol, comment, extra_columns=0):
+    """One extended-XYZ record of ``mol`` with the given comment line, its
+    coordinates written in full (every third in Mathematica's ``*^`` form)
+    and ``extra_columns`` more columns on each atom line."""
+    lines = [f"{mol.natoms}", comment]
+    for k, (sym, xyz) in enumerate(zip(mol.symbols, mol.coords)):
+        values = [f"{v:.17e}".replace("e", "*^") if (3 * k + i) % 3 == 2 else repr(float(v))
+                  for i, v in enumerate(xyz)]
+        lines.append("\t".join([sym, *values, *["0.125"] * extra_columns]))
+    return "\n".join(lines) + "\n"
+
+
+def ingest_inputs(root, molecules, rng):
+    """Write the ingest inputs under ``root``; return the ``(name, path,
+    builtin schema or None)`` of the readable ones, then of the malformed
+    ones, which are read with the ``sample`` schema."""
+    records = [xyz_record(mol, f"{mol.mol_id} {rng.normal()!r} {mol.natoms}")
+               for mol in molecules]
+    qm9, noid = root / "qm9", root / "noid"
+    qm9.mkdir()
+    noid.mkdir()
+    for k, mol in enumerate(molecules):
+        props = "\t".join(repr(float(v)) for v in rng.normal(size=15))
+        trailer = (" ".join(f"{v:.4f}" for v in rng.uniform(100, 4000, size=3)) + "\n"
+                   + "C[C@H]O\tC[C@@H]O\nInChI=1S/C2H6O\tInChI=1S/C2H6O/c1-2\n")
+        (qm9 / f"dsgdb9nsd_{k:06d}.xyz").write_text(
+            xyz_record(mol, f"gdb {k + 1}\t{props}", extra_columns=1) + trailer)
+        (noid / f"m{k}.xyz").write_text(xyz_record(mol, "") + trailer)
+
+    def concatenated(record=None, line=None, replacement=None):
+        """The records joined by blank lines, after a byte-order mark, with
+        line ``line`` of record ``record`` replaced (``None``: dropped)."""
+        edited = [r.splitlines(keepends=True) for r in records]
+        if record is not None:
+            edited[record][line] = replacement or ""
+        return "\ufeff".encode() + "\n \t\n".join(map("".join, edited)).encode()
+
+    files = {"concat.xyz": concatenated(),
+             "truncated.xyz": concatenated(-1, -1),
+             "unknown-element.xyz": concatenated(2, 3, "Xx 0 0 0\n"),
+             "bad-count.xyz": concatenated(4, 0, "fourteen\n"),
+             "bad-coordinate.xyz": concatenated(3, 5, "C 0 zero 0\n"),
+             "not-utf8.xyz": concatenated(5, 3, "C 0 0 0\n").replace(b"C 0 0", b"C 0 \xff"),
+             "blank.xyz": b"\n \n\t\n",
+             "dir-bad-file/a.xyz": records[0].encode(),
+             "dir-bad-file/b.xyz": b"1\nb 1 1\nC 0 0 zz\n",
+             "dir-unreadable/a.xyz": records[0].encode()}
+    for name, body in files.items():
+        (root / name).parent.mkdir(exist_ok=True)
+        (root / name).write_bytes(body)
+    # a directory named like a molecule file, which cannot be read as one
+    (root / "dir-unreadable" / "c.xyz").mkdir()
+    readable = [("concat", root / "concat.xyz", "sample"), ("qm9-dir", qm9, "qm9"),
+                ("noid-dir", noid, None)]
+    malformed = [(name, root / (name + ".xyz"))
+                 for name in ("truncated", "unknown-element", "bad-count", "bad-coordinate",
+                              "not-utf8", "blank")]
+    return readable, malformed + [(name, root / name)
+                                  for name in ("dir-bad-file", "dir-unreadable")]
 
 
 def overflow_cases(cfg, big):
@@ -93,8 +167,9 @@ def main(argv) -> int:
     sys.path.insert(0, argv[1])
     import numpy as np
     from ggrnet import Graph, ModelConfig, backward, init_params, mse_loss, zero_grads
-    from ggrnet.data import Dataset, Molecule, Normalizer
-    from ggrnet.errors import NumericalError
+    from ggrnet.data import (CommentSchema, Dataset, Molecule, Normalizer, load_dataset,
+                             sample_dataset_path)
+    from ggrnet.errors import GgrnetError, NumericalError
     from ggrnet.gradcheck import DEFAULT_CHECK_CONFIG, run_gradcheck
     from ggrnet.model import MoleculeEncoding, forward_batch
     from ggrnet.synth import random_molecule
@@ -174,6 +249,31 @@ def main(argv) -> int:
                                                          replicas=(first, stack)).values]}
             for mode, run in runs.items():
                 print(f"overflow\t{name}\t{mode}\t{outcome(run)}")
+
+    def dataset_digest(ds):
+        digest = hashlib.sha256(repr((ds.property_names, sorted(ds.units.items()))).encode())
+        for mol in ds:
+            digest.update(repr((mol.mol_id, mol.symbols)).encode())
+            digest.update(mol.coords.tobytes())
+            digest.update(np.array([mol.targets[p] for p in ds.property_names]).tobytes())
+        return f"{len(ds)}\t{digest.hexdigest()}"
+
+    ingest_rng = np.random.default_rng(1931)
+    molecules = [random_molecule(ingest_rng, n, vocab, mol_id=f"x{k}")
+                 for k, n in enumerate(INGEST_SIZES)]
+    print(f"ingest\tsample10\t"
+          f"{dataset_digest(load_dataset(sample_dataset_path(), schema=CommentSchema.builtin('sample')))}")
+    with tempfile.TemporaryDirectory() as tmp:
+        readable, malformed = ingest_inputs(Path(tmp), molecules, ingest_rng)
+        for name, path, schema in readable:
+            schema = schema and CommentSchema.builtin(schema)
+            print(f"ingest\t{name}\t{dataset_digest(load_dataset(path, 'xyz', schema, vocab))}")
+        for name, path in malformed:
+            try:
+                load_dataset(path, "xyz", CommentSchema.builtin("sample"), vocab)
+                print(f"ingest-error\t{name}\tloaded")
+            except GgrnetError as err:
+                print(f"ingest-error\t{name}\t{type(err).__name__}: {err}")
     return 0
 
 

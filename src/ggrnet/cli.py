@@ -21,10 +21,11 @@ import numpy as np
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .config import RunSpec, load_run_spec, resolve_schema
 from .data import (DATASET_FORMATS, Dataset, fit_normalizer, iter_extended_xyz_records,
-                   load_dataset, split)
+                   load_dataset, read_lines, split)
 from .errors import (CheckpointError, ConfigError, DataError, NumericalError, ParseError,
                      VocabularyError)
 from .gradcheck import DEFAULT_CHECK_CONFIG, run_gradcheck
+from .model import check_allocation
 from .training import ABLATION_FLAGS, evaluate, predict, run_ablation, train
 
 __all__ = ["main", "entrypoint", "build_parser"]
@@ -109,10 +110,12 @@ def _training_inputs(args, every_run: bool) -> tuple[
     ``run.resplit``, else ``split.seed``. The spec's ``train.*``,
     ``model.*``, ``split.*`` and ``dataset.*`` values are checked, then the
     dataset is read, its target found, the splits made and a normalizer
-    fitted on each training partition (which :func:`train` fits again), so
-    an input that fails does so before any output is made."""
+    fitted on each training partition (which :func:`train` fits again),
+    and the model's parameters and the recorded workspace of the partition's
+    ``train.batch_size`` largest molecules are allocated and freed, so an
+    input that fails does so before any output is made."""
     spec = load_run_spec(args.config, _flag_overrides(args))
-    spec.train_config()
+    cfg = spec.train_config()
     spec.split_spec()
     ds = _load_spec_dataset(spec)
     target = spec["target"]
@@ -123,6 +126,8 @@ def _training_inputs(args, every_run: bool) -> tuple[
         split_spec = spec.split_spec(r if spec["run.resplit"] else 0)
         partitions = split(ds, split_spec)
         fit_normalizer(partitions[0], target)
+        largest = sorted((mol.natoms for mol in partitions[0]), reverse=True)
+        check_allocation(cfg.model, len(ds.element_vocabulary), largest[:cfg.batch_size])
         runs.append((split_spec.seed, partitions))
     return spec, target, ds.units.get(target, ""), runs
 
@@ -249,10 +254,10 @@ def _cmd_predict(args) -> int:
         if not path.is_file():
             raise DataError(f"molecule file not found: {path}")
         schema = resolve_schema(args.schema)
-        with open(path, "rb") as fh:
+        with contextlib.closing(read_lines(path, str(path))) as lines:
             # predict reads, predicts and prints one chunk before it reads the
             # next, so memory does not grow with the file
-            molecules = iter_extended_xyz_records(fh, schema, ckpt.vocabulary)
+            molecules = iter_extended_xyz_records(lines, schema, ckpt.vocabulary)
             for mol, value in predict(ckpt.params, molecules, ckpt.config, ckpt.vocabulary,
                                       ckpt.normalizer):
                 print(f"{mol.mol_id}\t{value!r}", flush=True)

@@ -4,10 +4,13 @@ Two ingest paths are supported: extended-XYZ (atom count line, property
 comment line, one ``symbol x y z [extras]`` line per atom) and a tabular
 fallback (delimited records with header ``id, atoms, coords, <targets...>``).
 Both validate element symbols against a configurable vocabulary and reject
-non-finite coordinates.
+non-finite coordinates. Extended-XYZ files are parsed as they are read, one
+line at a time.
 """
 from __future__ import annotations
 
+import codecs
+import contextlib
 import csv
 import io
 import json
@@ -35,7 +38,7 @@ __all__ = [
     "inverse_distance_matrix",
     "parse_extended_xyz",
     "iter_extended_xyz_records",
-    "parse_extended_xyz_records",
+    "read_lines",
     "format_extended_xyz",
     "parse_tabular",
     "load_dataset",
@@ -293,8 +296,11 @@ def _as_text(text, first_line: int = 1) -> str:
     naming their line, counted from ``first_line``."""
     if not isinstance(text, bytes):
         return text
+    if first_line == 1:
+        # stripped here, not by the utf-8-sig codec, whose error offsets skip it
+        text = text.removeprefix(codecs.BOM_UTF8)
     try:
-        return text.decode("utf-8-sig" if first_line == 1 else "utf-8")
+        return text.decode("utf-8")
     except UnicodeDecodeError as err:
         # the lines before the bad byte, the one it is on included
         before = text[:err.start].decode("utf-8") + "."
@@ -378,21 +384,33 @@ def _parse_xyz_record(lines: Iterator[str], start: int, count_line: str,
     return Molecule(mol_id=mol_id, symbols=tuple(symbols), coords=coords, targets=targets)
 
 
+def _xyz_records(chunks: Iterable[str | bytes], schema: CommentSchema | None,
+                 vocabulary: Sequence[str], fallback_id: str | None) -> Iterator[Molecule]:
+    """The record loop of :func:`iter_extended_xyz_records`, where a record
+    that names no id takes ``fallback_id``, or ``mol<k>`` if it is ``None``."""
+    lines = _text_lines(chunks)
+    lineno = count = 0
+    for line in lines:
+        lineno += 1
+        if not line.strip():
+            continue
+        mol = _parse_xyz_record(lines, lineno, line, schema, vocabulary,
+                                f"mol{count}" if fallback_id is None else fallback_id)
+        lineno += 1 + mol.natoms
+        count += 1
+        yield mol
+    if not count:
+        raise ParseError("line 1: no records")
+
+
 def parse_extended_xyz(text, schema: CommentSchema | None = None,
                        vocabulary: Sequence[str] = DEFAULT_ELEMENTS,
                        fallback_id: str = "mol0") -> Molecule:
-    """Parse the first record of an extended-XYZ text, as
-    :func:`iter_extended_xyz_records` does; the record's id is
-    ``fallback_id`` if the record names none.
-
-    Content after its declared atom lines (vibrational data, string
-    identifiers, and similar trailers) is ignored.
-    """
-    lines = _text_lines([text])
-    for lineno, line in enumerate(lines, start=1):
-        if line.strip():
-            return _parse_xyz_record(lines, lineno, line, schema, vocabulary, fallback_id)
-    raise ParseError("line 1: no records")
+    """The first record of an extended-XYZ text (str, or UTF-8 bytes), read
+    as :func:`iter_extended_xyz_records` reads it; its id is ``fallback_id``
+    if it names none. Content after its declared atom lines (vibrational
+    data, string identifiers, and similar trailers) is never parsed."""
+    return next(_xyz_records([text], schema, vocabulary, fallback_id))
 
 
 def iter_extended_xyz_records(chunks: Iterable[str | bytes], schema: CommentSchema | None = None,
@@ -401,26 +419,20 @@ def iter_extended_xyz_records(chunks: Iterable[str | bytes], schema: CommentSche
     further into ``chunks`` than the record being parsed. ``chunks`` are
     pieces of the text, each ending at a line break or at the end of the
     text: the lines of a file opened in binary or text mode, or the whole
-    text as one piece. Blank lines between records are skipped."""
-    lines = _text_lines(chunks)
-    lineno = count = 0
-    for line in lines:
-        lineno += 1
-        if not line.strip():
-            continue
-        mol = _parse_xyz_record(lines, lineno, line, schema, vocabulary,
-                                fallback_id=f"mol{count}")
-        lineno += 1 + mol.natoms
-        count += 1
-        yield mol
-    if not count:
-        raise ParseError("line 1: no records")
+    text as one piece. Blank lines between records are skipped, and a
+    record that names no id is ``mol<k>``, k counting records from 0."""
+    return _xyz_records(chunks, schema, vocabulary, None)
 
 
-def parse_extended_xyz_records(text, schema: CommentSchema | None = None,
-                               vocabulary: Sequence[str] = DEFAULT_ELEMENTS) -> list[Molecule]:
-    """Parse concatenated extended-XYZ records until the stream is exhausted."""
-    return list(iter_extended_xyz_records([text], schema, vocabulary))
+def read_lines(path, name: str) -> Iterator[bytes]:
+    """The lines of the file at ``path``, read in binary one at a time. An
+    ``OSError`` from opening or reading it raises a :class:`DataError` that
+    names the file as ``name``."""
+    try:
+        with open(path, "rb") as fh:
+            yield from fh
+    except OSError as err:
+        raise DataError(f"{name}: cannot read: {err.strerror}") from err
 
 
 def format_extended_xyz(mol: Molecule, property_order: Sequence[str] | None = None) -> str:
@@ -522,23 +534,22 @@ def load_dataset(path, fmt: str = "auto", schema: CommentSchema | None = None,
             raise DataError(f"no .xyz files under directory {path}")
         molecules = []
         for p in files:
-            try:
-                molecules.append(parse_extended_xyz(p.read_bytes(), schema, vocabulary,
-                                                    fallback_id=p.stem))
-            except OSError as err:
-                raise DataError(f"{p.name}: cannot read: {err.strerror}") from err
-            except (ParseError, VocabularyError, DataError) as err:
-                raise type(err)(f"{p.name}: {err}") from err
+            # only the record is read, and the file is closed before the next
+            with contextlib.closing(read_lines(p, p.name)) as lines:
+                try:
+                    molecules.append(next(_xyz_records(lines, schema, vocabulary, p.stem)))
+                except (ParseError, VocabularyError) as err:
+                    raise type(err)(f"{p.name}: {err}") from err
     else:
         if fmt == "auto":
             fmt = "tabular" if path.suffix.lower() in (".csv", ".tsv") else "xyz"
-        text = path.read_bytes()
-        if fmt == "tabular":
-            delim = "\t" if path.suffix.lower() == ".tsv" else ","
-            return parse_tabular(text, vocabulary, delimiter=delim)
-        if fmt != "xyz":
+        if fmt not in ("tabular", "xyz"):
             raise DataError(f"unknown dataset format '{fmt}'")
-        molecules = parse_extended_xyz_records(text, schema, vocabulary)
+        with contextlib.closing(read_lines(path, str(path))) as lines:
+            if fmt == "tabular":
+                delim = "\t" if path.suffix.lower() == ".tsv" else ","
+                return parse_tabular(b"".join(lines), vocabulary, delimiter=delim)
+            molecules = list(iter_extended_xyz_records(lines, schema, vocabulary))
     if schema is None:
         return Dataset(molecules, [], vocabulary)
     return Dataset(molecules, schema.property_names, vocabulary, schema.units)

@@ -10,7 +10,7 @@ import pytest
 from ggrnet.checkpoint import load_checkpoint
 from ggrnet.cli import main
 from ggrnet.config import resolve_schema
-from ggrnet.data import Molecule, load_dataset, sample_dataset_path
+from ggrnet.data import Molecule, SplitSpec, load_dataset, sample_dataset_path, split
 from ggrnet.model import forward
 
 BASE_CONFIG = """
@@ -241,6 +241,70 @@ def test_an_impossible_allocation_is_one_line_exit_2(config_file, tmp_path, caps
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot allocate {what} ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", [["train"], ["ablate", "--which", "no_count"]],
+                         ids=["train", "ablate"])
+@pytest.mark.parametrize("setting, what", [
+    ("model.steps=1000000000000", "the recursion's workspace"),
+    ("model.hidden_dim=1000000000", "parameter tensor 'gate_weight'"),
+], ids=["workspace", "parameters"])
+def test_an_impossible_allocation_makes_no_out(config_file, tmp_path, capsys, command, setting,
+                                               what):
+    # the parameters and the largest training batch's recorded workspace are
+    # requested, and freed, before --out is made
+    out = tmp_path / "o"
+    assert main([*command, "--config", str(config_file), "--out", str(out),
+                 "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot allocate {what} ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_the_allocation_check_asks_for_the_largest_training_batch(config_file, tmp_path,
+                                                                  monkeypatch):
+    import ggrnet.cli as cli
+
+    asked = []
+    monkeypatch.setattr(cli, "check_allocation", lambda *args: asked.append(args))
+    assert main(["train", "--config", str(config_file), "--out", str(tmp_path / "o"),
+                 "--runs", "2", "--resplit", "--epochs", "1"]) == 0
+    ds = load_dataset(sample_dataset_path(), schema=resolve_schema("builtin:sample"))
+    # split.seed 7, stepped by run.resplit; train.batch_size 4
+    expected = [sorted((m.natoms for m in split(ds, SplitSpec(seed=seed))[0]), reverse=True)[:4]
+                for seed in (7, 8)]
+    assert [(cfg.hidden_dim, vocab_size, list(sizes)) for cfg, vocab_size, sizes in asked] == \
+        [(8, 5, sizes) for sizes in expected]
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_a_data_file_that_cannot_be_opened_is_one_line_exit_3(trained_run, config_file,
+                                                               tmp_path, capsys, monkeypatch,
+                                                               command):
+    import builtins
+    import errno
+    import os
+
+    import ggrnet.data
+
+    def denied(file, *args, **kwargs):
+        if str(file) == str(molecules):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+        return builtins.open(file, *args, **kwargs)
+
+    molecules = tmp_path / "m.xyz"
+    molecules.write_bytes(sample_dataset_path().read_bytes())
+    out = tmp_path / "o"
+    argv = {"train": ["train", "--config", str(config_file), "--out", str(out),
+                      "--set", f"dataset.path={molecules}"],
+            "eval": ["eval", str(trained_run / "best.ckpt"), "--data", str(molecules)],
+            "predict": ["predict", str(trained_run / "best.ckpt"), str(molecules)]}[command]
+    monkeypatch.setattr(ggrnet.data, "open", denied, raising=False)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {molecules}: cannot read: Permission denied\n"
+    assert not out.exists()
 
 
 def test_train_resplit_steps_the_split_seed(config_file, tmp_path):
@@ -489,13 +553,13 @@ def test_predict_deterministic_lines(trained_run, tmp_path, capsys):
 
 
 def test_predict_equals_per_molecule_forward(trained_run, capsys):
-    from ggrnet.data import parse_extended_xyz_records
+    from ggrnet.data import iter_extended_xyz_records
 
     assert main(["predict", str(trained_run / "best.ckpt"), str(sample_dataset_path())]) == 0
     lines = capsys.readouterr().out.splitlines()
     ckpt = load_checkpoint(trained_run / "best.ckpt")
-    molecules = parse_extended_xyz_records(sample_dataset_path().read_bytes(), None,
-                                           ckpt.vocabulary)
+    molecules = list(iter_extended_xyz_records([sample_dataset_path().read_bytes()], None,
+                                               ckpt.vocabulary))
     assert [line.split("\t")[0] for line in lines] == [m.mol_id for m in molecules]
     for line, mol in zip(lines, molecules):
         expected = ckpt.normalizer.invert(

@@ -1,3 +1,10 @@
+import contextlib
+import errno
+import itertools
+import os
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +23,6 @@ from ggrnet.data import (
     iter_extended_xyz_records,
     load_dataset,
     parse_extended_xyz,
-    parse_extended_xyz_records,
     parse_tabular,
     sample_dataset_path,
     split,
@@ -105,14 +111,14 @@ def test_parse_without_schema_keeps_geometry_only():
 
 def test_parse_records_multiple_and_blank_lines():
     text = "1\na 1.0\nC 0 0 0\n\n2\nb 2.0\nH 0 0 0\nH 1 0 0\n"
-    mols = parse_extended_xyz_records(text, schema=SCHEMA)
+    mols = list(iter_extended_xyz_records([text], schema=SCHEMA))
     assert [m.mol_id for m in mols] == ["a", "b"]
     assert [m.natoms for m in mols] == [1, 2]
 
 
 def test_parse_records_empty_input():
     with pytest.raises(ParseError, match="no records"):
-        parse_extended_xyz_records("\n\n", schema=SCHEMA)
+        list(iter_extended_xyz_records(["\n\n"], schema=SCHEMA))
 
 
 def test_records_stream_from_file_lines_as_from_the_whole_text(tmp_path):
@@ -122,7 +128,7 @@ def test_records_stream_from_file_lines_as_from_the_whole_text(tmp_path):
     path.write_bytes(text.encode())
     with open(path, "rb") as fh:
         streamed = list(iter_extended_xyz_records(fh, SCHEMA))
-    whole = parse_extended_xyz_records(text, schema=SCHEMA)
+    whole = list(iter_extended_xyz_records([text], schema=SCHEMA))
     assert [(m.mol_id, m.symbols, m.coords.tolist()) for m in streamed] == \
            [(m.mol_id, m.symbols, m.coords.tolist()) for m in whole]
     for chunks, line in (([text.encode().replace(b"H 1", b"\xff 1")], 8),
@@ -422,6 +428,99 @@ def test_load_directory_refuses_a_format_other_than_xyz(tmp_path, fmt):
     with pytest.raises(DataError, match=f"format '{fmt}' cannot read directory"):
         load_dataset(tmp_path, fmt)
     assert len(load_dataset(tmp_path, "xyz")) == len(load_dataset(tmp_path, "auto")) == 1
+
+
+def test_an_xyz_file_is_read_a_line_at_a_time(tmp_path, monkeypatch):
+    # neither a file nor a directory entry is read whole
+    text = sample_dataset_path().read_bytes()
+    whole = list(iter_extended_xyz_records([text], SCHEMA))
+    (tmp_path / "all.xyz").write_bytes(text)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dir" / "one.xyz").write_bytes(text)
+
+    def whole_read(self):
+        raise AssertionError(f"{self} read whole")
+
+    monkeypatch.setattr(Path, "read_bytes", whole_read)
+    monkeypatch.setattr(Path, "read_text", whole_read)
+    loaded = load_dataset(tmp_path / "all.xyz", "xyz", SCHEMA)
+    assert [(m.mol_id, m.symbols, m.coords.tobytes(), m.targets) for m in loaded] == \
+        [(m.mol_id, m.symbols, m.coords.tobytes(), m.targets) for m in whole]
+    assert [m.mol_id for m in load_dataset(tmp_path / "dir", schema=SCHEMA)] == ["sample0"]
+
+
+# records of 1, 2 and 2 atoms, on lines 1-3, 5-8 and 10-13
+RECORDS = b"1\na 1.0\nC 0 0 0\n\n2\nb 2.0\nH 0 0 0\nH 1 0 0\n\n2\nc 3.0\nO 0 0 0\nH 0 1 0\n"
+
+
+@pytest.mark.parametrize("raw", [
+    RECORDS.replace(b"H 1 0 0", b"H 1 \xff 0"),                   # not UTF-8 in record 2
+    b"\xef\xbb\xbf" + RECORDS.replace(b"O 0 0 0", b"\xff 0 0 0"),  # after a byte-order mark
+    RECORDS.replace(b"O 0 0 0", b"Xx 0 0 0"),                     # an unknown element
+    RECORDS[:-len(b"H 0 1 0\n")],                                 # a truncated last record
+    RECORDS.replace(b"\n2\nc", b"\ntwo\nc"),                       # a count that is no number
+    RECORDS.replace(b"H 1 0 0", b"H 1 0").replace(b"O 0 0", b"O 0 \xff"),  # the first fault
+    b"\xef\xbb\xbf1\xff\n",                                          # line 1 after the mark
+], ids=["not-utf8", "not-utf8-after-mark", "unknown-element", "truncated", "bad-count",
+        "two-faults", "not-utf8-line-1"])
+def test_load_dataset_raises_what_the_record_iterator_raises(tmp_path, raw):
+    path = tmp_path / "bad.xyz"
+    path.write_bytes(raw)
+    with pytest.raises((ParseError, VocabularyError)) as streamed:
+        list(iter_extended_xyz_records(raw.splitlines(keepends=True), SCHEMA))
+    with pytest.raises(type(streamed.value), match=f"^{re.escape(str(streamed.value))}$"):
+        load_dataset(path, "xyz", SCHEMA)
+    assert str(streamed.value).startswith("line ")
+
+
+def test_an_undecodable_byte_names_its_line_after_a_byte_order_mark():
+    # the mark is not counted in the byte offset that locates the line
+    raw = b"\xef\xbb\xbf" + RECORDS.replace(b"\n2\nc", b"\n\xff2\nc")
+    for chunks in ([raw], raw.splitlines(keepends=True)):
+        with pytest.raises(ParseError, match="^line 10: not UTF-8 text$"):
+            list(iter_extended_xyz_records(chunks, SCHEMA))
+    with pytest.raises(ParseError, match="^line 1: not UTF-8 text$"):
+        parse_extended_xyz(b"\xef\xbb\xbf1\xff\n")
+
+
+def failing_open(monkeypatch, good_lines=None):
+    """Make ``ggrnet.data``'s ``open`` fail: at once with ``PermissionError``,
+    or, given ``good_lines``, with an I/O error after that many lines."""
+    import ggrnet.data
+
+    @contextlib.contextmanager
+    def fake_open(file, mode="r"):
+        if good_lines is None:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+
+        def lines():
+            with open(file, mode) as fh:
+                yield from itertools.islice(fh, good_lines)
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        yield lines()
+
+    monkeypatch.setattr(ggrnet.data, "open", fake_open, raising=False)
+
+
+@pytest.mark.parametrize("good_lines, strerror", [(None, "Permission denied"),
+                                                  (2, "Input/output error")],
+                         ids=["open", "read"])
+@pytest.mark.parametrize("name, fmt", [("m.xyz", "xyz"), ("m.csv", "tabular"),
+                                       ("dir", "xyz")])
+def test_a_file_that_cannot_be_read_is_a_data_error_naming_it(tmp_path, monkeypatch,
+                                                              good_lines, strerror, name, fmt):
+    path = tmp_path / name
+    if fmt == "tabular":
+        path.write_text("id,atoms,coords,y\n" + "".join(f"m{k},C,0 0 {k},1.0\n" for k in range(9)))
+    elif name == "dir":
+        path.mkdir()
+        (path / "a.xyz").write_bytes(RECORDS)
+    else:
+        path.write_bytes(RECORDS)
+    failing_open(monkeypatch, good_lines)
+    named = "a.xyz" if name == "dir" else str(path)
+    with pytest.raises(DataError, match=f"^{re.escape(named)}: cannot read: {strerror}$"):
+        load_dataset(path, fmt)
 
 
 def test_builtin_sample_dataset():

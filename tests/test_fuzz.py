@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ggrnet.checkpoint import load_checkpoint, save_checkpoint
 from ggrnet.config import resolve_schema
-from ggrnet.data import CommentSchema, Normalizer, parse_extended_xyz_records, parse_tabular
+from ggrnet.data import CommentSchema, Normalizer, iter_extended_xyz_records, parse_tabular
 from ggrnet.errors import CheckpointError, GgrnetError
 from ggrnet.model import ModelConfig, init_params
 
@@ -53,7 +53,8 @@ def _raises_only_package_errors(call, *args):
        st.sampled_from([None, CommentSchema(id_columns=(0,), target_columns={"e": 1}),
                         CommentSchema(target_columns={"e": 5})]))
 def test_extended_xyz_records_raise_only_package_errors(text, schema):
-    _raises_only_package_errors(parse_extended_xyz_records, text, schema, VOCAB)
+    _raises_only_package_errors(lambda *args: list(iter_extended_xyz_records(*args)),
+                                [text], schema, VOCAB)
 
 
 TABULAR_ROWS = _one_of_lines(
