@@ -36,7 +36,12 @@ byte-order mark and has blank lines between records; and two directories of
 per-molecule files, one read with the ``qm9`` schema, whose files end in
 QM9-style frequency, SMILES and InChI lines, and one read without a schema,
 whose files name no id. One line per malformed input gives the error
-``load_dataset`` raises. Two source trees whose outputs are bitwise equal,
+``load_dataset`` raises. Then, for a 3-epoch ``train`` (dims 4/4/8/8, with
+all features on and with each feature switched off) on 30 generated
+molecules of ``geometric_dataset``, split 24/3/3, in batches of 7 with the
+gradient clipped at norm 1, one line per epoch gives the sha256 of its
+``train_mse``, ``val_mae`` and ``grad_norm``, and one line each the sha256
+of the best and of the final parameters. Two source trees whose outputs are bitwise equal,
 whose overflow checks decide alike and whose readers read alike print
 identical lines, so ``diff`` of two runs compares them. BLAS runs on one
 thread, as for a bit-reproducible run; nothing is downloaded, and the
@@ -167,13 +172,13 @@ def main(argv) -> int:
     sys.path.insert(0, argv[1])
     import numpy as np
     from ggrnet import Graph, ModelConfig, backward, init_params, mse_loss, zero_grads
-    from ggrnet.data import (CommentSchema, Dataset, Molecule, Normalizer, load_dataset,
-                             sample_dataset_path)
+    from ggrnet.data import (CommentSchema, Dataset, Molecule, Normalizer, SplitSpec,
+                             load_dataset, sample_dataset_path, split)
     from ggrnet.errors import GgrnetError, NumericalError
     from ggrnet.gradcheck import DEFAULT_CHECK_CONFIG, run_gradcheck
     from ggrnet.model import MoleculeEncoding, forward_batch
-    from ggrnet.synth import random_molecule
-    from ggrnet.training import evaluate
+    from ggrnet.synth import geometric_dataset, random_molecule
+    from ggrnet.training import TrainConfig, evaluate, train
 
     vocab = ("H", "C", "N", "O", "F")
     rng = np.random.default_rng(1909)
@@ -274,6 +279,21 @@ def main(argv) -> int:
                 print(f"ingest-error\t{name}\tloaded")
             except GgrnetError as err:
                 print(f"ingest-error\t{name}\t{type(err).__name__}: {err}")
+
+    train_ds, val_ds, _ = split(geometric_dataset(30, seed=1949), SplitSpec(seed=3))
+    for feature in FEATURES:
+        switches = {} if feature == "all" else {feature: False}
+        cfg = TrainConfig(target_property="energy", lr0=0.05, epochs=3, batch_size=7,
+                          clip_norm=1.0, seed=5, model=ModelConfig(**SMALL, **switches))
+        result = train(train_ds, val_ds, cfg)
+        for rep in result.reports:
+            digest = hashlib.sha256(np.array([rep.train_mse, rep.val_mae, rep.grad_norm]))
+            print(f"train\t{feature}\tepoch {rep.epoch}\t{digest.hexdigest()}")
+        for name, params in (("best", result.best_params), ("final", result.final_params)):
+            digest = hashlib.sha256()
+            for tensor in params.tensors():
+                digest.update(tensor.values.tobytes())
+            print(f"train\t{feature}\t{name} params\t{digest.hexdigest()}")
     return 0
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Normalizer, repeated_symbol
-from .errors import CheckpointError
+from .errors import CheckpointError, NumericalError
 from .model import ModelConfig, ModelParams, param_shapes
 
 __all__ = ["Checkpoint", "atomic_write", "save_checkpoint", "load_checkpoint",
@@ -136,7 +136,10 @@ def load_checkpoint(path) -> Checkpoint:
         if offset + nbytes > len(raw):
             raise CheckpointError(f"{path}: truncated payload at tensor '{name}'")
         values = np.frombuffer(raw, dtype="<f8", count=rows * cols, offset=offset)
-        tensors[name] = ad.parameter(values.reshape(rows, cols), name)
+        try:
+            tensors[name] = ad.parameter(values.reshape(rows, cols), name)
+        except NumericalError as err:
+            raise CheckpointError(f"{path}: {err}") from err
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes after payload")

@@ -20,13 +20,12 @@ import numpy as np
 
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .config import RunSpec, load_run_spec, resolve_schema
-from .data import (DATASET_FORMATS, Dataset, fit_normalizer, iter_extended_xyz_records,
-                   load_dataset, read_lines, split)
+from .data import (DATASET_FORMATS, Dataset, iter_extended_xyz_records, load_dataset,
+                   read_lines, split)
 from .errors import (CheckpointError, ConfigError, DataError, NumericalError, ParseError,
                      VocabularyError)
 from .gradcheck import DEFAULT_CHECK_CONFIG, run_gradcheck
-from .model import check_allocation
-from .training import ABLATION_FLAGS, evaluate, predict, run_ablation, train
+from .training import ABLATION_FLAGS, evaluate, predict, run_ablation, setup_run, train
 
 __all__ = ["main", "entrypoint", "build_parser"]
 
@@ -102,34 +101,25 @@ def _flag_overrides(args) -> list[str]:
 
 
 def _training_inputs(args, every_run: bool) -> tuple[
-        RunSpec, str, str, list[tuple[int, tuple[Dataset, Dataset, Dataset]]]]:
-    """The inputs of train and ablate: the run spec, its ``target`` and the
-    target's unit, and the split seed and ``(train, val, test)`` split of
-    each run the command trains: all ``run.runs`` when ``every_run``, else
-    the first. Run r's split seed is ``split.seed`` plus r with
-    ``run.resplit``, else ``split.seed``. The spec's ``train.*``,
-    ``model.*``, ``split.*`` and ``dataset.*`` values are checked, then the
-    dataset is read, its target found, the splits made and a normalizer
-    fitted on each training partition (which :func:`train` fits again),
-    and the model's parameters and the recorded workspace of the partition's
-    ``train.batch_size`` largest molecules are allocated and freed, so an
-    input that fails does so before any output is made."""
+        RunSpec, str, list[tuple[RunSpec, tuple[Dataset, Dataset, Dataset]]]]:
+    """The inputs of train and ablate: the run spec, its target's unit, and
+    the spec (:meth:`RunSpec.run`) and ``(train, val, test)`` split of each
+    run the command trains: all ``run.runs`` when ``every_run``, else the
+    first. The spec's ``train.*``, ``model.*``, ``split.*`` and ``dataset.*``
+    values are checked, then the dataset is read, the splits made and each
+    run set up as :func:`train` sets it up (:func:`setup_run`), so an input
+    that fails does so before any output is made."""
     spec = load_run_spec(args.config, _flag_overrides(args))
-    cfg = spec.train_config()
+    spec.train_config()
     spec.split_spec()
     ds = _load_spec_dataset(spec)
-    target = spec["target"]
-    if target not in ds.property_names:
-        raise DataError(f"target '{target}' not among dataset properties {ds.property_names}")
     runs = []
     for r in range(spec["run.runs"] if every_run else 1):
-        split_spec = spec.split_spec(r if spec["run.resplit"] else 0)
-        partitions = split(ds, split_spec)
-        fit_normalizer(partitions[0], target)
-        largest = sorted((mol.natoms for mol in partitions[0]), reverse=True)
-        check_allocation(cfg.model, len(ds.element_vocabulary), largest[:cfg.batch_size])
-        runs.append((split_spec.seed, partitions))
-    return spec, target, ds.units.get(target, ""), runs
+        run = spec.run(r)
+        partitions = split(ds, run.split_spec())
+        setup_run(*partitions[:2], run.train_config())
+        runs.append((run, partitions))
+    return spec, ds.units.get(spec["target"], ""), runs
 
 
 def _out_dir(path) -> Path:
@@ -149,16 +139,19 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _cmd_train(args) -> int:
-    spec, target, unit, runs = _training_inputs(args, every_run=True)
+    spec, unit, runs = _training_inputs(args, every_run=True)
+    target = spec["target"]
     out = _out_dir(args.out)
     run_dirs = [out] if len(runs) == 1 else [_out_dir(out / f"run{r}")
                                              for r in range(len(runs))]
     _write_text(out / "manifest.cfg", spec.manifest_text())
+    if len(runs) > 1:
+        for run_dir, (run, _) in zip(run_dirs, runs):
+            _write_text(run_dir / "manifest.cfg", run.manifest_text())
     run_infos = []
     with _thread_cap(spec["run.threads"]) as blas_threads:
-        for r, (run_dir, (split_seed, (train_ds, val_ds, test_ds))) in enumerate(
-                zip(run_dirs, runs)):
-            cfg = spec.train_config(seed_offset=r)
+        for r, (run_dir, (run, (train_ds, val_ds, test_ds))) in enumerate(zip(run_dirs, runs)):
+            cfg = run.train_config()
             with open(run_dir / "metrics.jsonl", "w", encoding="utf-8") as metrics_fh, \
                     open(run_dir / "timing.jsonl", "w", encoding="utf-8") as timing_fh:
 
@@ -185,7 +178,7 @@ def _cmd_train(args) -> int:
                                  result.vocabulary, target)
             test_final = evaluate(result.final_params, test_ds, result.normalizer, cfg.model,
                                   result.vocabulary, target)
-            run_infos.append({"run": r, "seed": cfg.seed, "split_seed": split_seed,
+            run_infos.append({"run": r, "seed": cfg.seed, "split_seed": run["split.seed"],
                               "best_epoch": result.best_epoch,
                               "best_val_mae": result.best_val_mae,
                               "test_mae_best": test_best.mae,
@@ -220,6 +213,10 @@ def _cmd_eval(args) -> int:
         ckpt = load_checkpoint(args.checkpoint)
         if args.config:
             spec = load_run_spec(args.config)
+            if spec["run.resplit"] and spec["run.runs"] > 1:
+                raise ConfigError(f"config file {args.config}: each of its {spec['run.runs']} "
+                                  f"runs has its own split (run.resplit); evaluate run k "
+                                  f"with --config run<k>/manifest.cfg")
             ds = _load_spec_dataset(spec)
             if list(ds.element_vocabulary) != list(ckpt.vocabulary):
                 raise CheckpointError(f"vocabulary mismatch: dataset uses "
@@ -250,11 +247,8 @@ def _cmd_eval(args) -> int:
 def _cmd_predict(args) -> int:
     with _thread_cap(args.threads):
         ckpt = load_checkpoint(args.checkpoint)
-        path = Path(args.molecules)
-        if not path.is_file():
-            raise DataError(f"molecule file not found: {path}")
         schema = resolve_schema(args.schema)
-        with contextlib.closing(read_lines(path, str(path))) as lines:
+        with contextlib.closing(read_lines(args.molecules, args.molecules)) as lines:
             # predict reads, predicts and prints one chunk before it reads the
             # next, so memory does not grow with the file
             molecules = iter_extended_xyz_records(lines, schema, ckpt.vocabulary)
@@ -298,7 +292,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    spec, _, _, [(_, partitions)] = _training_inputs(args, every_run=False)
+    spec, _, [(run, partitions)] = _training_inputs(args, every_run=False)
     out = _out_dir(args.out) if args.out else None
     which = list(ABLATION_FLAGS) if args.which == "all" else [args.which]
 
@@ -307,7 +301,7 @@ def _cmd_ablate(args) -> int:
               f"val_mae={rep.val_mae:.6g}", file=sys.stderr)
 
     with _thread_cap(spec["run.threads"]):
-        rows = run_ablation(spec.train_config(), *partitions, which, epoch_callback=progress)
+        rows = run_ablation(run.train_config(), *partitions, which, epoch_callback=progress)
 
     print("variant\tval_mae\ttest_mae")
     for row in rows:

@@ -8,15 +8,14 @@ defaults materialized, so a run can be reproduced by pointing ``train
 from __future__ import annotations
 
 import dataclasses
-import json
 import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from .data import (DATASET_FORMATS, DEFAULT_ELEMENTS, CommentSchema, SplitSpec,
+from .data import (DATASET_FORMATS, DEFAULT_ELEMENTS, CommentSchema, SplitSpec, read_text,
                    repeated_symbol, sample_dataset_path)
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ParseError
 from .model import ModelConfig
 from .training import TrainConfig
 
@@ -115,16 +114,22 @@ class RunSpec:
     def model_config(self) -> ModelConfig:
         return ModelConfig(**self._section("model"))
 
-    def train_config(self, seed_offset: int = 0) -> TrainConfig:
-        section = self._section("train")
-        section["seed"] += seed_offset
+    def train_config(self) -> TrainConfig:
         return TrainConfig(target_property=self.values["target"], model=self.model_config(),
-                           **section)
+                           **self._section("train"))
 
-    def split_spec(self, seed_offset: int = 0) -> SplitSpec:
-        section = self._section("split")
-        section["seed"] += seed_offset
-        return SplitSpec(**section)
+    def split_spec(self) -> SplitSpec:
+        return SplitSpec(**self._section("split"))
+
+    def run(self, r: int) -> "RunSpec":
+        """The spec of run ``r`` of ``run.runs`` alone: its ``train.seed`` is
+        ``train.seed`` plus r, its ``split.seed`` is ``split.seed`` plus r with
+        ``run.resplit``, else ``split.seed``, and it is one run without
+        ``run.resplit``, so its manifest reproduces that run."""
+        values = dict(self.values, **{"run.runs": 1, "run.resplit": False})
+        values["train.seed"] += r
+        values["split.seed"] += r if self.values["run.resplit"] else 0
+        return RunSpec(values=values)
 
     def schema(self) -> CommentSchema | None:
         return resolve_schema(self.values["dataset.schema"])
@@ -177,15 +182,11 @@ def resolve_run_spec(raw: dict[str, str], overrides: Sequence[str] = ()) -> RunS
 
 
 def load_run_spec(path, overrides: Sequence[str] = ()) -> RunSpec:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+    """The run spec of the config file at ``path`` with ``overrides``."""
     try:
-        text = path.read_text(encoding="utf-8-sig")
-    except OSError as err:
-        raise ConfigError(f"config file {path}: cannot read: {err.strerror}") from err
-    except UnicodeDecodeError as err:
-        raise ConfigError(f"config file {path}: not UTF-8 text: {err}") from err
+        text = read_text(path, f"config file {path}")
+    except (DataError, ParseError) as err:
+        raise ConfigError(str(err)) from err
     return resolve_run_spec(parse_config_text(text), overrides)
 
 
@@ -199,11 +200,5 @@ def resolve_schema(spec: str | None) -> CommentSchema | None:
         if spec.startswith("builtin:"):
             return CommentSchema.builtin(spec.split(":", 1)[1])
         return CommentSchema.from_file(spec)
-    except OSError as err:
-        raise ConfigError(f"schema '{spec}': cannot read: {err.strerror}") from err
-    except (json.JSONDecodeError, RecursionError) as err:
-        raise ConfigError(f"schema '{spec}': malformed JSON: {err}") from err
-    except (UnicodeDecodeError, DataError) as err:
-        raise ConfigError(f"schema '{spec}': {err}") from err
-    except ValueError as err:                     # a path the system cannot name
-        raise ConfigError(f"schema '{spec}': cannot read: {err}") from err
+    except (DataError, ParseError) as err:
+        raise ConfigError(str(err)) from err

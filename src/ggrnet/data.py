@@ -39,6 +39,7 @@ __all__ = [
     "parse_extended_xyz",
     "iter_extended_xyz_records",
     "read_lines",
+    "read_text",
     "format_extended_xyz",
     "parse_tabular",
     "load_dataset",
@@ -262,27 +263,31 @@ class CommentSchema:
 
     @staticmethod
     def from_file(path) -> "CommentSchema":
-        """Read a JSON schema; a structure other than the documented one raises
-        :class:`DataError`."""
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            raw = json.load(fh)
+        """Read a JSON schema through :func:`read_text`; every way the file can
+        be unusable raises a :class:`DataError` or :class:`ParseError` that
+        names it as ``schema '<path>'``."""
+        name = f"schema '{path}'"
+        try:
+            raw = json.loads(read_text(path, name))
+        except (json.JSONDecodeError, RecursionError) as err:
+            raise DataError(f"{name}: malformed JSON: {err}") from err
         if not isinstance(raw, dict):
-            raise DataError("schema is not a JSON object")
+            raise DataError(f"{name}: not a JSON object")
         ids, targets = raw.get("id_columns", []), raw.get("targets", {})
         units = raw.get("units", {})
         if not (isinstance(targets, dict) and all(map(_is_column, targets.values()))):
-            raise DataError("'targets' must map names to non-negative column numbers")
+            raise DataError(f"{name}: 'targets' must map names to non-negative column numbers")
         if not (isinstance(ids, list) and all(map(_is_column, ids))):
-            raise DataError("'id_columns' must be a list of non-negative column numbers")
+            raise DataError(f"{name}: 'id_columns' must be a list of non-negative column numbers")
         if not (isinstance(units, dict) and all(isinstance(u, str) for u in units.values())):
-            raise DataError("'units' must map names to strings")
+            raise DataError(f"{name}: 'units' must map names to strings")
         return CommentSchema(id_columns=tuple(ids), target_columns=targets, units=units)
 
     @staticmethod
     def builtin(name: str) -> "CommentSchema":
         path = resources.files("ggrnet") / "assets" / f"{name}_schema.json"
         if not path.is_file():
-            raise DataError(f"no builtin schema named '{name}'")
+            raise DataError(f"schema 'builtin:{name}': no builtin schema of that name")
         return CommentSchema.from_file(path)
 
 
@@ -297,7 +302,7 @@ def _as_text(text, first_line: int = 1) -> str:
     if not isinstance(text, bytes):
         return text
     if first_line == 1:
-        # stripped here, not by the utf-8-sig codec, whose error offsets skip it
+        # stripped here, not by a codec whose error offsets would skip it
         text = text.removeprefix(codecs.BOM_UTF8)
     try:
         return text.decode("utf-8")
@@ -425,14 +430,23 @@ def iter_extended_xyz_records(chunks: Iterable[str | bytes], schema: CommentSche
 
 
 def read_lines(path, name: str) -> Iterator[bytes]:
-    """The lines of the file at ``path``, read in binary one at a time. An
-    ``OSError`` from opening or reading it raises a :class:`DataError` that
-    names the file as ``name``."""
+    """The lines of the file (or pipe) at ``path``, read in binary one at a
+    time. An ``OSError`` from opening or reading it, or a NUL byte in
+    ``path``, raises a :class:`DataError` that names the file as ``name``."""
     try:
         with open(path, "rb") as fh:
             yield from fh
-    except OSError as err:
-        raise DataError(f"{name}: cannot read: {err.strerror}") from err
+    except (OSError, ValueError) as err:
+        raise DataError(f"{name}: cannot read: {getattr(err, 'strerror', err)}") from err
+
+
+def read_text(path, name: str) -> str:
+    """The text of the file at ``path``, read by :func:`read_lines` and
+    decoded by :func:`_as_text`, whose error also names the file as ``name``."""
+    try:
+        return _as_text(b"".join(read_lines(path, name)))
+    except ParseError as err:
+        raise ParseError(f"{name}: {err}") from None
 
 
 def format_extended_xyz(mol: Molecule, property_order: Sequence[str] | None = None) -> str:

@@ -14,8 +14,7 @@ prediction has the same bits in any batch. In this module:
 - :func:`message_step`: the whole recursion of a batch as one recorded op
   with a hand-written backward, whose docstring states its derivation;
   :func:`_layout` lays out the workspace it carves, which the spare-workspace
-  functions keep from call to call and :func:`check_allocation` requests
-  before training starts;
+  functions keep from call to call;
 - :func:`readout`: the mean and the MLP as one op;
 - :func:`forward_batch` and :func:`forward`: both, for a batch or for one
   molecule.
@@ -280,16 +279,6 @@ def _workspace_size(cfg: ModelConfig, sizes: Sequence[int], replicas: int = 1,
                     recording: bool = False) -> int:
     """Entries of the workspace that :func:`_layout` lays out."""
     return sum(map(math.prod, _layout(cfg, sizes, replicas, recording)))
-
-
-def check_allocation(cfg: ModelConfig, vocab_size: int, sizes: Sequence[int]) -> None:
-    """Allocate, and free at once, the parameters of a model for molecules
-    of up to ``max(sizes)`` atoms and the workspace of a recorded batch of
-    ``sizes`` atoms, so that a size numpy refuses (as it does, without
-    touching memory, for one no machine holds) raises here the
-    :class:`ConfigError` that training would raise."""
-    init_params(cfg, vocab_size, max(sizes), seed=0)
-    _take_workspace(_workspace_size(cfg, sizes, recording=True))
 
 
 def _replica_reader(graph: Graph | None, params: ModelParams,

@@ -21,8 +21,8 @@ from . import autodiff as ad
 from .autodiff import Graph, Tensor
 from .data import Dataset, Molecule, Normalizer, fit_normalizer
 from .errors import ConfigError, DataError, NumericalError, ShapeError
-from .model import (ModelConfig, ModelParams, MoleculeEncoding, forward_batch, init_params,
-                    release_workspace)
+from .model import (ModelConfig, ModelParams, MoleculeEncoding, _take_workspace,
+                    _workspace_size, forward_batch, init_params, release_workspace)
 
 __all__ = [
     "TrainConfig",
@@ -36,6 +36,7 @@ __all__ = [
     "mae",
     "predict",
     "evaluate",
+    "setup_run",
     "train",
     "run_ablation",
 ]
@@ -181,24 +182,36 @@ def evaluate(params: ModelParams, ds: Dataset, normalizer: Normalizer, cfg: Mode
                       residuals=residuals)
 
 
-def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
-          epoch_callback: Callable[[EpochReport], None] | None = None) -> TrainResult:
-    """SGD with per-epoch decayed learning rate, gradient clipping, and
-    best-validation checkpointing.
-
-    The normalizer is fit on the training partition only. Every epoch
-    reshuffles the training indices from one seeded RNG stream, so a given
-    seed reproduces the whole run bit for bit. Each batch is encoded when it
-    runs, with the training set's own vocabulary, so no element is unknown.
-    The recursion workspace that batches reuse is freed when the run ends.
-    """
+def setup_run(train_ds: Dataset, val_ds: Dataset,
+              cfg: TrainConfig) -> tuple[list[str], Normalizer, ModelParams]:
+    """A run's vocabulary, normalizer (fitted on the training partition only)
+    and seeded initial parameters, after the target is found in both
+    partitions; the recorded workspace of the ``cfg.batch_size`` largest
+    training molecules is requested and freed, so a model too large raises."""
     prop = cfg.target_property
     if prop not in train_ds.property_names or prop not in val_ds.property_names:
-        raise DataError(f"target '{prop}' missing from dataset properties "
+        raise DataError(f"target '{prop}' not among dataset properties "
                         f"{train_ds.property_names}")
     vocabulary = list(train_ds.element_vocabulary)
     normalizer = fit_normalizer(train_ds, prop)
     params = init_params(cfg.model, len(vocabulary), train_ds.max_atom_count, cfg.seed)
+    largest = sorted((mol.natoms for mol in train_ds), reverse=True)[:cfg.batch_size]
+    _take_workspace(_workspace_size(cfg.model, largest, recording=True))
+    return vocabulary, normalizer, params
+
+
+def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
+          epoch_callback: Callable[[EpochReport], None] | None = None) -> TrainResult:
+    """SGD with per-epoch decayed learning rate, gradient clipping, and
+    best-validation checkpointing, set up by :func:`setup_run`.
+
+    Every epoch reshuffles the training indices from one seeded RNG stream,
+    so a given seed reproduces the whole run bit for bit. Each batch is
+    encoded when it runs, with the training set's own vocabulary, so no
+    element is unknown. The recursion workspace is freed when the run ends.
+    """
+    prop = cfg.target_property
+    vocabulary, normalizer, params = setup_run(train_ds, val_ds, cfg)
     tensors = params.tensors()
 
     targets_norm = [normalizer.normalize(m.targets[prop]) for m in train_ds]

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -263,18 +265,24 @@ def test_an_impossible_allocation_makes_no_out(config_file, tmp_path, capsys, co
 
 def test_the_allocation_check_asks_for_the_largest_training_batch(config_file, tmp_path,
                                                                   monkeypatch):
-    import ggrnet.cli as cli
+    import ggrnet.training as training
 
     asked = []
-    monkeypatch.setattr(cli, "check_allocation", lambda *args: asked.append(args))
+
+    def workspace_size(cfg, sizes, **kwargs):
+        asked.append((cfg.hidden_dim, list(sizes), kwargs))
+        return real(cfg, sizes, **kwargs)
+
+    real = training._workspace_size
+    monkeypatch.setattr(training, "_workspace_size", workspace_size)
     assert main(["train", "--config", str(config_file), "--out", str(tmp_path / "o"),
                  "--runs", "2", "--resplit", "--epochs", "1"]) == 0
     ds = load_dataset(sample_dataset_path(), schema=resolve_schema("builtin:sample"))
     # split.seed 7, stepped by run.resplit; train.batch_size 4
     expected = [sorted((m.natoms for m in split(ds, SplitSpec(seed=seed))[0]), reverse=True)[:4]
                 for seed in (7, 8)]
-    assert [(cfg.hidden_dim, vocab_size, list(sizes)) for cfg, vocab_size, sizes in asked] == \
-        [(8, 5, sizes) for sizes in expected]
+    # each run is set up before --out is made, then again by train
+    assert asked == 2 * [(8, sizes, {"recording": True}) for sizes in expected]
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "predict"])
@@ -320,6 +328,38 @@ def test_train_resplit_steps_the_split_seed(config_file, tmp_path):
     # the first run is the same run either way; the second trains on another split
     assert runs["resplit"][0] == runs["same"][0]
     assert runs["resplit"][1]["test_mae_best"] != runs["same"][1]["test_mae_best"]
+
+
+def test_each_resplit_run_has_a_manifest_that_evaluates_and_reproduces_it(config_file, tmp_path,
+                                                                        capsys):
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config_file), "--out", str(out), "--runs", "2",
+                 "--resplit", "--threads", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    for run in report["runs"]:
+        run_dir = out / f"run{run['run']}"
+        manifest = run_dir / "manifest.cfg"
+        values = dict(line.split(" = ") for line in manifest.read_text().splitlines())
+        assert (values["split.seed"], values["train.seed"]) == \
+            (str(run["split_seed"]), str(run["seed"]))
+        assert (values["run.runs"], values["run.resplit"]) == ("1", "false")
+        # eval with a run's manifest evaluates that run's test partition
+        assert main(["eval", str(run_dir / "best.ckpt"), "--config", str(manifest)]) == 0
+        assert json.loads(capsys.readouterr().out)["mae"] == run["test_mae_best"]
+        # and train with it reproduces the run
+        again = tmp_path / f"again{run['run']}"
+        assert main(["train", "--config", str(manifest), "--out", str(again),
+                     "--threads", "1"]) == 0
+        capsys.readouterr()
+        for name in ("metrics.jsonl", "best.ckpt", "final.ckpt", "manifest.cfg"):
+            assert (again / name).read_bytes() == (run_dir / name).read_bytes(), name
+    # the base manifest splits each run anew, so no test partition is the runs'
+    assert main(["eval", str(out / "run1" / "best.ckpt"), "--config",
+                 str(out / "manifest.cfg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: config file {out / 'manifest.cfg'}: ")
+    assert "run<k>/manifest.cfg" in captured.err and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["eval", "predict", "gradcheck"])
@@ -760,6 +800,88 @@ def test_ablate_makes_and_checks_only_the_split_it_trains(config_file, tmp_path,
 
 
 # ---------------------------------------------------------------------------
+# reading inputs
+
+
+@pytest.fixture()
+def pipe():
+    """``pipe(data)``: the ``/dev/fd`` path of a pipe that holds ``data`` and
+    whose write end is closed, as a shell's process substitution gives."""
+    ends = []
+
+    def make(data: bytes) -> str:
+        r, w = os.pipe()
+        ends.append(r)
+        os.write(w, data)
+        os.close(w)
+        return f"/dev/fd/{r}"
+
+    yield make
+    for fd in ends:
+        os.close(fd)
+
+
+def test_predict_and_train_read_from_a_pipe(trained_run, config_file, tmp_path, capsys, pipe):
+    ckpt = str(trained_run / "best.ckpt")
+    assert main(["predict", ckpt, str(sample_dataset_path())]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["predict", ckpt, pipe(sample_dataset_path().read_bytes())]) == 0
+    assert capsys.readouterr().out == from_file
+    out = tmp_path / "o"
+    assert main(["train", "--config", pipe(config_file.read_bytes()), "--out", str(out),
+                 "--threads", "1"]) == 0
+    for name in ("manifest.cfg", "metrics.jsonl", "best.ckpt"):
+        assert (out / name).read_bytes() == (trained_run / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("kind", ["config", "schema"])
+def test_an_undecodable_byte_after_a_byte_order_mark_names_its_line(trained_run, tmp_path,
+                                                                    capsys, kind):
+    path = tmp_path / kind
+    bom = "\ufeff".encode()
+    if kind == "config":
+        path.write_bytes(bom + b"dataset.path = builtin:sample10\ntarget = \xff\n")
+        argv, start = ["train", "--config", str(path)], f"config file {path}"
+    else:
+        path.write_bytes(bom + b'{"targets":\n {"\xff": 1}}')
+        argv = ["eval", str(trained_run / "best.ckpt"), "--data", str(sample_dataset_path()),
+                "--schema", str(path)]
+        start = f"schema '{path}'"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {start}: line 2: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("command, code", [("train", 2), ("predict", 3)])
+def test_a_missing_config_or_molecule_file_is_one_line(trained_run, tmp_path, capsys, command,
+                                                       code):
+    missing = tmp_path / "missing"
+    argv, name = {"train": (["train", "--config", str(missing), "--out", str(tmp_path / "o")],
+                            f"config file {missing}"),
+                  "predict": (["predict", str(trained_run / "best.ckpt"), str(missing)],
+                              str(missing))}[command]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name}: cannot read: No such file or directory\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_a_checkpoint_with_a_non_finite_value_is_one_line_exit_2(trained_run, tmp_path, capsys,
+                                                                  command):
+    ckpt = tmp_path / "nan.ckpt"
+    raw = (trained_run / "best.ckpt").read_bytes()
+    ckpt.write_bytes(raw[:-8] + struct.pack("<d", float("nan")))
+    data = str(sample_dataset_path())
+    argv = {"eval": ["eval", str(ckpt), "--data", data],
+            "predict": ["predict", str(ckpt), data]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {ckpt}: non-finite values in tensor 'readout_b2'\n"
+
+
+# ---------------------------------------------------------------------------
 # bad command-line inputs
 
 
@@ -779,10 +901,10 @@ def test_ablate_makes_and_checks_only_the_split_it_trains(config_file, tmp_path,
     (["eval", "{ckpt}", "--data", "{dir}", "--format", "tabular"], 3,
      "format 'tabular' cannot read directory {dir}"),
     (["train", "--config", "{latin}", "--out", "{empty}/o"], 2,
-     "config file {latin}: not UTF-8 text: "),
+     "config file {latin}: line 1: not UTF-8 text\n"),
     (["ablate", "--config", "{latin}", "--which", "all"], 2,
-     "config file {latin}: not UTF-8 text: "),
-    (["eval", "{ckpt}", "--config", "{latin}"], 2, "config file {latin}: not UTF-8 text: "),
+     "config file {latin}: line 1: not UTF-8 text\n"),
+    (["eval", "{ckpt}", "--config", "{latin}"], 2, "config file {latin}: line 1: not UTF-8 text\n"),
     (["train", "--config", "{noeq}", "--out", "{empty}/o"], 2,
      "config line 1: expected 'key = value'"),
     (["train", "--config", "{cfg}", "--out", "{empty}/o", "--set", "noequals"], 2,

@@ -59,9 +59,20 @@ def test_manifest_round_trips():
 
 
 def test_seed_offsets_step_train_and_split_seeds():
-    spec = resolve_run_spec({"train.seed": "10", "split.seed": "20", "target": "e"})
-    assert spec.train_config(seed_offset=2).seed == 12
-    assert spec.split_spec(seed_offset=3).seed == 23
+    raw = {"train.seed": "10", "split.seed": "20", "target": "e", "run.runs": "4"}
+    spec = resolve_run_spec(raw)
+    assert spec.run(2).train_config().seed == 12
+    assert spec.run(3).split_spec().seed == 20
+    resplit = resolve_run_spec(raw, ["run.resplit=true"])
+    assert resplit.run(3).split_spec().seed == 23
+    # a run's spec is one run without resplit, and the rest of its manifest
+    # is the base spec's
+    for base in (spec, resplit):
+        run = base.run(2)
+        assert (run["run.runs"], run["run.resplit"]) == (1, False)
+        assert resolve_run_spec(parse_config_text(run.manifest_text())) == run
+        assert {key for key in base.values if run[key] != base[key]} <= \
+            {"train.seed", "split.seed", "run.runs", "run.resplit"}
 
 
 def test_overrides_beat_file_values(tmp_path):

@@ -203,6 +203,31 @@ def test_train_missing_target(comp_splits):
         train(tr, va, quick_config(target_property="nothere"))
 
 
+@pytest.mark.parametrize("case, error, match", [
+    ("missing target", DataError, "target 'nothere' not among dataset properties"),
+    ("constant target", DataError, "target 'ncarbon' is constant over the training set"),
+    ("impossible allocation", ConfigError, "cannot allocate the recursion's workspace"),
+])
+def test_train_raises_the_setup_errors_before_its_first_batch(comp_splits, monkeypatch, case,
+                                                              error, match):
+    import ggrnet.training as training
+
+    def no_batch(*args, **kwargs):
+        raise AssertionError("a batch ran")
+
+    monkeypatch.setattr(training, "forward_batch", no_batch)
+    tr, va, _ = comp_splits
+    cfg = {"missing target": quick_config(target_property="nothere"),
+           "constant target": quick_config(),
+           "impossible allocation": quick_config(
+               model=dataclasses.replace(SMALL, steps=10 ** 12))}[case]
+    if case == "constant target":
+        first = tr[0].targets["ncarbon"]
+        tr = tr.subset(i for i, m in enumerate(tr) if m.targets["ncarbon"] == first)
+    with pytest.raises(error, match=match):
+        train(tr, va, cfg)
+
+
 def test_train_deterministic(comp_splits):
     tr, va, _ = comp_splits
 
