@@ -41,13 +41,24 @@ all features on and with each feature switched off) on 30 generated
 molecules of ``geometric_dataset``, split 24/3/3, in batches of 7 with the
 gradient clipped at norm 1, one line per epoch gives the sha256 of its
 ``train_mse``, ``val_mae`` and ``grad_norm``, and one line each the sha256
-of the best and of the final parameters. Two source trees whose outputs are bitwise equal,
-whose overflow checks decide alike and whose readers read alike print
-identical lines, so ``diff`` of two runs compares them. BLAS runs on one
-thread, as for a bit-reproducible run; nothing is downloaded, and the
-ingest inputs are written to a temporary directory that is removed.
+of the best and of the final parameters. Last, the command line runs in
+process on 30 generated molecules of ``geometric_dataset``, written as one
+extended-XYZ file: ``train --runs 2 --resplit --threads 1`` (dims 4/4/8/8,
+6 epochs, batches of 7), whose ``report.json``, each run's ``best.ckpt``,
+``final.ckpt`` and ``metrics.jsonl``, and each ``manifest.cfg`` (with the
+temporary directory's path replaced by a fixed token) get one line each;
+then ``eval --config run1/manifest.cfg``, ``eval --data`` of the file with
+residuals, and ``predict`` of it, whose standard output gets one line each.
+Two source trees whose outputs are bitwise equal, whose overflow checks
+decide alike and whose readers read alike print identical lines, so
+``diff`` of two runs compares them. BLAS runs on one thread, as for a
+bit-reproducible run; nothing is downloaded, and the ingest and command
+line inputs and outputs are written to temporary directories that are
+removed.
 """
+import contextlib
 import hashlib
+import io
 import os
 import sys
 import tempfile
@@ -294,6 +305,46 @@ def main(argv) -> int:
             for tensor in params.tensors():
                 digest.update(tensor.values.tobytes())
             print(f"train\t{feature}\t{name} params\t{digest.hexdigest()}")
+
+    from ggrnet.cli import main as cli_main
+
+    def command(*argv):
+        """The standard output of the command line ``argv``, which must succeed."""
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            assert cli_main([str(arg) for arg in argv]) == 0, argv
+        return stdout.getvalue()
+
+    def sha(data):
+        return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        molecules = root / "molecules.xyz"
+        molecules.write_text("".join(xyz_record(mol, f"{mol.mol_id} {mol.targets['energy']!r} "
+                                                     f"{mol.natoms}")
+                                     for mol in geometric_dataset(30, seed=1951)))
+        (root / "run.cfg").write_text(
+            f"dataset.path = {molecules}\ndataset.schema = builtin:sample\n"
+            "dataset.elements = H,C,N,O\ntarget = energy\nsplit.seed = 3\n"
+            + "".join(f"model.{key} = {value}\n" for key, value in SMALL.items())
+            + "train.epochs = 6\ntrain.batch_size = 7\ntrain.seed = 5\n")
+        out = root / "out"
+        command("train", "--config", root / "run.cfg", "--out", out, "--runs", "2",
+                "--resplit", "--threads", "1")
+        print(f"cli\ttrain\treport.json\t{sha((out / 'report.json').read_bytes())}")
+        for name in ("manifest.cfg", "run0/manifest.cfg", "run1/manifest.cfg"):
+            print(f"cli\ttrain\t{name}\t{sha((out / name).read_text().replace(tmp, 'TMP'))}")
+        for run in ("run0", "run1"):
+            for name in ("best.ckpt", "final.ckpt", "metrics.jsonl"):
+                print(f"cli\ttrain\t{run}/{name}\t{sha((out / run / name).read_bytes())}")
+        ckpt = out / "run1" / "best.ckpt"
+        outputs = {"eval --config": command("eval", ckpt, "--config", out / "run1" / "manifest.cfg"),
+                   "eval --data": command("eval", ckpt, "--data", molecules, "--schema",
+                                          "builtin:sample", "--residuals"),
+                   "predict": command("predict", ckpt, molecules, "--schema", "builtin:sample")}
+        for name, stdout in outputs.items():
+            print(f"cli\t{name}\tstdout\t{sha(stdout)}")
     return 0
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Normalizer, repeated_symbol
-from .errors import CheckpointError, NumericalError
+from .errors import CheckpointError, NumericalError, writing
 from .model import ModelConfig, ModelParams, param_shapes
 
 __all__ = ["Checkpoint", "atomic_write", "save_checkpoint", "load_checkpoint",
@@ -52,13 +52,15 @@ def atomic_write(path, mode: str = "wb", **kwargs):
     """Open a temporary file next to ``path`` for writing and move it onto
     ``path`` with :func:`os.replace` once the block completes. If the block
     raises, the temporary file is removed and ``path`` keeps its previous
-    content (or stays absent)."""
+    content (or stays absent); an ``OSError`` is raised as an
+    :class:`OutputError` that names ``path``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
+        with writing(path):
+            with open(tmp, mode, **kwargs) as fh:
+                yield fh
+            os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

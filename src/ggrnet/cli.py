@@ -2,8 +2,9 @@
 
 All commands are non-interactive. Machine-parseable results go to stdout,
 progress and diagnostics to stderr. Exit codes: 0 success, 2 configuration
-or checkpoint error, 3 data error, 4 numerical abort, 5 gradient-check
-failure.
+or checkpoint error or an output that cannot be written, 3 data error, 4
+numerical abort, 5 gradient-check failure, 130 interrupted, 141 stdout or
+stderr closed by its reader.
 """
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ import contextlib
 import ctypes
 import json
 import math
+import os
+import signal
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,8 +25,8 @@ from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .config import RunSpec, load_run_spec, resolve_schema
 from .data import (DATASET_FORMATS, Dataset, iter_extended_xyz_records, load_dataset,
                    read_lines, split)
-from .errors import (CheckpointError, ConfigError, DataError, NumericalError, ParseError,
-                     VocabularyError)
+from .errors import (CheckpointError, ConfigError, DataError, NumericalError, OutputError,
+                     ParseError, VocabularyError, writing)
 from .gradcheck import DEFAULT_CHECK_CONFIG, run_gradcheck
 from .training import ABLATION_FLAGS, evaluate, predict, run_ablation, setup_run, train
 
@@ -138,6 +141,22 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
+def _append(path: Path, text: str, mode: str = "a") -> None:
+    """Write ``text`` at the end of the file at ``path`` (``mode="w"``: as its
+    whole content) and close it, so that a failed write is one line naming it."""
+    with writing(path), open(path, mode, encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _print(*lines: str) -> None:
+    """Print result lines to stdout and flush them, so that a failed write is
+    one line naming standard output."""
+    with writing("standard output"):
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+
+
 def _cmd_train(args) -> int:
     spec, unit, runs = _training_inputs(args, every_run=True)
     target = spec["target"]
@@ -152,50 +171,40 @@ def _cmd_train(args) -> int:
     with _thread_cap(spec["run.threads"]) as blas_threads:
         for r, (run_dir, (run, (train_ds, val_ds, test_ds))) in enumerate(zip(run_dirs, runs)):
             cfg = run.train_config()
-            with open(run_dir / "metrics.jsonl", "w", encoding="utf-8") as metrics_fh, \
-                    open(run_dir / "timing.jsonl", "w", encoding="utf-8") as timing_fh:
+            metrics, timing = run_dir / "metrics.jsonl", run_dir / "timing.jsonl"
+            _append(metrics, "", "w")
+            _append(timing, "", "w")
 
-                def on_epoch(rep, _metrics=metrics_fh, _timing=timing_fh, _run=r):
-                    _metrics.write(json.dumps(
-                        {"epoch": rep.epoch, "lr": rep.lr, "train_mse": rep.train_mse,
-                         "val_mae": rep.val_mae, "grad_norm": rep.grad_norm},
-                        sort_keys=True) + "\n")
-                    _timing.write(json.dumps(
-                        {"epoch": rep.epoch, "seconds": rep.seconds, "forward_s": rep.forward_s,
-                         "backward_s": rep.backward_s, "update_s": rep.update_s,
-                         "eval_s": rep.eval_s, "minor_faults": rep.minor_faults}) + "\n")
-                    print(f"run {_run} epoch {rep.epoch}: lr={rep.lr:.6g} "
-                          f"train_mse={rep.train_mse:.6g} val_mae={rep.val_mae:.6g} "
-                          f"({rep.seconds:.2f}s)", file=sys.stderr)
+            def on_epoch(rep, _metrics=metrics, _timing=timing, _run=r):
+                _append(_metrics, json.dumps(
+                    {"epoch": rep.epoch, "lr": rep.lr, "train_mse": rep.train_mse,
+                     "val_mae": rep.val_mae, "grad_norm": rep.grad_norm}, sort_keys=True) + "\n")
+                _append(_timing, json.dumps(
+                    {"epoch": rep.epoch, "seconds": rep.seconds, "forward_s": rep.forward_s,
+                     "backward_s": rep.backward_s, "update_s": rep.update_s,
+                     "eval_s": rep.eval_s, "minor_faults": rep.minor_faults}) + "\n")
+                print(f"run {_run} epoch {rep.epoch}: lr={rep.lr:.6g} "
+                      f"train_mse={rep.train_mse:.6g} val_mae={rep.val_mae:.6g} "
+                      f"({rep.seconds:.2f}s)", file=sys.stderr)
 
-                result = train(train_ds, val_ds, cfg, epoch_callback=on_epoch)
+            result = train(train_ds, val_ds, cfg, epoch_callback=on_epoch)
 
-            save_checkpoint(run_dir / "best.ckpt", result.best_params, cfg.model,
-                            result.vocabulary, result.normalizer, target, unit)
-            save_checkpoint(run_dir / "final.ckpt", result.final_params, cfg.model,
-                            result.vocabulary, result.normalizer, target, unit)
-            test_best = evaluate(result.best_params, test_ds, result.normalizer, cfg.model,
-                                 result.vocabulary, target)
-            test_final = evaluate(result.final_params, test_ds, result.normalizer, cfg.model,
-                                  result.vocabulary, target)
-            run_infos.append({"run": r, "seed": cfg.seed, "split_seed": run["split.seed"],
-                              "best_epoch": result.best_epoch,
-                              "best_val_mae": result.best_val_mae,
-                              "test_mae_best": test_best.mae,
-                              "test_mae_final": test_final.mae})
+            info = {"run": r, "seed": cfg.seed, "split_seed": run["split.seed"],
+                    "best_epoch": result.best_epoch, "best_val_mae": result.best_val_mae}
+            for name, params in (("best", result.best_params), ("final", result.final_params)):
+                save_checkpoint(run_dir / f"{name}.ckpt", params, cfg.model, result.vocabulary,
+                                result.normalizer, target, unit)
+                info[f"test_mae_{name}"] = evaluate(params, test_ds, result.normalizer,
+                                                    cfg.model, result.vocabulary, target).mae
+            run_infos.append(info)
 
-    def agg(key):
-        values = [info[key] for info in run_infos]
-        return sum(values) / len(values), max(values) - min(values)
-
-    mean_best, spread_best = agg("test_mae_best")
-    mean_final, spread_final = agg("test_mae_final")
-    report = {"property": target, "unit": unit, "runs": run_infos,
-              "blas_threads": blas_threads,
-              "mean_test_mae_best": mean_best, "spread_test_mae_best": spread_best,
-              "mean_test_mae_final": mean_final, "spread_test_mae_final": spread_final}
+    report = {"property": target, "unit": unit, "runs": run_infos, "blas_threads": blas_threads}
+    for name in ("best", "final"):
+        values = [info[f"test_mae_{name}"] for info in run_infos]
+        report[f"mean_test_mae_{name}"] = sum(values) / len(values)
+        report[f"spread_test_mae_{name}"] = max(values) - min(values)
     _write_text(out / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(report, sort_keys=True))
+    _print(json.dumps(report, sort_keys=True))
     return 0
 
 
@@ -203,6 +212,8 @@ _PARTITIONS = {"train": 0, "val": 1, "test": 2}
 
 
 def _cmd_eval(args) -> int:
+    if not (args.config or args.data):
+        raise ConfigError("eval needs either --config or --data")
     if args.config and args.data:
         raise ConfigError("eval takes --config or --data, not both")
     if args.config and (args.schema or args.format != "auto"):
@@ -218,29 +229,19 @@ def _cmd_eval(args) -> int:
                                   f"runs has its own split (run.resplit); evaluate run k "
                                   f"with --config run<k>/manifest.cfg")
             ds = _load_spec_dataset(spec)
-            if list(ds.element_vocabulary) != list(ckpt.vocabulary):
-                raise CheckpointError(f"vocabulary mismatch: dataset uses "
-                                      f"{ds.element_vocabulary}, checkpoint expects "
-                                      f"{ckpt.vocabulary}")
             partition = args.partition or "test"
             if partition != "all":
                 ds = split(ds, spec.split_spec())[_PARTITIONS[partition]]
-        elif args.data:
+        else:
             schema = resolve_schema(args.schema)
             ds = load_dataset(args.data, args.format, schema, ckpt.vocabulary)
-        else:
-            raise ConfigError("eval needs either --config or --data")
-
-        target = ckpt.target_property
-        if target not in ds.property_names:
-            raise DataError(f"checkpoint target '{target}' not among dataset properties "
-                            f"{ds.property_names}")
         report = evaluate(ckpt.params, ds, ckpt.normalizer, ckpt.config, ckpt.vocabulary,
-                          target, with_residuals=args.residuals)
-    payload = {"property": target, "unit": ckpt.unit, "n": report.n, "mae": report.mae}
+                          ckpt.target_property, with_residuals=args.residuals)
+    payload = {"property": ckpt.target_property, "unit": ckpt.unit, "n": report.n,
+               "mae": report.mae}
     if args.residuals:
         payload["residuals"] = list(report.residuals)
-    print(json.dumps(payload, sort_keys=True))
+    _print(json.dumps(payload, sort_keys=True))
     return 0
 
 
@@ -254,7 +255,7 @@ def _cmd_predict(args) -> int:
             molecules = iter_extended_xyz_records(lines, schema, ckpt.vocabulary)
             for mol, value in predict(ckpt.params, molecules, ckpt.config, ckpt.vocabulary,
                                       ckpt.normalizer):
-                print(f"{mol.mol_id}\t{value!r}", flush=True)
+                _print(f"{mol.mol_id}\t{value!r}")
     return 0
 
 
@@ -279,11 +280,10 @@ def _cmd_gradcheck(args) -> int:
     with _thread_cap(args.threads):
         reports = run_gradcheck(seed=args.seed, seeds=args.seeds, atom_counts=atom_counts,
                                 cfg=cfg, fd_step=args.fd_step, corrupt=args.corrupt)
-    for k, rep in enumerate(reports):
-        print(f"seed={args.seed + k} params={rep.parameter_count} "
-              f"max_error={rep.max_error:.3e} worst={rep.worst_tensor}{list(rep.worst_index)}")
     worst = max(reports, key=lambda rep: rep.max_error)
-    print(f"max_error={worst.max_error:.6e} threshold={args.threshold:.6e}")
+    _print(*(f"seed={args.seed + k} params={rep.parameter_count} max_error={rep.max_error:.3e} "
+             f"worst={rep.worst_tensor}{list(rep.worst_index)}" for k, rep in enumerate(reports)),
+           f"max_error={worst.max_error:.6e} threshold={args.threshold:.6e}")
     if worst.max_error < args.threshold:
         return 0
     print(f"gradient check failed: {worst.worst_tensor}{list(worst.worst_index)} "
@@ -303,9 +303,8 @@ def _cmd_ablate(args) -> int:
     with _thread_cap(spec["run.threads"]):
         rows = run_ablation(run.train_config(), *partitions, which, epoch_callback=progress)
 
-    print("variant\tval_mae\ttest_mae")
-    for row in rows:
-        print(f"{row.name}\t{row.val_mae!r}\t{row.test_mae!r}")
+    _print("variant\tval_mae\ttest_mae",
+           *(f"{row.name}\t{row.val_mae!r}\t{row.test_mae!r}" for row in rows))
     if out is not None:
         _write_text(out / "manifest.cfg", spec.manifest_text())
         payload = [{"variant": row.name, "val_mae": row.val_mae, "test_mae": row.test_mae}
@@ -379,16 +378,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        return _run(argv)
+    except BrokenPipeError:
+        # a reader closed stdout or stderr: end quietly, as SIGPIPE would
+        return 128 + signal.SIGPIPE
+    finally:
+        # output that cannot be flushed now would fail again, with a message,
+        # in the interpreter's last flush: send it nowhere instead
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except OSError:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stream.fileno())
+                os.close(devnull)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            _print()                    # --help's text, whose write may fail too
+            return int(exc.code or 0)
         # every op raises a NumericalError on a non-finite result; numpy's warnings add noise
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (ConfigError, CheckpointError) as err:
+    except (ConfigError, CheckpointError, OutputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (ParseError, VocabularyError, DataError) as err:
@@ -397,6 +415,9 @@ def main(argv=None) -> int:
     except NumericalError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 def entrypoint() -> None:

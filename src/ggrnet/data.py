@@ -336,10 +336,11 @@ def _parse_float(token: str, position: str) -> float:
 
 
 def _parse_xyz_record(lines: Iterator[str], start: int, count_line: str,
-                      schema: CommentSchema | None, vocabulary: Sequence[str],
+                      schema: CommentSchema | None, vocab: set[str],
                       fallback_id: str) -> Molecule:
     """Parse the record whose atom count line, ``count_line``, is line
-    ``start`` (1-based), taking the record's other lines from ``lines``."""
+    ``start`` (1-based), taking the record's other lines from ``lines``;
+    ``vocab`` is the set of known element symbols."""
     count_line = count_line.strip()
     try:
         natoms = int(count_line)
@@ -369,7 +370,6 @@ def _parse_xyz_record(lines: Iterator[str], start: int, count_line: str,
     elif comment_fields:
         mol_id = comment_fields[0]
 
-    vocab = set(vocabulary)
     symbols: list[str] = []
     coords: list[list[float]] = []
     for i in range(natoms):
@@ -394,12 +394,13 @@ def _xyz_records(chunks: Iterable[str | bytes], schema: CommentSchema | None,
     """The record loop of :func:`iter_extended_xyz_records`, where a record
     that names no id takes ``fallback_id``, or ``mol<k>`` if it is ``None``."""
     lines = _text_lines(chunks)
+    vocab = set(vocabulary)
     lineno = count = 0
     for line in lines:
         lineno += 1
         if not line.strip():
             continue
-        mol = _parse_xyz_record(lines, lineno, line, schema, vocabulary,
+        mol = _parse_xyz_record(lines, lineno, line, schema, vocab,
                                 f"mol{count}" if fallback_id is None else fallback_id)
         lineno += 1 + mol.natoms
         count += 1
@@ -537,8 +538,6 @@ def load_dataset(path, fmt: str = "auto", schema: CommentSchema | None = None,
     file's stem.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset path does not exist: {path}")
     if path.is_dir():
         if fmt not in ("auto", "xyz"):
             raise DataError(f"format '{fmt}' cannot read directory {path}; "

@@ -194,7 +194,8 @@ class MoleculeEncoding:
         index = {sym: i for i, sym in enumerate(vocabulary)}
         for sym in molecule.symbols:
             if sym not in index:
-                raise VocabularyError(f"element '{sym}' not in vocabulary {list(vocabulary)}")
+                raise VocabularyError(f"molecule '{molecule.mol_id}': element '{sym}' not in "
+                                      f"vocabulary {list(vocabulary)}")
         self.elements = np.array([index[sym] for sym in molecule.symbols], dtype=np.intp)
         self.pairs = np.ones((n, n, 2))
         self.pairs[..., 0] = (inverse_distance_matrix(molecule.coords, cfg.distance_epsilon)

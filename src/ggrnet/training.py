@@ -172,9 +172,6 @@ def evaluate(params: ModelParams, ds: Dataset, normalizer: Normalizer, cfg: Mode
     :func:`predict`. Pure: mutates nothing."""
     if len(ds) == 0:
         raise DataError("cannot evaluate on an empty dataset")
-    if list(ds.element_vocabulary) != list(vocabulary):
-        raise DataError(f"vocabulary mismatch: dataset has {ds.element_vocabulary}, "
-                        f"model expects {list(vocabulary)}")
     targets = ds.target_values(target_property)
     preds = np.array([value for _, value in predict(params, ds, cfg, vocabulary, normalizer)])
     residuals = tuple(float(r) for r in (preds - targets)) if with_residuals else None

@@ -14,6 +14,7 @@ from ggrnet.cli import main
 from ggrnet.config import resolve_schema
 from ggrnet.data import Molecule, SplitSpec, load_dataset, sample_dataset_path, split
 from ggrnet.model import forward
+from ggrnet.training import evaluate
 
 BASE_CONFIG = """
 dataset.path = builtin:sample10
@@ -362,6 +363,21 @@ def test_each_resplit_run_has_a_manifest_that_evaluates_and_reproduces_it(config
     assert "run<k>/manifest.cfg" in captured.err and captured.err.count("\n") == 1
 
 
+def test_report_means_and_spreads_are_those_of_its_runs(config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config_file), "--out", str(out), "--runs", "2",
+                 "--resplit", "--threads", "1"]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == {"property", "unit", "runs", "blas_threads", "mean_test_mae_best",
+                           "spread_test_mae_best", "mean_test_mae_final",
+                           "spread_test_mae_final"}
+    for name in ("best", "final"):
+        values = [run[f"test_mae_{name}"] for run in report["runs"]]
+        assert report[f"mean_test_mae_{name}"] == sum(values) / len(values)
+        assert report[f"spread_test_mae_{name}"] == max(values) - min(values)
+
+
 @pytest.mark.parametrize("command", ["eval", "predict", "gradcheck"])
 def test_negative_threads_flag_is_one_line_exit_2(trained_run, tmp_path, capsys, command):
     # the inputs of eval and predict have data errors (exit 3), but the flag
@@ -468,8 +484,68 @@ def test_eval_empty_dataset(trained_run, tmp_path):
     assert rc == 3
 
 
-def test_eval_needs_source(trained_run):
-    assert main(["eval", str(trained_run / "best.ckpt")]) == 2
+def test_eval_needs_source(tmp_path, capsys):
+    # the flags are checked before the checkpoint is read
+    assert main(["eval", str(tmp_path / "missing.ckpt")]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: eval needs either --config or --data\n")
+
+
+def with_elements(trained_run, tmp_path, elements, data=None):
+    """The run's manifest with ``dataset.elements`` (and ``dataset.path``) replaced."""
+    text = (trained_run / "manifest.cfg").read_text()
+    assert "dataset.elements = H,C,N,O,F\n" in text
+    text = text.replace("dataset.elements = H,C,N,O,F", f"dataset.elements = {elements}")
+    if data is not None:
+        text = text.replace("dataset.path = builtin:sample10", f"dataset.path = {data}")
+    path = tmp_path / "elements.cfg"
+    path.write_text(text)
+    return path
+
+
+def test_eval_encodes_each_molecule_through_the_checkpoint_vocabulary(trained_run, tmp_path,
+                                                                      capsys):
+    # a config whose vocabulary reorders and extends the checkpoint's reads
+    # the same molecules, which are encoded by symbol, so nothing changes
+    ckpt = trained_run / "best.ckpt"
+    superset = with_elements(trained_run, tmp_path, "F,O,N,C,H,S")
+    outputs = []
+    for cfg in (trained_run / "manifest.cfg", superset):
+        assert main(["eval", str(ckpt), "--config", str(cfg), "--partition", "all",
+                     "--residuals"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    loaded = load_checkpoint(ckpt)
+    schema = resolve_schema("builtin:sample")
+    reports = [evaluate(loaded.params, load_dataset(sample_dataset_path(), "xyz", schema, vocab),
+                        loaded.normalizer, loaded.config, loaded.vocabulary, "energy",
+                        with_residuals=True)
+               for vocab in (loaded.vocabulary, ["F", "O", "N", "C", "H", "S"])]
+    assert reports[0] == reports[1]
+
+
+def test_eval_of_an_element_outside_the_checkpoint_vocabulary_names_the_molecule(
+        trained_run, tmp_path, capsys):
+    data = tmp_path / "sulfur.xyz"
+    data.write_text("1\nc0 1.0 1\nC 0 0 0\n2\ncs 1.0 2\nC 0 0 0\nS 0 0 1.5\n")
+    cfg = with_elements(trained_run, tmp_path, "F,O,N,C,H,S", data)
+    assert main(["eval", str(trained_run / "best.ckpt"), "--config", str(cfg),
+                 "--partition", "all"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: molecule 'cs': element 'S' not in vocabulary "
+                            "['H', 'C', 'N', 'O', 'F']\n")
+
+
+def test_eval_of_a_dataset_without_the_checkpoint_target_names_it(trained_run, tmp_path,
+                                                                  capsys):
+    table = tmp_path / "gap.csv"
+    table.write_text("id,atoms,coords,gap\nm0,C H,0 0 0 0 0 1.1,0.5\n")
+    assert main(["eval", str(trained_run / "best.ckpt"), "--data", str(table)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "'energy'" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_eval_partition_without_config_is_one_line_exit_2(trained_run, capsys):
@@ -947,6 +1023,84 @@ def test_bad_input_is_one_line_with_its_exit_code(trained_run, config_file, tmp_
     assert captured.out == ""
     assert captured.err.startswith("error: " + start.format(**places)), captured.err
     assert captured.err.count("\n") == 1, captured.err
+
+
+# ---------------------------------------------------------------------------
+# outputs that cannot be written, and interrupts
+
+
+def ggrnet_command(*args):
+    return [sys.executable, "-m", "ggrnet", *map(str, args)]
+
+
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+def test_a_stream_closed_by_its_reader_ends_the_command_quietly_with_141(trained_run, tmp_path,
+                                                                        stream):
+    import fcntl
+
+    if stream == "stdout":    # 400 molecules, one result line each
+        many = tmp_path / "many.xyz"
+        many.write_bytes(sample_dataset_path().read_bytes() * 40)
+        command = ggrnet_command("predict", trained_run / "best.ckpt", many)
+    else:                     # one progress line per epoch
+        command = ggrnet_command("train", "--config", trained_run / "manifest.cfg", "--out",
+                                 tmp_path / "out", "--epochs", "100000")
+    read_end, write_end = os.pipe()
+    # a pipe of one page, which the command fills long before it is done
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    other = "stderr" if stream == "stdout" else "stdout"
+    proc = subprocess.Popen(command, **{stream: write_end, other: subprocess.PIPE})
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as reader:
+        assert reader.readline()
+    out, err = proc.communicate(timeout=300)
+    assert (proc.returncode, out or b"", err or b"") == (141, b"", b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_stdout_that_cannot_be_written_is_one_line_exit_2(trained_run, command, buffered):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    data = str(sample_dataset_path())
+    args = {"eval": ["--data", data, "--schema", "builtin:sample"], "predict": [data]}[command]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(ggrnet_command(command, trained_run / "best.ckpt", *args),
+                              stdout=full, stderr=subprocess.PIPE, env=env, timeout=300)
+    assert (proc.returncode, proc.stderr.decode()) == \
+        (2, "error: standard output: cannot write: No space left on device\n")
+
+
+@pytest.mark.parametrize("name", ["manifest.cfg", "metrics.jsonl", "best.ckpt", "report.json",
+                                  "ablation.json"])
+def test_a_result_file_that_cannot_be_written_is_one_line_exit_2(config_file, tmp_path,
+                                                                 capsys, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    command = ["ablate", "--which", "no_count"] if name == "ablation.json" else ["train"]
+    assert main([*command, "--config", str(config_file), "--out", str(out),
+                 "--epochs", "1"]) == 2
+    lines = [line for line in capsys.readouterr().err.splitlines() if " epoch " not in line]
+    assert lines == [f"error: {out / name}: cannot write: Is a directory"]
+    # the temporary file written in its place is removed
+    assert [path.name for path in out.iterdir() if path.name.startswith(".")] == []
+
+
+def test_an_interrupt_is_one_line_exit_130(config_file, tmp_path, capsys, monkeypatch):
+    import ggrnet.cli
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ggrnet.cli, "train", interrupted)
+    try:
+        rc = main(["train", "--config", str(config_file), "--out", str(tmp_path / "out")])
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped main")
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (130, "", "error: interrupted\n")
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,15 @@ def test_load_missing_path_names_it(tmp_path):
         load_dataset(tmp_path / "nowhere.xyz")
 
 
+@pytest.mark.parametrize("name, fmt", [("nowhere.xyz", "auto"), ("nowhere.csv", "auto"),
+                                       ("nowhere", "xyz")])
+def test_a_missing_path_is_the_read_error_of_its_file(tmp_path, name, fmt):
+    path = tmp_path / name
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: cannot read: "
+                                        f"No such file or directory$"):
+        load_dataset(path, fmt)
+
+
 def test_load_directory_sorted_order(tmp_path):
     for name, sym in (("b.xyz", "H"), ("a.xyz", "C")):
         (tmp_path / name).write_text(f"1\n{name} 1.0\n{sym} 0 0 0\n")

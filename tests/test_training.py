@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import ggrnet.autodiff as ad
 from ggrnet.data import Normalizer, SplitSpec, split
-from ggrnet.errors import ConfigError, DataError, NumericalError, ShapeError
+from ggrnet.errors import ConfigError, DataError, NumericalError, ShapeError, VocabularyError
 from ggrnet.model import ModelConfig, MoleculeEncoding, forward_batch, init_params
 from ggrnet.synth import composition_dataset, geometric_dataset
 from ggrnet.training import (
@@ -345,7 +345,8 @@ def test_evaluate_normalizer_inverse_offset(comp_splits):
 def test_evaluate_vocabulary_mismatch(comp_splits):
     tr, va, _ = comp_splits
     params = init_params(SMALL, 3, tr.max_atom_count, seed=0)
-    with pytest.raises(DataError, match="vocabulary"):
+    with pytest.raises(VocabularyError,
+                       match=r"^molecule '[^']+': element '\w+' not in vocabulary"):
         evaluate(params, va, Normalizer(0.0, 1.0), SMALL, ["H", "C", "X"], "ncarbon")
 
 
