@@ -262,7 +262,9 @@ def _layout(cfg: ModelConfig, sizes: Sequence[int], replicas: int = 1,
     hidden-state blocks; the ``[R, ΣN, 4 hidden]`` slabs ``fixed``, terms and
     right-hand sides, and, recorded, the slabs that the per-step adjoints need
     beyond them; the states; and, recorded, one region for the grids of every
-    step and every molecule with pairs. Recorded calls have ``R = 1``."""
+    step and every molecule with pairs, at least as large as the weight
+    gradients of :func:`_gradient_layout`, which the backward lays over it
+    once the grids are dead. Recorded calls have ``R = 1``."""
     hidden, steps, atoms = cfg.hidden_dim, cfg.steps, sum(sizes)
     layout = [(replicas * 2 * max(sizes) ** 2 * hidden,),
               (replicas, 2, 2, hidden, cfg.atom_dim),
@@ -272,8 +274,18 @@ def _layout(cfg: ModelConfig, sizes: Sequence[int], replicas: int = 1,
               (3 * replicas + (max(steps, 3) - 3 if recording else 0), atoms, 4 * hidden),
               (steps - 1 if recording else 1, replicas, atoms, hidden)]
     if recording:
-        layout.append((steps * 2 * hidden * sum(n * n for n in sizes if n > 1),))
+        layout.append((max(steps * 2 * hidden * sum(n * n for n in sizes if n > 1),
+                           sum(map(math.prod, _gradient_layout(cfg)))),))
     return layout
+
+
+def _gradient_layout(cfg: ModelConfig) -> list[tuple[int, ...]]:
+    """The shapes of the weight gradients that a recorded backward carves
+    from its grid region, in carve order: of every column, the negated
+    gate's rows, then the candidate's; and the four terms' rows of the
+    hidden-state and the embedding columns."""
+    hidden = cfg.hidden_dim
+    return [(2 * hidden, cfg.concat_dim), (4 * hidden, hidden), (4 * hidden, cfg.atom_dim)]
 
 
 def _workspace_size(cfg: ModelConfig, sizes: Sequence[int], replicas: int = 1,
@@ -394,9 +406,11 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
     the call returns. A recorded call activates into grids of its own and
     keeps the input state of each step after the first, the only ones that
     the backward reads. The backward lays its per-step adjoints over the
-    forward-only slabs, sums them over steps in place into the first, and
-    hands the workspace back when it ends. Only the final states are a
-    fresh array.
+    forward-only slabs, sums them over steps in place into the first, forms
+    the weight gradients over the dead grids, and hands the workspace back
+    when it ends. Only the final states are a fresh array. The weight
+    gradients that the backward returns are views of the workspace it hands
+    back: the tape adds them to ``.grad`` before any later call can take it.
     """
     hidden, steps = cfg.hidden_dim, cfg.steps
     half = cfg.atom_dim + hidden                  # receiver columns; sender ones follow
@@ -572,8 +586,9 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
             if step > 0:
                 g = d @ w_h[0].T
                 check(g, step)
-        d_w = np.zeros((2 * hidden, cfg.concat_dim))   # rows: negated gate, candidate
-        d_w_h = d_terms[1:].reshape(-1, 4 * hidden).T @ states.reshape(-1, hidden)
+        d_w, d_w_h, d_w_x = map(_carver(grid_region[0]), _gradient_layout(cfg))
+        d_w.fill(0.0)                             # a switched-off feature's columns stay 0
+        np.matmul(d_terms[1:].reshape(-1, 4 * hidden).T, states.reshape(-1, hidden), out=d_w_h)
         d_w[:, recv_h], d_w[:, send_h] = d_w_h[:2 * hidden], d_w_h[2 * hidden:]
         # the sum over steps, in place, in the order of d_terms.sum(axis=0),
         # which starts from +0.0
@@ -588,7 +603,7 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
         if elements is not None:
             x = params.atom_embedding.values[elements]
             x[lone] = 0.0
-            d_w_x = d_fixed.T @ x
+            np.matmul(d_fixed.T, x, out=d_w_x)
             d_w[:, recv_x], d_w[:, send_x] = d_w_x[:2 * hidden], d_w_x[2 * hidden:]
             d_x = np.zeros_like(params.atom_embedding.values)
             np.add.at(d_x, elements, d_fixed @ w_x[0])
@@ -601,9 +616,10 @@ def message_step(graph: Graph | None, params: ModelParams, cfg: ModelConfig,
         if cfg.use_distance_feature:
             d_w[:, -1] = d_wd.ravel()
         d_b = d_recv.sum(axis=0)[:, None]
-        grads = (d_x, d_count, -d_w[:hidden], -d_b[:hidden], d_w[hidden:], d_b[hidden:])
-        _give_workspace(work)                     # no view of it is read after this
-        return grads
+        np.negative(d_w[:hidden], out=d_w[:hidden])   # the gate's rows, as stored
+        np.negative(d_b[:hidden], out=d_b[:hidden])
+        _give_workspace(work)
+        return d_x, d_count, d_w[:hidden], d_b[:hidden], d_w[hidden:], d_b[hidden:]
 
     inputs = tuple(getattr(params, name) for name in _RECURSION_TENSORS)
     return ad._result(graph, "message_step", inputs, h, rule)

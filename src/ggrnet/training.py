@@ -21,8 +21,9 @@ from . import autodiff as ad
 from .autodiff import Graph, Tensor
 from .data import Dataset, Molecule, Normalizer, fit_normalizer
 from .errors import ConfigError, DataError, NumericalError, ShapeError
-from .model import (ModelConfig, ModelParams, MoleculeEncoding, _take_workspace,
-                    _workspace_size, forward_batch, init_params, release_workspace)
+from .model import (ModelConfig, ModelParams, MoleculeEncoding, _give_workspace,
+                    _take_workspace, _workspace_size, forward_batch, init_params,
+                    release_workspace)
 
 __all__ = [
     "TrainConfig",
@@ -179,12 +180,23 @@ def evaluate(params: ModelParams, ds: Dataset, normalizer: Normalizer, cfg: Mode
                       residuals=residuals)
 
 
+def _sgd_update(tensors: Sequence[Tensor], lr: float) -> None:
+    """``values -= lr * grad`` for each tensor, in place and without a
+    temporary: the gradient is scaled first, which rounds as ``lr * grad`` does."""
+    for t in tensors:
+        t.grad *= lr
+        t.values -= t.grad
+
+
 def setup_run(train_ds: Dataset, val_ds: Dataset,
               cfg: TrainConfig) -> tuple[list[str], Normalizer, ModelParams]:
     """A run's vocabulary, normalizer (fitted on the training partition only)
     and seeded initial parameters, after the target is found in both
-    partitions; the recorded workspace of the ``cfg.batch_size`` largest
-    training molecules is requested and freed, so a model too large raises."""
+    partitions. The recursion's workspace is requested and kept as the spare,
+    so a model too large raises here, and no batch or validation pass of the
+    run allocates one: the larger of the recorded workspace of the
+    ``cfg.batch_size`` largest training molecules and the no-grad one of the
+    :data:`PREDICT_CHUNK` largest validation molecules."""
     prop = cfg.target_property
     if prop not in train_ds.property_names or prop not in val_ds.property_names:
         raise DataError(f"target '{prop}' not among dataset properties "
@@ -192,8 +204,11 @@ def setup_run(train_ds: Dataset, val_ds: Dataset,
     vocabulary = list(train_ds.element_vocabulary)
     normalizer = fit_normalizer(train_ds, prop)
     params = init_params(cfg.model, len(vocabulary), train_ds.max_atom_count, cfg.seed)
-    largest = sorted((mol.natoms for mol in train_ds), reverse=True)[:cfg.batch_size]
-    _take_workspace(_workspace_size(cfg.model, largest, recording=True))
+    batch = sorted((mol.natoms for mol in train_ds), reverse=True)[:cfg.batch_size]
+    chunk = sorted((mol.natoms for mol in val_ds), reverse=True)[:PREDICT_CHUNK]
+    # an empty validation set needs none; evaluate raises on it
+    _give_workspace(_take_workspace(max(_workspace_size(cfg.model, batch, recording=True),
+                                        _workspace_size(cfg.model, chunk) if chunk else 0)))
     return vocabulary, normalizer, params
 
 
@@ -247,8 +262,7 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
                 pre_norm = ad.clip_global_norm(tensors, cfg.clip_norm)
                 post_norm = ad.global_grad_norm(tensors) if pre_norm > cfg.clip_norm else pre_norm
                 max_norm = max(max_norm, post_norm)
-                for t in tensors:
-                    t.values -= lr * t.grad
+                _sgd_update(tensors, lr)
                 sq_sum += loss.item() * len(batch)
                 t_done = time.perf_counter()
                 forward_s += t_backward - t_forward

@@ -14,7 +14,7 @@ from ggrnet.cli import main
 from ggrnet.config import resolve_schema
 from ggrnet.data import Molecule, SplitSpec, load_dataset, sample_dataset_path, split
 from ggrnet.model import forward
-from ggrnet.training import evaluate
+from ggrnet.training import PREDICT_CHUNK, evaluate
 
 BASE_CONFIG = """
 dataset.path = builtin:sample10
@@ -279,11 +279,16 @@ def test_the_allocation_check_asks_for_the_largest_training_batch(config_file, t
     assert main(["train", "--config", str(config_file), "--out", str(tmp_path / "o"),
                  "--runs", "2", "--resplit", "--epochs", "1"]) == 0
     ds = load_dataset(sample_dataset_path(), schema=resolve_schema("builtin:sample"))
-    # split.seed 7, stepped by run.resplit; train.batch_size 4
-    expected = [sorted((m.natoms for m in split(ds, SplitSpec(seed=seed))[0]), reverse=True)[:4]
-                for seed in (7, 8)]
+    # split.seed 7, stepped by run.resplit; train.batch_size 4, and the
+    # validation pass's chunk of the largest validation molecules
+    expected = []
+    for seed in (7, 8):
+        train_ds, val_ds, _ = split(ds, SplitSpec(seed=seed))
+        expected += [(8, sorted((m.natoms for m in train_ds), reverse=True)[:4],
+                      {"recording": True}),
+                     (8, sorted((m.natoms for m in val_ds), reverse=True)[:PREDICT_CHUNK], {})]
     # each run is set up before --out is made, then again by train
-    assert asked == 2 * [(8, sizes, {"recording": True}) for sizes in expected]
+    assert asked == 2 * expected
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "predict"])

@@ -1010,14 +1010,16 @@ def closed_form_workspace_size(cfg, sizes, replicas=1, recording=False):
     """The recursion's workspace entries, counted independently of its
     layout: per replica, the stacked weights, three [ΣN, 4 hidden] slabs,
     the grid slot and the states; recorded, the per-step adjoints beyond the
-    three slabs and the grids of every step and molecule with pairs."""
+    three slabs, and the grids of every step and molecule with pairs or the
+    weight gradients laid over them, whichever is larger."""
     hidden, steps, atoms = cfg.hidden_dim, cfg.steps, sum(sizes)
     size = replicas * (
         2 * hidden * cfg.concat_dim + 12 * atoms * hidden + 2 * max(sizes) ** 2 * hidden
         + (steps - 1 if recording else 1) * atoms * hidden)
     if recording:
         size += hidden * ((max(steps, 3) - 3) * 4 * atoms
-                          + steps * 2 * sum(n * n for n in sizes if n > 1))
+                          + max(steps * 2 * sum(n * n for n in sizes if n > 1),
+                                2 * cfg.concat_dim + 4 * hidden + 4 * cfg.atom_dim))
     return size
 
 
@@ -1027,7 +1029,8 @@ def test_the_recursion_carves_exactly_its_workspace_size(monkeypatch, sizes):
     # without one-atom molecules, and with 1 and 2 steps, fewer than the three
     # forward-only slabs that a recorded call lays its per-step adjoints
     # over; the recursion makes the first carver of each, and a recorded one
-    # a second over its grid region
+    # a second over its grid region; the readout makes the next, and the
+    # recursion's backward one more over the grid region, for the weight gradients
     for steps, replicas, recording in itertools.product((1, 2, 3, 5, 8), (1, 3),
                                                         (False, True)):
         cfg = ModelConfig(atom_dim=4, count_dim=4, hidden_dim=8, mlp_dim=8, steps=steps)
@@ -1073,7 +1076,12 @@ def test_the_recursion_carves_exactly_its_workspace_size(monkeypatch, sizes):
         state = message_step(graph, params, cfg, encodings)
         ad.backward(graph, mse_loss(graph, readout(graph, state, params, sizes), targets))
         assert carved[0] == closed_form_workspace_size(cfg, sizes, recording=True)
-        assert carved[1] == model._layout(cfg, sizes, recording=True)[-1][0]
+        assert carved[1] == steps * 2 * cfg.hidden_dim * sum(n * n for n in sizes if n > 1)
+        # the gate and candidate weights' gradients, then the four terms' rows
+        # of the hidden-state and embedding columns
+        assert carved[3] == (2 * cfg.hidden_dim * cfg.concat_dim
+                             + 4 * cfg.hidden_dim * (cfg.hidden_dim + cfg.atom_dim))
+        assert max(carved[1], carved[3]) == model._layout(cfg, sizes, recording=True)[-1][0]
         carved.clear()
         message_step(None, params, cfg, encodings, replicas=("gate_bias", stack))
         assert carved[0] == closed_form_workspace_size(cfg, sizes, 3)

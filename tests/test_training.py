@@ -300,6 +300,69 @@ def test_train_drops_the_recursion_workspace():
     assert result.reports and current < grid_bytes, (current, grid_bytes)
 
 
+def test_a_warm_training_step_allocates_no_large_array():
+    # train-small's shape: 10 molecules of 3-8 atoms, default dims. With the
+    # workspace kept from setup, the backward's weight gradients carved from
+    # it and the update in place, a warm step (forward, loss, backward, clip
+    # and update) raises the peak by less than those gradients alone would
+    import ggrnet.training as training
+    from ggrnet.model import release_workspace
+
+    ds = geometric_dataset(10, seed=91, n_atoms=(3, 8))
+    cfg = TrainConfig(target_property="energy")
+    vocabulary, normalizer, params = training.setup_run(ds, ds, cfg)
+    tensors = params.tensors()
+    targets = [normalizer.normalize(m.targets["energy"]) for m in ds]
+
+    def step():
+        ad.zero_grads(tensors)
+        graph = ad.Graph()
+        preds = forward_batch(graph, [MoleculeEncoding(m, vocabulary, cfg.model) for m in ds],
+                              params, cfg.model)
+        ad.backward(graph, mse_loss(graph, preds, targets))
+        ad.clip_global_norm(tensors, cfg.clip_norm)
+        training._sgd_update(tensors, cfg.lr0)
+
+    try:
+        step()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        release_workspace()
+    assert peak - start < 1 << 20, f"{(peak - start) / 2 ** 20:.2f} MiB"
+
+
+def test_a_run_takes_no_workspace_after_its_setup(monkeypatch):
+    # validation molecules larger than every training one, so the validation
+    # pass needs more than a recorded batch: the workspace that setup keeps
+    # serves every batch and every validation pass of every epoch
+    import ggrnet.model as model
+    from ggrnet.training import PREDICT_CHUNK
+
+    tr = geometric_dataset(12, seed=93, n_atoms=(3, 6))
+    va = geometric_dataset(4, seed=94, n_atoms=(20, 24))
+    cfg = quick_config(target_property="energy", epochs=3, batch_size=5)
+    largest = sorted((m.natoms for m in tr), reverse=True)[:cfg.batch_size]
+    assert (model._workspace_size(SMALL, [m.natoms for m in va][:PREDICT_CHUNK])
+            > model._workspace_size(SMALL, largest, recording=True))
+    served = []
+    take = model._take_workspace
+
+    def spy(size):
+        served.append(bool(model._spare) and model._spare[-1].size >= size)
+        return take(size)
+
+    monkeypatch.setattr(model, "_take_workspace", spy)
+    result = train(tr, va, cfg)
+    # three batches and one validation pass per epoch
+    assert len(result.reports) == 3 and served == [True] * 12, served
+
+
 def test_predict_chunks_keep_order_and_values():
     # more molecules than one chunk, and a partial last chunk
     from ggrnet.model import forward
