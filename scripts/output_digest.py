@@ -36,7 +36,8 @@ byte-order mark and has blank lines between records; and two directories of
 per-molecule files, one read with the ``qm9`` schema, whose files end in
 QM9-style frequency, SMILES and InChI lines, and one read without a schema,
 whose files name no id. One line per malformed input gives the error
-``load_dataset`` raises. Then, for a 3-epoch ``train`` (dims 4/4/8/8, with
+``load_dataset`` raises, with the temporary directory's path replaced by a
+fixed token. Then, for a 3-epoch ``train`` (dims 4/4/8/8, with
 all features on and with each feature switched off) on 30 generated
 molecules of ``geometric_dataset``, split 24/3/3, in batches of 7 with the
 gradient clipped at norm 1, one line per epoch gives the sha256 of its
@@ -289,7 +290,8 @@ def main(argv) -> int:
                 load_dataset(path, "xyz", CommentSchema.builtin("sample"), vocab)
                 print(f"ingest-error\t{name}\tloaded")
             except GgrnetError as err:
-                print(f"ingest-error\t{name}\t{type(err).__name__}: {err}")
+                print(f"ingest-error\t{name}\t{type(err).__name__}: "
+                      f"{str(err).replace(tmp, 'TMP')}")
 
     train_ds, val_ds, _ = split(geometric_dataset(30, seed=1949), SplitSpec(seed=3))
     for feature in FEATURES:

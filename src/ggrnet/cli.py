@@ -23,8 +23,7 @@ import numpy as np
 
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .config import RunSpec, load_run_spec, resolve_schema
-from .data import (DATASET_FORMATS, Dataset, iter_extended_xyz_records, load_dataset,
-                   read_lines, split)
+from .data import DATASET_FORMATS, Dataset, load_dataset, read_extended_xyz, split
 from .errors import (CheckpointError, ConfigError, DataError, NumericalError, OutputError,
                      ParseError, VocabularyError, writing)
 from .gradcheck import DEFAULT_CHECK_CONFIG, run_gradcheck
@@ -68,8 +67,7 @@ def _thread_cap(n: int | None):
     control = _blas_thread_control()
     if control is None:
         if n:
-            print("warning: no OpenBLAS thread control found; BLAS threads not capped",
-                  file=sys.stderr)
+            _diagnose("warning: no OpenBLAS thread control found; BLAS threads not capped")
         yield None
         return
     set_threads, get_threads = control
@@ -157,6 +155,18 @@ def _print(*lines: str) -> None:
         sys.stdout.flush()
 
 
+def _diagnose(line: str) -> None:
+    """Print a progress or error line to stderr. A stderr closed by its reader
+    ends the command (exit 141); one that fails otherwise loses the line, and
+    the command goes on to its own exit code."""
+    try:
+        print(line, file=sys.stderr)
+    except BrokenPipeError:
+        raise
+    except OSError:
+        pass
+
+
 def _cmd_train(args) -> int:
     spec, unit, runs = _training_inputs(args, every_run=True)
     target = spec["target"]
@@ -183,9 +193,9 @@ def _cmd_train(args) -> int:
                     {"epoch": rep.epoch, "seconds": rep.seconds, "forward_s": rep.forward_s,
                      "backward_s": rep.backward_s, "update_s": rep.update_s,
                      "eval_s": rep.eval_s, "minor_faults": rep.minor_faults}) + "\n")
-                print(f"run {_run} epoch {rep.epoch}: lr={rep.lr:.6g} "
-                      f"train_mse={rep.train_mse:.6g} val_mae={rep.val_mae:.6g} "
-                      f"({rep.seconds:.2f}s)", file=sys.stderr)
+                _diagnose(f"run {_run} epoch {rep.epoch}: lr={rep.lr:.6g} "
+                          f"train_mse={rep.train_mse:.6g} val_mae={rep.val_mae:.6g} "
+                          f"({rep.seconds:.2f}s)")
 
             result = train(train_ds, val_ds, cfg, epoch_callback=on_epoch)
 
@@ -249,10 +259,10 @@ def _cmd_predict(args) -> int:
     with _thread_cap(args.threads):
         ckpt = load_checkpoint(args.checkpoint)
         schema = resolve_schema(args.schema)
-        with contextlib.closing(read_lines(args.molecules, args.molecules)) as lines:
+        with contextlib.closing(read_extended_xyz(args.molecules, args.molecules, schema,
+                                                  ckpt.vocabulary)) as molecules:
             # predict reads, predicts and prints one chunk before it reads the
             # next, so memory does not grow with the file
-            molecules = iter_extended_xyz_records(lines, schema, ckpt.vocabulary)
             for mol, value in predict(ckpt.params, molecules, ckpt.config, ckpt.vocabulary,
                                       ckpt.normalizer):
                 _print(f"{mol.mol_id}\t{value!r}")
@@ -286,8 +296,8 @@ def _cmd_gradcheck(args) -> int:
            f"max_error={worst.max_error:.6e} threshold={args.threshold:.6e}")
     if worst.max_error < args.threshold:
         return 0
-    print(f"gradient check failed: {worst.worst_tensor}{list(worst.worst_index)} "
-          f"error {worst.max_error:.3e} >= {args.threshold:.3e}", file=sys.stderr)
+    _diagnose(f"gradient check failed: {worst.worst_tensor}{list(worst.worst_index)} "
+              f"error {worst.max_error:.3e} >= {args.threshold:.3e}")
     return 5
 
 
@@ -297,8 +307,8 @@ def _cmd_ablate(args) -> int:
     which = list(ABLATION_FLAGS) if args.which == "all" else [args.which]
 
     def progress(name, rep):
-        print(f"{name} epoch {rep.epoch}: train_mse={rep.train_mse:.6g} "
-              f"val_mae={rep.val_mae:.6g}", file=sys.stderr)
+        _diagnose(f"{name} epoch {rep.epoch}: train_mse={rep.train_mse:.6g} "
+                  f"val_mae={rep.val_mae:.6g}")
 
     with _thread_cap(spec["run.threads"]):
         rows = run_ablation(run.train_config(), *partitions, which, epoch_callback=progress)
@@ -313,8 +323,19 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints its help as results are printed (:func:`_print`), so that a
+    failed write is one line, exit 2: argparse's own printing ignores it."""
+
+    def print_help(self, file=None):
+        if file is None:
+            _print(self.format_help().removesuffix("\n"))
+        else:
+            super().print_help(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ggrnet",
         description="Gated graph recursive network for molecular property regression.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -400,23 +421,22 @@ def _run(argv) -> int:
     try:
         try:
             args = parser.parse_args(argv)
-        except SystemExit as exc:
-            _print()                    # --help's text, whose write may fail too
+        except SystemExit as exc:       # after --help, or a usage error
             return int(exc.code or 0)
         # every op raises a NumericalError on a non-finite result; numpy's warnings add noise
         with np.errstate(all="ignore"):
             return args.func(args)
     except (ConfigError, CheckpointError, OutputError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        _diagnose(f"error: {err}")
         return 2
     except (ParseError, VocabularyError, DataError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        _diagnose(f"error: {err}")
         return 3
     except NumericalError as err:
-        print(f"error: {err}", file=sys.stderr)
+        _diagnose(f"error: {err}")
         return 4
     except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
+        _diagnose("error: interrupted")
         return 130
 
 

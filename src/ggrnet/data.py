@@ -38,6 +38,7 @@ __all__ = [
     "inverse_distance_matrix",
     "parse_extended_xyz",
     "iter_extended_xyz_records",
+    "read_extended_xyz",
     "read_lines",
     "read_text",
     "format_extended_xyz",
@@ -441,6 +442,21 @@ def read_lines(path, name: str) -> Iterator[bytes]:
         raise DataError(f"{name}: cannot read: {getattr(err, 'strerror', err)}") from err
 
 
+def read_extended_xyz(path, name: str, schema: CommentSchema | None = None,
+                      vocabulary: Sequence[str] = DEFAULT_ELEMENTS,
+                      fallback_id: str | None = None) -> Iterator[Molecule]:
+    """The records of the extended-XYZ file (or pipe) at ``path``, read by
+    :func:`read_lines` and parsed one at a time by the record loop of
+    :func:`iter_extended_xyz_records`, where a record that names no id takes
+    ``fallback_id``, or ``mol<k>`` if it is ``None``. Its errors name the
+    file as ``name``. Close the iterator to close the file early."""
+    with contextlib.closing(read_lines(path, name)) as lines:
+        try:
+            yield from _xyz_records(lines, schema, vocabulary, fallback_id)
+        except (ParseError, VocabularyError) as err:
+            raise type(err)(f"{name}: {err}") from None
+
+
 def read_text(path, name: str) -> str:
     """The text of the file at ``path``, read by :func:`read_lines` and
     decoded by :func:`_as_text`, whose error also names the file as ``name``."""
@@ -548,21 +564,19 @@ def load_dataset(path, fmt: str = "auto", schema: CommentSchema | None = None,
         molecules = []
         for p in files:
             # only the record is read, and the file is closed before the next
-            with contextlib.closing(read_lines(p, p.name)) as lines:
-                try:
-                    molecules.append(next(_xyz_records(lines, schema, vocabulary, p.stem)))
-                except (ParseError, VocabularyError) as err:
-                    raise type(err)(f"{p.name}: {err}") from err
+            with contextlib.closing(read_extended_xyz(p, p.name, schema, vocabulary,
+                                                      p.stem)) as records:
+                molecules.append(next(records))
     else:
         if fmt == "auto":
             fmt = "tabular" if path.suffix.lower() in (".csv", ".tsv") else "xyz"
         if fmt not in ("tabular", "xyz"):
             raise DataError(f"unknown dataset format '{fmt}'")
-        with contextlib.closing(read_lines(path, str(path))) as lines:
-            if fmt == "tabular":
-                delim = "\t" if path.suffix.lower() == ".tsv" else ","
+        if fmt == "tabular":
+            delim = "\t" if path.suffix.lower() == ".tsv" else ","
+            with contextlib.closing(read_lines(path, str(path))) as lines:
                 return parse_tabular(b"".join(lines), vocabulary, delimiter=delim)
-            molecules = list(iter_extended_xyz_records(lines, schema, vocabulary))
+        molecules = list(read_extended_xyz(path, str(path), schema, vocabulary))
     if schema is None:
         return Dataset(molecules, [], vocabulary)
     return Dataset(molecules, schema.property_names, vocabulary, schema.units)

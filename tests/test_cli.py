@@ -727,7 +727,7 @@ def test_predict_holds_one_chunk_of_molecules_at_a_time(trained_run, tmp_path, c
     import weakref
 
     import ggrnet.cli as cli
-    from ggrnet.data import iter_extended_xyz_records
+    from ggrnet.data import read_extended_xyz
     from ggrnet.training import PREDICT_CHUNK
 
     molecules = tmp_path / "many.xyz"
@@ -738,13 +738,13 @@ def test_predict_holds_one_chunk_of_molecules_at_a_time(trained_run, tmp_path, c
         alive[0] -= 1
 
     def counted(*args):
-        for mol in iter_extended_xyz_records(*args):
+        for mol in read_extended_xyz(*args):
             alive[0] += 1
             weakref.finalize(mol, released)
             most.append(alive[0])
             yield mol
 
-    monkeypatch.setattr(cli, "iter_extended_xyz_records", counted)
+    monkeypatch.setattr(cli, "read_extended_xyz", counted)
     assert main(["predict", str(trained_run / "best.ckpt"), str(molecules)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == len(most) == 40
     # one chunk, plus the record being parsed
@@ -759,8 +759,8 @@ def test_predict_prints_earlier_chunks_before_a_malformed_record(trained_run, tm
     assert main(["predict", str(trained_run / "best.ckpt"), str(molecules)]) == 3
     out, err = capsys.readouterr()
     assert len(out.splitlines()) == 20
-    assert err == f"error: line {len(good.splitlines()) + 4}: expected atom line 2 of 2, " \
-                  f"found end of input\n"
+    assert err == f"error: {molecules}: line {len(good.splitlines()) + 4}: expected atom " \
+                  f"line 2 of 2, found end of input\n"
 
 
 # ---------------------------------------------------------------------------
@@ -995,29 +995,33 @@ def test_a_checkpoint_with_a_non_finite_value_is_one_line_exit_2(trained_run, tm
     (["train", "--config", "{cfg}", "--out", "{empty}/o", "--set", "dataset.format=nope"], 2,
      "dataset.format must be one of"),
     (["eval", "{ckpt}", "--data", "{nocol}", "--schema", "builtin:sample"], 3,
-     "line 2: property record has only 0 fields"),
-    (["eval", "{ckpt}", "--data", "{short}"], 3, "line 3: atom line needs 'symbol x y z'"),
-    (["predict", "{ckpt}", "{short}"], 3, "line 3: atom line needs 'symbol x y z'"),
+     "{nocol}: line 2: property record has only 0 fields"),
+    (["eval", "{ckpt}", "--data", "{short}"], 3, "{short}: line 3: atom line needs 'symbol x y z'"),
+    (["predict", "{ckpt}", "{short}"], 3, "{short}: line 3: atom line needs 'symbol x y z'"),
+    (["eval", "{ckpt}", "--data", "{sulfur}"], 3, "{sulfur}: line 4: unknown element symbol 'S'"),
+    (["predict", "{ckpt}", "{sulfur}"], 3, "{sulfur}: line 4: unknown element symbol 'S'"),
     (["eval", "{ckpt}", "--data", "{empty}"], 3, "no .xyz files under directory {empty}"),
 ], ids=["seeds", "fd-step", "fd-step-nan", "atoms", "seed", "threshold-nan", "train-out",
         "train-out-below", "train-run-dir", "ablate-out", "eval-dir", "eval-dir-entry",
         "eval-dir-tabular", "train-config-not-utf8", "ablate-config-not-utf8",
         "eval-config-not-utf8", "config-line-without-equals", "set-without-equals",
         "empty-element-list", "unknown-format", "comment-without-id", "eval-short-atom-line",
-        "predict-short-atom-line", "eval-dir-without-xyz"])
+        "predict-short-atom-line", "eval-unknown-element", "predict-unknown-element",
+        "eval-dir-without-xyz"])
 def test_bad_input_is_one_line_with_its_exit_code(trained_run, config_file, tmp_path, capsys,
                                                  argv, code, start):
     places = {"cfg": config_file, "file": tmp_path / "taken", "ckpt": trained_run / "best.ckpt",
               "dir": tmp_path / "molecules", "nested": tmp_path / "nested",
               "empty": tmp_path / "empty", "latin": tmp_path / "latin.cfg",
               "noeq": tmp_path / "noeq.cfg", "nocol": tmp_path / "nocol.xyz",
-              "short": tmp_path / "short.xyz"}
+              "short": tmp_path / "short.xyz", "sulfur": tmp_path / "sulfur.xyz"}
     places["file"].write_text("")
     places["empty"].mkdir()
     places["latin"].write_bytes(b"\xff\xfe")
     places["noeq"].write_text("dataset.path\n")
     places["nocol"].write_text("1\n\nC 0 0 0\n")          # the schema's id column 0 is missing
     places["short"].write_text("1\nm\nC 0 0\n")
+    places["sulfur"].write_text("2\ncs 0.5 2\nC 0 0 0\nS 1 0 0\n")
     places["dir"].mkdir()
     (places["dir"] / "a.xyz").write_text("1\na 0.5 1\nC 0 0 0\n")
     (places["dir"] / "empty.xyz").write_text("")
@@ -1064,18 +1068,35 @@ def test_a_stream_closed_by_its_reader_ends_the_command_quietly_with_141(trained
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("buffered", [True, False])
-@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("command", ["eval", "predict", "help"])
 def test_stdout_that_cannot_be_written_is_one_line_exit_2(trained_run, command, buffered):
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
-    data = str(sample_dataset_path())
-    args = {"eval": ["--data", data, "--schema", "builtin:sample"], "predict": [data]}[command]
+    ckpt, data = trained_run / "best.ckpt", sample_dataset_path()
+    argv = {"eval": ["eval", ckpt, "--data", data, "--schema", "builtin:sample"],
+            "predict": ["predict", ckpt, data], "help": ["--help"]}[command]
     with open("/dev/full", "w") as full:
-        proc = subprocess.run(ggrnet_command(command, trained_run / "best.ckpt", *args),
-                              stdout=full, stderr=subprocess.PIPE, env=env, timeout=300)
+        proc = subprocess.run(ggrnet_command(*argv), stdout=full, stderr=subprocess.PIPE,
+                              env=env, timeout=300)
     assert (proc.returncode, proc.stderr.decode()) == \
         (2, "error: standard output: cannot write: No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command, code", [("eval", 2), ("train", 0)])
+def test_stderr_that_cannot_be_written_keeps_the_exit_code(config_file, tmp_path, command, code):
+    # the error line of eval, or train's progress lines, are lost, and the
+    # command exits as it would with them written
+    argv = {"eval": ["eval", tmp_path / "missing.ckpt", "--data", sample_dataset_path()],
+            "train": ["train", "--config", config_file, "--out", tmp_path / "out",
+                      "--epochs", "2"]}[command]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(ggrnet_command(*argv), stdout=subprocess.PIPE, stderr=full,
+                              timeout=300)
+    assert proc.returncode == code
+    if command == "train":
+        assert json.loads(proc.stdout) == json.loads((tmp_path / "out" / "report.json").read_text())
 
 
 @pytest.mark.parametrize("name", ["manifest.cfg", "metrics.jsonl", "best.ckpt", "report.json",

@@ -473,11 +473,12 @@ RECORDS = b"1\na 1.0\nC 0 0 0\n\n2\nb 2.0\nH 0 0 0\nH 1 0 0\n\n2\nc 3.0\nO 0 0 0
 ], ids=["not-utf8", "not-utf8-after-mark", "unknown-element", "truncated", "bad-count",
         "two-faults", "not-utf8-line-1"])
 def test_load_dataset_raises_what_the_record_iterator_raises(tmp_path, raw):
+    # and names the file, as a directory entry's error does
     path = tmp_path / "bad.xyz"
     path.write_bytes(raw)
     with pytest.raises((ParseError, VocabularyError)) as streamed:
         list(iter_extended_xyz_records(raw.splitlines(keepends=True), SCHEMA))
-    with pytest.raises(type(streamed.value), match=f"^{re.escape(str(streamed.value))}$"):
+    with pytest.raises(type(streamed.value), match=f"^{re.escape(f'{path}: {streamed.value}')}$"):
         load_dataset(path, "xyz", SCHEMA)
     assert str(streamed.value).startswith("line ")
 
