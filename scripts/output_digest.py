@@ -49,7 +49,11 @@ extended-XYZ file: ``train --runs 2 --resplit --threads 1`` (dims 4/4/8/8,
 ``final.ckpt`` and ``metrics.jsonl``, and each ``manifest.cfg`` (with the
 temporary directory's path replaced by a fixed token) get one line each;
 then ``eval --config run1/manifest.cfg``, ``eval --data`` of the file with
-residuals, and ``predict`` of it, whose standard output gets one line each.
+residuals, and ``predict`` of it, whose standard output gets one line each;
+and a 2-epoch ``train`` at default dims on 13 generated molecules of 9 to 29
+atoms, whose training batch holds more recorded grids than
+``training.GRID_BUDGET`` and so runs as sub-batches: one line each for its
+``final.ckpt`` and ``metrics.jsonl``.
 Two source trees whose outputs are bitwise equal, whose overflow checks
 decide alike and whose readers read alike print identical lines, so
 ``diff`` of two runs compares them. BLAS runs on one thread, as for a
@@ -347,6 +351,17 @@ def main(argv) -> int:
                    "predict": command("predict", ckpt, molecules, "--schema", "builtin:sample")}
         for name, stdout in outputs.items():
             print(f"cli\t{name}\tstdout\t{sha(stdout)}")
+
+        # default dims, QM9-sized molecules: batches larger than the grid budget
+        (root / "large.xyz").write_text(
+            "".join(xyz_record(mol, f"{mol.mol_id} {mol.targets['energy']!r} {mol.natoms}")
+                    for mol in geometric_dataset(13, seed=1953, n_atoms=(9, 29))))
+        (root / "large.cfg").write_text(
+            f"dataset.path = {root / 'large.xyz'}\ndataset.schema = builtin:sample\n"
+            "dataset.elements = H,C,N,O\ntarget = energy\ntrain.epochs = 2\n")
+        command("train", "--config", root / "large.cfg", "--out", root / "large", "--threads", "1")
+        for name in ("final.ckpt", "metrics.jsonl"):
+            print(f"cli\ttrain default dims\t{name}\t{sha((root / 'large' / name).read_bytes())}")
     return 0
 
 

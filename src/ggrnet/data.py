@@ -551,7 +551,7 @@ def load_dataset(path, fmt: str = "auto", schema: CommentSchema | None = None,
     XYZ otherwise); a directory is read as XYZ only. Directory entries are
     read in sorted name order so the dataset order never depends on
     filesystem iteration, and a file whose record names no id gives it the
-    file's stem.
+    file's stem. A parse or vocabulary error names the file it is in.
     """
     path = Path(path)
     if path.is_dir():
@@ -575,7 +575,10 @@ def load_dataset(path, fmt: str = "auto", schema: CommentSchema | None = None,
         if fmt == "tabular":
             delim = "\t" if path.suffix.lower() == ".tsv" else ","
             with contextlib.closing(read_lines(path, str(path))) as lines:
-                return parse_tabular(b"".join(lines), vocabulary, delimiter=delim)
+                try:
+                    return parse_tabular(b"".join(lines), vocabulary, delimiter=delim)
+                except (ParseError, VocabularyError) as err:
+                    raise type(err)(f"{path}: {err}") from None
         molecules = list(read_extended_xyz(path, str(path), schema, vocabulary))
     if schema is None:
         return Dataset(molecules, [], vocabulary)

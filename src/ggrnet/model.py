@@ -252,8 +252,15 @@ def _carver(buf: np.ndarray):
     return carve
 
 
+def _grid_pairs(sizes: Sequence[int]) -> int:
+    """The ordered atom pairs, diagonal included, of the molecules with pairs
+    among molecules of ``sizes`` atoms: a recorded call keeps ``2 steps
+    hidden`` activations for each."""
+    return sum(n * n for n in sizes if n > 1)
+
+
 def _layout(cfg: ModelConfig, sizes: Sequence[int], replicas: int = 1,
-            recording: bool = False) -> list[tuple[int, ...]]:
+            recording: bool = False, grid_pairs: int | None = None) -> list[tuple[int, ...]]:
     """The shapes of the views that a :func:`message_step` call on molecules
     of ``sizes`` atoms carves from its workspace, in carve order: the grid
     slot, sized for the largest molecule and first, on the workspace's
@@ -264,7 +271,9 @@ def _layout(cfg: ModelConfig, sizes: Sequence[int], replicas: int = 1,
     beyond them; the states; and, recorded, one region for the grids of every
     step and every molecule with pairs, at least as large as the weight
     gradients of :func:`_gradient_layout`, which the backward lays over it
-    once the grids are dead. Recorded calls have ``R = 1``."""
+    once the grids are dead; ``grid_pairs`` sizes that region for so many
+    pairs in place of :func:`_grid_pairs` of ``sizes``. Recorded calls have
+    ``R = 1``."""
     hidden, steps, atoms = cfg.hidden_dim, cfg.steps, sum(sizes)
     layout = [(replicas * 2 * max(sizes) ** 2 * hidden,),
               (replicas, 2, 2, hidden, cfg.atom_dim),
@@ -274,7 +283,8 @@ def _layout(cfg: ModelConfig, sizes: Sequence[int], replicas: int = 1,
               (3 * replicas + (max(steps, 3) - 3 if recording else 0), atoms, 4 * hidden),
               (steps - 1 if recording else 1, replicas, atoms, hidden)]
     if recording:
-        layout.append((max(steps * 2 * hidden * sum(n * n for n in sizes if n > 1),
+        pairs = _grid_pairs(sizes) if grid_pairs is None else grid_pairs
+        layout.append((max(steps * 2 * hidden * pairs,
                            sum(map(math.prod, _gradient_layout(cfg)))),))
     return layout
 
@@ -289,9 +299,9 @@ def _gradient_layout(cfg: ModelConfig) -> list[tuple[int, ...]]:
 
 
 def _workspace_size(cfg: ModelConfig, sizes: Sequence[int], replicas: int = 1,
-                    recording: bool = False) -> int:
+                    recording: bool = False, grid_pairs: int | None = None) -> int:
     """Entries of the workspace that :func:`_layout` lays out."""
-    return sum(map(math.prod, _layout(cfg, sizes, replicas, recording)))
+    return sum(map(math.prod, _layout(cfg, sizes, replicas, recording, grid_pairs)))
 
 
 def _replica_reader(graph: Graph | None, params: ModelParams,

@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import Graph, Tensor
 from .data import Dataset, Molecule, Normalizer, fit_normalizer
 from .errors import ConfigError, DataError, NumericalError, ShapeError
-from .model import (ModelConfig, ModelParams, MoleculeEncoding, _give_workspace,
+from .model import (ModelConfig, ModelParams, MoleculeEncoding, _give_workspace, _grid_pairs,
                     _take_workspace, _workspace_size, forward_batch, init_params,
                     release_workspace)
 
@@ -47,6 +47,12 @@ __all__ = [
 # sized for the chunk's largest molecule, so memory grows with the chunk only
 # through its [ΣN, 4 hidden] terms and [ΣN, hidden] states
 PREDICT_CHUNK = 10
+
+# bytes of gate and candidate activations that one recorded forward of a
+# training batch may keep for its backward, 8·steps·2·hidden per atom pair:
+# a batch whose grids exceed it runs as sub-batches, so a training step's
+# memory does not grow with batch size × N²
+GRID_BUDGET = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -125,17 +131,22 @@ def lr_at_epoch(lr0: float, decay: float, epoch: int) -> float:
     return lr0 / (1.0 + decay * epoch)
 
 
-def mse_loss(graph: Graph | None, preds: Tensor, targets: Sequence[float]) -> Tensor:
+def mse_loss(graph: Graph | None, preds: Tensor, targets: Sequence[float],
+             divisor: int | None = None) -> Tensor:
     """Mean squared error of each row of ``[R, B]`` predictions against the B
     ``targets`` as one op, ``[R, 1]``: a row's residuals dotted with themselves,
-    times ``1/B``. A recorded call takes one row; its gradient is ``g (2/B) diff``."""
+    times ``1/D``, where the divisor D is B unless given (the size of the whole
+    batch, for one of its sub-batches). A recorded call takes one row; its
+    gradient is ``g (2/D) diff``."""
     batch = len(targets)
     if batch == 0 or preds.cols != batch or (graph is not None and preds.rows != 1):
         raise ShapeError(f"mse_loss: predictions of shape {preds.shape} vs {batch} targets "
                          f"(a recorded call takes one row)")
+    divisor = batch if divisor is None else divisor
     diff = preds.values - np.array(targets, dtype=np.float64)
-    loss = np.matmul(diff[:, None], diff[:, :, None])[:, 0] * (1.0 / batch)
-    return ad._result(graph, "mse_loss", (preds,), loss, lambda g: (g * (2.0 / batch) * diff,))
+    loss = np.matmul(diff[:, None], diff[:, :, None])[:, 0] * (1.0 / divisor)
+    return ad._result(graph, "mse_loss", (preds,), loss,
+                      lambda g: (g * (2.0 / divisor) * diff,))
 
 
 def mae(pred: Sequence[float], target: Sequence[float]) -> float:
@@ -188,15 +199,38 @@ def _sgd_update(tensors: Sequence[Tensor], lr: float) -> None:
         t.values -= t.grad
 
 
+def _budget_pairs(cfg: ModelConfig) -> int:
+    """The most atom pairs whose recorded grids fit :data:`GRID_BUDGET`."""
+    return GRID_BUDGET // (8 * cfg.steps * 2 * cfg.hidden_dim)
+
+
+def _sub_batches(sizes: Sequence[int], cfg: ModelConfig) -> list[slice]:
+    """Consecutive runs of a batch of molecules of ``sizes`` atoms, each as
+    long as its recorded grids fit :data:`GRID_BUDGET` (next fit, in batch
+    order): the whole batch when it fits, and a molecule larger than the
+    budget alone."""
+    budget, edges, held = _budget_pairs(cfg), [0], 0
+    for k, n in enumerate(sizes):
+        pairs = _grid_pairs([n])
+        if held and held + pairs > budget:
+            edges.append(k)
+            held = 0
+        held += pairs
+    edges.append(len(sizes))
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def setup_run(train_ds: Dataset, val_ds: Dataset,
               cfg: TrainConfig) -> tuple[list[str], Normalizer, ModelParams]:
     """A run's vocabulary, normalizer (fitted on the training partition only)
     and seeded initial parameters, after the target is found in both
     partitions. The recursion's workspace is requested and kept as the spare,
-    so a model too large raises here, and no batch or validation pass of the
-    run allocates one: the larger of the recorded workspace of the
-    ``cfg.batch_size`` largest training molecules and the no-grad one of the
-    :data:`PREDICT_CHUNK` largest validation molecules."""
+    so a model too large raises here, and no sub-batch or validation pass of
+    the run allocates one: the larger of the no-grad workspace of the
+    :data:`PREDICT_CHUNK` largest validation molecules and the recorded one
+    of the ``cfg.batch_size`` largest training molecules, with its grids
+    bounded as a sub-batch's are, by the larger of :data:`GRID_BUDGET` and
+    the largest molecule's grids."""
     prop = cfg.target_property
     if prop not in train_ds.property_names or prop not in val_ds.property_names:
         raise DataError(f"target '{prop}' not among dataset properties "
@@ -206,8 +240,10 @@ def setup_run(train_ds: Dataset, val_ds: Dataset,
     params = init_params(cfg.model, len(vocabulary), train_ds.max_atom_count, cfg.seed)
     batch = sorted((mol.natoms for mol in train_ds), reverse=True)[:cfg.batch_size]
     chunk = sorted((mol.natoms for mol in val_ds), reverse=True)[:PREDICT_CHUNK]
+    pairs = min(_grid_pairs(batch), max(_budget_pairs(cfg.model), _grid_pairs(batch[:1])))
     # an empty validation set needs none; evaluate raises on it
-    _give_workspace(_take_workspace(max(_workspace_size(cfg.model, batch, recording=True),
+    _give_workspace(_take_workspace(max(_workspace_size(cfg.model, batch, recording=True,
+                                                        grid_pairs=pairs),
                                         _workspace_size(cfg.model, chunk) if chunk else 0)))
     return vocabulary, normalizer, params
 
@@ -218,15 +254,22 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
     best-validation checkpointing, set up by :func:`setup_run`.
 
     Every epoch reshuffles the training indices from one seeded RNG stream,
-    so a given seed reproduces the whole run bit for bit. Each batch is
-    encoded when it runs, with the training set's own vocabulary, so no
-    element is unknown. The recursion workspace is freed when the run ends.
+    so a given seed reproduces the whole run bit for bit. A batch whose
+    recorded grids exceed :data:`GRID_BUDGET` runs as the consecutive
+    sub-batches of :func:`_sub_batches`, each with its own forward, loss
+    (divided by the whole batch's size) and backward, which add into the
+    gradients; one clip and one update follow, as for a batch that fits, so
+    the gradient is the sum of the sub-batches', which may differ from the
+    whole batch's in the last bits. Each sub-batch is encoded when it runs,
+    with the training set's own vocabulary, so no element is unknown. The
+    recursion workspace is freed when the run ends.
     """
     prop = cfg.target_property
     vocabulary, normalizer, params = setup_run(train_ds, val_ds, cfg)
     tensors = params.tensors()
 
     targets_norm = [normalizer.normalize(m.targets[prop]) for m in train_ds]
+    natoms = [m.natoms for m in train_ds]
 
     n = len(train_ds)
     rng = np.random.default_rng(cfg.seed)
@@ -249,24 +292,28 @@ def train(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
                 t_forward = time.perf_counter()
                 try:
                     ad.zero_grads(tensors)
-                    graph = Graph()
-                    preds = forward_batch(graph, [MoleculeEncoding(train_ds[i], vocabulary, cfg.model)
-                                                  for i in batch], params, cfg.model)
-                    loss = mse_loss(graph, preds, [targets_norm[i] for i in batch])
-                    t_backward = time.perf_counter()
-                    ad.backward(graph, loss)
+                    for part in _sub_batches([natoms[i] for i in batch], cfg.model):
+                        graph = Graph()
+                        preds = forward_batch(
+                            graph, [MoleculeEncoding(train_ds[i], vocabulary, cfg.model)
+                                    for i in batch[part]], params, cfg.model)
+                        loss = mse_loss(graph, preds, [targets_norm[i] for i in batch[part]],
+                                        len(batch))
+                        sq_sum += loss.item() * len(batch)
+                        t_backward = time.perf_counter()
+                        ad.backward(graph, loss)
+                        t_update = time.perf_counter()
+                        forward_s += t_backward - t_forward
+                        backward_s += t_update - t_backward
+                        t_forward = t_update
                 except NumericalError as err:
                     raise NumericalError(
                         f"training aborted at epoch {epoch}, batch {batch_idx}: {err}") from err
-                t_update = time.perf_counter()
                 pre_norm = ad.clip_global_norm(tensors, cfg.clip_norm)
                 post_norm = ad.global_grad_norm(tensors) if pre_norm > cfg.clip_norm else pre_norm
                 max_norm = max(max_norm, post_norm)
                 _sgd_update(tensors, lr)
-                sq_sum += loss.item() * len(batch)
                 t_done = time.perf_counter()
-                forward_s += t_backward - t_forward
-                backward_s += t_update - t_backward
                 update_s += t_done - t_update
 
             t_eval = time.perf_counter()

@@ -279,13 +279,15 @@ def test_the_allocation_check_asks_for_the_largest_training_batch(config_file, t
     assert main(["train", "--config", str(config_file), "--out", str(tmp_path / "o"),
                  "--runs", "2", "--resplit", "--epochs", "1"]) == 0
     ds = load_dataset(sample_dataset_path(), schema=resolve_schema("builtin:sample"))
-    # split.seed 7, stepped by run.resplit; train.batch_size 4, and the
+    # split.seed 7, stepped by run.resplit; train.batch_size 4, whose grids
+    # fit the training budget, so the request holds all of them; and the
     # validation pass's chunk of the largest validation molecules
     expected = []
     for seed in (7, 8):
         train_ds, val_ds, _ = split(ds, SplitSpec(seed=seed))
-        expected += [(8, sorted((m.natoms for m in train_ds), reverse=True)[:4],
-                      {"recording": True}),
+        batch = sorted((m.natoms for m in train_ds), reverse=True)[:4]
+        expected += [(8, batch, {"recording": True,
+                                 "grid_pairs": sum(n * n for n in batch if n > 1)}),
                      (8, sorted((m.natoms for m in val_ds), reverse=True)[:PREDICT_CHUNK], {})]
     # each run is set up before --out is made, then again by train
     assert asked == 2 * expected
@@ -1001,20 +1003,22 @@ def test_a_checkpoint_with_a_non_finite_value_is_one_line_exit_2(trained_run, tm
     (["eval", "{ckpt}", "--data", "{sulfur}"], 3, "{sulfur}: line 4: unknown element symbol 'S'"),
     (["predict", "{ckpt}", "{sulfur}"], 3, "{sulfur}: line 4: unknown element symbol 'S'"),
     (["eval", "{ckpt}", "--data", "{empty}"], 3, "no .xyz files under directory {empty}"),
+    (["eval", "{ckpt}", "--data", "{xx}"], 3, "{xx}: record 1: unknown element symbol 'Xx'\n"),
 ], ids=["seeds", "fd-step", "fd-step-nan", "atoms", "seed", "threshold-nan", "train-out",
         "train-out-below", "train-run-dir", "ablate-out", "eval-dir", "eval-dir-entry",
         "eval-dir-tabular", "train-config-not-utf8", "ablate-config-not-utf8",
         "eval-config-not-utf8", "config-line-without-equals", "set-without-equals",
         "empty-element-list", "unknown-format", "comment-without-id", "eval-short-atom-line",
         "predict-short-atom-line", "eval-unknown-element", "predict-unknown-element",
-        "eval-dir-without-xyz"])
+        "eval-dir-without-xyz", "eval-tabular-unknown-element"])
 def test_bad_input_is_one_line_with_its_exit_code(trained_run, config_file, tmp_path, capsys,
                                                  argv, code, start):
     places = {"cfg": config_file, "file": tmp_path / "taken", "ckpt": trained_run / "best.ckpt",
               "dir": tmp_path / "molecules", "nested": tmp_path / "nested",
               "empty": tmp_path / "empty", "latin": tmp_path / "latin.cfg",
               "noeq": tmp_path / "noeq.cfg", "nocol": tmp_path / "nocol.xyz",
-              "short": tmp_path / "short.xyz", "sulfur": tmp_path / "sulfur.xyz"}
+              "short": tmp_path / "short.xyz", "sulfur": tmp_path / "sulfur.xyz",
+              "xx": tmp_path / "xx.csv"}
     places["file"].write_text("")
     places["empty"].mkdir()
     places["latin"].write_bytes(b"\xff\xfe")
@@ -1022,6 +1026,7 @@ def test_bad_input_is_one_line_with_its_exit_code(trained_run, config_file, tmp_
     places["nocol"].write_text("1\n\nC 0 0 0\n")          # the schema's id column 0 is missing
     places["short"].write_text("1\nm\nC 0 0\n")
     places["sulfur"].write_text("2\ncs 0.5 2\nC 0 0 0\nS 1 0 0\n")
+    places["xx"].write_text("id,atoms,coords,energy\nm0,C Xx,0 0 0 1 0 0,0.5\n")
     places["dir"].mkdir()
     (places["dir"] / "a.xyz").write_text("1\na 0.5 1\nC 0 0 0\n")
     (places["dir"] / "empty.xyz").write_text("")

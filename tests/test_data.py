@@ -483,6 +483,22 @@ def test_load_dataset_raises_what_the_record_iterator_raises(tmp_path, raw):
     assert str(streamed.value).startswith("line ")
 
 
+@pytest.mark.parametrize("name, text", [
+    ("bad.csv", "id,atoms,coords,y\nm0,C Xx,0 0 0 1 0 0,1.5\n"),         # an unknown element
+    ("bad.tsv", "id\tatoms\tcoords\ty\nm0\tC\t0 0 0\n"),                # a missing field
+    ("bad.csv", "id,atoms,coords,y\nm0,C,0 0 0,1.5\n\xff"),              # not UTF-8
+], ids=["unknown-element", "short-record", "not-utf8"])
+def test_load_dataset_names_the_tabular_file_of_a_parse_error(tmp_path, name, text):
+    # as it names an extended-XYZ file
+    path = tmp_path / name
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises((ParseError, VocabularyError)) as parsed:
+        parse_tabular(text.encode("latin-1"), delimiter="\t" if name.endswith(".tsv") else ",")
+    with pytest.raises(type(parsed.value), match=f"^{re.escape(f'{path}: {parsed.value}')}$"):
+        load_dataset(path)
+    assert not str(parsed.value).startswith(str(tmp_path))
+
+
 def test_an_undecodable_byte_names_its_line_after_a_byte_order_mark():
     # the mark is not counted in the byte offset that locates the line
     raw = b"\xef\xbb\xbf" + RECORDS.replace(b"\n2\nc", b"\n\xff2\nc")

@@ -143,6 +143,27 @@ def test_mse_loss_rows_equal_one_row_calls_bitwise():
                     == mse_loss(None, ad.constant(preds[r:r + 1]), targets).values.tobytes())
 
 
+def test_a_sub_batch_loss_keeps_the_whole_batch_gradient_bits():
+    # divided by the whole batch's size, each molecule's loss gradient has
+    # the bits it has in one call on the whole batch
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=(1, 7))
+    targets = rng.normal(size=7).tolist()
+    whole = ad.parameter(values)
+    graph = ad.Graph()
+    ad.backward(graph, mse_loss(graph, whole, targets))
+    losses = []
+    for part in (slice(0, 3), slice(3, 4), slice(4, 7)):
+        preds = ad.parameter(values[:, part])
+        graph = ad.Graph()
+        loss = mse_loss(graph, preds, targets[part], 7)
+        ad.backward(graph, loss)
+        assert preds.grad.tobytes() == whole.grad[:, part].tobytes()
+        losses.append(loss.item())
+    assert sum(losses) == pytest.approx(mse_loss(None, ad.constant(values), targets).item(),
+                                        rel=1e-15)
+
+
 def test_a_training_batch_records_three_tape_entries():
     # the recursion, the readout and the loss, each one op
     ds = geometric_dataset(4, seed=3, n_atoms=(2, 5), property_name="e")
@@ -268,9 +289,11 @@ def test_divergence_aborts_with_position(comp_splits):
             train(tr, va, quick_config(epochs=5, lr0=1e150, clip_norm=1e300))
 
 
-def test_non_finite_step_names_epoch_batch_molecule_and_step(comp_splits):
+def test_non_finite_step_names_epoch_batch_molecule_and_step(comp_splits, monkeypatch):
     # coincident atoms under a subnormal distance floor give an infinite
-    # inverse distance, so only that molecule's grid turns non-finite
+    # inverse distance, so only that molecule's grid turns non-finite; in a
+    # whole batch, and in a batch split into one sub-batch per molecule
+    import ggrnet.training as training
     from ggrnet.data import Dataset, Molecule
 
     tr, va, _ = comp_splits
@@ -278,10 +301,12 @@ def test_non_finite_step_names_epoch_batch_molecule_and_step(comp_splits):
     mols[5] = Molecule("dup", mols[5].symbols, np.zeros((mols[5].natoms, 3)), mols[5].targets)
     bad = Dataset(mols, tr.property_names, tr.element_vocabulary)
     cfg = quick_config(model=dataclasses.replace(SMALL, distance_epsilon=1e-310))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"), \
-            pytest.raises(NumericalError, match=r"^training aborted at epoch 0, batch \d+: "
-                                                r"molecule dup, step 0: .*'message_step'"):
-        train(bad, va, cfg)
+    for budget in (training.GRID_BUDGET, 1):
+        monkeypatch.setattr(training, "GRID_BUDGET", budget)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match=r"^training aborted at epoch 0, batch \d+: "
+                                                    r"molecule dup, step 0: .*'message_step'"):
+            train(bad, va, cfg)
 
 
 def test_train_drops_the_recursion_workspace():
@@ -361,6 +386,111 @@ def test_a_run_takes_no_workspace_after_its_setup(monkeypatch):
     result = train(tr, va, cfg)
     # three batches and one validation pass per epoch
     assert len(result.reports) == 3 and served == [True] * 12, served
+
+
+def test_sub_batches_are_consecutive_runs_within_the_budget(monkeypatch):
+    import ggrnet.training as training
+
+    cfg = ModelConfig(hidden_dim=10, steps=1)                 # 160 bytes of grids per pair
+    monkeypatch.setattr(training, "GRID_BUDGET", 160 * 100 + 159)   # 100 pairs
+    # pairs 9, 16, 25, 0, 121, 4, 81, 81, 36: next fit in batch order, and
+    # the 11-atom molecule, larger than the budget, alone
+    assert training._sub_batches([3, 4, 5, 1, 11, 2, 9, 9, 6], cfg) == [
+        slice(0, 4), slice(4, 5), slice(5, 7), slice(7, 8), slice(8, 9)]
+    assert training._sub_batches([10, 1, 1], cfg) == [slice(0, 3)]     # exactly the budget
+    assert training._sub_batches([11], cfg) == [slice(0, 1)]
+    monkeypatch.setattr(training, "GRID_BUDGET", 160 * 9 * 11 ** 2)
+    assert training._sub_batches([3, 4, 5, 1, 11, 2, 9, 9, 6], cfg) == [slice(0, 9)]
+
+
+def first_update(monkeypatch, ds, cfg):
+    """The gradients that the first update of ``train`` on ``ds`` applies,
+    and the first epoch's ``train_mse``."""
+    import ggrnet.training as training
+
+    applied = []
+    update = training._sgd_update
+
+    def spy(tensors, lr):
+        applied.append([t.grad.copy() for t in tensors])
+        update(tensors, lr)
+
+    monkeypatch.setattr(training, "_sgd_update", spy)
+    result = train(ds, ds.subset(range(1)), cfg)
+    return applied[0], result.reports[0].train_mse
+
+
+def whole_batch(ds, cfg):
+    """The gradients and loss of one forward and backward over the first
+    batch of ``train`` on ``ds`` with ``cfg.batch_size = len(ds)``."""
+    import ggrnet.training as training
+    from ggrnet.model import release_workspace
+
+    vocabulary, normalizer, params = training.setup_run(ds, ds, cfg)
+    try:
+        batch = [ds[i] for i in np.random.default_rng(cfg.seed).permutation(len(ds))]
+        graph = ad.Graph()
+        preds = forward_batch(graph, [MoleculeEncoding(m, vocabulary, cfg.model) for m in batch],
+                              params, cfg.model)
+        loss = mse_loss(graph, preds, [normalizer.normalize(m.targets["energy"]) for m in batch])
+        ad.backward(graph, loss)
+    finally:
+        release_workspace()
+    return [t.grad for t in params.tensors()], loss.item()
+
+
+@pytest.mark.parametrize("budget", ["default", "every molecule alone", "whole batch"])
+def test_a_split_batch_builds_the_whole_batch_gradient(monkeypatch, budget):
+    # one batch of QM9-sized molecules at default dims, no clipping: split,
+    # its gradient is the sum of its sub-batches' within rounding; within the
+    # budget, it is one call with the bits of the whole batch's
+    import ggrnet.training as training
+
+    ds = geometric_dataset(10, seed=97, n_atoms=(9, 29))
+    cfg = TrainConfig(target_property="energy", epochs=1, batch_size=len(ds), clip_norm=1e300)
+    monkeypatch.setattr(training, "GRID_BUDGET", {"default": training.GRID_BUDGET,
+                                                  "every molecule alone": 1,
+                                                  "whole batch": 1 << 40}[budget])
+    parts = training._sub_batches([m.natoms for m in ds], cfg.model)
+    assert len(parts) == {"default": len(parts), "every molecule alone": 10,
+                          "whole batch": 1}[budget]
+    want, want_loss = whole_batch(ds, cfg)
+    got, got_loss = first_update(monkeypatch, ds, cfg)
+    if budget == "whole batch":
+        assert got_loss == want_loss * len(ds) / len(ds)          # as the epoch sums it
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        return
+    assert 1 < len(parts) and got_loss == pytest.approx(want_loss, rel=1e-12)
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+
+@pytest.mark.parametrize("budget", ["default", "every molecule alone"])
+def test_a_run_whose_batches_split_takes_no_workspace_after_its_setup(monkeypatch, budget):
+    # train-qm9's shape at default dims: every sub-batch and validation pass
+    # is served by the workspace that setup keeps, and the epoch's parts
+    # still sum to no more than its seconds
+    import ggrnet.model as model
+    import ggrnet.training as training
+
+    if budget != "default":
+        monkeypatch.setattr(training, "GRID_BUDGET", 1)
+    tr = geometric_dataset(21, seed=98, n_atoms=(9, 29))
+    va = geometric_dataset(5, seed=99, n_atoms=(9, 27))
+    cfg = TrainConfig(target_property="energy", epochs=2)
+    served = []
+    take = model._take_workspace
+
+    def spy(size):
+        served.append(bool(model._spare) and model._spare[-1].size >= size)
+        return take(size)
+
+    monkeypatch.setattr(model, "_take_workspace", spy)
+    result = train(tr, va, cfg)
+    # more calls than the three batches and one validation pass of each epoch
+    assert len(served) > 2 * 4 and all(served), served
+    for rep in result.reports:
+        assert rep.forward_s + rep.backward_s + rep.update_s + rep.eval_s <= rep.seconds
 
 
 def test_predict_chunks_keep_order_and_values():
