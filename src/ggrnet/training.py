@@ -52,7 +52,7 @@ PREDICT_CHUNK = 10
 # training batch may keep for its backward, 8·steps·2·hidden per atom pair:
 # a batch whose grids exceed it runs as sub-batches, so a training step's
 # memory does not grow with batch size × N²
-GRID_BUDGET = 8 << 20
+GRID_BUDGET = 16 << 20
 
 
 @dataclass(frozen=True)
